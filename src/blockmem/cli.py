@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from . import trace as trace_mod
-from .lawcheck.runner import SuiteConfig, jsonl_report, run_suite, text_report
 from .memstate import CapacityPolicy, MemConfig
 from .trace import TraceParseError, exec_trace, parse_embedding, parse_trace, relate
 
@@ -81,6 +80,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    # Imported here so that `run` and `relate` do not load and register
+    # the whole law suite.
+    from .lawcheck.runner import SuiteConfig, jsonl_report, run_suite, text_report
+
     file_cfg = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 42))
     cases = args.cases

@@ -2,11 +2,17 @@
 
 Each relation quantifies over loads, which is a finite universe once block
 bounds are fixed: all chunks crossed with the aligned in-bounds offsets of
-every valid block.  The checkers exploit that a load produces a defined
-value only at an offset holding a datum, so the quantification collapses
-to a sweep over materialized cells plus per-block bounds checks; the
-result is exactly the full enumeration's (see the reference checkers in
-the law-suite oracle, which do enumerate and are tested to agree).
+every valid block.  The checkers never enumerate that universe.  A load
+produces a defined value only at an offset holding a datum, so the value
+half of each relation is a sweep over materialized cells.  The access half
+("every valid access of a block of the left state is valid at its image in
+the right state") is decided per block in closed form: an interval
+containment test, because byte accesses reach every offset of a non-empty
+block, and, when the right state checks alignment, an arithmetic test on
+the first fitting offset of each chunk.  Cost therefore scales with cells
+and blocks, never with block span.  The results are exactly the full
+enumeration's (see the reference checkers in the law-suite oracle, which
+do enumerate and are tested to agree, also across alignment configs).
 
 An embedding is a partial relocation map ``block -> (target block, byte
 delta)``; absent keys are unmapped.  Deltas of an injection must be
@@ -110,17 +116,50 @@ def valid_accesses(m: MemState, b: int) -> tuple[tuple[Chunk, int], ...]:
 
 def _defined_loads(m: MemState, b: int):
     """Yield every (chunk, offset, value) with a defined (non-undef) load in
-    block ``b``.  Defined loads only arise at datum cells, read at a chunk
-    of the same size class."""
+    block ``b``, which must be valid in ``m``.  Defined loads only arise at
+    datum cells, read at a chunk of the same size class; such chunks share
+    the datum's footprint, so bounds and the intact-footprint test are
+    decided once per datum."""
     c = m.contents.get(b)
     if not c:
         return
+    low, high = memstate.bounds(m, b)
+    aligned = m.config.check_alignment
     for ofs, datum in c.items():
+        size = chunks.size_chunk(datum.chunk)
+        if ofs < low or ofs + size > high or not cells.check_cont(c, ofs + 1, size - 1):
+            continue
         for t in COMPAT_CHUNKS[datum.chunk]:
-            if memstate.valid_access(m, t, b, ofs):
-                v = cells.load_contents(t, c, ofs)
-                if v != VUNDEF:
-                    yield t, ofs, v
+            if aligned and ofs % chunks.align_chunk(t):
+                continue
+            v = chunks.convert(datum.value, t)
+            if v != VUNDEF:
+                yield t, ofs, v
+
+
+def _relocation_aligned(low: int, high: int, aligned: bool, delta: int) -> bool:
+    """Whether every access that fits ``[low, high)`` (at aligned offsets
+    only, when ``aligned``) lands on an address aligned for its chunk once
+    shifted by ``delta``.
+
+    A chunk's fitting offsets form the progression ``first, first + step,
+    ...``; all of them relocate to aligned addresses exactly when the first
+    one does and, if there is a second, the step is a multiple of the
+    alignment."""
+    if aligned and delta % DELTA_ALIGNMENT == 0:
+        return True  # every alignment divides 8
+    for t in ALL_CHUNKS:
+        size = chunks.size_chunk(t)
+        align = chunks.align_chunk(t)
+        step = align if aligned else 1
+        first = low + (-low) % step
+        if first + size > high:
+            continue  # no access at this chunk
+        if (first + delta) % align:
+            return False
+        if step % align and first + step + size <= high:
+            return False
+    return True
 
 
 def mem_lessdef(m1: MemState, m2: MemState) -> bool:
@@ -128,9 +167,14 @@ def mem_lessdef(m1: MemState, m2: MemState) -> bool:
     refined by the load of ``m2`` at the same location."""
     if not memstate.same_domain(m1, m2):
         return False
+    # Equal bounds admit the same accesses, except that a left state that
+    # checks no alignment allows offsets an aligning right state rejects.
+    realign = m2.config.check_alignment and not m1.config.check_alignment
     for b in range(1, m1.nextblock):
         if b in m1.freed:
             continue
+        if realign and not _relocation_aligned(*memstate.bounds(m1, b), False, 0):
+            return False
         c2 = m2.contents.get(b, cells.EMPTY_CONTENTS)
         if m1.contents.get(b) == c2:
             continue
@@ -146,6 +190,7 @@ def mem_extends(m1: MemState, m2: MemState) -> bool:
     refinement at the same locations."""
     if m1.nextblock != m2.nextblock:
         return False
+    realign = m2.config.check_alignment and not m1.config.check_alignment
     for b in range(1, m1.nextblock):
         if b in m1.freed:
             continue
@@ -154,6 +199,8 @@ def mem_extends(m1: MemState, m2: MemState) -> bool:
         low1, high1 = m1.bounds_.get(b, (0, 0))
         low2, high2 = m2.bounds_.get(b, (0, 0))
         if not (low2 <= low1 and high1 <= high2):
+            return False
+        if realign and not _relocation_aligned(low1, high1, False, 0):
             return False
         c2 = m2.contents.get(b, cells.EMPTY_CONTENTS)
         if m1.contents.get(b) == c2:
@@ -167,30 +214,37 @@ def mem_extends(m1: MemState, m2: MemState) -> bool:
 def mem_emb(emb: Embedding, m1: MemState, m2: MemState) -> bool:
     """Load transport through an embedding: every valid access of a mapped
     block of ``m1`` is valid at its relocated location in ``m2``, and the
-    loaded values relate by ``val_emb``.  Unmapped blocks impose nothing."""
+    loaded values relate by ``val_emb``.  Unmapped blocks impose nothing.
+
+    The access half is decided per block without enumerating accesses.  A
+    mapped block with a non-empty span ``[low1, high1)`` has byte accesses
+    at every offset, so its accesses stay in bounds exactly when the target
+    block is valid in ``m2`` and ``[low1 + delta, high1 + delta)`` lies
+    within its bounds; alignment is then checked chunk by chunk in closed
+    form when ``m2`` checks alignment.  Blocks with empty spans have no
+    accesses and are skipped."""
+    check_alignment = m2.config.check_alignment
     for b1 in range(1, m1.nextblock):
         if b1 in m1.freed:
             continue
         target = emb.get(b1)
         if target is None:
             continue
-        accesses = valid_accesses(m1, b1)
-        if not accesses:
+        low1, high1 = memstate.bounds(m1, b1)
+        if high1 <= low1:
             continue
         b2, delta = target
-        low1, high1 = m1.bounds_[b1]
         low2, high2 = memstate.bounds(m2, b2)
-        if (
+        if not (
             memstate.valid_block(m2, b2)
-            and delta % DELTA_ALIGNMENT == 0
             and low2 <= low1 + delta
             and high1 + delta <= high2
         ):
-            pass  # every relocated access is valid in m2
-        else:
-            for t, i in accesses:
-                if not memstate.valid_access(m2, t, b2, i + delta):
-                    return False
+            return False
+        if check_alignment and not _relocation_aligned(
+            low1, high1, m1.config.check_alignment, delta
+        ):
+            return False
         c2 = m2.contents.get(b2, cells.EMPTY_CONTENTS)
         for t, ofs, v1 in _defined_loads(m1, b1):
             if not val_emb(emb, v1, cells.load_contents(t, c2, ofs + delta)):

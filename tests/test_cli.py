@@ -1,9 +1,14 @@
 """The command-line surface: subcommands, exit codes, config file."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import blockmem
 from blockmem.cli import main
 
 FIG = "alloc 0 8 -> $a\nstore int32 $a 0 (int 42)\nload int32 $a 0 => (int 42)\nfree $a\n"
@@ -135,3 +140,15 @@ def test_relate_subcommand(tmp_path, capsys):
     t3 = tmp_path / "c.trace"
     t3.write_text("alloc 0 8 -> $z\nstore int32 $z 0 (int 2)\n")
     assert main(["relate", str(t1), str(t3), "--relation", "lessdef"]) == 1
+
+
+def test_cli_import_leaves_law_suite_unloaded():
+    # `run` and `relate` never touch the laws; only `laws` imports them.
+    src = str(Path(blockmem.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, blockmem.cli; print('blockmem.lawcheck.runner' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

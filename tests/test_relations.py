@@ -1,6 +1,8 @@
 """Relation checkers: spec examples plus agreement with the enumerating
 reference versions."""
 
+from dataclasses import replace
+
 from blockmem import (
     Chunk,
     Vfloat,
@@ -10,6 +12,7 @@ from blockmem import (
     alloc,
     empty,
     free,
+    mem_emb,
     mem_extends,
     mem_inject,
     mem_lessdef,
@@ -19,6 +22,7 @@ from blockmem import (
     emb_incr,
     emb_no_overlap,
 )
+from blockmem import relations
 from blockmem.lawcheck import oracle
 from blockmem.lawcheck.generators import (
     build_emb_scenario,
@@ -29,6 +33,16 @@ from blockmem.lawcheck.generators import (
     sample_lessdef_plan,
 )
 from blockmem.lawcheck.rng import SplitMix64
+from blockmem.memstate import DEFAULT_CONFIG, MemConfig
+
+UNALIGNED = MemConfig(check_alignment=False)
+# (left config, right config): uniform and mixed alignment checking.
+CONFIG_PAIRS = (
+    (DEFAULT_CONFIG, DEFAULT_CONFIG),
+    (UNALIGNED, UNALIGNED),
+    (UNALIGNED, DEFAULT_CONFIG),
+    (DEFAULT_CONFIG, UNALIGNED),
+)
 
 
 def test_val_lessdef():
@@ -107,30 +121,96 @@ def test_emb_incr():
     assert not emb_incr({1: (2, 0)}, {})
 
 
+def test_mem_emb_unaligned_source_into_aligned_target():
+    # The left state checks no alignment, so int16 is valid at offset 3 of
+    # [2, 9); relocated by -8 it lands at -5, misaligned on the right.
+    b, m1 = alloc(empty(UNALIGNED), 2, 9)
+    tb, m2 = alloc(empty(), -7, 30)
+    emb = {b: (tb, -8)}
+    assert not oracle.ref_mem_emb(emb, m1, m2)
+    assert not mem_emb(emb, m1, m2)
+    assert not mem_inject(emb, m1, m2)
+    # Without alignment checks on the right the same relocation is fine.
+    m2u = replace(m2, config=UNALIGNED)
+    assert oracle.ref_mem_emb(emb, m1, m2u)
+    assert mem_emb(emb, m1, m2u)
+
+
+def test_mem_inject_huge_block_without_enumeration():
+    span, delta = 2**27, 64
+    cached = relations._access_list.cache_info().currsize
+    b, m1 = alloc(empty(), 0, span)
+    writes = (
+        (Chunk.INT32, 0, Vint(7)),
+        (Chunk.FLOAT64, 4096, Vfloat.from_float(2.5)),
+        (Chunk.INT16S, span // 2, Vptr(b, 12)),
+        (Chunk.INT8U, span - 2, Vint(200)),
+    )
+    for t, ofs, v in writes:
+        m1 = store(t, m1, b, ofs, v)
+
+    def image(low, high):
+        tb, m2 = alloc(empty(), low, high)
+        for t, ofs, v in writes:
+            v2 = Vptr(tb, v.offset + delta) if type(v) is Vptr else v
+            m2 = store(t, m2, tb, ofs + delta, v2)
+        return tb, m2
+
+    tb, exact = image(delta, span + delta)
+    assert mem_inject({b: (tb, delta)}, m1, exact)
+    # One byte short on the right: the last byte access falls out.
+    tb, short = image(delta, span + delta - 1)
+    assert not mem_inject({b: (tb, delta)}, m1, short)
+    # With room to spare, a delta off the multiples of 8 stays in bounds
+    # but misaligns the float64 access at offset 0.
+    tb, wide = image(0, span + 2 * delta)
+    assert mem_inject({b: (tb, delta)}, m1, wide)
+    assert not mem_inject({b: (tb, delta - 4)}, m1, wide)
+    assert not mem_emb({b: (tb, delta - 4)}, m1, wide)
+    assert relations._access_list.cache_info().currsize == cached
+
+
 def test_checkers_agree_with_reference_on_pairs():
     rng = SplitMix64(2024)
-    for _ in range(150):
-        r1, r2, _, _ = build_lessdef_pair(sample_lessdef_plan(rng))
-        assert mem_lessdef(r1.state, r2.state) == oracle.ref_mem_lessdef(r1.state, r2.state)
-        e1, e2, _, _ = build_extends_pair(sample_extends_plan(rng))
-        assert mem_extends(e1.state, e2.state) == oracle.ref_mem_extends(e1.state, e2.state)
-        sc = build_emb_scenario(sample_emb_plan(rng, overlap_chance=(1, 4)))
-        assert mem_inject(sc.emb, sc.m1, sc.m2) == oracle.ref_mem_inject(
-            sc.emb, sc.m1, sc.m2
-        )
+    for c1, c2 in CONFIG_PAIRS:
+        for _ in range(150):
+            plan = sample_lessdef_plan(rng)
+            r1, _, _, _ = build_lessdef_pair(plan, c1)
+            _, r2, _, _ = build_lessdef_pair(plan, c2)
+            assert mem_lessdef(r1.state, r2.state) == oracle.ref_mem_lessdef(
+                r1.state, r2.state
+            )
+            plan = sample_extends_plan(rng)
+            e1, _, _, _ = build_extends_pair(plan, c1)
+            _, e2, _, _ = build_extends_pair(plan, c2)
+            assert mem_extends(e1.state, e2.state) == oracle.ref_mem_extends(
+                e1.state, e2.state
+            )
+            plan = sample_emb_plan(rng, overlap_chance=(1, 4))
+            sc1 = build_emb_scenario(plan, c1)
+            sc2 = build_emb_scenario(plan, c2)
+            assert mem_inject(sc1.emb, sc1.m1, sc2.m2) == oracle.ref_mem_inject(
+                sc1.emb, sc1.m1, sc2.m2
+            )
 
 
 def test_checkers_agree_with_reference_on_unrelated_states():
     rng = SplitMix64(99)
     from blockmem.lawcheck.generators import sample_ops, run_ops
 
-    for _ in range(150):
-        m1 = run_ops(sample_ops(rng)).state
-        m2 = run_ops(sample_ops(rng)).state
-        assert mem_lessdef(m1, m2) == oracle.ref_mem_lessdef(m1, m2)
-        assert mem_extends(m1, m2) == oracle.ref_mem_extends(m1, m2)
-        emb = {}
-        for b in range(1, m1.nextblock):
-            if rng.chance(1, 2):
-                emb[b] = (rng.randint(1, max(1, m2.nextblock - 1)), 8 * rng.randint(-1, 2))
-        assert mem_inject(emb, m1, m2) == oracle.ref_mem_inject(emb, m1, m2)
+    for c1, c2 in CONFIG_PAIRS:
+        for _ in range(150):
+            m1 = run_ops(sample_ops(rng), c1).state
+            m2 = run_ops(sample_ops(rng), c2).state
+            assert mem_lessdef(m1, m2) == oracle.ref_mem_lessdef(m1, m2)
+            assert mem_extends(m1, m2) == oracle.ref_mem_extends(m1, m2)
+            emb = {}
+            for b in range(1, m1.nextblock):
+                if rng.chance(1, 2):
+                    tb = rng.randint(1, max(1, m2.nextblock - 1))
+                    emb[b] = (tb, 8 * rng.randint(-1, 2))
+            assert mem_inject(emb, m1, m2) == oracle.ref_mem_inject(emb, m1, m2)
+            # Deltas off the multiples of 8 reach the alignment arithmetic
+            # that mem_inject's delta check screens out.
+            emb = {b: (tb, delta + rng.randint(-3, 3)) for b, (tb, delta) in emb.items()}
+            assert mem_emb(emb, m1, m2) == oracle.ref_mem_emb(emb, m1, m2)
