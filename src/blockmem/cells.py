@@ -68,8 +68,14 @@ def set_cont(f: BlockContents, ofs: int, n: int) -> BlockContents:
 
 def store_contents(f: BlockContents, t: Chunk, ofs: int, v: Value) -> BlockContents:
     """Write a datum: ``v`` tagged with ``t`` at ``ofs``, continuation cells
-    over the rest of the footprint, everything outside untouched."""
-    return update(ofs, Datum(t, v), set_cont(f, ofs + 1, chunks.size_chunk(t) - 1))
+    over the rest of the footprint, everything outside untouched.  Equal to
+    ``update(ofs, Datum(t, v), set_cont(f, ofs + 1, size - 1))``, in one
+    copy of ``f``."""
+    g = dict(f)
+    for i in range(ofs + 1, ofs + chunks.size_chunk(t)):
+        g.pop(i, None)
+    g[ofs] = Datum(t, v)
+    return g
 
 
 def load_contents(t: Chunk, f: BlockContents, ofs: int) -> Value:

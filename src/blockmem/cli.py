@@ -10,9 +10,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import trace as trace_mod
-from .memstate import CapacityPolicy, MemConfig
+from .memstate import CapacityPolicy, MemConfig, live_blocks
 from .trace import TraceParseError, exec_trace, parse_embedding, parse_trace, relate
 
 EXIT_OK = 0
@@ -20,15 +21,40 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def _usage_error(message: str) -> NoReturn:
+    """Print ``message`` and exit with the usage-error code."""
+    print(message, file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        _usage_error(f"cannot read {what} {path}: {e}")
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
-        raise SystemExit(f"cannot read config file {path}: {e}")
+        data = json.loads(_read_text(path, "config file"))
+    except json.JSONDecodeError as e:
+        _usage_error(f"cannot read config file {path}: {e}")
     if not isinstance(data, dict):
-        raise SystemExit(f"config file {path} must hold a JSON object")
+        _usage_error(f"config file {path} must hold a JSON object")
+    # bool is a subclass of int, so the types are compared exactly.
+    for key in ("capacity_bytes", "seed", "random_cases"):
+        value = data.get(key)
+        if value is not None and type(value) is not int:
+            _usage_error(
+                f"config file {path}: {key} must be an integer or null, not {json.dumps(value)}"
+            )
+    value = data.get("alignment_check", True)
+    if type(value) is not bool:
+        _usage_error(
+            f"config file {path}: alignment_check must be true or false, not {json.dumps(value)}"
+        )
     return data
 
 
@@ -36,7 +62,7 @@ def _mem_config(args, file_cfg: dict) -> MemConfig:
     capacity = file_cfg.get("capacity_bytes")
     if args.capacity is not None:
         capacity = args.capacity
-    check_alignment = bool(file_cfg.get("alignment_check", True))
+    check_alignment = file_cfg.get("alignment_check", True)
     if args.no_alignment_check:
         check_alignment = False
     return MemConfig(
@@ -46,15 +72,11 @@ def _mem_config(args, file_cfg: dict) -> MemConfig:
 
 
 def _read_trace(path: str) -> trace_mod.Trace:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise SystemExit(f"cannot read trace {path}: {e}")
+    text = _read_text(path, "trace")
     try:
         return parse_trace(text)
     except TraceParseError as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(f"{path}: {e}")
 
 
 def _cmd_run(args) -> int:
@@ -66,9 +88,7 @@ def _cmd_run(args) -> int:
             mark = "ok  " if step.ok else "FAIL"
             print(f"{mark} line {step.line}: {step.note}")
     if report.ok:
-        blocks = sum(
-            1 for b in range(1, report.state.nextblock) if b not in report.state.freed
-        )
+        blocks = sum(1 for _ in live_blocks(report.state))
         print(
             f"ok: {len(report.steps)} statements, "
             f"{blocks} live blocks, next block {report.state.nextblock}"
@@ -85,10 +105,14 @@ def _cmd_laws(args) -> int:
     from .lawcheck.runner import SuiteConfig, jsonl_report, run_suite, text_report
 
     file_cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else int(file_cfg.get("seed", 42))
+    seed = args.seed
+    if seed is None:
+        seed = file_cfg.get("seed")
+    if seed is None:
+        seed = 42
     cases = args.cases
-    if cases is None and file_cfg.get("random_cases") is not None:
-        cases = int(file_cfg["random_cases"])
+    if cases is None:
+        cases = file_cfg.get("random_cases")
     cfg = SuiteConfig(seed=seed, random_cases=cases, jobs=args.jobs)
     suite = run_suite(cfg)
     print(text_report(suite), end="")
@@ -104,10 +128,9 @@ def _cmd_relate(args) -> int:
     t2 = _read_trace(args.trace2)
     emb = None
     if args.emb:
+        text = _read_text(args.emb, "relocation map")
         try:
-            emb = parse_embedding(Path(args.emb).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise SystemExit(f"cannot read relocation map {args.emb}: {e}")
+            emb = parse_embedding(text)
         except TraceParseError as e:
             print(f"{args.emb}: {e}", file=sys.stderr)
             return EXIT_USAGE

@@ -270,9 +270,7 @@ def sample_state(rng: SplitMix64, u: UniverseConfig = DEFAULT_UNIVERSE):
 def sample_valid_access(rng: SplitMix64, m: MemState):
     """A (chunk, block, offset) access valid in ``m``, or None."""
     candidates = [
-        b
-        for b in range(1, m.nextblock)
-        if b not in m.freed and relations.valid_accesses(m, b)
+        b for b, _, _, _ in memstate.live_blocks(m) if relations.valid_accesses(m, b)
     ]
     if not candidates:
         return None

@@ -15,8 +15,6 @@ witness before checking the relation on it.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .. import cells, chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, Vptr, VUNDEF
 from . import generators
@@ -251,9 +249,7 @@ deflaw(
 
 def _first_access(m, limit=2):
     out = []
-    for b in range(1, m.nextblock):
-        if b in m.freed:
-            continue
+    for b, _, _, _ in memstate.live_blocks(m):
         for acc in relations.valid_accesses(m, b)[:limit]:
             out.append((acc[0], b, acc[1]))
     return out
@@ -305,9 +301,9 @@ deflaw(
 
 
 def _store_witness(m2, t, b, i, v):
-    contents2 = dict(m2.contents)
-    contents2[b] = cells.store_contents(m2.contents.get(b, cells.EMPTY_CONTENTS), t, i, v)
-    return replace(m2, contents=contents2)
+    return memstate.set_contents(
+        m2, b, cells.store_contents(memstate.contents_of(m2, b), t, i, v)
+    )
 
 
 def _sm_store_lessdef(rng):
@@ -365,7 +361,7 @@ deflaw(
 def _sm_lessdef_free(rng):
     plan = generators.sample_lessdef_plan(rng)
     m1, _ = _lessdef_states(("lessdef", plan))
-    blocks = [b for b in range(1, m1.nextblock) if b not in m1.freed]
+    blocks = [b for b, _, _, _ in memstate.live_blocks(m1)]
     if not blocks:
         return ("skip",)
     return ("lessdef", plan, rng.choice(blocks))
@@ -374,9 +370,8 @@ def _sm_lessdef_free(rng):
 def _ex_lessdef_free():
     for plan in EX_LESSDEF_PLANS:
         m1, _ = _lessdef_states(("lessdef", plan))
-        for b in range(1, m1.nextblock):
-            if b not in m1.freed:
-                yield ("lessdef", plan, b)
+        for b, _, _, _ in memstate.live_blocks(m1):
+            yield ("lessdef", plan, b)
 
 
 def _ck_free_lessdef(case):
@@ -612,10 +607,7 @@ deflaw(
 
 def _margin_slots(m1, m2, limit=3):
     out = []
-    for b in range(1, m1.nextblock):
-        if b in m1.freed:
-            continue
-        l1, h1 = memstate.bounds(m1, b)
+    for b, l1, h1, _ in memstate.live_blocks(m1):
         l2, h2 = memstate.bounds(m2, b)
         for t, i in relations._access_list(h1, h2, True)[:limit]:
             out.append((t, b, i))
@@ -673,7 +665,7 @@ deflaw(
 def _sm_extends_free(rng):
     plan = generators.sample_extends_plan(rng)
     m1, _ = _extends_states(("extends", plan))
-    blocks = [b for b in range(1, m1.nextblock) if b not in m1.freed]
+    blocks = [b for b, _, _, _ in memstate.live_blocks(m1)]
     if not blocks:
         return ("skip",)
     return ("extends", plan, rng.choice(blocks))
@@ -682,9 +674,8 @@ def _sm_extends_free(rng):
 def _ex_extends_free():
     for plan in EX_EXTENDS_PLANS:
         m1, _ = _extends_states(("extends", plan))
-        for b in range(1, m1.nextblock):
-            if b not in m1.freed:
-                yield ("extends", plan, b)
+        for b, _, _, _ in memstate.live_blocks(m1):
+            yield ("extends", plan, b)
 
 
 def _ck_free_extends(case):

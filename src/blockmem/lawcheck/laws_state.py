@@ -42,7 +42,7 @@ def _sample_alloc_args(rng):
 
 
 def _valid_blocks(m):
-    return [b for b in range(1, m.nextblock) if b not in m.freed]
+    return [b for b, _, _, _ in memstate.live_blocks(m)]
 
 
 # --- generic samplers ---------------------------------------------------------
@@ -141,7 +141,7 @@ def _ex_state_free():
 def _ck_valid_block_dec(case):
     _, ops, b = case
     m = state_of(ops)
-    spelled = 1 <= b < m.nextblock and b not in m.freed
+    spelled = 1 <= b < m.nextblock and b not in memstate.freed_blocks(m)
     if memstate.valid_block(m, b) != spelled:
         return f"valid_block({b}) disagrees with its definition"
     return None
@@ -1230,15 +1230,16 @@ def _ck_store_inversion(case):
     m2 = memstate.store(t, m, b, i, v)
     if m2 is None:
         return None
+    ids = range(1, m.nextblock)
     if (
         m2.nextblock != m.nextblock
-        or m2.freed != m.freed
-        or m2.bounds_ != m.bounds_
+        or memstate.freed_blocks(m2) != memstate.freed_blocks(m)
+        or any(memstate.bounds(m2, k) != memstate.bounds(m, k) for k in ids)
         or m2.allocated_bytes != m.allocated_bytes
     ):
         return "store changed something besides contents"
-    for other, f in m.contents.items():
-        if other != b and m2.contents.get(other) != f:
+    for other in ids:
+        if other != b and memstate.contents_of(m2, other) != memstate.contents_of(m, other):
             return f"store changed the contents of block {other}"
     return None
 

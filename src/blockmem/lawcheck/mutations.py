@@ -11,7 +11,7 @@ into a mutated run or vice versa.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .. import cells, chunks, memstate, relations
@@ -35,7 +35,7 @@ def _no_alignment(orig):
     def valid_access(m, t, b, i):
         if not memstate.valid_block(m, b):
             return False
-        low, high = m.bounds_.get(b, (0, 0))
+        low, high = memstate.bounds(m, b)
         return low <= i and i + chunks.size_chunk(t) <= high
 
     return valid_access
@@ -50,24 +50,15 @@ def _no_continuation_clear(orig):
 
 def _reuse_freed(orig):
     def alloc(m: MemState, low, high):
-        if not m.freed:
+        freed = memstate.freed_blocks(m)
+        if not freed:
             return orig(m, low, high)
         request = high - low if high > low else 0
         if not m.config.capacity.admits(m.allocated_bytes, request):
             return None
-        b = min(m.freed)
-        bounds2 = dict(m.bounds_)
-        bounds2[b] = (low, high)
-        contents2 = dict(m.contents)
-        contents2[b] = {}
-        return b, MemState(
-            m.nextblock,
-            bounds2,
-            m.freed - {b},
-            contents2,
-            m.allocated_bytes + request,
-            m.config,
-        )
+        b = min(freed)
+        m = memstate.set_block(m, b, low, high, True)
+        return b, memstate.set_contents(m, b, cells.EMPTY_CONTENTS)
 
     return alloc
 
@@ -84,9 +75,9 @@ def _zero_extend_signed(orig):
 
 def _free_unchecked(orig):
     def free(m: MemState, b):
-        low, high = m.bounds_.get(b, (0, 0))
-        span = high - low if high > low else 0
-        return dc_replace(m, freed=m.freed | {b}, allocated_bytes=m.allocated_bytes - span)
+        if not 1 <= b < m.nextblock:
+            return m  # an id never issued has no slot to mark
+        return memstate.set_block(m, b, *memstate.bounds(m, b), False)
 
     return free
 

@@ -1,25 +1,38 @@
 """Memory states and the four memory operations.
 
 A state is a collection of isolated blocks: a monotone next-block counter,
-per-block bounds, the set of freed blocks, and per-block content maps.
-Block ids are never reused; freeing a block records it in ``freed`` and
-keeps its bounds, so bounds queries are stable across the block's whole
-lifetime.  Byte accounting (``allocated_bytes``) backs the capacity policy
-and is a function of bounds and freed, which keeps allocation outcomes
-deterministic in the domain of the state.
+and per issued block id its bounds, whether it is still valid, and its
+content map.  Block ids are never reused; freeing a block marks it invalid
+and keeps its bounds and contents, so bounds queries are stable across the
+block's whole lifetime.  Byte accounting (``allocated_bytes``) backs the
+capacity policy and is a function of bounds and validity, which keeps
+allocation outcomes deterministic in the domain of the state.
 
 States are immutable values: every operation returns a new state, and the
 partial operations (alloc, free, load, store and their derived forms)
-signal failure by returning ``None``.
+signal failure by returning ``None``.  Ids are dense, so the per-block data
+sits in two persistent vectors indexed by ``b - 1`` (see ``pvec``):
+``blocks`` holds ``(low, high, live)`` and ``contents`` the cell map.
+``alloc`` appends to both, ``store`` replaces one ``contents`` slot and
+``free`` one ``blocks`` slot, each copying one root-to-leaf path,
+O(log32 n), and sharing the rest with the state it came from.
+
+Code outside this module reads states through ``nextblock`` and the
+functions here: ``valid_block``, ``bounds``, ``live_blocks`` (one in-order
+walk over the valid blocks), ``contents_of`` and ``freed_blocks``.
+``set_contents`` and ``set_block`` rewrite one slot unchecked, for
+witness states and seeded bugs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import count
 
 from . import cells, chunks
-from .cells import EMPTY_CONTENTS
+from .cells import EMPTY_CONTENTS, BlockContents
 from .chunks import Chunk, Value, Vptr
+from .pvec import PVec
 
 Bounds = tuple[int, int]
 
@@ -53,10 +66,14 @@ DEFAULT_CONFIG = MemConfig()
 
 @dataclass(frozen=True, slots=True)
 class MemState:
+    """Two persistent vectors of one length, ``nextblock - 1``, indexed by
+    ``b - 1``: ``blocks`` holds ``(low, high, live)`` per issued id and
+    ``contents`` the block's cell map.  Read them through the accessors
+    below."""
+
     nextblock: int
-    bounds_: dict
-    freed: frozenset
-    contents: dict
+    blocks: PVec
+    contents: PVec
     allocated_bytes: int
     config: MemConfig
 
@@ -65,14 +82,17 @@ def _span(low: int, high: int) -> int:
     return high - low if high > low else 0
 
 
+_NO_BLOCKS = PVec()
+
+
 def empty(config: MemConfig = DEFAULT_CONFIG) -> MemState:
     """The initial memory state: no blocks, next id 1."""
-    return MemState(1, {}, frozenset(), {}, 0, config)
+    return MemState(1, _NO_BLOCKS, _NO_BLOCKS, 0, config)
 
 
 def valid_block(m: MemState, b: int) -> bool:
     """Allocated and not yet freed."""
-    return 1 <= b < m.nextblock and b not in m.freed
+    return 1 <= b < m.nextblock and m.blocks.get(b - 1)[2]
 
 
 def fresh_block(m: MemState, b: int) -> bool:
@@ -82,16 +102,18 @@ def fresh_block(m: MemState, b: int) -> bool:
 
 def bounds(m: MemState, b: int) -> Bounds:
     """(low inclusive, high exclusive) of ``b``; (0, 0) off-domain."""
-    return m.bounds_.get(b, (0, 0))
+    if 1 <= b < m.nextblock:
+        return m.blocks.get(b - 1)[:2]
+    return (0, 0)
 
 
 def valid_access(m: MemState, t: Chunk, b: int, i: int) -> bool:
     """Whether an access at chunk ``t`` to ``(b, i)`` is legal: valid block,
     footprint within bounds, and (unless disabled) aligned address."""
-    if not valid_block(m, b):
+    if not 1 <= b < m.nextblock:
         return False
-    low, high = m.bounds_.get(b, (0, 0))
-    if i < low or i + chunks.size_chunk(t) > high:
+    low, high, live = m.blocks.get(b - 1)
+    if not live or i < low or i + chunks.size_chunk(t) > high:
         return False
     return not m.config.check_alignment or i % chunks.align_chunk(t) == 0
 
@@ -107,23 +129,29 @@ def alloc(m: MemState, low: int, high: int) -> tuple[int, MemState] | None:
     if not m.config.capacity.admits(m.allocated_bytes, request):
         return None
     b = m.nextblock
-    bounds2 = dict(m.bounds_)
-    bounds2[b] = (low, high)
-    contents2 = dict(m.contents)
-    contents2[b] = EMPTY_CONTENTS
     return b, MemState(
-        b + 1, bounds2, m.freed, contents2, m.allocated_bytes + request, m.config
+        b + 1,
+        m.blocks.append((low, high, True)),
+        m.contents.append(EMPTY_CONTENTS),
+        m.allocated_bytes + request,
+        m.config,
     )
 
 
 def free(m: MemState, b: int) -> MemState | None:
     """Deallocate ``b``.  Fails unless ``b`` is currently valid; bounds and
     contents are kept so off-domain queries stay stable."""
-    if not valid_block(m, b):
+    if not 1 <= b < m.nextblock:
         return None
-    low, high = m.bounds_[b]
-    return replace(
-        m, freed=m.freed | {b}, allocated_bytes=m.allocated_bytes - _span(low, high)
+    low, high, live = m.blocks.get(b - 1)
+    if not live:
+        return None
+    return MemState(
+        m.nextblock,
+        m.blocks.set(b - 1, (low, high, False)),
+        m.contents,
+        m.allocated_bytes - _span(low, high),
+        m.config,
     )
 
 
@@ -132,26 +160,75 @@ def load(t: Chunk, m: MemState, b: int, i: int) -> Value | None:
     the result may still be ``Vundef`` (never-written or clobbered cell)."""
     if not valid_access(m, t, b, i):
         return None
-    return cells.load_contents(t, m.contents.get(b, EMPTY_CONTENTS), i)
+    return cells.load_contents(t, m.contents.get(b - 1), i)
 
 
 def store(t: Chunk, m: MemState, b: int, i: int, v: Value) -> MemState | None:
     """Write ``v`` as chunk ``t`` at ``(b, i)``.  Succeeds iff the access is
-    valid; only ``contents[b]`` changes."""
+    valid; only the contents of ``b`` change."""
     if not valid_access(m, t, b, i):
         return None
-    contents2 = dict(m.contents)
-    contents2[b] = cells.store_contents(m.contents.get(b, EMPTY_CONTENTS), t, i, v)
-    return replace(m, contents=contents2)
+    c = m.contents
+    return MemState(
+        m.nextblock,
+        m.blocks,
+        c.set(b - 1, cells.store_contents(c.get(b - 1), t, i, v)),
+        m.allocated_bytes,
+        m.config,
+    )
 
 
 def same_domain(m1: MemState, m2: MemState) -> bool:
     """Equal next-block counter, freed set, and bounds; contents may
     differ."""
-    return (
-        m1.nextblock == m2.nextblock
-        and m1.freed == m2.freed
-        and m1.bounds_ == m2.bounds_
+    return m1.nextblock == m2.nextblock and (
+        m1.blocks is m2.blocks or m1.blocks == m2.blocks
+    )
+
+
+# --- accessors ------------------------------------------------------------------
+
+
+def live_blocks(m: MemState):
+    """``(b, low, high, contents)`` of every valid block, in id order."""
+    for b, (low, high, live), c in zip(count(1), m.blocks, m.contents):
+        if live:
+            yield b, low, high, c
+
+
+def contents_of(m: MemState, b: int) -> BlockContents:
+    """The cell map of ``b``, freed or not; empty off-domain."""
+    if 1 <= b < m.nextblock:
+        return m.contents.get(b - 1)
+    return EMPTY_CONTENTS
+
+
+def freed_blocks(m: MemState) -> frozenset:
+    """The ids issued and since freed."""
+    return frozenset(b for b, (_, _, live) in enumerate(m.blocks, 1) if not live)
+
+
+def set_contents(m: MemState, b: int, c: BlockContents) -> MemState:
+    """``m`` with the cell map of the issued id ``b`` replaced by ``c``.
+    Unchecked: no access validity, no footprint rules; for building
+    witness states."""
+    return MemState(
+        m.nextblock, m.blocks, m.contents.set(b - 1, c), m.allocated_bytes, m.config
+    )
+
+
+def set_block(m: MemState, b: int, low: int, high: int, live: bool) -> MemState:
+    """``m`` with the issued id ``b`` given bounds ``(low, high)`` and
+    validity ``live``, the byte count following.  Unchecked: it can revive
+    a freed id; for building seeded bugs."""
+    old_low, old_high, old_live = m.blocks.get(b - 1)
+    allocated = (
+        m.allocated_bytes
+        - (_span(old_low, old_high) if old_live else 0)
+        + (_span(low, high) if live else 0)
+    )
+    return MemState(
+        m.nextblock, m.blocks.set(b - 1, (low, high, live)), m.contents, allocated, m.config
     )
 
 

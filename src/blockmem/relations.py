@@ -70,13 +70,10 @@ def emb_no_overlap(emb: Embedding, m1: MemState) -> bool:
     """No two distinct valid blocks of ``m1`` relocate onto intersecting
     ranges of the same target block.  Empty-span blocks never overlap."""
     by_target: dict[int, list[tuple[int, int]]] = {}
-    for b in range(1, m1.nextblock):
-        if b in m1.freed:
-            continue
+    for b, low, high, _ in memstate.live_blocks(m1):
         target = emb.get(b)
         if target is None:
             continue
-        low, high = m1.bounds_.get(b, (0, 0))
         if low >= high:
             continue
         tb, delta = target
@@ -110,21 +107,17 @@ def valid_accesses(m: MemState, b: int) -> tuple[tuple[Chunk, int], ...]:
     """The finite set of valid (chunk, offset) accesses of block ``b``."""
     if not memstate.valid_block(m, b):
         return ()
-    low, high = m.bounds_.get(b, (0, 0))
+    low, high = memstate.bounds(m, b)
     return _access_list(low, high, m.config.check_alignment)
 
 
-def _defined_loads(m: MemState, b: int):
+def _defined_loads(c: cells.BlockContents, low: int, high: int, aligned: bool):
     """Yield every (chunk, offset, value) with a defined (non-undef) load in
-    block ``b``, which must be valid in ``m``.  Defined loads only arise at
-    datum cells, read at a chunk of the same size class; such chunks share
-    the datum's footprint, so bounds and the intact-footprint test are
-    decided once per datum."""
-    c = m.contents.get(b)
-    if not c:
-        return
-    low, high = memstate.bounds(m, b)
-    aligned = m.config.check_alignment
+    a valid block with cell map ``c`` and bounds ``[low, high)``, under the
+    given alignment rule.  Defined loads only arise at datum cells, read at
+    a chunk of the same size class; such chunks share the datum's
+    footprint, so bounds and the intact-footprint test are decided once per
+    datum."""
     for ofs, datum in c.items():
         size = chunks.size_chunk(datum.chunk)
         if ofs < low or ofs + size > high or not cells.check_cont(c, ofs + 1, size - 1):
@@ -169,16 +162,17 @@ def mem_lessdef(m1: MemState, m2: MemState) -> bool:
         return False
     # Equal bounds admit the same accesses, except that a left state that
     # checks no alignment allows offsets an aligning right state rejects.
-    realign = m2.config.check_alignment and not m1.config.check_alignment
-    for b in range(1, m1.nextblock):
-        if b in m1.freed:
-            continue
-        if realign and not _relocation_aligned(*memstate.bounds(m1, b), False, 0):
+    aligned = m1.config.check_alignment
+    realign = m2.config.check_alignment and not aligned
+    # The same domain has the same valid blocks, so the walks stay in step.
+    for (_, low, high, c1), (_, _, _, c2) in zip(
+        memstate.live_blocks(m1), memstate.live_blocks(m2)
+    ):
+        if realign and not _relocation_aligned(low, high, False, 0):
             return False
-        c2 = m2.contents.get(b, cells.EMPTY_CONTENTS)
-        if m1.contents.get(b) == c2:
+        if c1 is c2 or c1 == c2:
             continue
-        for t, ofs, v1 in _defined_loads(m1, b):
+        for t, ofs, v1 in _defined_loads(c1, low, high, aligned):
             if v1 != cells.load_contents(t, c2, ofs):
                 return False
     return True
@@ -190,22 +184,24 @@ def mem_extends(m1: MemState, m2: MemState) -> bool:
     refinement at the same locations."""
     if m1.nextblock != m2.nextblock:
         return False
-    realign = m2.config.check_alignment and not m1.config.check_alignment
-    for b in range(1, m1.nextblock):
-        if b in m1.freed:
-            continue
-        if not memstate.valid_block(m2, b):
+    aligned = m1.config.check_alignment
+    realign = m2.config.check_alignment and not aligned
+    # Merge the two walks: each valid block of m1 must turn up among the
+    # valid blocks of m2.
+    right = memstate.live_blocks(m2)
+    for b, low1, high1, c1 in memstate.live_blocks(m1):
+        for b2, low2, high2, c2 in right:
+            if b2 >= b:
+                break
+        else:
             return False
-        low1, high1 = m1.bounds_.get(b, (0, 0))
-        low2, high2 = m2.bounds_.get(b, (0, 0))
-        if not (low2 <= low1 and high1 <= high2):
+        if b2 != b or not (low2 <= low1 and high1 <= high2):
             return False
         if realign and not _relocation_aligned(low1, high1, False, 0):
             return False
-        c2 = m2.contents.get(b, cells.EMPTY_CONTENTS)
-        if m1.contents.get(b) == c2:
+        if c1 is c2 or c1 == c2:
             continue
-        for t, ofs, v1 in _defined_loads(m1, b):
+        for t, ofs, v1 in _defined_loads(c1, low1, high1, aligned):
             if v1 != cells.load_contents(t, c2, ofs):
                 return False
     return True
@@ -223,30 +219,22 @@ def mem_emb(emb: Embedding, m1: MemState, m2: MemState) -> bool:
     within its bounds; alignment is then checked chunk by chunk in closed
     form when ``m2`` checks alignment.  Blocks with empty spans have no
     accesses and are skipped."""
+    aligned = m1.config.check_alignment
     check_alignment = m2.config.check_alignment
-    for b1 in range(1, m1.nextblock):
-        if b1 in m1.freed:
-            continue
+    targets = {b: (low, high, c) for b, low, high, c in memstate.live_blocks(m2)}
+    for b1, low1, high1, c1 in memstate.live_blocks(m1):
         target = emb.get(b1)
-        if target is None:
-            continue
-        low1, high1 = memstate.bounds(m1, b1)
-        if high1 <= low1:
+        if target is None or high1 <= low1:
             continue
         b2, delta = target
-        low2, high2 = memstate.bounds(m2, b2)
-        if not (
-            memstate.valid_block(m2, b2)
-            and low2 <= low1 + delta
-            and high1 + delta <= high2
-        ):
+        if b2 not in targets:
             return False
-        if check_alignment and not _relocation_aligned(
-            low1, high1, m1.config.check_alignment, delta
-        ):
+        low2, high2, c2 = targets[b2]
+        if not (low2 <= low1 + delta and high1 + delta <= high2):
             return False
-        c2 = m2.contents.get(b2, cells.EMPTY_CONTENTS)
-        for t, ofs, v1 in _defined_loads(m1, b1):
+        if check_alignment and not _relocation_aligned(low1, high1, aligned, delta):
+            return False
+        for t, ofs, v1 in _defined_loads(c1, low1, high1, aligned):
             if not val_emb(emb, v1, cells.load_contents(t, c2, ofs + delta)):
                 return False
     return True

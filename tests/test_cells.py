@@ -12,7 +12,7 @@ from blockmem.cells import (
     store_contents,
     update,
 )
-from blockmem.chunks import ALL_CHUNKS, Chunk, Vint, VUNDEF
+from blockmem.chunks import ALL_CHUNKS, Chunk, Vint, Vptr, VUNDEF
 from blockmem.lawcheck import oracle
 
 
@@ -122,12 +122,17 @@ def test_load_contents_matches_recursive_twin(recipe, t, ofs):
     assert load_contents(t, f, ofs) == oracle.o_load_contents(t, alist, ofs)
 
 
+Values = st.one_of(
+    st.just(VUNDEF),
+    st.integers(-300, 300).map(Vint),
+    st.builds(Vptr, st.integers(1, 3), st.integers(-4, 8)),
+)
+
+
 @settings(max_examples=200)
-@given(Recipes, st.sampled_from(ALL_CHUNKS), st.integers(-4, 8), st.integers(-9, 9))
-def test_store_is_update_after_clear(recipe, t, ofs, n):
-    """The fused store equals the documented composition."""
+@given(Recipes, st.sampled_from(ALL_CHUNKS), st.integers(-4, 8), Values)
+def test_store_is_update_after_clear(recipe, t, ofs, v):
+    """The one-copy store equals the documented composition."""
     f, _ = _both(recipe)
-    composed = update(
-        ofs, Datum(t, Vint(n)), set_cont(f, ofs + 1, cells.chunks.size_chunk(t) - 1)
-    )
-    assert store_contents(f, t, ofs, Vint(n)) == composed
+    composed = update(ofs, Datum(t, v), set_cont(f, ofs + 1, cells.chunks.size_chunk(t) - 1))
+    assert store_contents(f, t, ofs, v) == composed

@@ -69,6 +69,69 @@ def test_run_no_alignment_flag(tmp_path):
     assert main(["run", str(p), "--no-alignment-check"]) == 0
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        "[1]",
+        "not json",
+        '{"capacity_bytes": "abc"}',
+        '{"capacity_bytes": true}',
+        '{"alignment_check": "false"}',
+        '{"alignment_check": null}',
+        '{"seed": 1.5}',
+        '{"random_cases": "10"}',
+    ],
+)
+def test_bad_config_is_a_usage_error(tmp_path, fig_trace, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    with pytest.raises(SystemExit) as e:
+        main(["run", fig_trace, "--config", str(cfg)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg) in err
+
+
+def test_config_accepts_nulls_and_false(tmp_path):
+    p = tmp_path / "mis.trace"
+    p.write_text("alloc 0 8 -> $a\nstore int32 $a 1 (int 5)\nload int32 $a 1 => (int 5)\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {"capacity_bytes": None, "seed": None, "random_cases": None, "alignment_check": False}
+        )
+    )
+    assert main(["run", str(p), "--config", str(cfg)]) == 0
+
+
+def test_laws_config_null_seed_means_default(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": None, "random_cases": None}))
+    report = tmp_path / "laws.jsonl"
+    main(["laws", "--cases", "1", "--config", str(cfg), "--report", str(report)])
+    capsys.readouterr()
+    header = json.loads(report.read_text().splitlines()[0])
+    assert header["seed"] == 42 and header["random_cases"] == 1
+
+
+@pytest.mark.parametrize("what", ["trace", "config", "relocation map", "binary trace"])
+def test_unreadable_file_is_a_usage_error(tmp_path, fig_trace, capsys, what):
+    missing = str(tmp_path / "missing")
+    binary = tmp_path / "binary.trace"
+    binary.write_bytes(b"\xff\xfe\x00")
+    argv = {
+        "trace": ["run", missing],
+        "config": ["run", fig_trace, "--config", missing],
+        "relocation map": ["relate", fig_trace, fig_trace, "--relation", "inject", "--emb", missing],
+        "binary trace": ["run", str(binary)],
+    }[what]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
@@ -106,6 +169,19 @@ def test_shipped_traces(capsys):
             ]
         )
         == 0
+    )
+    # The right trace defines more than the left, so the converse fails.
+    assert (
+        main(
+            [
+                "relate",
+                str(root / "refine_right.trace"),
+                str(root / "refine_left.trace"),
+                "--relation",
+                "lessdef",
+            ]
+        )
+        == 1
     )
     assert (
         main(

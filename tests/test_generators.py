@@ -44,18 +44,12 @@ def test_gen_state_empty_universe():
 
 
 def _check_invariants(m):
-    for b in m.bounds_:
-        assert 1 <= b < m.nextblock
-    for b in m.contents:
-        assert 1 <= b < m.nextblock
-    for b in m.freed:
-        assert b in m.bounds_
-    live = sum(
-        max(h - l, 0)
-        for b, (l, h) in m.bounds_.items()
-        if b not in m.freed
-    )
-    assert m.allocated_bytes == live
+    live = list(memstate.live_blocks(m))
+    freed = memstate.freed_blocks(m)
+    # Every issued id is valid or freed, never both.
+    assert sorted(freed.union(b for b, _, _, _ in live)) == list(range(1, m.nextblock))
+    assert len(freed) + len(live) == m.nextblock - 1
+    assert m.allocated_bytes == sum(max(h - l, 0) for _, l, h, _ in live)
 
 
 def test_generated_states_satisfy_invariants():
@@ -109,7 +103,8 @@ def test_tiny_universe_shape():
     assert 200 <= len(small) <= len(full)
     for ops, m in small:
         assert m.nextblock <= 3  # at most two blocks
-        for b, (low, high) in m.bounds_.items():
+        for b in range(1, m.nextblock):
+            low, high = memstate.bounds(m, b)
             assert -4 <= low <= high <= 8
         _check_invariants(m)
 

@@ -1,5 +1,7 @@
 """States and the four operations: success conditions and bookkeeping."""
 
+import pytest
+
 from blockmem import (
     CapacityPolicy,
     Chunk,
@@ -10,9 +12,11 @@ from blockmem import (
     alloc,
     alloc_list,
     bounds,
+    contents_of,
     empty,
     free,
     free_list,
+    freed_blocks,
     fresh_block,
     load,
     loadv,
@@ -178,7 +182,35 @@ def test_store_changes_only_target_contents():
     b2, m = alloc(m, 0, 8)
     m = store(Chunk.INT32, m, b1, 0, Vint(1))
     m2 = store(Chunk.INT32, m, b2, 4, Vint(2))
-    assert m2.contents[b1] == m.contents[b1]
+    assert contents_of(m2, b1) == contents_of(m, b1)
     assert m2.nextblock == m.nextblock
-    assert m2.freed == m.freed
-    assert m2.bounds_ == m.bounds_
+    assert freed_blocks(m2) == freed_blocks(m)
+    ids = range(1, m.nextblock)
+    assert [bounds(m2, k) for k in ids] == [bounds(m, k) for k in ids]
+
+
+def _observe(m, ids):
+    return [(bounds(m, b), valid_block(m, b), load(Chunk.INT32, m, b, 0)) for b in ids]
+
+
+@pytest.mark.parametrize("n", [1, 33, 1100])
+def test_states_persist_under_derived_operations(n):
+    m = empty()
+    for k in range(n):
+        b, m = alloc(m, -8 * (k % 3), 8 + k % 5)
+        m = store(Chunk.INT32, m, b, 0, Vint(k))
+    for b in range(3, n + 1, 3):
+        m = free(m, b)
+    ids = range(0, n + 3)
+    before = _observe(m, ids)
+    for b in sorted({1, n // 2 + 1, n}):
+        b2, grown = alloc(m, 0, 16)
+        assert load(Chunk.INT32, store(Chunk.INT32, grown, b2, 0, Vint(-1)), b2, 0) == Vint(-1)
+        if valid_block(m, b):
+            stored = store(Chunk.INT32, m, b, 0, Vint(-2))
+            assert load(Chunk.INT32, stored, b, 0) == Vint(-2)
+            assert not valid_block(free(m, b), b)
+            assert not valid_block(free(stored, b), b)
+        else:
+            assert free(m, b) is None
+        assert _observe(m, ids) == before

@@ -4,7 +4,7 @@ import struct
 
 from hypothesis import given, settings, strategies as st
 
-from blockmem import chunks
+from blockmem import chunks, memstate
 from blockmem.chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, Vptr, VUNDEF
 from blockmem.lawcheck import oracle
 from blockmem.lawcheck.generators import run_ops, sample_ops
@@ -64,10 +64,11 @@ def test_convert_agreement():
 
 def _describe_main(result):
     m = result.state
+    freed = memstate.freed_blocks(m)
     return {
         "nextblock": m.nextblock,
-        "valid_blocks": sorted(b for b in range(1, m.nextblock) if b not in m.freed),
-        "bounds": dict(sorted(m.bounds_.items())),
+        "valid_blocks": sorted(b for b in range(1, m.nextblock) if b not in freed),
+        "bounds": {b: memstate.bounds(m, b) for b in range(1, m.nextblock)},
         "allocated_bytes": m.allocated_bytes,
     }
 
