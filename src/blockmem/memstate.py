@@ -82,12 +82,9 @@ def _span(low: int, high: int) -> int:
     return high - low if high > low else 0
 
 
-_NO_BLOCKS = PVec()
-
-
 def empty(config: MemConfig = DEFAULT_CONFIG) -> MemState:
     """The initial memory state: no blocks, next id 1."""
-    return MemState(1, _NO_BLOCKS, _NO_BLOCKS, 0, config)
+    return MemState(1, PVec(), PVec(), 0, config)
 
 
 def valid_block(m: MemState, b: int) -> bool:

@@ -34,8 +34,6 @@ class PVec:
         if not 0 <= i < self.size:
             raise IndexError(i)
         node, shift = self.root, self.shift
-        if not shift:
-            return node[i]  # a single leaf
         while shift:
             node = node[i >> shift & MASK]
             shift -= BITS
@@ -48,15 +46,11 @@ class PVec:
 
     def append(self, x) -> PVec:
         n, shift = self.size, self.shift
-        if not shift and n <= MASK:
-            return PVec(n + 1, 0, self.root + (x,))  # room in a single leaf
         if n == (MASK + 1) << shift:  # root full: a new root over the old one
             return PVec(n + 1, shift + BITS, (self.root, _path(shift, x)))
         return PVec(n + 1, shift, _push(self.root, shift, n, x))
 
     def __iter__(self):
-        if not self.shift:
-            return iter(self.root)  # a single leaf
         return chain.from_iterable(_leaves(self.root, self.shift))
 
     def __repr__(self) -> str:

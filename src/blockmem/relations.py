@@ -221,19 +221,19 @@ def mem_emb(emb: Embedding, m1: MemState, m2: MemState) -> bool:
     accesses and are skipped."""
     aligned = m1.config.check_alignment
     check_alignment = m2.config.check_alignment
-    targets = {b: (low, high, c) for b, low, high, c in memstate.live_blocks(m2)}
     for b1, low1, high1, c1 in memstate.live_blocks(m1):
         target = emb.get(b1)
         if target is None or high1 <= low1:
             continue
         b2, delta = target
-        if b2 not in targets:
+        if not memstate.valid_block(m2, b2):
             return False
-        low2, high2, c2 = targets[b2]
+        low2, high2 = memstate.bounds(m2, b2)
         if not (low2 <= low1 + delta and high1 + delta <= high2):
             return False
         if check_alignment and not _relocation_aligned(low1, high1, aligned, delta):
             return False
+        c2 = memstate.contents_of(m2, b2)
         for t, ofs, v1 in _defined_loads(c1, low1, high1, aligned):
             if not val_emb(emb, v1, cells.load_contents(t, c2, ofs + delta)):
                 return False

@@ -421,15 +421,6 @@ class _Exec:
             return Vptr(b, v.offset)
         return v
 
-    def load(self, stmt: Load) -> tuple[int | None, Value | None]:
-        """Resolve a load's variable and read: the block and the loaded
-        value, None for an invalid access; the block is None when the
-        variable is unbound."""
-        b = self.env.get(stmt.var)
-        if b is None:
-            return None, None
-        return b, memstate.load(stmt.chunk, self.m, b, stmt.offset)
-
     def operate(self, stmt) -> tuple[bool, str]:
         """Apply an operation; True plus a note when it succeeded."""
         if isinstance(stmt, Alloc):
@@ -473,9 +464,10 @@ class _Exec:
             self.m = m2
             return True, f"stored at ({b}, {stmt.offset})"
         if isinstance(stmt, Load):
-            b, got = self.load(stmt)
+            b = self.env.get(stmt.var)
             if b is None:
                 return False, f"{stmt.var} is unbound"
+            got = memstate.load(stmt.chunk, self.m, b, stmt.offset)
             if got is None:
                 return False, f"load at ({b}, {stmt.offset}) is not a valid access"
             return True, value_text(got)
@@ -504,9 +496,10 @@ class _Exec:
                 return False, f"bounds of block {b} are {got}, not ({stmt.low}, {stmt.high})"
             return True, f"bounds of block {b} are {got}"
         if isinstance(stmt, Load):
-            b, got = self.load(stmt)
+            b = self.env.get(stmt.var)
             if b is None:
                 return False, f"{stmt.var} is unbound"
+            got = memstate.load(stmt.chunk, self.m, b, stmt.offset)
             if stmt.expect[0] == "fail":
                 if got is not None:
                     return False, f"load succeeded with {value_text(got)}, expected failure"
