@@ -13,16 +13,24 @@ by ``alloc``; this keeps traces stable under allocation-order refactoring.
 Values are written ``undef``, ``(int N)``, ``(float HEXBITS)`` and
 ``(ptr B I)`` (where B may be a variable or a literal id).  ``load``
 carries its expectation after ``=>``: a value, ``undef``, or ``fail``.
-``expect-fail`` wraps an operation that must fail.  An optional ``[emb]``
-section, or a separate file of the same shape, lists relocation entries
-``B -> TB + DELTA`` used by the injection checker.
+``expect-fail`` wraps an operation that must fail; a ``load`` it wraps
+has no ``=>`` part.
+
+An optional ``[emb]`` section at the end of a trace, or a separate file of
+the same shape (where the ``[emb]`` header is optional), is a relocation
+map for the injection checker: one ``B -> TB + DELTA`` line per mapped
+block.  Nothing may follow ``DELTA`` or the ``[emb]`` header, and a block
+mapped twice is an error.  ``mem_inject`` requires every ``DELTA`` to be a
+multiple of 8, so an injection with another delta does not hold.
 
 Parsing is total: any input either parses or raises a
-``TraceParseError`` carrying line and column.
+``TraceParseError`` carrying line and column; the CLI reports it as a
+usage error (exit 2).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import memstate, relations
@@ -116,234 +124,228 @@ class Trace:
     emb: tuple | None = None  # ((block, target, delta), ...)
 
 
-# --- tokenizing ---------------------------------------------------------------
+# --- parsing -------------------------------------------------------------------
+
+# A token is a parenthesis or a run of characters other than blanks,
+# parentheses and '#'; a line's code ends at its first '#'.
+_TOKEN = re.compile(r"[()]|[^ \t()#]+")
 
 
-def _tokenize(line: str, lineno: int):
-    """Tokens with 1-based columns; parentheses are their own tokens and
-    ``#`` starts a comment."""
-    out = []
-    k = 0
-    n = len(line)
-    while k < n:
-        c = line[k]
-        if c in " \t":
-            k += 1
-            continue
-        if c == "#":
-            break
-        if c in "()":
-            out.append((c, k + 1))
-            k += 1
-            continue
-        start = k
-        while k < n and line[k] not in " \t()#":
-            k += 1
-        out.append((line[start:k], start + 1))
-    return out
+class _Error(Exception):
+    """A parse error at token ``index`` of its line; an index past the last
+    token stands for the end of the line."""
+
+    def __init__(self, index: int, message: str) -> None:
+        self.index = index
+        self.message = message
+
+    def at(self, lineno: int, code: str) -> TraceParseError:
+        """This error placed on line ``lineno``, whose code is ``code``."""
+        spans = [m.span() for m in _TOKEN.finditer(code)]
+        if self.index < len(spans):
+            column = spans[self.index][0] + 1
+        else:
+            column = spans[-1][1] + 1
+        return TraceParseError(lineno, column, self.message)
 
 
-class _Cursor:
-    def __init__(self, tokens, lineno: int) -> None:
-        self.tokens = tokens
-        self.lineno = lineno
-        self.pos = 0
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def peek(self):
-        return self.tokens[self.pos] if not self.done() else ("", self._end_col())
-
-    def _end_col(self) -> int:
-        if not self.tokens:
-            return 1
-        text, col = self.tokens[-1]
-        return col + len(text)
-
-    def take(self, what: str):
-        if self.done():
-            raise TraceParseError(self.lineno, self._end_col(), f"expected {what}")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, literal: str) -> None:
-        text, col = self.take(repr(literal))
-        if text != literal:
-            raise TraceParseError(self.lineno, col, f"expected {literal!r}, got {text!r}")
-
-    def fail(self, message: str):
-        _, col = self.peek()
-        raise TraceParseError(self.lineno, col, message)
+def _lines(text: str):
+    """``(line number, code, tokens)`` for every line that has a token."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        k = raw.find("#")
+        code = raw if k < 0 else raw[:k]
+        tokens = _TOKEN.findall(code)
+        if tokens:
+            yield lineno, code, tokens
 
 
-def _parse_int(cur: _Cursor, what: str) -> int:
-    text, col = cur.take(what)
+def _peek(tokens: list, k: int) -> str:
+    return tokens[k] if k < len(tokens) else ""
+
+
+def _take(tokens: list, k: int, what: str) -> str:
+    try:
+        return tokens[k]
+    except IndexError:
+        raise _Error(k, f"expected {what}") from None
+
+
+def _end(tokens: list, k: int, message: str = "unexpected trailing token") -> None:
+    if k < len(tokens):
+        raise _Error(k, message)
+
+
+def _expect(tokens: list, k: int, literal: str) -> None:
+    text = _take(tokens, k, repr(literal))
+    if text != literal:
+        raise _Error(k, f"expected {literal!r}, got {text!r}")
+
+
+def _int(tokens: list, k: int, what: str) -> int:
+    text = _take(tokens, k, what)
     try:
         return int(text, 0)
     except ValueError:
-        raise TraceParseError(cur.lineno, col, f"expected {what}, got {text!r}") from None
+        raise _Error(k, f"expected {what}, got {text!r}") from None
 
 
-def _parse_var(cur: _Cursor, bound: set, *, binding: bool = False) -> str:
-    text, col = cur.take("a $variable")
+def _var(tokens: list, k: int, bound: set, *, binding: bool = False) -> str:
+    """The $variable at token ``k``: bound already, or else (``binding``)
+    not bound yet, and bound from here on."""
+    text = _take(tokens, k, "a $variable")
     if not text.startswith("$") or len(text) < 2:
-        raise TraceParseError(cur.lineno, col, f"expected a $variable, got {text!r}")
+        raise _Error(k, f"expected a $variable, got {text!r}")
     if binding:
         if text in bound:
-            raise TraceParseError(cur.lineno, col, f"{text} is already bound")
+            raise _Error(k, f"{text} is already bound")
+        bound.add(text)
     elif text not in bound:
-        raise TraceParseError(cur.lineno, col, f"{text} is not bound")
+        raise _Error(k, f"{text} is not bound")
     return text
 
 
-def _parse_chunk(cur: _Cursor) -> Chunk:
-    text, col = cur.take("a chunk name")
+def _chunk(tokens: list, k: int) -> Chunk:
+    text = _take(tokens, k, "a chunk name")
     c = Chunk.from_token(text)
     if c is None:
-        raise TraceParseError(cur.lineno, col, f"unknown chunk {text!r}")
+        raise _Error(k, f"unknown chunk {text!r}")
     return c
 
 
-def _parse_value(cur: _Cursor, bound: set) -> ValueExpr:
-    text, col = cur.peek()
+def _value(tokens: list, k: int, bound: set) -> tuple[ValueExpr, int]:
+    """The value starting at token ``k``, and the index after it."""
+    text = _peek(tokens, k)
     if text == "undef":
-        cur.take("value")
-        return VUNDEF
+        return VUNDEF, k + 1
     if text != "(":
-        cur.fail(f"expected a value, got {text!r}")
-    cur.take("'('")
-    kind, kcol = cur.take("value kind")
+        raise _Error(k, f"expected a value, got {text!r}")
+    kind = _take(tokens, k + 1, "value kind")
     if kind == "int":
-        v: ValueExpr = Vint(_parse_int(cur, "an integer"))
+        v: ValueExpr = Vint(_int(tokens, k + 2, "an integer"))
     elif kind == "float":
-        bits_text, bcol = cur.take("float bits")
+        bits_text = _take(tokens, k + 2, "float bits")
         try:
             bits = int(bits_text, 16)
         except ValueError:
-            raise TraceParseError(cur.lineno, bcol, f"expected hex bits, got {bits_text!r}") from None
+            raise _Error(k + 2, f"expected hex bits, got {bits_text!r}") from None
         if not 0 <= bits < 1 << 64:
-            raise TraceParseError(cur.lineno, bcol, "float bits out of 64-bit range")
+            raise _Error(k + 2, "float bits out of 64-bit range")
         v = Vfloat(bits)
     elif kind == "ptr":
-        text, tcol = cur.peek()
-        if text.startswith("$"):
-            target: str | int = _parse_var(cur, bound)
+        if _peek(tokens, k + 2).startswith("$"):
+            target: str | int = _var(tokens, k + 2, bound)
         else:
-            target = _parse_int(cur, "a block id or $variable")
-        v = PtrLit(target, _parse_int(cur, "a pointer offset"))
+            target = _int(tokens, k + 2, "a block id or $variable")
+        v = PtrLit(target, _int(tokens, k + 3, "a pointer offset"))
+        k += 1
     else:
-        raise TraceParseError(cur.lineno, kcol, f"unknown value kind {kind!r}")
-    cur.expect(")")
-    return v
+        raise _Error(k + 1, f"unknown value kind {kind!r}")
+    _expect(tokens, k + 3, ")")
+    return v, k + 4
 
 
-def _parse_operation(cur: _Cursor, head: str, col: int, bound: set):
-    if head == "alloc":
-        low = _parse_int(cur, "a low bound")
-        high = _parse_int(cur, "a high bound")
-        cur.expect("->")
-        var = _parse_var(cur, bound, binding=True)
-        return Alloc(cur.lineno, low, high, var)
-    if head == "free":
-        return Free(cur.lineno, _parse_var(cur, bound))
-    if head == "free-list":
-        vs = []
-        while not cur.done():
-            vs.append(_parse_var(cur, bound))
-        return FreeList(cur.lineno, tuple(vs))
+def _access(tokens: list, k: int, bound: set) -> tuple[Chunk, str, int]:
+    """The chunk, $variable and offset of a store or load, from token ``k``."""
+    return _chunk(tokens, k), _var(tokens, k + 1, bound), _int(tokens, k + 2, "an offset")
+
+
+def _operation(line: int, tokens: list, k: int, bound: set) -> tuple[Statement, int]:
+    """The operation named by token ``k``, and the index after it.  A
+    ``load`` here carries no expectation: it is the operand of
+    ``expect-fail``."""
+    head = tokens[k]
     if head == "store":
-        chunk = _parse_chunk(cur)
-        var = _parse_var(cur, bound)
-        ofs = _parse_int(cur, "an offset")
-        return Store(cur.lineno, chunk, var, ofs, _parse_value(cur, bound))
+        chunk, var, ofs = _access(tokens, k + 1, bound)
+        value, end = _value(tokens, k + 4, bound)
+        return Store(line, chunk, var, ofs, value), end
+    if head == "alloc":
+        low = _int(tokens, k + 1, "a low bound")
+        high = _int(tokens, k + 2, "a high bound")
+        _expect(tokens, k + 3, "->")
+        return Alloc(line, low, high, _var(tokens, k + 4, bound, binding=True)), k + 5
+    if head == "free":
+        return Free(line, _var(tokens, k + 1, bound)), k + 2
+    if head == "free-list":
+        vs = tuple(_var(tokens, j, bound) for j in range(k + 1, len(tokens)))
+        return FreeList(line, vs), len(tokens)
     if head == "load":
-        chunk = _parse_chunk(cur)
-        var = _parse_var(cur, bound)
-        ofs = _parse_int(cur, "an offset")
-        return Load(cur.lineno, chunk, var, ofs, ("fail",))
-    raise TraceParseError(cur.lineno, col, f"unknown operation {head!r}")
+        return Load(line, *_access(tokens, k + 1, bound)), k + 4
+    raise _Error(k, f"unknown operation {head!r}")
 
 
-def _parse_statement(cur: _Cursor, bound: set) -> Statement:
-    head, col = cur.take("a statement")
+def _statement(line: int, tokens: list, bound: set) -> tuple[Statement, int]:
+    """The statement of one line, and the index after it."""
+    head = tokens[0]
+    if head == "load":
+        chunk, var, ofs = _access(tokens, 1, bound)
+        _expect(tokens, 4, "=>")
+        if _peek(tokens, 5) == "fail":
+            return Load(line, chunk, var, ofs, ("fail",)), 6
+        value, end = _value(tokens, 5, bound)
+        return Load(line, chunk, var, ofs, ("value", value)), end
     if head == "assert-valid":
-        return AssertValid(cur.lineno, _parse_var(cur, bound))
+        return AssertValid(line, _var(tokens, 1, bound)), 2
     if head == "assert-bounds":
-        var = _parse_var(cur, bound)
-        return AssertBounds(
-            cur.lineno, var, _parse_int(cur, "a low bound"), _parse_int(cur, "a high bound")
-        )
+        var = _var(tokens, 1, bound)
+        low = _int(tokens, 2, "a low bound")
+        return AssertBounds(line, var, low, _int(tokens, 3, "a high bound")), 4
     if head == "expect-fail":
-        inner_head, icol = cur.take("an operation")
-        inner = _parse_operation(cur, inner_head, icol, bound)
-        return ExpectFail(cur.lineno, inner)
-    stmt = _parse_operation(cur, head, col, bound)
-    if isinstance(stmt, Load):
-        cur.expect("=>")
-        text, _ = cur.peek()
-        if text == "fail":
-            cur.take("expectation")
-            expect = ("fail",)
-        else:
-            expect = ("value", _parse_value(cur, bound))
-        return Load(stmt.line, stmt.chunk, stmt.var, stmt.offset, expect)
-    return stmt
+        _take(tokens, 1, "an operation")
+        inner, end = _operation(line, tokens, 1, bound)
+        return ExpectFail(line, inner), end
+    return _operation(line, tokens, 0, bound)
 
 
-def _parse_emb_line(cur: _Cursor):
-    b = _parse_int(cur, "a block id")
-    cur.expect("->")
-    tb = _parse_int(cur, "a target block id")
-    cur.expect("+")
-    delta = _parse_int(cur, "a delta")
-    return b, tb, delta
+def _entry(tokens: list, emb: dict) -> None:
+    """Add the relocation entry ``B -> TB + DELTA`` of one line to ``emb``."""
+    b = _int(tokens, 0, "a block id")
+    if b in emb:
+        raise _Error(0, f"block {b} is already mapped")
+    _expect(tokens, 1, "->")
+    tb = _int(tokens, 2, "a target block id")
+    _expect(tokens, 3, "+")
+    emb[b] = (tb, _int(tokens, 4, "a delta"))
+    _end(tokens, 5)
 
 
 def parse_trace(text: str) -> Trace:
     """Parse a trace; raises TraceParseError with position on bad input."""
     statements = []
-    emb_entries = []
-    in_emb = False
+    emb: dict | None = None
     bound: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, lineno)
-        if not tokens:
-            continue
-        cur = _Cursor(tokens, lineno)
-        if tokens[0][0] == "[emb]":
-            if in_emb:
-                raise TraceParseError(lineno, tokens[0][1], "duplicate [emb] section")
-            in_emb = True
-            cur.take("section header")
-            if not cur.done():
-                cur.fail("unexpected token after [emb]")
-            continue
-        if in_emb:
-            emb_entries.append(_parse_emb_line(cur))
-        else:
-            stmt = _parse_statement(cur, bound)
-            target = stmt.inner if isinstance(stmt, ExpectFail) else stmt
-            if isinstance(target, Alloc):
-                bound.add(target.var)
-            statements.append(stmt)
-        if not cur.done():
-            cur.fail("unexpected trailing token")
-    return Trace(tuple(statements), tuple(emb_entries) if in_emb else None)
+    for lineno, code, tokens in _lines(text):
+        try:
+            if tokens[0] == "[emb]":
+                if emb is not None:
+                    raise _Error(0, "duplicate [emb] section")
+                _end(tokens, 1, "unexpected token after [emb]")
+                emb = {}
+            elif emb is not None:
+                _entry(tokens, emb)
+            else:
+                stmt, end = _statement(lineno, tokens, bound)
+                _end(tokens, end)
+                statements.append(stmt)
+        except _Error as e:
+            raise e.at(lineno, code) from None
+    if emb is None:
+        return Trace(tuple(statements))
+    return Trace(tuple(statements), tuple((b, tb, d) for b, (tb, d) in emb.items()))
 
 
 def parse_embedding(text: str) -> dict:
     """Parse a relocation map: ``B -> TB + DELTA`` lines, with an optional
-    ``[emb]`` header."""
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, lineno)
-        if not tokens or tokens[0][0] == "[emb]":
-            continue
-        b, tb, delta = _parse_emb_line(_Cursor(tokens, lineno))
-        entries[b] = (tb, delta)
-    return entries
+    ``[emb]`` header; raises TraceParseError with position on bad input."""
+    emb: dict = {}
+    for lineno, code, tokens in _lines(text):
+        try:
+            if tokens[0] == "[emb]":
+                _end(tokens, 1, "unexpected token after [emb]")
+            else:
+                _entry(tokens, emb)
+        except _Error as e:
+            raise e.at(lineno, code) from None
+    return emb
 
 
 # --- pretty-printing -----------------------------------------------------------
@@ -355,7 +357,9 @@ def _value_expr_text(v: ValueExpr) -> str:
     return value_text(v)
 
 
-def _statement_text(stmt: Statement) -> str:
+def _statement_text(stmt: Statement, operand: bool = False) -> str:
+    """The line of ``stmt``; ``operand`` for the operation of an
+    ``expect-fail``, where a load has no expectation."""
     if isinstance(stmt, Alloc):
         return f"alloc {stmt.low} {stmt.high} -> {stmt.var}"
     if isinstance(stmt, Free):
@@ -368,14 +372,17 @@ def _statement_text(stmt: Statement) -> str:
             f"{_value_expr_text(stmt.value)}"
         )
     if isinstance(stmt, Load):
+        text = f"load {stmt.chunk.token} {stmt.var} {stmt.offset}"
+        if operand:
+            return text
         expect = "fail" if stmt.expect[0] == "fail" else _value_expr_text(stmt.expect[1])
-        return f"load {stmt.chunk.token} {stmt.var} {stmt.offset} => {expect}"
+        return f"{text} => {expect}"
     if isinstance(stmt, AssertValid):
         return f"assert-valid {stmt.var}"
     if isinstance(stmt, AssertBounds):
         return f"assert-bounds {stmt.var} {stmt.low} {stmt.high}"
     if isinstance(stmt, ExpectFail):
-        return f"expect-fail {_statement_text(stmt.inner)}"
+        return f"expect-fail {_statement_text(stmt.inner, operand=True)}"
     raise TypeError(f"not a statement: {stmt!r}")
 
 

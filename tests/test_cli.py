@@ -218,6 +218,20 @@ def test_relate_subcommand(tmp_path, capsys):
     assert main(["relate", str(t1), str(t3), "--relation", "lessdef"]) == 1
 
 
+def test_relate_rejects_malformed_relocation_maps(tmp_path, capsys):
+    t = tmp_path / "a.trace"
+    t.write_text("alloc 0 8 -> $x\n")
+    emb = tmp_path / "map.emb"
+    for text, where in [
+        ("1 -> 1 + 0 junk\n", "line 1, column 12"),
+        ("[emb] extra\n1 -> 1 + 0\n", "line 1, column 7"),
+        ("1 -> 1 + 0\n1 -> 1 + 8\n", "line 2, column 1"),
+    ]:
+        emb.write_text(text)
+        assert main(["relate", str(t), str(t), "--relation", "inject", "--emb", str(emb)]) == 2
+        assert where in capsys.readouterr().err
+
+
 def test_cli_import_leaves_law_suite_unloaded():
     # `run` and `relate` never touch the laws; only `laws` imports them.
     src = str(Path(blockmem.__file__).resolve().parents[1])

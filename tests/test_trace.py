@@ -37,29 +37,130 @@ def test_parse_basics():
     assert isinstance(two.statements[2], Load)
 
 
+A = "alloc 0 8 -> $a\n"
+
+# Every diagnostic the parser gives, as (input, line, column, message).
+PARSE_ERRORS = [
+    # "expected ..." at the end of a line
+    ("expect-fail", 1, 12, "expected an operation"),
+    ("alloc", 1, 6, "expected a low bound"),
+    ("alloc 0", 1, 8, "expected a high bound"),
+    ("alloc 0 8", 1, 10, "expected '->'"),
+    ("alloc 0 8 ->", 1, 13, "expected a $variable"),
+    ("free", 1, 5, "expected a $variable"),
+    ("store", 1, 6, "expected a chunk name"),
+    (A + "store int32", 2, 12, "expected a $variable"),
+    (A + "store int32 $a", 2, 15, "expected an offset"),
+    (A + "store int32 $a 0", 2, 17, "expected a value, got ''"),
+    (A + "store int32 $a 0 (", 2, 19, "expected value kind"),
+    (A + "store int32 $a 0 (int", 2, 22, "expected an integer"),
+    (A + "store int32 $a 0 (float", 2, 24, "expected float bits"),
+    (A + "store int32 $a 0 (ptr", 2, 22, "expected a block id or $variable"),
+    (A + "store int32 $a 0 (ptr $a", 2, 25, "expected a pointer offset"),
+    (A + "store int32 $a 0 (int 1", 2, 24, "expected ')'"),
+    (A + "load int32 $a 0", 2, 16, "expected '=>'"),
+    (A + "load int32 $a 0 =>", 2, 19, "expected a value, got ''"),
+    ("assert-valid", 1, 13, "expected a $variable"),
+    (A + "assert-bounds $a", 2, 17, "expected a low bound"),
+    (A + "assert-bounds $a 0", 2, 19, "expected a high bound"),
+    ("[emb]\n1", 2, 2, "expected '->'"),
+    ("[emb]\n1 ->", 2, 5, "expected a target block id"),
+    ("[emb]\n1 -> 2", 2, 7, "expected '+'"),
+    ("[emb]\n1 -> 2 +", 2, 9, "expected a delta"),
+    # expected literal, got another token
+    ("alloc 0 8 => $a", 1, 11, "expected '->', got '=>'"),
+    (A + "load int32 $a 0 -> undef", 2, 17, "expected '=>', got '->'"),
+    ("[emb]\n1 => 2 + 0", 2, 3, "expected '->', got '=>'"),
+    ("[emb]\n1 -> 2 - 0", 2, 8, "expected '+', got '-'"),
+    # bad int
+    ("alloc x 8 -> $a", 1, 7, "expected a low bound, got 'x'"),
+    ("alloc 0 010 -> $a", 1, 9, "expected a high bound, got '010'"),
+    (A + "store int32 $a 1.5 undef", 2, 16, "expected an offset, got '1.5'"),
+    (A + "store int32 $a 0 (int 0xg)", 2, 23, "expected an integer, got '0xg'"),
+    (A + "store int32 $a 0 (ptr 2 $a)", 2, 25, "expected a pointer offset, got '$a'"),
+    (A + "store int32 $a 0 (ptr x 0)", 2, 23, "expected a block id or $variable, got 'x'"),
+    (A + "assert-bounds $a lo 8", 2, 18, "expected a low bound, got 'lo'"),
+    ("[emb]\n->", 2, 1, "expected a block id, got '->'"),
+    ("[emb]\n1 -> b2 + 0", 2, 6, "expected a target block id, got 'b2'"),
+    ("[emb]\n1 -> 2 + 8d", 2, 10, "expected a delta, got '8d'"),
+    # bad $variable
+    ("alloc 0 8 -> a", 1, 14, "expected a $variable, got 'a'"),
+    ("alloc 0 8 -> $", 1, 14, "expected a $variable, got '$'"),
+    ("free (", 1, 6, "expected a $variable, got '('"),
+    (A + "free-list $a b", 2, 14, "expected a $variable, got 'b'"),
+    # already bound, not bound
+    (A + "alloc 0 8 -> $a", 2, 14, "$a is already bound"),
+    (A + "expect-fail alloc 0 8 -> $a", 2, 26, "$a is already bound"),
+    ("free $b", 1, 6, "$b is not bound"),
+    (A + "store int32 $b 0 (int 1)", 2, 13, "$b is not bound"),
+    (A + "store int32 $a 0 (ptr $z 0)", 2, 23, "$z is not bound"),
+    (A + "load int32 $a 0 => (ptr $z 0)", 2, 25, "$z is not bound"),
+    (A + "free-list $a $b", 2, 14, "$b is not bound"),
+    ("store int32 $a 0 (int 1)", 1, 13, "$a is not bound"),
+    (A + "free $b", 2, 6, "$b is not bound"),
+    # unknown chunk, unknown value kind, hex bits, bits range
+    ("load bogus $a 0 => undef", 1, 6, "unknown chunk 'bogus'"),
+    (A + "store $a 0 (int 1)", 2, 7, "unknown chunk '$a'"),
+    (A + "store int32 $a 0 (wat 1)", 2, 19, "unknown value kind 'wat'"),
+    (A + "store int32 $a 0 ((int 1))", 2, 19, "unknown value kind '('"),
+    (A + "store int32 $a 0 (float 0xZZ)", 2, 25, "expected hex bits, got '0xZZ'"),
+    (A + "store int32 $a 0 (float 1.0)", 2, 25, "expected hex bits, got '1.0'"),
+    (A + "store int32 $a 0 (float -1)", 2, 25, "float bits out of 64-bit range"),
+    (A + "store int32 $a 0 (float 10000000000000000)", 2, 25, "float bits out of 64-bit range"),
+    # expected a value
+    (A + "store int32 $a 0 x", 2, 18, "expected a value, got 'x'"),
+    (A + "store int32 $a 0 )", 2, 18, "expected a value, got ')'"),
+    (A + "load int32 $a 0 => int", 2, 20, "expected a value, got 'int'"),
+    # missing ')', trailing tokens
+    (A + "store int32 $a 0 (int 1 2)", 2, 25, "expected ')', got '2'"),
+    (A + "store int32 $a 0 (ptr $a 0 0)", 2, 28, "expected ')', got '0'"),
+    (A + "store int32 $a 0 (int 1)x", 2, 25, "unexpected trailing token"),
+    ("alloc 0 8 -> $a extra", 1, 17, "unexpected trailing token"),
+    (A + "free $a )", 2, 9, "unexpected trailing token"),
+    (A + "load int32 $a 0 => fail fail", 2, 25, "unexpected trailing token"),
+    (A + "expect-fail load int32 $a 0 => fail", 2, 29, "unexpected trailing token"),
+    ("[emb]\n1 -> 2 + 0 junk", 2, 12, "unexpected trailing token"),
+    # unknown operation
+    ("frobnicate $a", 1, 1, "unknown operation 'frobnicate'"),
+    (A + "expect-fail assert-valid $a", 2, 13, "unknown operation 'assert-valid'"),
+    (A + "expect-fail expect-fail free $a", 2, 13, "unknown operation 'expect-fail'"),
+    ("( alloc 0 8 -> $a", 1, 1, "unknown operation '('"),
+    # [emb] header
+    ("[emb]\n1 -> 2 + 0\n[emb]", 3, 1, "duplicate [emb] section"),
+    ("[emb]\n\n  [emb] # again", 3, 3, "duplicate [emb] section"),
+    ("[emb] extra", 1, 7, "unexpected token after [emb]"),
+    ("[emb] (", 1, 7, "unexpected token after [emb]"),
+    ("[emb]\nalloc 0 8 -> $a", 2, 1, "expected a block id, got 'alloc'"),
+    # tabs, '#' inside a token, columns and line numbers
+    ("alloc\t0\t8\t->\t$a\tx", 1, 17, "unexpected trailing token"),
+    ("\t alloc 0 8 -> $a ) # comment", 1, 19, "unexpected trailing token"),
+    ("alloc 0 8#9 -> $a", 1, 10, "expected '->'"),
+    ("alloc 0 8 -> $ab#\nfree $a", 2, 6, "$a is not bound"),
+    (A + "store int32 $a 0 (int 1#)", 2, 24, "expected ')'"),
+    (A + "store\tint32 $a\t0\t(int\t1)\t#c\n# x\n\n   \nfree $b", 6, 6, "$b is not bound"),
+    ("# header\n\nalloc 0 8 -> $a\nfree $a\nfree\t$a\tz", 5, 9, "unexpected trailing token"),
+    ("alloc 0 8 -> $é x", 1, 17, "unexpected trailing token"),
+    ("alloc 0 8 -> $a\r\nfree $a junk", 2, 9, "unexpected trailing token"),
+    ("alloc 0 8 -> $a\x0cfree $b", 2, 6, "$b is not bound"),
+]
+EMBEDDING_ERRORS = [
+    ("1", 1, 2, "expected '->'"),
+    ("1 ->", 1, 5, "expected a target block id"),
+    ("1 -> 2", 1, 7, "expected '+'"),
+    ("1 -> 2 +", 1, 9, "expected a delta"),
+    ("x -> 2 + 0", 1, 1, "expected a block id, got 'x'"),
+    ("1 -> 2 + 0\n# c\n\n3 => 4 + 0", 4, 3, "expected '->', got '=>'"),
+    ("[emb]\n1 -> 2 + 0x", 2, 10, "expected a delta, got '0x'"),
+    ("1\t->\t2\t+\t0\n2 -> 3 + (", 2, 10, "expected a delta, got '('"),
+    ("1 -> 2 + 0#c\n)", 2, 1, "expected a block id, got ')'"),
+]
+
+
 def test_parse_errors_have_positions():
-    with pytest.raises(TraceParseError) as e:
-        parse_trace("load bogus $a 0 => undef")
-    assert e.value.line == 1 and e.value.column == 6
-
-    with pytest.raises(TraceParseError) as e:
-        parse_trace("alloc 0 8 -> $a\nfree $b")
-    assert e.value.line == 2
-
-    with pytest.raises(TraceParseError):
-        parse_trace("alloc 0 8 -> $a\nalloc 0 8 -> $a")  # rebinding
-
-    with pytest.raises(TraceParseError):
-        parse_trace("alloc 0 8 -> $a extra")
-
-    with pytest.raises(TraceParseError):
-        parse_trace("store int32 $a 0 (int 1)")  # unbound before use
-
-    with pytest.raises(TraceParseError):
-        parse_trace("alloc 0 8 -> $a\nstore int32 $a 0 (wat 1)")
-
-    with pytest.raises(TraceParseError):
-        parse_trace("[emb]\n1 -> 2 + 0\n[emb]")
+    for text, line, column, message in PARSE_ERRORS:
+        assert _diagnostic(parse_trace, text) == (line, column, message), text
+    for text, line, column, message in EMBEDDING_ERRORS:
+        assert _diagnostic(parse_embedding, text) == (line, column, message), text
 
 
 def test_roundtrip_with_all_features():
@@ -75,6 +176,7 @@ load float32 $b -4 => undef
 load int8s $b 9 => fail
 expect-fail store int32 $b 3 (int 1)
 expect-fail alloc 0 8 -> $c
+expect-fail load int32 $b 9
 assert-valid $a
 assert-bounds $b -4 4
 free-list $a $b
@@ -138,6 +240,28 @@ def test_assert_bounds():
 def test_parse_embedding_file():
     emb = parse_embedding("[emb]\n# comment\n1 -> 2 + 8\n3 -> 2 + -16\n")
     assert emb == {1: (2, 8), 3: (2, -16)}
+
+
+def _diagnostic(parse, text):
+    with pytest.raises(TraceParseError) as e:
+        parse(text)
+    return e.value.line, e.value.column, e.value.message
+
+
+def test_parse_embedding_rejects_trailing_tokens():
+    text = "1 -> 2 + 0 junk\n3 -> 4 + 8 ( (\n[emb] extra"
+    assert _diagnostic(parse_embedding, text) == (1, 12, "unexpected trailing token")
+    text = "1 -> 2 + 0\n3 -> 4 + 8 ( ("
+    assert _diagnostic(parse_embedding, text) == (2, 12, "unexpected trailing token")
+    text = "1 -> 2 + 0\n\t[emb] extra"
+    assert _diagnostic(parse_embedding, text) == (2, 8, "unexpected token after [emb]")
+
+
+def test_relocation_map_rejects_a_block_mapped_twice():
+    text = "1 -> 2 + 0\n# again\n 0x1 -> 3 + 8"
+    assert _diagnostic(parse_embedding, text) == (3, 2, "block 1 is already mapped")
+    text = "alloc 0 8 -> $a\n[emb]\n1 -> 2 + 0\n1 -> 3 + 8"
+    assert _diagnostic(parse_trace, text) == (4, 1, "block 1 is already mapped")
 
 
 def test_relate_lessdef_and_inject():
