@@ -50,6 +50,8 @@ def _load_config_file(path: str | None) -> dict:
             _usage_error(
                 f"config file {path}: {key} must be an integer or null, not {json.dumps(value)}"
             )
+    if (data.get("random_cases") or 0) < 0:
+        _usage_error(f"config file {path}: random_cases must not be negative")
     value = data.get("alignment_check", True)
     if type(value) is not bool:
         _usage_error(
@@ -146,6 +148,21 @@ def _cmd_relate(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, not {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockmem",
@@ -170,10 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_laws = sub.add_parser("laws", parents=[common], help="run the law suite")
-    p_laws.add_argument("--cases", type=int, default=None, help="random cases per law")
+    p_laws.add_argument(
+        "--cases", type=_at_least(0), default=None, help="random cases per law"
+    )
     p_laws.add_argument("--seed", type=int, default=None)
     p_laws.add_argument("--report", help="write the JSON-lines report here")
-    p_laws.add_argument("--jobs", type=int, default=1, help="parallel law runners")
+    p_laws.add_argument(
+        "--jobs", type=_at_least(1), default=1, help="parallel law runners"
+    )
     p_laws.set_defaults(func=_cmd_laws)
 
     p_rel = sub.add_parser(

@@ -13,6 +13,10 @@ scenarios replayed in lockstep whose final states satisfy one of the
 memory relations by construction (refinement, extension, or an embedding
 with its relocation map).  The relation laws draw their hypothesis
 instances from these constructors.
+
+Laws take their scenarios through the ``shared_*`` draws, which hand every
+law of one domain the same scenario k at its k-th request; see "shared
+scenario streams" below.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import lru_cache
 from .. import chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Value, Vfloat, Vint, Vptr, VUNDEF
 from ..memstate import DEFAULT_CONFIG, MemConfig, MemState
-from .rng import SplitMix64
+from .rng import LawStream, SplitMix64, scenario_stream
 
 PROBE_INVALID = -1  # resolves to block 0, never allocatable
 PROBE_FRESH = -2  # resolves to a far-away id, fresh in small scenarios
@@ -733,6 +737,60 @@ def shrink_emb_plan(plan: EmbPlan):
             overlap=plan.overlap,
             hole_span=plan.hole_span,
         )
+
+
+# --- shared scenario streams -----------------------------------------------------
+#
+# A scenario domain is one of the samplers above with fixed arguments.  Its
+# scenarios come from one stream per (seed, domain), extended lazily and kept
+# for the process, so scenario k is the same value for every law that asks
+# for it, and the states it builds are replayed once and then found in the
+# replay memos of ``laws_base``.  A law's k-th request (counted by its
+# ``LawStream``) takes scenario k; the law's assignment stays on its own
+# stream.  So a case depends on the seed, the law and the draw number only.
+
+SCENARIOS: dict = {}  # (seed, domain) -> (stream, scenarios drawn so far)
+
+
+def _shared(rng: LawStream, domain: str, sample):
+    k = rng.next_scenario()
+    key = (rng.seed, domain)
+    entry = SCENARIOS.get(key)
+    if entry is None:
+        entry = SCENARIOS[key] = (scenario_stream(rng.seed, domain), [])
+    stream, drawn = entry
+    while len(drawn) <= k:
+        drawn.append(sample(stream))
+    return drawn[k]
+
+
+def shared_ops(rng: LawStream) -> tuple:
+    return _shared(rng, "ops", lambda s: tuple(sample_ops(s)))
+
+
+def shared_lessdef_plan(rng: LawStream) -> tuple:
+    return _shared(rng, "lessdef", sample_lessdef_plan)
+
+
+def shared_extends_plan(rng: LawStream) -> tuple:
+    return _shared(rng, "extends", sample_extends_plan)
+
+
+def shared_emb_plan(
+    rng: LawStream,
+    *,
+    overlap_chance: tuple[int, int] = (0, 1),
+    hole_span: int = 0,
+    need_mapped: bool = False,
+) -> EmbPlan:
+    """One domain per keyword set."""
+    return _shared(
+        rng,
+        f"emb overlap={overlap_chance} hole={hole_span} mapped={need_mapped}",
+        lambda s: sample_emb_plan(
+            s, overlap_chance=overlap_chance, hole_span=hole_span, need_mapped=need_mapped
+        ),
+    )
 
 
 # --- the exhaustive tiny universe ---------------------------------------------

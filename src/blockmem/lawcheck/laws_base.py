@@ -89,17 +89,22 @@ def deflaw(
 
 # --- cached rebuilds ---------------------------------------------------------
 #
-# Cases carry scenarios, not states; rebuilding through a small memo keeps
+# Cases carry scenarios, not states; rebuilding through a memo keeps
 # exhaustive sweeps (which revisit the same scenario with many quantifier
-# assignments) cheap without giving up replayability.
+# assignments) cheap without giving up replayability.  Random cases share
+# their scenarios across the laws of a domain (``generators.shared_ops``
+# and its siblings), so the memos are sized to hold everything a default
+# run builds, lest a law evict the states its domain's next law needs: at
+# seed 42 that is about 18k states and 9k embedding scenarios, where a
+# domain has up to 10k scenarios.
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=32768)
 def run_cached(ops: tuple):
     return run_ops(ops)
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=32768)
 def state_of(ops: tuple):
     return run_cached(ops).state
 
@@ -114,7 +119,7 @@ def extends_pair_cached(plan: tuple):
     return build_extends_pair(plan)
 
 
-@lru_cache(maxsize=8192)
+@lru_cache(maxsize=16384)
 def emb_scenario_cached(plan: EmbPlan):
     return build_emb_scenario(plan)
 
@@ -139,6 +144,7 @@ def clear_caches() -> None:
     extends_pair_cached.cache_clear()
     emb_scenario_cached.cache_clear()
     cells_of.cache_clear()
+    generators.SCENARIOS.clear()
     generators.tiny_states_small.cache_clear()
     generators.tiny_states_full.cache_clear()
 

@@ -36,7 +36,7 @@ _NO_OVERLAP = (0, 1)
 
 
 def _sm_state(rng):
-    return ("state", tuple(generators.sample_ops(rng)))
+    return ("state", generators.shared_ops(rng))
 
 
 def _ex_states():
@@ -206,7 +206,7 @@ deflaw(
 
 
 def _sm_lessdef(rng):
-    return ("lessdef", generators.sample_lessdef_plan(rng))
+    return ("lessdef", generators.shared_lessdef_plan(rng))
 
 
 def _ex_lessdef():
@@ -256,7 +256,7 @@ def _first_access(m, limit=2):
 
 
 def _sm_lessdef_access(rng):
-    plan = generators.sample_lessdef_plan(rng)
+    plan = generators.shared_lessdef_plan(rng)
     m1, _ = _lessdef_states(("lessdef", plan))
     acc = generators.sample_valid_access(rng, m1)
     if acc is None:
@@ -307,7 +307,7 @@ def _store_witness(m2, t, b, i, v):
 
 
 def _sm_store_lessdef(rng):
-    plan = generators.sample_lessdef_plan(rng)
+    plan = generators.shared_lessdef_plan(rng)
     m1, _ = _lessdef_states(("lessdef", plan))
     acc = generators.sample_valid_access(rng, m1)
     if acc is None:
@@ -359,7 +359,7 @@ deflaw(
 
 
 def _sm_lessdef_free(rng):
-    plan = generators.sample_lessdef_plan(rng)
+    plan = generators.shared_lessdef_plan(rng)
     m1, _ = _lessdef_states(("lessdef", plan))
     blocks = [b for b, _, _, _ in memstate.live_blocks(m1)]
     if not blocks:
@@ -449,7 +449,7 @@ def _ck_extends_trans(case):
 
 
 def _sm_extends_trans(rng):
-    plan = generators.sample_extends_plan(rng)
+    plan = generators.shared_extends_plan(rng)
     widenings = tuple((rng.choice((0, 4)), rng.choice((0, 8))) for _ in range(3))
     return ("extends3", plan, widenings)
 
@@ -476,7 +476,7 @@ def _extends_states(case):
 
 
 def _sm_extends(rng):
-    return ("extends", generators.sample_extends_plan(rng))
+    return ("extends", generators.shared_extends_plan(rng))
 
 
 def _ex_extends():
@@ -512,7 +512,7 @@ deflaw(
 
 
 def _sm_extends_access(rng):
-    plan = generators.sample_extends_plan(rng)
+    plan = generators.shared_extends_plan(rng)
     m1, _ = _extends_states(("extends", plan))
     acc = generators.sample_valid_access(rng, m1)
     if acc is None:
@@ -557,7 +557,7 @@ deflaw(
 
 
 def _sm_store_within_extends(rng):
-    plan = generators.sample_extends_plan(rng)
+    plan = generators.shared_extends_plan(rng)
     m1, _ = _extends_states(("extends", plan))
     acc = generators.sample_valid_access(rng, m1)
     if acc is None:
@@ -617,7 +617,7 @@ def _margin_slots(m1, m2, limit=3):
 
 
 def _sm_store_outside_extends(rng):
-    plan = generators.sample_extends_plan(rng)
+    plan = generators.shared_extends_plan(rng)
     m1, m2 = _extends_states(("extends", plan))
     slots = _margin_slots(m1, m2)
     if not slots:
@@ -663,7 +663,7 @@ deflaw(
 
 
 def _sm_extends_free(rng):
-    plan = generators.sample_extends_plan(rng)
+    plan = generators.shared_extends_plan(rng)
     m1, _ = _extends_states(("extends", plan))
     blocks = [b for b, _, _, _ in memstate.live_blocks(m1)]
     if not blocks:
@@ -711,7 +711,7 @@ deflaw(
 
 
 def _sm_emb(rng, **kw):
-    return ("emb", generators.sample_emb_plan(rng, **kw))
+    return ("emb", generators.shared_emb_plan(rng, **kw))
 
 
 def _ex_emb():
@@ -730,7 +730,7 @@ def _mapped_accesses(sc, limit=3):
 
 
 def _sm_emb_access(rng, overlap=_OVERLAP_SOME):
-    plan = generators.sample_emb_plan(rng, overlap_chance=overlap, need_mapped=True)
+    plan = generators.shared_emb_plan(rng, overlap_chance=overlap, need_mapped=True)
     sc = emb_scenario_cached(plan)
     accs = _mapped_accesses(sc, 6)
     if not accs:
@@ -825,7 +825,7 @@ def _emb_value_pair(rng, sc):
 
 
 def _sm_store_mapped(rng, overlap):
-    plan = generators.sample_emb_plan(rng, overlap_chance=overlap, need_mapped=True)
+    plan = generators.shared_emb_plan(rng, overlap_chance=overlap, need_mapped=True)
     sc = emb_scenario_cached(plan)
     accs = _mapped_accesses(sc, 6)
     if not accs:
@@ -890,7 +890,7 @@ def _unmapped_accesses(sc, limit=3):
 
 
 def _sm_store_unmapped(rng):
-    plan = generators.sample_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
+    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
     sc = emb_scenario_cached(plan)
     accs = _unmapped_accesses(sc, 6)
     if not accs:
@@ -941,7 +941,7 @@ def _extra_accesses(sc, limit=3):
 
 
 def _sm_store_outside_emb(rng):
-    plan = generators.sample_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
+    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
     sc = emb_scenario_cached(plan)
     accs = _extra_accesses(sc, 6)
     if not accs:
@@ -986,7 +986,7 @@ deflaw(
 
 
 def _sm_emb_alloc(rng, overlap=_OVERLAP_SOME, hole=0):
-    plan = generators.sample_emb_plan(rng, overlap_chance=overlap, hole_span=hole)
+    plan = generators.shared_emb_plan(rng, overlap_chance=overlap, hole_span=hole)
     low, high = rng.randint(-4, 4), 0
     high = low + rng.choice((0, 2, 4, 8))
     return ("emb", plan, low, high)
@@ -1094,7 +1094,7 @@ deflaw(
 
 
 def _sm_alloc_left_mapped(rng):
-    plan = generators.sample_emb_plan(
+    plan = generators.shared_emb_plan(
         rng, overlap_chance=_NO_OVERLAP, hole_span=rng.choice((8, 16))
     )
     span = rng.choice((0, 2, 4, 8))
@@ -1163,7 +1163,7 @@ def _valid_sources(sc):
 
 
 def _sm_emb_free(rng):
-    plan = generators.sample_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
+    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
     sc = emb_scenario_cached(plan)
     srcs = _valid_sources(sc)
     if not srcs:
@@ -1205,7 +1205,7 @@ deflaw(
 
 
 def _sm_free_right_emb(rng):
-    plan = generators.sample_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
+    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
     sc = emb_scenario_cached(plan)
     if not sc.extra_ids:
         return ("skip",)
@@ -1257,7 +1257,7 @@ def _sole_pairs(sc):
 
 
 def _sm_free_parallel(rng):
-    plan = generators.sample_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
+    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
     sc = emb_scenario_cached(plan)
     pairs = _sole_pairs(sc)
     if not pairs:
@@ -1300,7 +1300,7 @@ deflaw(
 
 
 def _sm_emb_free_list(rng):
-    plan = generators.sample_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
+    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
     sc = emb_scenario_cached(plan)
     srcs = _valid_sources(sc)
     picks = tuple(b for b in srcs if rng.chance(1, 2))
@@ -1613,7 +1613,7 @@ deflaw(
 
 
 def _sm_extend_incr(rng):
-    plan = generators.sample_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
+    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
     sc = emb_scenario_cached(plan)
     new_src = max(sc.src_ids, default=0) + 1 + rng.below(3)
     tgt = rng.choice(sc.extra_ids) if sc.extra_ids else 1
@@ -1748,7 +1748,7 @@ deflaw(
 
 
 def _sm_emb_reqs(rng, overlap=_OVERLAP_SOME):
-    plan = generators.sample_emb_plan(rng, overlap_chance=overlap)
+    plan = generators.shared_emb_plan(rng, overlap_chance=overlap)
     reqs = []
     for _ in range(rng.below(4)):
         low = rng.randint(-4, 4)

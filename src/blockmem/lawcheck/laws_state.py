@@ -49,7 +49,7 @@ def _valid_blocks(m):
 
 
 def _sm_state_probe(rng):
-    ops = tuple(generators.sample_ops(rng))
+    ops = generators.shared_ops(rng)
     m = state_of(ops)
     b = rng.choice((0, 1, 2, 3, m.nextblock, m.nextblock + 2))
     return ("state", ops, b)
@@ -57,7 +57,7 @@ def _sm_state_probe(rng):
 
 def _sm_state_access(rng):
     """State plus an access triple, valid three times out of four."""
-    ops = tuple(generators.sample_ops(rng))
+    ops = generators.shared_ops(rng)
     m = state_of(ops)
     if rng.chance(3, 4):
         acc = generators.sample_valid_access(rng, m)
@@ -68,7 +68,7 @@ def _sm_state_access(rng):
 
 def _sm_state_store(rng):
     """State plus a store assignment that will succeed, if possible."""
-    ops = tuple(generators.sample_ops(rng))
+    ops = generators.shared_ops(rng)
     m = state_of(ops)
     acc = generators.sample_valid_access(rng, m)
     if acc is None:
@@ -79,13 +79,13 @@ def _sm_state_store(rng):
 
 
 def _sm_state_alloc(rng):
-    ops = tuple(generators.sample_ops(rng))
+    ops = generators.shared_ops(rng)
     low, high = _sample_alloc_args(rng)
     return ("state", ops, low, high)
 
 
 def _sm_state_free(rng):
-    ops = tuple(generators.sample_ops(rng))
+    ops = generators.shared_ops(rng)
     m = state_of(ops)
     blocks = _valid_blocks(m)
     if blocks and rng.chance(4, 5):
@@ -784,7 +784,7 @@ def _preserve_pointer_check(op_name: str, forward: bool):
 
 def _sm_pointer_inv(op_name: str):
     def sample(rng):
-        ops = tuple(generators.sample_ops(rng))
+        ops = generators.shared_ops(rng)
         m = state_of(ops)
         acc = generators.sample_valid_access(rng, m) or generators.sample_access_probe(
             rng, m
@@ -1119,7 +1119,7 @@ def _ck_load_free_other(case):
 
 
 def _sm_load_free_other(rng):
-    ops = tuple(generators.sample_ops(rng))
+    ops = generators.shared_ops(rng)
     m = state_of(ops)
     acc = generators.sample_valid_access(rng, m)
     blocks = _valid_blocks(m)
@@ -1163,7 +1163,7 @@ def _scrambled(ops, salt: int):
 
 
 def _sm_state2(rng):
-    ops = tuple(generators.sample_ops(rng))
+    ops = generators.shared_ops(rng)
     return ("state2", ops, _scrambled(ops, rng.below(5)))
 
 
@@ -1586,7 +1586,7 @@ def _ck_free_same_domain(case):
 
 
 def _sm_free_same_domain(rng):
-    ops = tuple(generators.sample_ops(rng))
+    ops = generators.shared_ops(rng)
     m = state_of(ops)
     blocks = _valid_blocks(m)
     b = rng.choice(blocks) if blocks and rng.chance(4, 5) else rng.choice((0, 1))
@@ -1641,7 +1641,7 @@ deflaw(
 
 
 def _sm_alloc_list(rng):
-    ops = tuple(generators.sample_ops(rng))
+    ops = generators.shared_ops(rng)
     reqs = tuple(_sample_alloc_args(rng) for _ in range(rng.below(4)))
     return ("state", ops, reqs)
 
@@ -1689,7 +1689,7 @@ deflaw(
 
 
 def _sm_free_list(rng):
-    ops = tuple(generators.sample_ops(rng))
+    ops = generators.shared_ops(rng)
     m = state_of(ops)
     blocks = _valid_blocks(m)
     picks = []

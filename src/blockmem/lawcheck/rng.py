@@ -3,9 +3,20 @@
 The generator is splitmix64: the state advances by the 64-bit golden-ratio
 increment and each output is the mix of the new state.  It is tiny, fast,
 and produces identical sequences on every platform, which the replayable
-report format depends on.  Per-law streams are derived by folding the law
-name (FNV-1a) into the master seed, so a law's case stream never depends
-on which other laws run or in what order.
+report format depends on.
+
+A random case has two parts, each from its own stream, and both streams
+are named by folding a string (FNV-1a) into the master seed:
+
+- the *scenario*, the operations or plan that build the case's states,
+  comes from a stream per scenario domain (``scenario_stream``), shared by
+  every law that draws from that domain;
+- the *assignment*, the law's own choices on those states, comes from the
+  law's stream (``law_stream``).
+
+A law's stream also numbers its scenario requests, so its k-th request
+takes scenario k of the domain.  Neither part depends on which other laws
+run or in what order.
 """
 
 from __future__ import annotations
@@ -43,6 +54,23 @@ class SplitMix64:
         return self.next_u64() % den < num
 
 
+class LawStream(SplitMix64):
+    """A law's assignment stream, which also counts the law's scenario
+    requests: ``next_scenario`` returns 0, 1, 2, ..."""
+
+    __slots__ = ("seed", "scenarios")
+
+    def __init__(self, master_seed: int, law_name: str) -> None:
+        super().__init__(master_seed ^ fnv1a64(law_name))
+        self.seed = master_seed
+        self.scenarios = 0
+
+    def next_scenario(self) -> int:
+        k = self.scenarios
+        self.scenarios += 1
+        return k
+
+
 def fnv1a64(text: str) -> int:
     h = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
@@ -50,6 +78,11 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-def law_stream(master_seed: int, law_name: str) -> SplitMix64:
-    """The per-law case stream for a given master seed."""
-    return SplitMix64(master_seed ^ fnv1a64(law_name))
+def law_stream(master_seed: int, law_name: str) -> LawStream:
+    """The per-law assignment stream for a given master seed."""
+    return LawStream(master_seed, law_name)
+
+
+def scenario_stream(master_seed: int, domain: str) -> SplitMix64:
+    """The stream a scenario domain draws its scenarios from, in order."""
+    return SplitMix64(master_seed ^ fnv1a64("scenario domain " + domain))

@@ -1,10 +1,15 @@
 """Suite runner: evaluates every law and emits the reports.
 
 Each law runs two phases: a full sweep of its exhaustive tiny-universe
-cases, then a stream of seeded random cases drawn from the law's private
-splitmix64 stream.  A failing case is shrunk greedily before being
-reported, and the shrunk case still violates the law when replayed on its
-own (the shrinker only ever keeps candidates that fail the same check).
+cases, then seeded random cases.  A random case is a scenario, taken from
+the stream its domain shares with every other law of the domain (draw k
+of the law takes scenario k), and an assignment drawn from the law's own
+stream (see ``rng``).  Both depend only on the seed, the law and the draw
+number, so a law's result does not depend on which laws run, in which
+order, or in how many processes.  A failing case is shrunk greedily
+before being reported, and the shrunk case still violates the law when
+replayed on its own (the shrinker only ever keeps candidates that fail
+the same check).
 
 Reports come in two forms: human-readable text with timings, and a
 machine-readable JSON-lines file with one record per catalogue entry.
@@ -25,6 +30,8 @@ from .laws_base import ALL_GROUPS, Law, render_case, shrink_case
 from .rng import law_stream
 
 _SHRINK_ROUNDS = 200
+# Laws per worker task when the suite runs in several processes.
+_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,7 @@ class LawResult:
     about: str
     cases_exhaustive: int
     cases_random: int
+    cases_skipped: int = 0  # random draws that came back ("skip",)
     violations: list = field(default_factory=list)
     seconds: float = 0.0
 
@@ -104,13 +112,14 @@ def run_law(law: Law, cfg: SuiteConfig) -> LawResult:
             rendered = render_case(case)
             violations.append(Violation(detail, rendered["scenario"], rendered["assignment"]))
             break
-    n_random = 0
+    n_random = n_skipped = 0
     if not violations:
         rng = law_stream(cfg.seed, law.name)
         for _ in range(cfg.cases_for(law)):
             n_random += 1
             case = law.sample(rng)
             if case[0] == "skip":
+                n_skipped += 1
                 continue
             detail = law.check(case)
             if detail:
@@ -127,6 +136,7 @@ def run_law(law: Law, cfg: SuiteConfig) -> LawResult:
         about=law.about,
         cases_exhaustive=n_exhaustive,
         cases_random=n_random,
+        cases_skipped=n_skipped,
         violations=violations,
         seconds=time.perf_counter() - t0,
     )
@@ -157,13 +167,16 @@ class SuiteResult:
 
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteResult:
     """Evaluate every registered law.  Results come back in registry
-    order regardless of scheduling; per-law seeds make each result
-    independent of every other law."""
+    order regardless of scheduling, and each law's cases depend only on
+    the seed and the law, so each result is independent of every other
+    law.  The pool has no more processes than tasks: it starts all of
+    them at the first task."""
     names = list(registry.LAWS)
     t0 = time.perf_counter()
     if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_run_by_name, [(n, cfg) for n in names], chunksize=4))
+        tasks = -(-len(names) // _CHUNK)
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, tasks)) as pool:
+            results = list(pool.map(_run_by_name, [(n, cfg) for n in names], chunksize=_CHUNK))
     else:
         results = [run_law(registry.LAWS[n], cfg) for n in names]
     return SuiteResult(config=cfg, results=results, seconds=time.perf_counter() - t0)
@@ -185,7 +198,8 @@ def text_report(suite: SuiteResult) -> str:
         groups = f" {{{','.join(r.groups)}}}" if r.groups else ""
         lines.append(
             f"{mark}  {r.name}  [{r.module}]{groups}  "
-            f"exhaustive={r.cases_exhaustive} random={r.cases_random}  ({r.seconds:.2f}s)"
+            f"exhaustive={r.cases_exhaustive} random={r.cases_random} "
+            f"skipped={r.cases_skipped}  ({r.seconds:.2f}s)"
         )
         for v in r.violations:
             lines.append(f"      violation: {v.detail}")

@@ -80,6 +80,7 @@ def test_run_no_alignment_flag(tmp_path):
         '{"alignment_check": null}',
         '{"seed": 1.5}',
         '{"random_cases": "10"}',
+        '{"random_cases": -1}',
     ],
 )
 def test_bad_config_is_a_usage_error(tmp_path, fig_trace, capsys, config):
@@ -136,6 +137,17 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--cases", "-1"], ["--jobs", "0"], ["--jobs", "-3"], ["--jobs", "two"]],
+)
+def test_laws_rejects_bad_counts(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["laws", *argv])
+    assert e.value.code == 2
+    assert f"argument {argv[0]}:" in capsys.readouterr().err
 
 
 def test_laws_small_run_and_report(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Scenario generators: determinism, invariants, pair constructors."""
 
 from blockmem import memstate, relations
+from blockmem.lawcheck import generators, registry
 from blockmem.lawcheck.generators import (
     UniverseConfig,
     build_emb_scenario,
@@ -116,3 +117,57 @@ def test_shrink_ops_candidates_stay_runnable():
         for cand in shrink_ops(ops):
             run_ops(cand)  # must not raise
             assert len(cand) <= len(ops)
+
+
+# --- shared scenario streams ----------------------------------------------------
+
+_SHARED = (
+    generators.shared_ops,
+    generators.shared_lessdef_plan,
+    generators.shared_extends_plan,
+    lambda rng: generators.shared_emb_plan(rng, overlap_chance=(1, 6), need_mapped=True),
+)
+
+
+def _draws(draw, seed, law, n):
+    rng = law_stream(seed, law)
+    return [draw(rng) for _ in range(n)]
+
+
+def test_laws_of_one_domain_share_scenario_k():
+    generators.SCENARIOS.clear()
+    for draw in _SHARED:
+        a = _draws(draw, 3, "law_a", 40)
+        assert a == _draws(draw, 3, "law_b", 40)
+        assert len(set(map(repr, a))) > 20
+
+
+def test_two_real_laws_get_the_same_scenarios():
+    x, y = registry.law("valid_block_dec"), registry.law("free_list_fresh_block")
+    rx, ry = law_stream(1, x.name), law_stream(1, y.name)
+    for _ in range(50):
+        cx, cy = x.sample(rx), y.sample(ry)
+        assert cx[0] == cy[0] == "state" and cx[1] == cy[1]
+
+
+def test_scenarios_depend_on_the_seed():
+    for draw in _SHARED:
+        assert _draws(draw, 1, "law", 20) != _draws(draw, 2, "law", 20)
+
+
+def test_scenario_k_does_not_depend_on_the_order_of_requests():
+    for draw in _SHARED:
+        generators.SCENARIOS.clear()
+        rng = law_stream(8, "law")
+        rng.scenarios = 5
+        first = draw(rng)
+        generators.SCENARIOS.clear()
+        assert _draws(draw, 8, "other", 6)[5] == first
+
+
+def test_emb_keyword_sets_are_separate_domains():
+    plain = _draws(generators.shared_emb_plan, 4, "law", 30)
+    holed = _draws(lambda r: generators.shared_emb_plan(r, hole_span=8), 4, "law", 30)
+    assert all(p.hole_span == 0 for p in plain) and all(p.hole_span == 8 for p in holed)
+    # Spelling out a default keyword names the same domain.
+    assert _draws(lambda r: generators.shared_emb_plan(r, overlap_chance=(0, 1)), 4, "x", 30) == plain

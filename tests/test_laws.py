@@ -1,11 +1,12 @@
 """Registry integrity, runner determinism, shrinking soundness."""
 
 import json
+from dataclasses import replace
 
-from blockmem.lawcheck import mutations, registry
+from blockmem.lawcheck import generators, laws_base, mutations, registry, runner
 from blockmem.lawcheck.laws_base import ALL_GROUPS, LAWS
 from blockmem.lawcheck.rng import law_stream
-from blockmem.lawcheck.runner import SuiteConfig, jsonl_report, run_law, run_suite
+from blockmem.lawcheck.runner import SuiteConfig, jsonl_report, run_law, run_suite, text_report
 
 SMALL = SuiteConfig(random_cases=40)
 
@@ -96,3 +97,71 @@ def test_violation_reports_carry_scenarios():
     v = result.violations[0]
     assert v.detail
     assert "alloc" in v.scenario or v.scenario == ""
+
+
+def test_pool_has_no_more_processes_than_tasks(monkeypatch):
+    """A stand-in pool records its size and maps serially, so no process
+    is started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    cfg = SuiteConfig(random_cases=0, max_exhaustive=1)
+    tasks = -(-len(LAWS) // runner._CHUNK)
+    for jobs, want in ((2, 2), (tasks, tasks), (tasks + 1, tasks), (10_000, tasks)):
+        suite = run_suite(replace(cfg, jobs=jobs))
+        assert sizes[-1] == want
+        assert [r.name for r in suite.results] == list(LAWS)
+
+
+def test_cases_skipped_counts_the_skip_draws():
+    # About three in four draws of this law skip (no unmapped store target).
+    law = registry.law("store_unmapped_inject")
+    laws_base.clear_caches()
+    result = run_law(law, SuiteConfig(random_cases=200, seed=5))
+    rng = law_stream(5, law.name)
+    skips = sum(law.sample(rng)[0] == "skip" for _ in range(200))
+    assert result.passed and result.cases_random == 200
+    assert result.cases_skipped == skips
+    assert 100 <= skips < 200
+    # The text report shows the count; the JSON-lines report does not.
+    suite = run_suite(SuiteConfig(random_cases=0, max_exhaustive=1))
+    suite.results = [result if r.name == law.name else r for r in suite.results]
+    line = next(ln for ln in text_report(suite).splitlines() if f" {law.name} " in ln)
+    assert f"random=200 skipped={skips} " in line
+    assert "skipped" not in jsonl_report(suite)
+
+
+def test_random_phase_violation_does_not_depend_on_the_schedule():
+    """One law's counterexample is the same alone, after other laws of its
+    scenario domain, and inside the suite at one and at two processes."""
+    law = registry.law("valid_pointer_dec")
+    siblings = ("valid_block_dec", "aligned_dec")  # the same "ops" domain
+    cfg = SuiteConfig(random_cases=300, max_exhaustive=50, seed=0)
+    with mutations.applied("alignment-check-dropped"):
+        laws_base.clear_caches()
+        alone = run_law(law, cfg)
+        # Caught by a random draw, not by the exhaustive phase.
+        assert alone.violations and alone.cases_random > 0
+        laws_base.clear_caches()
+        for name in siblings:
+            run_law(registry.law(name), cfg)
+        assert len(generators.SCENARIOS[(0, "ops")][1]) == 300
+        after = run_law(law, cfg)
+        serial = run_suite(replace(cfg, jobs=1)).by_name()[law.name]
+        parallel = run_suite(replace(cfg, jobs=2)).by_name()[law.name]
+    for other in (after, serial, parallel):
+        assert other.violations == alone.violations
+        assert (other.cases_random, other.cases_skipped) == (alone.cases_random, alone.cases_skipped)
