@@ -1,7 +1,8 @@
 """Command-line front end: run traces, run the law suite, relate traces.
 
-Exit codes: 0 on success, 1 when an assertion, law, or relation fails,
-2 on parse or usage errors.
+``main`` returns the exit code and raises nothing for a usage error: 0
+on success, 1 when an assertion, law, or relation fails, 2 on parse or
+usage errors (argparse's own included, each reported on stderr).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ EXIT_USAGE = 2
 
 
 def _usage_error(message: str) -> NoReturn:
-    """Print ``message`` and exit with the usage-error code."""
+    """Print ``message`` and end the command with the usage-error code,
+    which ``main`` returns."""
     print(message, file=sys.stderr)
     raise SystemExit(EXIT_USAGE)
 
@@ -134,16 +136,14 @@ def _cmd_relate(args) -> int:
         try:
             emb = parse_embedding(text)
         except TraceParseError as e:
-            print(f"{args.emb}: {e}", file=sys.stderr)
-            return EXIT_USAGE
+            _usage_error(f"{args.emb}: {e}")
     try:
         report = relate(
             t1, t2, args.relation, emb=emb, stepwise=args.stepwise,
             config=_mem_config(args, file_cfg),
         )
     except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return EXIT_USAGE
+        _usage_error(str(e))
     print(report.message)
     return EXIT_OK if report.ok else EXIT_FAILURE
 
@@ -210,8 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    # argparse and _usage_error both end a command with SystemExit.
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except SystemExit as e:
+        return e.code
 
 
 if __name__ == "__main__":

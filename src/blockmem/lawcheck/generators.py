@@ -21,7 +21,7 @@ scenario streams" below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .. import chunks, memstate, relations
@@ -46,7 +46,6 @@ def resolve_ref(ref: int, blocks) -> int:
 @dataclass
 class RunResult:
     state: MemState
-    blocks: list
     outcomes: list
 
 
@@ -94,7 +93,7 @@ def run_ops(ops, config: MemConfig = DEFAULT_CONFIG) -> RunResult:
             outcomes.append(("bounds", memstate.bounds(m, resolve_ref(op[1], blocks))))
         else:
             raise ValueError(f"unknown op {kind!r}")
-    return RunResult(m, blocks, outcomes)
+    return RunResult(m, outcomes)
 
 
 def format_ops(ops) -> str:
@@ -139,10 +138,11 @@ class UniverseConfig:
     max_blocks: int = 3
     min_ops: int = 0
     max_ops: int = 8
-    lo_min: int = -8
-    lo_max: int = 8
-    spans: tuple = (0, 1, 2, 4, 8, 8, 12, 16)
-    mem_config: MemConfig = DEFAULT_CONFIG
+
+
+# Allocation bounds in a random scenario: the low bound and the span.
+_LO_MIN, _LO_MAX = -8, 8
+_SPANS = (0, 1, 2, 4, 8, 8, 12, 16)
 
 
 DEFAULT_UNIVERSE = UniverseConfig()
@@ -193,13 +193,14 @@ def _aligned_slot(rng: SplitMix64, low: int, high: int, t: Chunk):
 
 
 def _pick_store(rng: SplitMix64, planned):
-    """(index, chunk, offset) for a store that will succeed, or None."""
-    alive = [k for k, p in enumerate(planned) if p[2] and p[1] - p[0] >= 1]
+    """(index, chunk, offset) for a store that will succeed, or None;
+    ``planned`` holds [low, high, ..., alive] per block."""
+    alive = [k for k, p in enumerate(planned) if p[-1] and p[1] - p[0] >= 1]
     if not alive:
         return None
     for _ in range(4):
         k = rng.choice(alive)
-        low, high, _ = planned[k]
+        low, high = planned[k][:2]
         t = rng.choice(ALL_CHUNKS)
         i = _aligned_slot(rng, low, high, t)
         if i is not None:
@@ -218,11 +219,11 @@ def sample_ops(rng: SplitMix64, u: UniverseConfig = DEFAULT_UNIVERSE) -> list:
     for _ in range(n):
         r = rng.below(12)
         if r < 4 and len(planned) < u.max_blocks:
-            low = rng.randint(u.lo_min, u.lo_max)
+            low = rng.randint(_LO_MIN, _LO_MAX)
             if rng.chance(1, 12):
                 high = low - rng.below(3)  # empty-span block
             else:
-                high = low + rng.choice(u.spans)
+                high = low + rng.choice(_SPANS)
             ops.append(("alloc", low, high))
             planned.append([low, high, True])
             live_ids.append(len(planned))  # ids are 1-based allocation order
@@ -263,12 +264,7 @@ def sample_ops(rng: SplitMix64, u: UniverseConfig = DEFAULT_UNIVERSE) -> list:
 def gen_state(seed: int, cfg: UniverseConfig = DEFAULT_UNIVERSE) -> MemState:
     """A reachable random state, reproducible from the seed alone."""
     rng = SplitMix64(seed)
-    return run_ops(sample_ops(rng, cfg), cfg.mem_config).state
-
-
-def sample_state(rng: SplitMix64, u: UniverseConfig = DEFAULT_UNIVERSE):
-    ops = sample_ops(rng, u)
-    return ops, run_ops(ops, u.mem_config)
+    return run_ops(sample_ops(rng, cfg)).state
 
 
 def sample_valid_access(rng: SplitMix64, m: MemState):
@@ -343,11 +339,33 @@ def _shift_refs(op, dropped: int):
     return op
 
 
-# --- refinement pairs --------------------------------------------------------
+# --- related plans -------------------------------------------------------------
 #
-# A lessdef plan is a shared scenario where each store carries two values,
-# the left one either equal to the right or undefined.  Replaying the two
-# projections yields states with equal domains whose loads refine.
+# A plan is one scenario that ``project`` turns into an op list per side;
+# replayed, the sides are related by construction:
+#
+# - in a refinement (lessdef) plan each store carries one value per side,
+#   each one either equal to the next side's or undefined ("store2",
+#   "store3"), so the sides have equal domains and their loads refine;
+# - an extension (extends) plan allocates each block with wider bounds on
+#   the right ("alloc" with margins dl and dh) and may add right-only
+#   stores ("margin") whose footprints stay inside the widened margin,
+#   outside the left block's bounds.
+#
+# Plan samplers track each planned block as [low, high, ..., alive].
+
+
+def _live_ids(planned) -> tuple:
+    return tuple(j + 1 for j, p in enumerate(planned) if p[-1])
+
+
+def _free_one(rng: SplitMix64, planned, steps) -> None:
+    """Plan a free of a live block, if there is one."""
+    alive = [k for k, p in enumerate(planned) if p[-1]]
+    if alive:
+        k = rng.choice(alive)
+        planned[k][-1] = False
+        steps.append(("free", k))
 
 
 def sample_lessdef_plan(rng: SplitMix64):
@@ -365,65 +383,12 @@ def sample_lessdef_plan(rng: SplitMix64):
             if slot is None:
                 continue
             k, t, i = slot
-            live = tuple(j + 1 for j, p in enumerate(planned) if p[2])
-            v2 = sample_value(rng, live)
+            v2 = sample_value(rng, _live_ids(planned))
             v1 = VUNDEF if rng.chance(2, 5) else v2
             steps.append(("store2", t, k, i, v1, v2))
         elif planned:
-            alive = [k for k, p in enumerate(planned) if p[2]]
-            if alive:
-                k = rng.choice(alive)
-                planned[k][2] = False
-                steps.append(("free", k))
+            _free_one(rng, planned, steps)
     return tuple(steps)
-
-
-def build_lessdef_pair(plan, config: MemConfig = DEFAULT_CONFIG):
-    ops1, ops2 = [], []
-    for st in plan:
-        if st[0] == "store2":
-            _, t, k, i, v1, v2 = st
-            ops1.append(("store", t, k, i, v1))
-            ops2.append(("store", t, k, i, v2))
-        else:
-            ops1.append(st)
-            ops2.append(st)
-    return run_ops(ops1, config), run_ops(ops2, config), ops1, ops2
-
-
-def shrink_lessdef_plan(plan):
-    alloc_idx = [k for k, st in enumerate(plan) if st[0] == "alloc"]
-    for k in range(len(plan) - 1, -1, -1):
-        st = plan[k]
-        if st[0] != "alloc":
-            yield plan[:k] + plan[k + 1 :]
-            continue
-        a = alloc_idx.index(k)
-        out = []
-        ok = True
-        for j, other in enumerate(plan):
-            if j == k:
-                continue
-            if other[0] == "alloc":
-                out.append(other)
-                continue
-            ref = other[2] if other[0] == "store2" else other[1]
-            if ref == a:
-                continue
-            ref2 = ref - 1 if ref > a else ref
-            if other[0] == "store2":
-                out.append((other[0], other[1], ref2, other[3], other[4], other[5]))
-            else:
-                out.append((other[0], ref2))
-        if ok:
-            yield tuple(out)
-
-
-# --- extension pairs ---------------------------------------------------------
-#
-# An extends plan allocates each block with wider bounds on the right-hand
-# side and may add right-only stores whose footprints stay inside the
-# widened margin, outside the left block's bounds.
 
 
 def sample_extends_plan(rng: SplitMix64):
@@ -439,12 +404,11 @@ def sample_extends_plan(rng: SplitMix64):
             steps.append(("alloc", low, high, dl, dh))
             planned.append([low, high, dl, dh, True])
         elif r < 8 and planned:
-            slot = _pick_store(rng, [(p[0], p[1], p[4]) for p in planned])
+            slot = _pick_store(rng, planned)
             if slot is None:
                 continue
             k, t, i = slot
-            live = tuple(j + 1 for j, p in enumerate(planned) if p[4])
-            steps.append(("store", t, k, i, sample_value(rng, live)))
+            steps.append(("store", t, k, i, sample_value(rng, _live_ids(planned))))
         elif r < 10 and planned:
             margins = [
                 (k, p)
@@ -465,30 +429,68 @@ def sample_extends_plan(rng: SplitMix64):
                 continue
             steps.append(("margin", t, k, i, sample_value(rng, ())))
         elif planned:
-            alive = [k for k, p in enumerate(planned) if p[4]]
-            if alive:
-                k = rng.choice(alive)
-                planned[k][4] = False
-                steps.append(("free", k))
+            _free_one(rng, planned, steps)
     return tuple(steps)
 
 
-def build_extends_pair(plan, config: MemConfig = DEFAULT_CONFIG):
-    ops1, ops2 = [], []
+def project(plan, sides: int = 2) -> tuple:
+    """The op lists a lessdef or extends plan stands for, one per side
+    (three for a plan of "store3" steps)."""
+    out = tuple([] for _ in range(sides))
     for st in plan:
-        if st[0] == "alloc":
-            _, low, high, dl, dh = st
-            ops1.append(("alloc", low, high))
-            ops2.append(("alloc", low - dl, high + dh))
-        elif st[0] == "margin":
-            ops2.append(("store", st[1], st[2], st[3], st[4]))
-        else:
-            ops1.append(st)
-            ops2.append(st)
+        kind = st[0]
+        for side, ops in enumerate(out):
+            if kind in ("store2", "store3"):
+                ops.append(("store",) + st[1:4] + (st[4 + side],))
+            elif kind == "alloc" and len(st) == 5:
+                _, low, high, dl, dh = st
+                ops.append(("alloc", low - dl, high + dh) if side else ("alloc", low, high))
+            elif kind == "margin":
+                if side:
+                    ops.append(("store",) + st[1:])
+            else:
+                ops.append(st)
+    return out
+
+
+def build_lessdef_pair(plan, config: MemConfig = DEFAULT_CONFIG):
+    """Replay both sides of a plan: (left run, right run, left ops, right ops)."""
+    ops1, ops2 = project(plan)
     return run_ops(ops1, config), run_ops(ops2, config), ops1, ops2
 
 
-def shrink_extends_plan(plan):
+build_extends_pair = build_lessdef_pair  # an extends plan projects the same way
+
+
+def shrink_lessdef_plan(plan):
+    alloc_idx = [k for k, st in enumerate(plan) if st[0] == "alloc"]
+    for k in range(len(plan) - 1, -1, -1):
+        st = plan[k]
+        if st[0] != "alloc":
+            yield plan[:k] + plan[k + 1 :]
+            continue
+        a = alloc_idx.index(k)
+        out = []
+        for j, other in enumerate(plan):
+            if j == k:
+                continue
+            if other[0] == "alloc":
+                out.append(other)
+                continue
+            ref = other[2] if other[0] == "store2" else other[1]
+            if ref == a:
+                continue
+            ref2 = ref - 1 if ref > a else ref
+            if other[0] == "store2":
+                out.append((other[0], other[1], ref2, other[3], other[4], other[5]))
+            else:
+                out.append((other[0], ref2))
+        yield tuple(out)
+
+
+def shrink_plan_steps(plan):
+    """Drop one step other than an alloc, last first: the shrinker of
+    extends plans and of the laws' plan triples."""
     for k in range(len(plan) - 1, -1, -1):
         if plan[k][0] != "alloc":
             yield plan[:k] + plan[k + 1 :]
@@ -708,35 +710,11 @@ def sample_emb_plan(
 
 def shrink_emb_plan(plan: EmbPlan):
     for k in range(len(plan.stores) - 1, -1, -1):
-        yield EmbPlan(
-            sources=plan.sources,
-            frees=plan.frees,
-            stores=plan.stores[:k] + plan.stores[k + 1 :],
-            extra_targets=plan.extra_targets,
-            extra_stores=plan.extra_stores,
-            overlap=plan.overlap,
-            hole_span=plan.hole_span,
-        )
+        yield replace(plan, stores=plan.stores[:k] + plan.stores[k + 1 :])
     if plan.frees:
-        yield EmbPlan(
-            sources=plan.sources,
-            frees=(),
-            stores=plan.stores,
-            extra_targets=plan.extra_targets,
-            extra_stores=plan.extra_stores,
-            overlap=plan.overlap,
-            hole_span=plan.hole_span,
-        )
+        yield replace(plan, frees=())
     if plan.extra_targets and not plan.extra_stores:
-        yield EmbPlan(
-            sources=plan.sources,
-            frees=plan.frees,
-            stores=plan.stores,
-            extra_targets=(),
-            extra_stores=(),
-            overlap=plan.overlap,
-            hole_span=plan.hole_span,
-        )
+        yield replace(plan, extra_targets=())
 
 
 # --- shared scenario streams -----------------------------------------------------

@@ -8,9 +8,12 @@ a case is a self-contained tuple (tag, payload...) that the law's checker
 can evaluate from scratch, which is what makes shrinking and standalone
 counterexample replay possible.
 
-Check functions return ``None`` when the case passes (including vacuously,
-when the case fails the law's hypotheses) and a short human-readable
-detail string when it exhibits a violation.
+A sampler may return ``("skip",)`` when the drawn scenario admits no
+assignment.  Checks never see such a case: ``runner.run_law`` drops skips
+in both phases before calling ``check``, and ``shrink_case`` never yields
+one.  Check functions return ``None`` when the case passes (including
+vacuously, when the case fails the law's hypotheses) and a short
+human-readable detail string when it exhibits a violation.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .generators import (
     format_ops,
     run_ops,
     shrink_emb_plan,
-    shrink_extends_plan,
     shrink_lessdef_plan,
     shrink_ops,
+    shrink_plan_steps,
 )
 
 # Module tags, matching the catalogue's module names.
@@ -149,31 +152,34 @@ def clear_caches() -> None:
     generators.tiny_states_full.cache_clear()
 
 
+def _drop_each(recipe):
+    for k in range(len(recipe) - 1, -1, -1):
+        yield recipe[:k] + recipe[k + 1 :]
+
+
+# case tag -> smaller candidates for the case's scenario (its second field)
+_SHRINKERS = {
+    "state": lambda ops: map(tuple, shrink_ops(list(ops))),
+    "cells": _drop_each,
+    "lessdef": shrink_lessdef_plan,
+    "lessdef3": shrink_plan_steps,
+    "extends": shrink_plan_steps,
+    "extends3": shrink_plan_steps,
+    "emb": shrink_emb_plan,
+}
+
+
 def shrink_case(case) -> Iterator:
-    """Generic smaller-case candidates, dispatched on the case tag."""
-    tag = case[0]
-    rest = case[2:]
-    if tag == "state":
-        for smaller in shrink_ops(list(case[1])):
-            yield ("state", tuple(smaller)) + rest
-    elif tag == "cells":
-        recipe = case[1]
-        for k in range(len(recipe) - 1, -1, -1):
-            yield ("cells", recipe[:k] + recipe[k + 1 :]) + rest
-    elif tag == "lessdef":
-        for plan in shrink_lessdef_plan(case[1]):
-            yield ("lessdef", plan) + rest
-    elif tag in ("lessdef3", "extends3"):
-        plan = case[1]
-        for k in range(len(plan) - 1, -1, -1):
-            if plan[k][0] != "alloc":
-                yield (tag, plan[:k] + plan[k + 1 :]) + rest
-    elif tag == "extends":
-        for plan in shrink_extends_plan(case[1]):
-            yield ("extends", plan) + rest
-    elif tag == "emb":
-        for plan in shrink_emb_plan(case[1]):
-            yield ("emb", plan) + rest
+    """Generic smaller-case candidates, dispatched on the case tag: the
+    scenario shrinks, the quantifier assignment stays."""
+    shrink = _SHRINKERS.get(case[0])
+    if shrink is not None:
+        for smaller in shrink(case[1]):
+            yield (case[0], smaller) + case[2:]
+
+
+def _two_sides(ops1, ops2) -> str:
+    return "# left\n" + format_ops(ops1) + "\n# right\n" + format_ops(ops2)
 
 
 def render_case(case) -> dict:
@@ -188,23 +194,14 @@ def render_case(case) -> dict:
         scenario = "\n".join(
             f"store-contents {t.token} {ofs} {chunks.value_text(v)}" for t, ofs, v in recipe
         )
-    elif tag == "lessdef":
-        r1, r2, ops1, ops2 = lessdef_pair_cached(case[1])
-        scenario = "# left\n" + format_ops(ops1) + "\n# right\n" + format_ops(ops2)
-    elif tag == "extends":
-        r1, r2, ops1, ops2 = extends_pair_cached(case[1])
-        scenario = "# left\n" + format_ops(ops1) + "\n# right\n" + format_ops(ops2)
+    elif tag in ("lessdef", "extends"):
+        build = lessdef_pair_cached if tag == "lessdef" else extends_pair_cached
+        _, _, ops1, ops2 = build(case[1])
+        scenario = _two_sides(ops1, ops2)
     elif tag == "emb":
         sc = emb_scenario_cached(case[1])
         emb_lines = "\n".join(f"{b} -> {tb} + {d}" for b, (tb, d) in sorted(sc.emb.items()))
-        scenario = (
-            "# left\n"
-            + format_ops(sc.ops1)
-            + "\n# right\n"
-            + format_ops(sc.ops2)
-            + "\n[emb]\n"
-            + emb_lines
-        )
+        scenario = _two_sides(sc.ops1, sc.ops2) + "\n[emb]\n" + emb_lines
     else:
         scenario = repr(case)
     return {"scenario": scenario, "assignment": assignment}

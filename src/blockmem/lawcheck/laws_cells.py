@@ -9,6 +9,8 @@ honest against each other.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .. import cells, chunks
 from ..chunks import ALL_CHUNKS, Chunk, Vint, VUNDEF
 from . import generators, oracle
@@ -32,6 +34,25 @@ _EX_OFS = (-2, 0, 1, 2, 4)
 _EX_NS = (0, 1, 3, 8)
 
 
+def _ex_cells(n, tails):
+    """The enumerator of the cases ("cells", recipe) + tail over the
+    first ``n`` exhaustive recipes (all with ``n`` None) and ``tails``."""
+    tails = tuple(tails)
+    return lambda: (("cells", recipe) + tail for recipe in _EX_RECIPES[:n] for tail in tails)
+
+
+def _after_store(prop):
+    """Decorator for a check on ("cells", recipe, t, ofs, v, ...): the
+    property ``prop(case, f, g)`` sees the recipe's map before and after
+    storing v at ofs with chunk t."""
+
+    def check(case):
+        f = cells_of(case[1])
+        return prop(case, f, cells.store_contents(f, case[2], case[3], case[4]))
+
+    return check
+
+
 def _sample_recipe(rng, max_n: int = 3) -> tuple:
     out = []
     for _ in range(rng.below(max_n + 1)):
@@ -47,11 +68,7 @@ def _sample_store(rng):
 # --- update -------------------------------------------------------------------
 
 
-def _ex_update_s():
-    for recipe in _EX_RECIPES[:120]:
-        for ofs in (-2, 0, 3):
-            for c in (None, cells.Datum(Chunk.INT8U, Vint(1))):
-                yield ("cells", recipe, ofs, c)
+_ex_update_s = _ex_cells(120, product((-2, 0, 3), (None, cells.Datum(Chunk.INT8U, Vint(1)))))
 
 
 def _sm_update_s(rng):
@@ -83,12 +100,9 @@ deflaw(
 )
 
 
-def _ex_update_o():
-    for recipe in _EX_RECIPES[:120]:
-        for ofs in (-2, 0, 3):
-            for i in (-2, -1, 0, 1, 3, 4):
-                if i != ofs:
-                    yield ("cells", recipe, ofs, i)
+_ex_update_o = _ex_cells(
+    120, ((ofs, i) for ofs, i in product((-2, 0, 3), (-2, -1, 0, 1, 3, 4)) if i != ofs)
+)
 
 
 def _sm_update_o(rng):
@@ -122,11 +136,7 @@ deflaw(
 # --- check_cont / set_cont ------------------------------------------------------
 
 
-def _ex_charact():
-    for recipe in _EX_RECIPES:
-        for ofs in (-2, 0, 2):
-            for n in _EX_NS:
-                yield ("cells", recipe, ofs, n)
+_ex_charact = _ex_cells(None, product((-2, 0, 2), _EX_NS))
 
 
 def _sm_charact(rng):
@@ -164,12 +174,9 @@ def _agree_on(f, g0, lo, hi):
     return g
 
 
-def _ex_check_cont_exten():
-    for recipe in _EX_RECIPES[:60]:
-        for recipe2 in (_EX_RECIPES[0], _EX_RECIPES[9], _EX_RECIPES[70]):
-            for ofs in (0, 2):
-                for n in (0, 2, 5):
-                    yield ("cells", recipe, recipe2, ofs, n)
+_EX_SECOND = (_EX_RECIPES[0], _EX_RECIPES[9], _EX_RECIPES[70])
+
+_ex_check_cont_exten = _ex_cells(60, product(_EX_SECOND, (0, 2), (0, 2, 5)))
 
 
 def _sm_check_cont_exten(rng):
@@ -202,11 +209,7 @@ deflaw(
 )
 
 
-def _ex_load_exten():
-    for recipe in _EX_RECIPES[:60]:
-        for recipe2 in (_EX_RECIPES[0], _EX_RECIPES[9], _EX_RECIPES[70]):
-            for t in ALL_CHUNKS:
-                yield ("cells", recipe, recipe2, t, 0)
+_ex_load_exten = _ex_cells(60, product(_EX_SECOND, ALL_CHUNKS, (0,)))
 
 
 def _sm_load_exten(rng):
@@ -239,13 +242,14 @@ deflaw(
 )
 
 
-def _ex_set_cont_outside():
-    for recipe in _EX_RECIPES[:120]:
-        for ofs in (0, 2):
-            for n in (0, 3):
-                for i in (-2, -1, 0, 2, 4, 5, 8):
-                    if i < ofs or i >= ofs + n:
-                        yield ("cells", recipe, ofs, n, i)
+_ex_set_cont_outside = _ex_cells(
+    120,
+    (
+        (ofs, n, i)
+        for ofs, n, i in product((0, 2), (0, 3), (-2, -1, 0, 2, 4, 5, 8))
+        if not ofs <= i < ofs + n
+    ),
+)
 
 
 def _sm_set_cont_outside(rng):
@@ -276,12 +280,9 @@ deflaw(
 )
 
 
-def _ex_set_cont_inside():
-    for recipe in _EX_RECIPES[:120]:
-        for ofs in (-1, 0, 2):
-            for n in (1, 3, 6):
-                for i in range(ofs, ofs + n):
-                    yield ("cells", recipe, ofs, n, i)
+_ex_set_cont_inside = _ex_cells(
+    120, ((ofs, n, i) for ofs in (-1, 0, 2) for n in (1, 3, 6) for i in range(ofs, ofs + n))
+)
 
 
 def _sm_set_cont_inside(rng):
@@ -312,10 +313,7 @@ deflaw(
 # --- store_contents -------------------------------------------------------------
 
 
-def _ex_store_at():
-    for recipe in _EX_RECIPES[:120]:
-        for t, ofs, v in _EX_SEED:
-            yield ("cells", recipe, t, ofs, v)
+_ex_store_at = _ex_cells(120, _EX_SEED)
 
 
 def _sm_store_at(rng):
@@ -323,9 +321,9 @@ def _sm_store_at(rng):
     return ("cells", _sample_recipe(rng), t, ofs, v)
 
 
-def _ck_store_at(case):
-    _, recipe, t, ofs, v = case
-    g = cells.store_contents(cells_of(recipe), t, ofs, v)
+@_after_store
+def _ck_store_at(case, f, g):
+    _, _, t, ofs, v = case
     if cells.lookup(g, ofs) != cells.Datum(t, v):
         return "stored datum not anchored at its offset"
     return None
@@ -342,9 +340,9 @@ deflaw(
 )
 
 
-def _ck_store_cont(case):
-    _, recipe, t, ofs, v = case
-    g = cells.store_contents(cells_of(recipe), t, ofs, v)
+@_after_store
+def _ck_store_cont(case, f, g):
+    _, _, t, ofs, v = case
     for i in range(ofs + 1, ofs + chunks.size_chunk(t)):
         if cells.lookup(g, i) is not None:
             return f"footprint cell {i} not cleared by the store"
@@ -362,12 +360,14 @@ deflaw(
 )
 
 
-def _ex_store_outside():
-    for recipe in _EX_RECIPES[:120]:
-        for t, ofs, v in _EX_SEED:
-            for i in (-3, -1, 0, 2, 5, 8, 9):
-                if i < ofs or i >= ofs + chunks.size_chunk(t):
-                    yield ("cells", recipe, t, ofs, v, i)
+_ex_store_outside = _ex_cells(
+    120,
+    (
+        (t, ofs, v, i)
+        for (t, ofs, v), i in product(_EX_SEED, (-3, -1, 0, 2, 5, 8, 9))
+        if not ofs <= i < ofs + chunks.size_chunk(t)
+    ),
+)
 
 
 def _sm_store_outside(rng):
@@ -377,10 +377,9 @@ def _sm_store_outside(rng):
     return ("cells", _sample_recipe(rng), t, ofs, v, i)
 
 
-def _ck_store_outside(case):
-    _, recipe, t, ofs, v, i = case
-    f = cells_of(recipe)
-    g = cells.store_contents(f, t, ofs, v)
+@_after_store
+def _ck_store_outside(case, f, g):
+    i = case[5]
     if cells.lookup(g, i) != cells.lookup(f, i):
         return f"store touched offset {i} outside its footprint"
     return None
@@ -400,12 +399,15 @@ deflaw(
 # --- load after store -------------------------------------------------------------
 
 
-def _ex_load_store_same():
-    for recipe in _EX_RECIPES[:60]:
-        for t, ofs, _ in _EX_SEED:
-            for v in (Vint(5), Vint(-3), Vint(300), VUNDEF, generators.TINY_VALUES[3]):
-                for t2 in chunks.COMPAT_CHUNKS[t]:
-                    yield ("cells", recipe, t, ofs, v, t2)
+_ex_load_store_same = _ex_cells(
+    60,
+    (
+        (t, ofs, v, t2)
+        for t, ofs, _ in _EX_SEED
+        for v in (Vint(5), Vint(-3), Vint(300), VUNDEF, generators.TINY_VALUES[3])
+        for t2 in chunks.COMPAT_CHUNKS[t]
+    ),
+)
 
 
 def _sm_load_store_same(rng):
@@ -413,9 +415,9 @@ def _sm_load_store_same(rng):
     return ("cells", _sample_recipe(rng), t, ofs, v, rng.choice(chunks.COMPAT_CHUNKS[t]))
 
 
-def _ck_load_store_same(case):
-    _, recipe, t, ofs, v, t2 = case
-    g = cells.store_contents(cells_of(recipe), t, ofs, v)
+@_after_store
+def _ck_load_store_same(case, f, g):
+    _, _, t, ofs, v, t2 = case
     got = cells.load_contents(t2, g, ofs)
     want = oracle.oracle_convert(v, t2)
     if got != want:
@@ -434,12 +436,14 @@ deflaw(
 )
 
 
-def _ex_load_store_mismatch():
-    for recipe in _EX_RECIPES[:60]:
-        for t, ofs, v in _EX_SEED:
-            for t2 in ALL_CHUNKS:
-                if not chunks.compat(t, t2):
-                    yield ("cells", recipe, t, ofs, v, t2)
+_ex_load_store_mismatch = _ex_cells(
+    60,
+    (
+        (t, ofs, v, t2)
+        for (t, ofs, v), t2 in product(_EX_SEED, ALL_CHUNKS)
+        if not chunks.compat(t, t2)
+    ),
+)
 
 
 def _sm_load_store_mismatch(rng):
@@ -448,9 +452,9 @@ def _sm_load_store_mismatch(rng):
     return ("cells", _sample_recipe(rng), t, ofs, v, rng.choice(others))
 
 
-def _ck_load_store_mismatch(case):
-    _, recipe, t, ofs, v, t2 = case
-    g = cells.store_contents(cells_of(recipe), t, ofs, v)
+@_after_store
+def _ck_load_store_mismatch(case, f, g):
+    _, _, t, ofs, v, t2 = case
     if cells.load_contents(t2, g, ofs) != VUNDEF:
         return "size-mismatched reload produced a defined value"
     return None
@@ -471,15 +475,14 @@ def _overlapping(ofs1: int, size1: int, ofs2: int, size2: int) -> bool:
     return ofs1 < ofs2 + size2 and ofs2 < ofs1 + size1
 
 
-def _ex_load_store_overlap():
-    for recipe in _EX_RECIPES[:40]:
-        for t, ofs, v in _EX_SEED:
-            for t2 in ALL_CHUNKS:
-                for ofs2 in _EX_OFS:
-                    if ofs2 != ofs and _overlapping(
-                        ofs, chunks.size_chunk(t), ofs2, chunks.size_chunk(t2)
-                    ):
-                        yield ("cells", recipe, t, ofs, v, t2, ofs2)
+_ex_load_store_overlap = _ex_cells(
+    40,
+    (
+        (t, ofs, v, t2, ofs2)
+        for (t, ofs, v), t2, ofs2 in product(_EX_SEED, ALL_CHUNKS, _EX_OFS)
+        if ofs2 != ofs and _overlapping(ofs, chunks.size_chunk(t), ofs2, chunks.size_chunk(t2))
+    ),
+)
 
 
 def _sm_load_store_overlap(rng):
@@ -494,9 +497,9 @@ def _sm_load_store_overlap(rng):
     return ("cells", _sample_recipe(rng), Chunk.INT32, 0, v, Chunk.INT16S, 2)
 
 
-def _ck_load_store_overlap(case):
-    _, recipe, t, ofs, v, t2, ofs2 = case
-    g = cells.store_contents(cells_of(recipe), t, ofs, v)
+@_after_store
+def _ck_load_store_overlap(case, f, g):
+    _, _, t, ofs, v, t2, ofs2 = case
     if cells.load_contents(t2, g, ofs2) != VUNDEF:
         return f"overlapping reload at {ofs2} produced a defined value"
     return None
@@ -513,15 +516,14 @@ deflaw(
 )
 
 
-def _ex_load_store_disjoint():
-    for recipe in _EX_RECIPES[:40]:
-        for t, ofs, v in _EX_SEED:
-            for t2 in ALL_CHUNKS:
-                for ofs2 in (-4, -2, 0, 2, 5, 8):
-                    if not _overlapping(
-                        ofs, chunks.size_chunk(t), ofs2, chunks.size_chunk(t2)
-                    ):
-                        yield ("cells", recipe, t, ofs, v, t2, ofs2)
+_ex_load_store_disjoint = _ex_cells(
+    40,
+    (
+        (t, ofs, v, t2, ofs2)
+        for (t, ofs, v), t2, ofs2 in product(_EX_SEED, ALL_CHUNKS, (-4, -2, 0, 2, 5, 8))
+        if not _overlapping(ofs, chunks.size_chunk(t), ofs2, chunks.size_chunk(t2))
+    ),
+)
 
 
 def _sm_load_store_disjoint(rng):
@@ -534,12 +536,11 @@ def _sm_load_store_disjoint(rng):
     return ("cells", _sample_recipe(rng), t, ofs, v, t2, ofs2)
 
 
-def _ck_load_store_disjoint(case):
-    _, recipe, t, ofs, v, t2, ofs2 = case
+@_after_store
+def _ck_load_store_disjoint(case, f, g):
+    _, _, t, ofs, v, t2, ofs2 = case
     if _overlapping(ofs, chunks.size_chunk(t), ofs2, chunks.size_chunk(t2)):
         return None  # hypothesis not met
-    f = cells_of(recipe)
-    g = cells.store_contents(f, t, ofs, v)
     if cells.load_contents(t2, g, ofs2) != cells.load_contents(t2, f, ofs2):
         return f"disjoint store changed the load at {ofs2}"
     return None
@@ -559,11 +560,7 @@ deflaw(
 # --- the four-case load characterization ------------------------------------------
 
 
-def _ex_load_cases():
-    for recipe in _EX_RECIPES:
-        for t in ALL_CHUNKS:
-            for ofs in _EX_OFS:
-                yield ("cells", recipe, t, ofs)
+_ex_load_cases = _ex_cells(None, ((t, ofs) for t in ALL_CHUNKS for ofs in _EX_OFS))
 
 
 def _sm_load_cases(rng):

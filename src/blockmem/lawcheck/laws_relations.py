@@ -11,9 +11,22 @@ alloc_list_alloc_inject, ...) build their witness explicitly, a rebuild of
 the right-hand state with one field replaced or an extension of the
 relocation map, and require the real operation to return exactly that
 witness before checking the relation on it.
+
+A law is assembled from a domain, an enumerator over a fixed plan menu
+and a sampler over a shared plan stream (``_ex_pair_access``/
+``_sm_pair_access``, ``_ex_emb_pick``/``_sm_emb_pick``), and one check
+per property.  A property stated for several relations is written once
+and takes the relation as a parameter: ``LESSDEF`` and ``EXTENDS`` for
+the pair relations, ``EMB``, ``EMB_APART``, ``INJECT`` and
+``NO_OVERLAP`` for the embedding family (``_load_along(LESSDEF)``,
+``_one_sided(INJECT, ...)``); an operation that comes in two forms, such
+as ``free``/``free_list`` or ``store``/``storev``, is a parameter too.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from .. import cells, chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, Vptr, VUNDEF
@@ -42,6 +55,15 @@ def _sm_state(rng):
 def _ex_states():
     for ops, _ in generators.tiny_states_small():
         yield ("state", ops)
+
+
+def _live(m):
+    return [b for b, _, _, _ in memstate.live_blocks(m)]
+
+
+def _accesses(m, blocks, limit):
+    """The first ``limit`` valid (chunk, block, offset) of each block."""
+    return [(t, b, i) for b in blocks for t, i in relations.valid_accesses(m, b)[:limit]]
 
 
 # --- fixed exhaustive plan menus -----------------------------------------------
@@ -113,14 +135,170 @@ EX_EMB_PLANS = (
 )
 
 
+# --- the pair relations: refinement and extension ------------------------------
+
+
+class _Pair(NamedTuple):
+    """A relation whose instances are one plan projected onto two states."""
+
+    tag: str  # case tag, the plan kind
+    noun: str  # "refinement" | "extension", for failure details
+    adjective: str  # of the right-hand state: "refined" | "extended"
+    holds: Callable  # (left state, right state) -> bool
+    build: Callable  # memoised plan -> (left run, right run, left ops, right ops)
+    draw: Callable  # rng -> a plan of the shared domain
+    plans: tuple  # the exhaustive plan menu
+
+    def states(self, plan):
+        r1, r2, _, _ = self.build(plan)
+        return r1.state, r2.state
+
+
+LESSDEF = _Pair(
+    "lessdef",
+    "refinement",
+    "refined",
+    lambda m1, m2: relations.mem_lessdef(m1, m2),
+    lessdef_pair_cached,
+    generators.shared_lessdef_plan,
+    EX_LESSDEF_PLANS,
+)
+EXTENDS = _Pair(
+    "extends",
+    "extension",
+    "extended",
+    lambda m1, m2: relations.mem_extends(m1, m2),
+    extends_pair_cached,
+    generators.shared_extends_plan,
+    EX_EXTENDS_PLANS,
+)
+
+
+def _sm_pair(rel: _Pair):
+    return lambda rng: (rel.tag, rel.draw(rng))
+
+
+def _ex_pair(rel: _Pair):
+    return lambda: ((rel.tag, plan) for plan in rel.plans)
+
+
+def _sm_pair_access(rel: _Pair):
+    """A plan plus a valid access of its left state, or a skip."""
+
+    def sample(rng):
+        plan = rel.draw(rng)
+        acc = generators.sample_valid_access(rng, rel.states(plan)[0])
+        if acc is None:
+            return ("skip",)
+        return (rel.tag, plan) + acc
+
+    return sample
+
+
+def _ex_pair_access(rel: _Pair, limit: int, tails=((),)):
+    def gen():
+        for plan in rel.plans:
+            m1 = rel.states(plan)[0]
+            for acc in _accesses(m1, _live(m1), limit):
+                for tail in tails:
+                    yield (rel.tag, plan) + acc + tail
+
+    return gen
+
+
+def _sm_pair_store(rel: _Pair):
+    """A plan, a valid access of its left state and a pair of values, the
+    left one undefined a third of the time."""
+    draw_access = _sm_pair_access(rel)
+
+    def sample(rng):
+        case = draw_access(rng)
+        if case[0] == "skip":
+            return case
+        v2 = generators.sample_value(rng, tuple(range(1, rel.states(case[1])[0].nextblock)))
+        v1 = VUNDEF if rng.chance(1, 3) else v2
+        return case + (v1, v2)
+
+    return sample
+
+
+def _sm_pair_free(rel: _Pair):
+    def sample(rng):
+        plan = rel.draw(rng)
+        blocks = _live(rel.states(plan)[0])
+        if not blocks:
+            return ("skip",)
+        return (rel.tag, plan, rng.choice(blocks))
+
+    return sample
+
+
+def _ex_pair_free(rel: _Pair):
+    return lambda: ((rel.tag, plan, b) for plan in rel.plans for b in _live(rel.states(plan)[0]))
+
+
+def _refl(rel: _Pair):
+    def check(case):
+        m = state_of(case[1])
+        if not rel.holds(m, m):
+            return f"{rel.noun} is not reflexive on this state"
+        return None
+
+    return check
+
+
+def _trans(rel: _Pair, triple):
+    """``triple(case)`` gives three states, each pair of neighbours built
+    to be related."""
+
+    def check(case):
+        m1, m2, m3 = triple(case)
+        if rel.holds(m1, m2) and rel.holds(m2, m3) and not rel.holds(m1, m3):
+            return f"{rel.noun} chain does not compose"
+        return None
+
+    return check
+
+
+def _load_along(rel: _Pair):
+    def check(case):
+        _, plan, t, b, i = case
+        m1, m2 = rel.states(plan)
+        if not rel.holds(m1, m2):
+            return None
+        v1 = memstate.load(t, m1, b, i)
+        if v1 is None:
+            return None
+        v2 = memstate.load(t, m2, b, i)
+        if v2 is None:
+            return f"{rel.adjective} state fails a load the original answers"
+        if not relations.val_lessdef(v1, v2):
+            return f"loads do not refine along the {rel.noun}: {v1!r} vs {v2!r}"
+        return None
+
+    return check
+
+
+def _free_along(rel: _Pair):
+    def check(case):
+        _, plan, b = case
+        m1, m2 = rel.states(plan)
+        if not rel.holds(m1, m2):
+            return None
+        r1 = memstate.free(m1, b)
+        if r1 is None:
+            return None
+        r2 = memstate.free(m2, b)
+        if r2 is None:
+            return f"{rel.adjective} state fails a free the original allows"
+        if not rel.holds(r1, r2):
+            return f"parallel free broke the {rel.noun}"
+        return None
+
+    return check
+
+
 # --- refinement (Mem_Lessdef) -----------------------------------------------------
-
-
-def _ck_lessdef_refl(case):
-    m = state_of(case[1])
-    if not relations.mem_lessdef(m, m):
-        return "refinement is not reflexive on this state"
-    return None
 
 
 deflaw(
@@ -130,7 +308,7 @@ deflaw(
     family="relation",
     exhaustive=_ex_states,
     sample=_sm_state,
-    check=_ck_lessdef_refl,
+    check=_refl(LESSDEF),
 )
 
 
@@ -149,40 +327,19 @@ def _sample_lessdef3_plan(rng):
             if slot is None:
                 continue
             k, t, i = slot
-            v3 = generators.sample_value(rng, tuple(j + 1 for j, p in enumerate(planned) if p[2]))
+            v3 = generators.sample_value(rng, generators._live_ids(planned))
             v2 = VUNDEF if rng.chance(1, 3) else v3
             v1 = v2 if (v2 != VUNDEF and rng.chance(1, 2)) else VUNDEF if v2 == VUNDEF or rng.chance(1, 2) else v2
             if v2 == VUNDEF:
                 v1 = VUNDEF
             steps.append(("store3", t, k, i, v1, v2, v3))
         elif planned:
-            alive = [k for k, p in enumerate(planned) if p[2]]
-            if alive:
-                k = rng.choice(alive)
-                planned[k][2] = False
-                steps.append(("free", k))
+            generators._free_one(rng, planned, steps)
     return tuple(steps)
 
 
-def _build_lessdef3(plan):
-    ops = ([], [], [])
-    for st in plan:
-        if st[0] == "store3":
-            _, t, k, i, v1, v2, v3 = st
-            for ops_k, v in zip(ops, (v1, v2, v3)):
-                ops_k.append(("store", t, k, i, v))
-        else:
-            for ops_k in ops:
-                ops_k.append(st)
-    return tuple(state_of(tuple(o)) for o in ops)
-
-
-def _ck_lessdef_trans(case):
-    m1, m2, m3 = _build_lessdef3(case[1])
-    if relations.mem_lessdef(m1, m2) and relations.mem_lessdef(m2, m3):
-        if not relations.mem_lessdef(m1, m3):
-            return "refinement chain does not compose"
-    return None
+def _lessdef3_states(case):
+    return tuple(state_of(tuple(ops)) for ops in generators.project(case[1], 3))
 
 
 def _ex_lessdef_trans():
@@ -201,26 +358,12 @@ deflaw(
     family="relation",
     exhaustive=_ex_lessdef_trans,
     sample=lambda rng: ("lessdef3", _sample_lessdef3_plan(rng)),
-    check=_ck_lessdef_trans,
+    check=_trans(LESSDEF, _lessdef3_states),
 )
 
 
-def _sm_lessdef(rng):
-    return ("lessdef", generators.shared_lessdef_plan(rng))
-
-
-def _ex_lessdef():
-    for plan in EX_LESSDEF_PLANS:
-        yield ("lessdef", plan)
-
-
-def _lessdef_states(case):
-    r1, r2, _, _ = lessdef_pair_cached(case[1])
-    return r1.state, r2.state
-
-
 def _ck_alloc_lessdef(case):
-    m1, m2 = _lessdef_states(case)
+    m1, m2 = LESSDEF.states(case[1])
     if not relations.mem_lessdef(m1, m2):
         return None
     for low, high in ((0, 8), (2, 1)):
@@ -241,62 +384,19 @@ deflaw(
     MEM_LESSDEF,
     "parallel allocation preserves refinement",
     family="relation",
-    exhaustive=_ex_lessdef,
-    sample=_sm_lessdef,
+    exhaustive=_ex_pair(LESSDEF),
+    sample=_sm_pair(LESSDEF),
     check=_ck_alloc_lessdef,
 )
-
-
-def _first_access(m, limit=2):
-    out = []
-    for b, _, _, _ in memstate.live_blocks(m):
-        for acc in relations.valid_accesses(m, b)[:limit]:
-            out.append((acc[0], b, acc[1]))
-    return out
-
-
-def _sm_lessdef_access(rng):
-    plan = generators.shared_lessdef_plan(rng)
-    m1, _ = _lessdef_states(("lessdef", plan))
-    acc = generators.sample_valid_access(rng, m1)
-    if acc is None:
-        return ("skip",)
-    return ("lessdef", plan) + acc
-
-
-def _ex_lessdef_access():
-    for plan in EX_LESSDEF_PLANS:
-        m1, _ = _lessdef_states(("lessdef", plan))
-        for acc in _first_access(m1, 4):
-            yield ("lessdef", plan) + acc
-
-
-def _ck_load_lessdef(case):
-    if case[0] == "skip":
-        return None
-    _, plan, t, b, i = case
-    m1, m2 = _lessdef_states(case)
-    if not relations.mem_lessdef(m1, m2):
-        return None
-    v1 = memstate.load(t, m1, b, i)
-    if v1 is None:
-        return None
-    v2 = memstate.load(t, m2, b, i)
-    if v2 is None:
-        return "refined state fails a load the original answers"
-    if not relations.val_lessdef(v1, v2):
-        return f"loads do not refine: {v1!r} vs {v2!r}"
-    return None
-
 
 deflaw(
     "load_lessdef",
     MEM_LESSDEF,
     "loads transport along refinement",
     family="relation",
-    exhaustive=_ex_lessdef_access,
-    sample=_sm_lessdef_access,
-    check=_ck_load_lessdef,
+    exhaustive=_ex_pair_access(LESSDEF, 4),
+    sample=_sm_pair_access(LESSDEF),
+    check=_load_along(LESSDEF),
 )
 
 
@@ -306,31 +406,9 @@ def _store_witness(m2, t, b, i, v):
     )
 
 
-def _sm_store_lessdef(rng):
-    plan = generators.shared_lessdef_plan(rng)
-    m1, _ = _lessdef_states(("lessdef", plan))
-    acc = generators.sample_valid_access(rng, m1)
-    if acc is None:
-        return ("skip",)
-    t, b, i = acc
-    v2 = generators.sample_value(rng, tuple(range(1, m1.nextblock)))
-    v1 = VUNDEF if rng.chance(1, 3) else v2
-    return ("lessdef", plan, t, b, i, v1, v2)
-
-
-def _ex_store_lessdef():
-    for plan in EX_LESSDEF_PLANS:
-        m1, _ = _lessdef_states(("lessdef", plan))
-        for t, b, i in _first_access(m1, 2):
-            for v1, v2 in ((Vint(4), Vint(4)), (VUNDEF, Vint(4)), (VUNDEF, VUNDEF)):
-                yield ("lessdef", plan, t, b, i, v1, v2)
-
-
 def _ck_store_lessdef(case):
-    if case[0] == "skip":
-        return None
     _, plan, t, b, i, v1, v2 = case
-    m1, m2 = _lessdef_states(case)
+    m1, m2 = LESSDEF.states(plan)
     if not relations.mem_lessdef(m1, m2):
         return "constructed pair fails the refinement hypothesis"
     if not relations.val_lessdef(v1, v2):
@@ -347,70 +425,30 @@ def _ck_store_lessdef(case):
     return None
 
 
+_STORE_VALUES = ((Vint(4), Vint(4)), (VUNDEF, Vint(4)), (VUNDEF, VUNDEF))
+
 deflaw(
     "store_lessdef",
     MEM_LESSDEF,
     "a refined store admits the contents-rebuild witness",
     family="relation",
-    exhaustive=_ex_store_lessdef,
-    sample=_sm_store_lessdef,
+    exhaustive=_ex_pair_access(LESSDEF, 2, _STORE_VALUES),
+    sample=_sm_pair_store(LESSDEF),
     check=_ck_store_lessdef,
 )
-
-
-def _sm_lessdef_free(rng):
-    plan = generators.shared_lessdef_plan(rng)
-    m1, _ = _lessdef_states(("lessdef", plan))
-    blocks = [b for b, _, _, _ in memstate.live_blocks(m1)]
-    if not blocks:
-        return ("skip",)
-    return ("lessdef", plan, rng.choice(blocks))
-
-
-def _ex_lessdef_free():
-    for plan in EX_LESSDEF_PLANS:
-        m1, _ = _lessdef_states(("lessdef", plan))
-        for b, _, _, _ in memstate.live_blocks(m1):
-            yield ("lessdef", plan, b)
-
-
-def _ck_free_lessdef(case):
-    if case[0] == "skip":
-        return None
-    _, plan, b = case
-    m1, m2 = _lessdef_states(case)
-    if not relations.mem_lessdef(m1, m2):
-        return None
-    r1 = memstate.free(m1, b)
-    if r1 is None:
-        return None
-    r2 = memstate.free(m2, b)
-    if r2 is None:
-        return "refined state fails a free the original allows"
-    if not relations.mem_lessdef(r1, r2):
-        return "free broke refinement"
-    return None
-
 
 deflaw(
     "free_lessdef",
     MEM_LESSDEF,
     "parallel free preserves refinement",
     family="relation",
-    exhaustive=_ex_lessdef_free,
-    sample=_sm_lessdef_free,
-    check=_ck_free_lessdef,
+    exhaustive=_ex_pair_free(LESSDEF),
+    sample=_sm_pair_free(LESSDEF),
+    check=_free_along(LESSDEF),
 )
 
 
 # --- extension (Mem_Extends) --------------------------------------------------------
-
-
-def _ck_extends_refl(case):
-    m = state_of(case[1])
-    if not relations.mem_extends(m, m):
-        return "extension is not reflexive on this state"
-    return None
 
 
 deflaw(
@@ -420,7 +458,7 @@ deflaw(
     family="relation",
     exhaustive=_ex_states,
     sample=_sm_state,
-    check=_ck_extends_refl,
+    check=_refl(EXTENDS),
 )
 
 
@@ -437,15 +475,10 @@ def _widen_plan(plan, widenings):
     return tuple(out)
 
 
-def _ck_extends_trans(case):
+def _extends3_states(case):
     _, plan, widenings = case
-    r1, r2, _, _ = extends_pair_cached(plan)
-    _, r3, _, _ = extends_pair_cached(_widen_plan(plan, widenings))
-    m1, m2, m3 = r1.state, r2.state, r3.state
-    if relations.mem_extends(m1, m2) and relations.mem_extends(m2, m3):
-        if not relations.mem_extends(m1, m3):
-            return "extension chain does not compose"
-    return None
+    m1, m2 = EXTENDS.states(plan)
+    return m1, m2, EXTENDS.states(_widen_plan(plan, widenings))[1]
 
 
 def _sm_extends_trans(rng):
@@ -466,26 +499,12 @@ deflaw(
     family="relation",
     exhaustive=_ex_extends_trans,
     sample=_sm_extends_trans,
-    check=_ck_extends_trans,
+    check=_trans(EXTENDS, _extends3_states),
 )
 
 
-def _extends_states(case):
-    r1, r2, _, _ = extends_pair_cached(case[1])
-    return r1.state, r2.state
-
-
-def _sm_extends(rng):
-    return ("extends", generators.shared_extends_plan(rng))
-
-
-def _ex_extends():
-    for plan in EX_EXTENDS_PLANS:
-        yield ("extends", plan)
-
-
 def _ck_alloc_extends(case):
-    m1, m2 = _extends_states(case)
+    m1, m2 = EXTENDS.states(case[1])
     if not relations.mem_extends(m1, m2):
         return None
     for (l1, h1), (dl, dh) in (((0, 8), (0, 0)), ((0, 4), (4, 8)), ((2, 1), (0, 4))):
@@ -505,82 +524,25 @@ deflaw(
     MEM_EXTENDS,
     "parallel allocation with containing bounds preserves extension",
     family="relation",
-    exhaustive=_ex_extends,
-    sample=_sm_extends,
+    exhaustive=_ex_pair(EXTENDS),
+    sample=_sm_pair(EXTENDS),
     check=_ck_alloc_extends,
 )
-
-
-def _sm_extends_access(rng):
-    plan = generators.shared_extends_plan(rng)
-    m1, _ = _extends_states(("extends", plan))
-    acc = generators.sample_valid_access(rng, m1)
-    if acc is None:
-        return ("skip",)
-    return ("extends", plan) + acc
-
-
-def _ex_extends_access():
-    for plan in EX_EXTENDS_PLANS:
-        m1, _ = _extends_states(("extends", plan))
-        for acc in _first_access(m1, 4):
-            yield ("extends", plan) + acc
-
-
-def _ck_load_extends(case):
-    if case[0] == "skip":
-        return None
-    _, plan, t, b, i = case
-    m1, m2 = _extends_states(case)
-    if not relations.mem_extends(m1, m2):
-        return None
-    v1 = memstate.load(t, m1, b, i)
-    if v1 is None:
-        return None
-    v2 = memstate.load(t, m2, b, i)
-    if v2 is None:
-        return "extended state fails a load the original answers"
-    if not relations.val_lessdef(v1, v2):
-        return f"loads do not refine across extension: {v1!r} vs {v2!r}"
-    return None
-
 
 deflaw(
     "load_extends",
     MEM_EXTENDS,
     "loads transport along extension",
     family="relation",
-    exhaustive=_ex_extends_access,
-    sample=_sm_extends_access,
-    check=_ck_load_extends,
+    exhaustive=_ex_pair_access(EXTENDS, 4),
+    sample=_sm_pair_access(EXTENDS),
+    check=_load_along(EXTENDS),
 )
 
 
-def _sm_store_within_extends(rng):
-    plan = generators.shared_extends_plan(rng)
-    m1, _ = _extends_states(("extends", plan))
-    acc = generators.sample_valid_access(rng, m1)
-    if acc is None:
-        return ("skip",)
-    t, b, i = acc
-    v2 = generators.sample_value(rng, tuple(range(1, m1.nextblock)))
-    v1 = VUNDEF if rng.chance(1, 3) else v2
-    return ("extends", plan, t, b, i, v1, v2)
-
-
-def _ex_store_within_extends():
-    for plan in EX_EXTENDS_PLANS:
-        m1, _ = _extends_states(("extends", plan))
-        for t, b, i in _first_access(m1, 2):
-            for v1, v2 in ((Vint(4), Vint(4)), (VUNDEF, Vint(4))):
-                yield ("extends", plan, t, b, i, v1, v2)
-
-
 def _ck_store_within_extends(case):
-    if case[0] == "skip":
-        return None
     _, plan, t, b, i, v1, v2 = case
-    m1, m2 = _extends_states(case)
+    m1, m2 = EXTENDS.states(plan)
     if not relations.mem_extends(m1, m2) or not relations.val_lessdef(v1, v2):
         return None
     m1p = memstate.store(t, m1, b, i, v1)
@@ -599,8 +561,8 @@ deflaw(
     MEM_EXTENDS,
     "a store inside the original bounds preserves extension",
     family="relation",
-    exhaustive=_ex_store_within_extends,
-    sample=_sm_store_within_extends,
+    exhaustive=_ex_pair_access(EXTENDS, 2, _STORE_VALUES[:2]),
+    sample=_sm_pair_store(EXTENDS),
     check=_ck_store_within_extends,
 )
 
@@ -618,8 +580,7 @@ def _margin_slots(m1, m2, limit=3):
 
 def _sm_store_outside_extends(rng):
     plan = generators.shared_extends_plan(rng)
-    m1, m2 = _extends_states(("extends", plan))
-    slots = _margin_slots(m1, m2)
+    slots = _margin_slots(*EXTENDS.states(plan))
     if not slots:
         return ("skip",)
     t, b, i = rng.choice(slots)
@@ -628,16 +589,13 @@ def _sm_store_outside_extends(rng):
 
 def _ex_store_outside_extends():
     for plan in EX_EXTENDS_PLANS:
-        m1, m2 = _extends_states(("extends", plan))
-        for t, b, i in _margin_slots(m1, m2, 2):
+        for t, b, i in _margin_slots(*EXTENDS.states(plan), 2):
             yield ("extends", plan, t, b, i, Vint(13))
 
 
 def _ck_store_outside_extends(case):
-    if case[0] == "skip":
-        return None
     _, plan, t, b, i, v = case
-    m1, m2 = _extends_states(case)
+    m1, m2 = EXTENDS.states(plan)
     if not relations.mem_extends(m1, m2):
         return None
     l1, h1 = memstate.bounds(m1, b)
@@ -661,93 +619,308 @@ deflaw(
     check=_ck_store_outside_extends,
 )
 
-
-def _sm_extends_free(rng):
-    plan = generators.shared_extends_plan(rng)
-    m1, _ = _extends_states(("extends", plan))
-    blocks = [b for b, _, _, _ in memstate.live_blocks(m1)]
-    if not blocks:
-        return ("skip",)
-    return ("extends", plan, rng.choice(blocks))
-
-
-def _ex_extends_free():
-    for plan in EX_EXTENDS_PLANS:
-        m1, _ = _extends_states(("extends", plan))
-        for b, _, _, _ in memstate.live_blocks(m1):
-            yield ("extends", plan, b)
-
-
-def _ck_free_extends(case):
-    if case[0] == "skip":
-        return None
-    _, plan, b = case
-    m1, m2 = _extends_states(case)
-    if not relations.mem_extends(m1, m2):
-        return None
-    r1 = memstate.free(m1, b)
-    if r1 is None:
-        return None
-    r2 = memstate.free(m2, b)
-    if r2 is None:
-        return "extended state fails a parallel free"
-    if not relations.mem_extends(r1, r2):
-        return "parallel free broke extension"
-    return None
-
-
 deflaw(
     "free_extends",
     MEM_EXTENDS,
     "parallel free preserves extension",
     family="relation",
-    exhaustive=_ex_extends_free,
-    sample=_sm_extends_free,
-    check=_ck_free_extends,
+    exhaustive=_ex_pair_free(EXTENDS),
+    sample=_sm_pair_free(EXTENDS),
+    check=_free_along(EXTENDS),
 )
+
+
+# --- the embedding family ------------------------------------------------------
+
+
+class _EmbRel(NamedTuple):
+    """A relation over (embedding, left state, right state).  The checkers
+    are called through ``relations`` so that a rebinding there (a seeded
+    mutation, a tracing wrapper) is seen."""
+
+    noun: str  # for failure details
+    holds: Callable
+
+
+EMB = _EmbRel("embedding", lambda emb, m1, m2: relations.mem_emb(emb, m1, m2))
+# The embedding together with its no-overlap side condition.
+EMB_APART = _EmbRel(
+    "embedding",
+    lambda emb, m1, m2: relations.emb_no_overlap(emb, m1) and relations.mem_emb(emb, m1, m2),
+)
+INJECT = _EmbRel("injection", lambda emb, m1, m2: relations.mem_inject(emb, m1, m2))
+NO_OVERLAP = _EmbRel(
+    "no-overlap side condition", lambda emb, m1, m2: relations.emb_no_overlap(emb, m1)
+)
+
+
+def _holds(rel: _EmbRel, sc) -> bool:
+    return rel.holds(sc.emb, sc.m1, sc.m2)
+
+
+def _mapped_sources(sc, mapped: bool = True):
+    """The valid left blocks that the embedding maps (or, with ``mapped``
+    false, leaves unmapped)."""
+    return [
+        b for b in sc.src_ids if (b in sc.emb) == mapped and memstate.valid_block(sc.m1, b)
+    ]
+
+
+def _mapped_accesses(sc, limit):
+    return _accesses(sc.m1, _mapped_sources(sc), limit)
+
+
+def _unmapped_accesses(sc, limit):
+    return _accesses(sc.m1, _mapped_sources(sc, mapped=False), limit)
+
+
+def _extra_accesses(sc, limit):
+    return _accesses(sc.m2, sc.extra_ids, limit)
+
+
+def _valid_sources(sc):
+    return [b for b in sc.src_ids if memstate.valid_block(sc.m1, b)]
+
+
+def _sole_pairs(sc):
+    """Own-target pairs whose source is still valid."""
+    return [
+        (src, tgt)
+        for src, tgt, _ in sc.own_pairs
+        if memstate.valid_block(sc.m1, src) and memstate.valid_block(sc.m2, tgt)
+    ]
+
+
+def _sm_emb_pick(pick, then=None, **kw):
+    """A shared embedding plan and one of the tuples ``pick(scenario)``,
+    or a skip when there is none; ``then(rng, scenario)`` appends a tail."""
+
+    def sample(rng):
+        plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME, **kw)
+        sc = emb_scenario_cached(plan)
+        choices = pick(sc)
+        if not choices:
+            return ("skip",)
+        case = ("emb", plan) + rng.choice(choices)
+        return case if then is None else case + then(rng, sc)
+
+    return sample
+
+
+def _ex_emb_pick(pick, tails=((),)):
+    """Every tuple of ``pick(scenario)`` on every menu plan, with each tail."""
+
+    def gen():
+        for plan in EX_EMB_PLANS:
+            for head in pick(emb_scenario_cached(plan)):
+                for tail in tails:
+                    yield ("emb", plan) + head + tail
+
+    return gen
+
+
+def _ex_emb_fixed(tails):
+    return lambda: (("emb", plan) + tail for plan in EX_EMB_PLANS for tail in tails)
+
+
+def _one_field(pick):
+    """``pick`` with each item made a one-field tail."""
+    return lambda sc: [(x,) for x in pick(sc)]
+
+
+_ex_emb_access = _ex_emb_pick(lambda sc: _mapped_accesses(sc, 3))
+_sm_emb_access = _sm_emb_pick(lambda sc: _mapped_accesses(sc, 6), need_mapped=True)
+_ex_emb_free = _ex_emb_pick(_one_field(_valid_sources))
+_sm_emb_free = _sm_emb_pick(_one_field(_valid_sources))
+_ex_free_parallel = _ex_emb_pick(_one_field(_sole_pairs))
+_sm_free_parallel = _sm_emb_pick(_one_field(_sole_pairs))
+_ex_emb_alloc = _ex_emb_fixed(((0, 8), (0, 0), (-4, 4)))
+_ex_emb_reqs = _ex_emb_fixed(
+    tuple((reqs,) for reqs in ((), ((0, 4),), ((0, 8), (-4, 4)), ((2, 1), (0, 2), (0, 8))))
+)
+
+
+def _sm_emb_alloc(overlap):
+    def sample(rng):
+        plan = generators.shared_emb_plan(rng, overlap_chance=overlap)
+        low = rng.randint(-4, 4)
+        return ("emb", plan, low, low + rng.choice((0, 2, 4, 8)))
+
+    return sample
+
+
+def _sm_emb_reqs(overlap):
+    def sample(rng):
+        plan = generators.shared_emb_plan(rng, overlap_chance=overlap)
+        reqs = []
+        for _ in range(rng.below(4)):
+            low = rng.randint(-4, 4)
+            reqs.append((low, low + rng.choice((0, 2, 4, 8))))
+        return ("emb", plan, tuple(reqs))
+
+    return sample
+
+
+def _sm_emb_free_list(rng):
+    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
+    srcs = _valid_sources(emb_scenario_cached(plan))
+    return ("emb", plan, tuple(b for b in srcs if rng.chance(1, 2)))
+
+
+def _ex_emb_free_list():
+    for plan in EX_EMB_PLANS:
+        srcs = _valid_sources(emb_scenario_cached(plan))
+        yield ("emb", plan, tuple(srcs))
+        if len(srcs) > 1:
+            yield ("emb", plan, (srcs[0],))
+
+
+# Operations on one state: (state, *assignment) -> state after, or None.
+
+
+def _do_alloc(m, low, high):
+    r = memstate.alloc(m, low, high)
+    return None if r is None else r[1]
+
+
+def _do_store(m, t, b, i, v):
+    return memstate.store(t, m, b, i, v)
+
+
+def _do_storev(m, t, b, i, v):
+    return memstate.storev(t, m, Vptr(b, i), v)
+
+
+def _do_free(m, b):
+    return memstate.free(m, b)
+
+
+def _do_free_list(m, bs):
+    return memstate.free_list(m, bs)
+
+
+def _one_sided(rel: _EmbRel, side: str, op, what: str, applies=None):
+    """``rel`` survives ``op(m, *assignment)`` on one side, "left" or
+    "right"; ``applies(scenario, *assignment)`` is the law's own
+    hypothesis."""
+    left = side == "left"
+
+    def check(case):
+        sc = emb_scenario_cached(case[1])
+        args = case[2:]
+        if applies is not None and not applies(sc, *args):
+            return None
+        if not _holds(rel, sc):
+            return None
+        m = op(sc.m1 if left else sc.m2, *args)
+        if m is None:
+            return None
+        if not (rel.holds(sc.emb, m, sc.m2) if left else rel.holds(sc.emb, sc.m1, m)):
+            return f"{what} broke the {rel.noun}"
+        return None
+
+    return check
+
+
+# The one-sided laws' own hypotheses on their target block.
+def _unmapped_store(sc, t, b, i, v):
+    return b not in sc.emb
+
+
+def _extra_store(sc, t, b, i, v):
+    return b in sc.extra_ids
+
+
+def _extra_block(sc, b):
+    return b in sc.extra_ids
+
+
+def _alloc_left_unmapped(rel: _EmbRel):
+    def check(case):
+        _, plan, low, high = case
+        sc = emb_scenario_cached(plan)
+        if not _holds(rel, sc):
+            return None
+        r = memstate.alloc(sc.m1, low, high)
+        if r is None:
+            return None
+        b1, m1p = r
+        if b1 in sc.emb:
+            return "fresh block already mapped"
+        if not rel.holds(sc.emb, m1p, sc.m2):
+            return f"an unmapped left-side allocation broke the {rel.noun}"
+        return None
+
+    return check
+
+
+def _alloc_left_mapped(rel: _EmbRel):
+    """A fresh left block mapped into the scenario's reserved gap keeps
+    ``rel``; the scenario is built to satisfy it."""
+
+    def check(case):
+        _, plan, span = case
+        if plan.overlap:
+            return None
+        sc = emb_scenario_cached(plan)
+        if sc.hole is None or span > sc.hole[2]:
+            return None
+        if not _holds(rel, sc):
+            return f"constructed scenario fails the {rel.noun} hypothesis"
+        tgt, start, _ = sc.hole
+        r = memstate.alloc(sc.m1, 0, span)
+        if r is None:
+            return "allocation failed under the default policy"
+        b1, m1p = r
+        emb2 = dict(sc.emb)
+        emb2[b1] = (tgt, start)
+        if not relations.emb_incr(sc.emb, emb2):
+            return "extended map does not extend the original"
+        if not rel.holds(emb2, m1p, sc.m2):
+            return f"mapping the fresh block into the gap broke the {rel.noun}"
+        return None
+
+    return check
+
+
+def _sm_alloc_left_mapped(rng):
+    plan = generators.shared_emb_plan(
+        rng, overlap_chance=_NO_OVERLAP, hole_span=rng.choice((8, 16))
+    )
+    span = rng.choice((0, 2, 4, 8))
+    return ("emb", plan, span)
+
+
+def _ex_alloc_left_mapped():
+    for hole in (8, 16):
+        for plan in EX_EMB_PLANS[:6]:
+            for span in (0, 4, 8):
+                yield ("emb", replace(plan, hole_span=hole), span)
+
+
+def _free_pair(rel: _EmbRel):
+    """Freeing a block together with its private image keeps ``rel``."""
+
+    def check(case):
+        _, plan, (src, tgt) = case
+        sc = emb_scenario_cached(plan)
+        if not _holds(rel, sc):
+            return None
+        m1p = memstate.free(sc.m1, src)
+        m2p = memstate.free(sc.m2, tgt)
+        if m1p is None or m2p is None:
+            return None
+        if not rel.holds(sc.emb, m1p, m2p):
+            return f"freeing a private pair broke the {rel.noun}"
+        return None
+
+    return check
 
 
 # --- embeddings (Rel_Mem) ------------------------------------------------------------
 
 
-def _sm_emb(rng, **kw):
-    return ("emb", generators.shared_emb_plan(rng, **kw))
-
-
-def _ex_emb():
-    for plan in EX_EMB_PLANS:
-        yield ("emb", plan)
-
-
-def _mapped_accesses(sc, limit=3):
-    out = []
-    for b1 in sc.src_ids:
-        if b1 not in sc.emb or not memstate.valid_block(sc.m1, b1):
-            continue
-        for t, i in relations.valid_accesses(sc.m1, b1)[:limit]:
-            out.append((t, b1, i))
-    return out
-
-
-def _sm_emb_access(rng, overlap=_OVERLAP_SOME):
-    plan = generators.shared_emb_plan(rng, overlap_chance=overlap, need_mapped=True)
-    sc = emb_scenario_cached(plan)
-    accs = _mapped_accesses(sc, 6)
-    if not accs:
-        return ("skip",)
-    return ("emb", plan) + rng.choice(accs)
-
-
-def _ex_emb_access():
-    for plan in EX_EMB_PLANS:
-        sc = emb_scenario_cached(plan)
-        for acc in _mapped_accesses(sc):
-            yield ("emb", plan) + acc
-
-
 def _ck_valid_pointer_emb(case):
-    if case[0] == "skip":
-        return None
     _, plan, t, b1, i = case
     sc = emb_scenario_cached(plan)
     if not relations.mem_emb(sc.emb, sc.m1, sc.m2):
@@ -824,36 +997,19 @@ def _emb_value_pair(rng, sc):
     return Vint(n), Vint(n)
 
 
-def _sm_store_mapped(rng, overlap):
-    plan = generators.shared_emb_plan(rng, overlap_chance=overlap, need_mapped=True)
-    sc = emb_scenario_cached(plan)
-    accs = _mapped_accesses(sc, 6)
-    if not accs:
-        return ("skip",)
-    t, b1, i = rng.choice(accs)
-    v1, v2 = _emb_value_pair(rng, sc)
-    return ("emb", plan, t, b1, i, v1, v2)
-
-
-def _ex_store_mapped():
-    for plan in EX_EMB_PLANS:
-        sc = emb_scenario_cached(plan)
-        for t, b1, i in _mapped_accesses(sc, 2):
-            for v1, v2 in ((Vint(6), Vint(6)), (VUNDEF, Vint(2))):
-                yield ("emb", plan, t, b1, i, v1, v2)
+_ex_store_mapped = _ex_emb_pick(
+    lambda sc: _mapped_accesses(sc, 2), ((Vint(6), Vint(6)), (VUNDEF, Vint(2)))
+)
+_sm_store_mapped = _sm_emb_pick(
+    lambda sc: _mapped_accesses(sc, 6), _emb_value_pair, need_mapped=True
+)
 
 
 def _ck_store_mapped_emb(case):
-    if case[0] == "skip":
-        return None
     _, plan, t, b1, i, v1, v2 = case
     sc = emb_scenario_cached(plan)
     emb = sc.emb
-    if not relations.emb_no_overlap(emb, sc.m1):
-        return None
-    if not relations.mem_emb(emb, sc.m1, sc.m2):
-        return None
-    if not relations.val_emb(emb, v1, v2):
+    if not _holds(EMB_APART, sc) or not relations.val_emb(emb, v1, v2):
         return None
     m1p = memstate.store(t, sc.m1, b1, i, v1)
     if m1p is None:
@@ -874,52 +1030,15 @@ deflaw(
     "a store relocates through a non-overlapping embedding",
     family="relation",
     exhaustive=_ex_store_mapped,
-    sample=lambda rng: _sm_store_mapped(rng, _OVERLAP_SOME),
+    sample=_sm_store_mapped,
     check=_ck_store_mapped_emb,
 )
 
-
-def _unmapped_accesses(sc, limit=3):
-    out = []
-    for b1 in sc.src_ids:
-        if b1 in sc.emb or not memstate.valid_block(sc.m1, b1):
-            continue
-        for t, i in relations.valid_accesses(sc.m1, b1)[:limit]:
-            out.append((t, b1, i))
-    return out
-
-
-def _sm_store_unmapped(rng):
-    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
-    sc = emb_scenario_cached(plan)
-    accs = _unmapped_accesses(sc, 6)
-    if not accs:
-        return ("skip",)
-    t, b1, i = rng.choice(accs)
-    return ("emb", plan, t, b1, i, generators.sample_value(rng, sc.src_ids))
-
-
-def _ex_store_unmapped():
-    for plan in EX_EMB_PLANS:
-        sc = emb_scenario_cached(plan)
-        for t, b1, i in _unmapped_accesses(sc, 2):
-            yield ("emb", plan, t, b1, i, Vint(3))
-
-
-def _ck_store_unmapped_emb(case):
-    if case[0] == "skip":
-        return None
-    _, plan, t, b1, i, v = case
-    sc = emb_scenario_cached(plan)
-    if b1 in sc.emb or not relations.mem_emb(sc.emb, sc.m1, sc.m2):
-        return None
-    m1p = memstate.store(t, sc.m1, b1, i, v)
-    if m1p is None:
-        return None
-    if not relations.mem_emb(sc.emb, m1p, sc.m2):
-        return "a store in an unmapped block broke the embedding"
-    return None
-
+_ex_store_unmapped = _ex_emb_pick(lambda sc: _unmapped_accesses(sc, 2), ((Vint(3),),))
+_sm_store_unmapped = _sm_emb_pick(
+    lambda sc: _unmapped_accesses(sc, 6),
+    lambda rng, sc: (generators.sample_value(rng, sc.src_ids),),
+)
 
 deflaw(
     "store_unmapped_emb",
@@ -928,79 +1047,24 @@ deflaw(
     family="relation",
     exhaustive=_ex_store_unmapped,
     sample=_sm_store_unmapped,
-    check=_ck_store_unmapped_emb,
+    check=_one_sided(EMB, "left", _do_store, "a store in an unmapped block", _unmapped_store),
 )
-
-
-def _extra_accesses(sc, limit=3):
-    out = []
-    for b2 in sc.extra_ids:
-        for t, i in relations.valid_accesses(sc.m2, b2)[:limit]:
-            out.append((t, b2, i))
-    return out
-
-
-def _sm_store_outside_emb(rng):
-    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
-    sc = emb_scenario_cached(plan)
-    accs = _extra_accesses(sc, 6)
-    if not accs:
-        return ("skip",)
-    t, b2, i = rng.choice(accs)
-    return ("emb", plan, t, b2, i, generators.sample_value(rng, ()))
-
-
-def _ex_store_outside_emb():
-    for plan in EX_EMB_PLANS:
-        sc = emb_scenario_cached(plan)
-        for t, b2, i in _extra_accesses(sc, 2):
-            yield ("emb", plan, t, b2, i, Vint(8))
-
-
-def _ck_store_outside_emb(case):
-    if case[0] == "skip":
-        return None
-    _, plan, t, b2, i, v = case
-    sc = emb_scenario_cached(plan)
-    if b2 not in sc.extra_ids:
-        return None
-    if not relations.mem_emb(sc.emb, sc.m1, sc.m2):
-        return None
-    m2p = memstate.store(t, sc.m2, b2, i, v)
-    if m2p is None:
-        return None
-    if not relations.mem_emb(sc.emb, sc.m1, m2p):
-        return "a store outside every image broke the embedding"
-    return None
-
 
 deflaw(
     "store_outside_emb",
     REL_MEM,
     "right-side stores outside every image preserve the embedding",
     family="relation",
-    exhaustive=_ex_store_outside_emb,
-    sample=_sm_store_outside_emb,
-    check=_ck_store_outside_emb,
+    exhaustive=_ex_emb_pick(lambda sc: _extra_accesses(sc, 2), ((Vint(8),),)),
+    sample=_sm_emb_pick(
+        lambda sc: _extra_accesses(sc, 6),
+        lambda rng, sc: (generators.sample_value(rng, ()),),
+    ),
+    check=_one_sided(EMB, "right", _do_store, "a store outside every image", _extra_store),
 )
 
 
-def _sm_emb_alloc(rng, overlap=_OVERLAP_SOME, hole=0):
-    plan = generators.shared_emb_plan(rng, overlap_chance=overlap, hole_span=hole)
-    low, high = rng.randint(-4, 4), 0
-    high = low + rng.choice((0, 2, 4, 8))
-    return ("emb", plan, low, high)
-
-
-def _ex_emb_alloc():
-    for plan in EX_EMB_PLANS:
-        for low, high in ((0, 8), (0, 0), (-4, 4)):
-            yield ("emb", plan, low, high)
-
-
 def _ck_alloc_parallel_emb(case):
-    if case[0] == "skip":
-        return None
     _, plan, low, high = case
     if plan.overlap:
         return None
@@ -1033,25 +1097,9 @@ deflaw(
     "parallel allocation extends the embedding with a zero-delta mapping",
     family="relation",
     exhaustive=_ex_emb_alloc,
-    sample=lambda rng: _sm_emb_alloc(rng, overlap=_NO_OVERLAP),
+    sample=_sm_emb_alloc(_NO_OVERLAP),
     check=_ck_alloc_parallel_emb,
 )
-
-
-def _ck_alloc_right_emb(case):
-    if case[0] == "skip":
-        return None
-    _, plan, low, high = case
-    sc = emb_scenario_cached(plan)
-    if not relations.mem_emb(sc.emb, sc.m1, sc.m2):
-        return None
-    r = memstate.alloc(sc.m2, low, high)
-    if r is None:
-        return None
-    if not relations.mem_emb(sc.emb, sc.m1, r[1]):
-        return "a right-side allocation broke the embedding"
-    return None
-
 
 deflaw(
     "alloc_right_emb",
@@ -1059,28 +1107,9 @@ deflaw(
     "right-side allocation preserves the embedding",
     family="relation",
     exhaustive=_ex_emb_alloc,
-    sample=_sm_emb_alloc,
-    check=_ck_alloc_right_emb,
+    sample=_sm_emb_alloc(_OVERLAP_SOME),
+    check=_one_sided(EMB, "right", _do_alloc, "a right-side allocation"),
 )
-
-
-def _ck_alloc_left_unmapped_emb(case):
-    if case[0] == "skip":
-        return None
-    _, plan, low, high = case
-    sc = emb_scenario_cached(plan)
-    if not relations.mem_emb(sc.emb, sc.m1, sc.m2):
-        return None
-    r = memstate.alloc(sc.m1, low, high)
-    if r is None:
-        return None
-    b1, m1p = r
-    if b1 in sc.emb:
-        return "fresh block already mapped"
-    if not relations.mem_emb(sc.emb, m1p, sc.m2):
-        return "an unmapped left-side allocation broke the embedding"
-    return None
-
 
 deflaw(
     "alloc_left_unmapped_emb",
@@ -1088,64 +1117,9 @@ deflaw(
     "left-side allocation of an unmapped block preserves the embedding",
     family="relation",
     exhaustive=_ex_emb_alloc,
-    sample=_sm_emb_alloc,
-    check=_ck_alloc_left_unmapped_emb,
+    sample=_sm_emb_alloc(_OVERLAP_SOME),
+    check=_alloc_left_unmapped(EMB),
 )
-
-
-def _sm_alloc_left_mapped(rng):
-    plan = generators.shared_emb_plan(
-        rng, overlap_chance=_NO_OVERLAP, hole_span=rng.choice((8, 16))
-    )
-    span = rng.choice((0, 2, 4, 8))
-    return ("emb", plan, span)
-
-
-def _ex_alloc_left_mapped():
-    for hole in (8, 16):
-        for plan in EX_EMB_PLANS[:6]:
-            amended = EmbPlan(
-                sources=plan.sources,
-                frees=plan.frees,
-                stores=plan.stores,
-                extra_targets=plan.extra_targets,
-                extra_stores=plan.extra_stores,
-                overlap=plan.overlap,
-                hole_span=hole,
-            )
-            for span in (0, 4, 8):
-                yield ("emb", amended, span)
-
-
-def _ck_alloc_left_mapped_emb(case):
-    if case[0] == "skip":
-        return None
-    _, plan, span = case
-    if plan.overlap:
-        return None
-    sc = emb_scenario_cached(plan)
-    emb = sc.emb
-    if sc.hole is None or span > sc.hole[2]:
-        return None
-    if not relations.emb_no_overlap(emb, sc.m1):
-        return "constructed scenario fails the no-overlap hypothesis"
-    if not relations.mem_emb(emb, sc.m1, sc.m2):
-        return "constructed scenario fails the embedding hypothesis"
-    tgt, start, _ = sc.hole
-    r = memstate.alloc(sc.m1, 0, span)
-    if r is None:
-        return "allocation failed under the default policy"
-    b1, m1p = r
-    emb2 = dict(emb)
-    emb2[b1] = (tgt, start)
-    if not relations.emb_incr(emb, emb2):
-        return "extended map does not extend the original"
-    if not relations.emb_no_overlap(emb2, m1p):
-        return "mapping into the reserved gap overlaps an image"
-    if not relations.mem_emb(emb2, m1p, sc.m2):
-        return "mapping the fresh block into the gap broke the embedding"
-    return None
-
 
 deflaw(
     "alloc_left_mapped_emb",
@@ -1154,44 +1128,8 @@ deflaw(
     family="relation",
     exhaustive=_ex_alloc_left_mapped,
     sample=_sm_alloc_left_mapped,
-    check=_ck_alloc_left_mapped_emb,
+    check=_alloc_left_mapped(EMB_APART),
 )
-
-
-def _valid_sources(sc):
-    return [b for b in sc.src_ids if memstate.valid_block(sc.m1, b)]
-
-
-def _sm_emb_free(rng):
-    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
-    sc = emb_scenario_cached(plan)
-    srcs = _valid_sources(sc)
-    if not srcs:
-        return ("skip",)
-    return ("emb", plan, rng.choice(srcs))
-
-
-def _ex_emb_free():
-    for plan in EX_EMB_PLANS:
-        sc = emb_scenario_cached(plan)
-        for b in _valid_sources(sc):
-            yield ("emb", plan, b)
-
-
-def _ck_free_left_emb(case):
-    if case[0] == "skip":
-        return None
-    _, plan, b = case
-    sc = emb_scenario_cached(plan)
-    if not relations.mem_emb(sc.emb, sc.m1, sc.m2):
-        return None
-    m1p = memstate.free(sc.m1, b)
-    if m1p is None:
-        return None
-    if not relations.mem_emb(sc.emb, m1p, sc.m2):
-        return "a left-side free broke the embedding"
-    return None
-
 
 deflaw(
     "free_left_emb",
@@ -1200,93 +1138,18 @@ deflaw(
     family="relation",
     exhaustive=_ex_emb_free,
     sample=_sm_emb_free,
-    check=_ck_free_left_emb,
+    check=_one_sided(EMB, "left", _do_free, "a left-side free"),
 )
-
-
-def _sm_free_right_emb(rng):
-    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
-    sc = emb_scenario_cached(plan)
-    if not sc.extra_ids:
-        return ("skip",)
-    return ("emb", plan, rng.choice(sc.extra_ids))
-
-
-def _ex_free_right_emb():
-    for plan in EX_EMB_PLANS:
-        sc = emb_scenario_cached(plan)
-        for b in sc.extra_ids:
-            yield ("emb", plan, b)
-
-
-def _ck_free_right_emb(case):
-    if case[0] == "skip":
-        return None
-    _, plan, b2 = case
-    sc = emb_scenario_cached(plan)
-    if b2 not in sc.extra_ids:
-        return None
-    if not relations.mem_emb(sc.emb, sc.m1, sc.m2):
-        return None
-    m2p = memstate.free(sc.m2, b2)
-    if m2p is None:
-        return None
-    if not relations.mem_emb(sc.emb, sc.m1, m2p):
-        return "freeing an imageless target block broke the embedding"
-    return None
-
 
 deflaw(
     "free_right_emb",
     REL_MEM,
     "freeing a target block outside every image preserves the embedding",
     family="relation",
-    exhaustive=_ex_free_right_emb,
-    sample=_sm_free_right_emb,
-    check=_ck_free_right_emb,
+    exhaustive=_ex_emb_pick(_one_field(lambda sc: sc.extra_ids)),
+    sample=_sm_emb_pick(_one_field(lambda sc: sc.extra_ids)),
+    check=_one_sided(EMB, "right", _do_free, "freeing an imageless target block", _extra_block),
 )
-
-
-def _sole_pairs(sc):
-    """Own-target pairs whose source is still valid."""
-    return [
-        (src, tgt)
-        for src, tgt, _ in sc.own_pairs
-        if memstate.valid_block(sc.m1, src) and memstate.valid_block(sc.m2, tgt)
-    ]
-
-
-def _sm_free_parallel(rng):
-    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
-    sc = emb_scenario_cached(plan)
-    pairs = _sole_pairs(sc)
-    if not pairs:
-        return ("skip",)
-    return ("emb", plan, rng.choice(pairs))
-
-
-def _ex_free_parallel():
-    for plan in EX_EMB_PLANS:
-        sc = emb_scenario_cached(plan)
-        for pair in _sole_pairs(sc):
-            yield ("emb", plan, pair)
-
-
-def _ck_free_parallel_emb(case):
-    if case[0] == "skip":
-        return None
-    _, plan, (src, tgt) = case
-    sc = emb_scenario_cached(plan)
-    if not relations.mem_emb(sc.emb, sc.m1, sc.m2):
-        return None
-    m1p = memstate.free(sc.m1, src)
-    m2p = memstate.free(sc.m2, tgt)
-    if m1p is None or m2p is None:
-        return None
-    if not relations.mem_emb(sc.emb, m1p, m2p):
-        return "freeing a sole-source pair broke the embedding"
-    return None
-
 
 deflaw(
     "free_parallel_emb",
@@ -1295,41 +1158,8 @@ deflaw(
     family="relation",
     exhaustive=_ex_free_parallel,
     sample=_sm_free_parallel,
-    check=_ck_free_parallel_emb,
+    check=_free_pair(EMB),
 )
-
-
-def _sm_emb_free_list(rng):
-    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
-    sc = emb_scenario_cached(plan)
-    srcs = _valid_sources(sc)
-    picks = tuple(b for b in srcs if rng.chance(1, 2))
-    return ("emb", plan, picks)
-
-
-def _ex_emb_free_list():
-    for plan in EX_EMB_PLANS:
-        sc = emb_scenario_cached(plan)
-        srcs = _valid_sources(sc)
-        yield ("emb", plan, tuple(srcs))
-        if len(srcs) > 1:
-            yield ("emb", plan, (srcs[0],))
-
-
-def _ck_free_list_left_emb(case):
-    if case[0] == "skip":
-        return None
-    _, plan, bs = case
-    sc = emb_scenario_cached(plan)
-    if not relations.mem_emb(sc.emb, sc.m1, sc.m2):
-        return None
-    m1p = memstate.free_list(sc.m1, bs)
-    if m1p is None:
-        return None
-    if not relations.mem_emb(sc.emb, m1p, sc.m2):
-        return "a left-side free_list broke the embedding"
-    return None
-
 
 deflaw(
     "free_list_left_emb",
@@ -1338,15 +1168,12 @@ deflaw(
     family="relation",
     exhaustive=_ex_emb_free_list,
     sample=_sm_emb_free_list,
-    check=_ck_free_list_left_emb,
+    check=_one_sided(EMB, "left", _do_free_list, "a left-side free_list"),
 )
 
 
 def _ck_free_list_free_parallel_emb(case):
-    if case[0] == "skip":
-        return None
-    _, plan = case[:2]
-    sc = emb_scenario_cached(plan)
+    sc = emb_scenario_cached(case[1])
     pairs = _sole_pairs(sc)
     if not pairs or not relations.mem_emb(sc.emb, sc.m1, sc.m2):
         return None
@@ -1364,8 +1191,8 @@ deflaw(
     REL_MEM,
     "freeing all private pairs in one sweep preserves the embedding",
     family="relation",
-    exhaustive=_ex_emb,
-    sample=lambda rng: _sm_emb(rng, overlap_chance=_OVERLAP_SOME),
+    exhaustive=_ex_emb_fixed(((),)),
+    sample=lambda rng: ("emb", generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)),
     check=_ck_free_list_free_parallel_emb,
 )
 
@@ -1373,16 +1200,10 @@ deflaw(
 # --- injections (Mem_Inject) -----------------------------------------------------------
 
 
-def _inject_ok(sc):
-    return relations.mem_inject(sc.emb, sc.m1, sc.m2)
-
-
 def _ck_load_inject(case):
-    if case[0] == "skip":
-        return None
     _, plan, t, b1, i = case
     sc = emb_scenario_cached(plan)
-    if not _inject_ok(sc):
+    if not _holds(INJECT, sc):
         return None
     v1 = memstate.load(t, sc.m1, b1, i)
     if v1 is None:
@@ -1407,26 +1228,27 @@ deflaw(
 )
 
 
-def _ck_store_mapped_inject(case):
-    if case[0] == "skip":
+def _mapped_store_inject(op, what: str):
+    """A store through ``op`` at a mapped location and its relocated twin
+    keep the injection."""
+
+    def check(case):
+        _, plan, t, b1, i, v1, v2 = case
+        sc = emb_scenario_cached(plan)
+        if not _holds(INJECT, sc) or not relations.val_emb(sc.emb, v1, v2):
+            return None
+        m1p = op(sc.m1, t, b1, i, v1)
+        if m1p is None:
+            return None
+        b2, delta = sc.emb[b1]
+        m2p = op(sc.m2, t, b2, i + delta, v2)
+        if m2p is None:
+            return f"{what} failed on the relocated address"
+        if not relations.mem_inject(sc.emb, m1p, m2p):
+            return f"a {what} broke the injection"
         return None
-    _, plan, t, b1, i, v1, v2 = case
-    sc = emb_scenario_cached(plan)
-    emb = sc.emb
-    if not relations.mem_inject(emb, sc.m1, sc.m2):
-        return None
-    if not relations.val_emb(emb, v1, v2):
-        return None
-    m1p = memstate.store(t, sc.m1, b1, i, v1)
-    if m1p is None:
-        return None
-    b2, delta = emb[b1]
-    m2p = memstate.store(t, sc.m2, b2, i + delta, v2)
-    if m2p is None:
-        return "relocated store failed under an injection"
-    if not relations.mem_inject(emb, m1p, m2p):
-        return "a mapped store broke the injection"
-    return None
+
+    return check
 
 
 deflaw(
@@ -1435,25 +1257,9 @@ deflaw(
     "mapped stores preserve the injection",
     family="relation",
     exhaustive=_ex_store_mapped,
-    sample=lambda rng: _sm_store_mapped(rng, _OVERLAP_SOME),
-    check=_ck_store_mapped_inject,
+    sample=_sm_store_mapped,
+    check=_mapped_store_inject(_do_store, "mapped store"),
 )
-
-
-def _ck_store_unmapped_inject(case):
-    if case[0] == "skip":
-        return None
-    _, plan, t, b1, i, v = case
-    sc = emb_scenario_cached(plan)
-    if b1 in sc.emb or not _inject_ok(sc):
-        return None
-    m1p = memstate.store(t, sc.m1, b1, i, v)
-    if m1p is None:
-        return None
-    if not relations.mem_inject(sc.emb, m1p, sc.m2):
-        return "a store in an unmapped block broke the injection"
-    return None
-
 
 deflaw(
     "store_unmapped_inject",
@@ -1462,16 +1268,14 @@ deflaw(
     family="relation",
     exhaustive=_ex_store_unmapped,
     sample=_sm_store_unmapped,
-    check=_ck_store_unmapped_inject,
+    check=_one_sided(INJECT, "left", _do_store, "a store in an unmapped block", _unmapped_store),
 )
 
 
 def _ck_loadv_inject(case):
-    if case[0] == "skip":
-        return None
     _, plan, t, b1, i = case
     sc = emb_scenario_cached(plan)
-    if not _inject_ok(sc):
+    if not _holds(INJECT, sc):
         return None
     a1 = Vptr(b1, i)
     v1 = memstate.loadv(t, sc.m1, a1)
@@ -1499,54 +1303,15 @@ deflaw(
     check=_ck_loadv_inject,
 )
 
-
-def _ck_storev_inject(case):
-    if case[0] == "skip":
-        return None
-    _, plan, t, b1, i, v1, v2 = case
-    sc = emb_scenario_cached(plan)
-    emb = sc.emb
-    if not relations.mem_inject(emb, sc.m1, sc.m2):
-        return None
-    if not relations.val_emb(emb, v1, v2):
-        return None
-    m1p = memstate.storev(t, sc.m1, Vptr(b1, i), v1)
-    if m1p is None:
-        return None
-    b2, delta = emb[b1]
-    m2p = memstate.storev(t, sc.m2, Vptr(b2, i + delta), v2)
-    if m2p is None:
-        return "value-addressed store failed on the relocated address"
-    if not relations.mem_inject(emb, m1p, m2p):
-        return "a value-addressed store broke the injection"
-    return None
-
-
 deflaw(
     "storev_inject",
     MEM_INJECT,
     "value-addressed stores preserve the injection",
     family="relation",
     exhaustive=_ex_store_mapped,
-    sample=lambda rng: _sm_store_mapped(rng, _OVERLAP_SOME),
-    check=_ck_storev_inject,
+    sample=_sm_store_mapped,
+    check=_mapped_store_inject(_do_storev, "value-addressed store"),
 )
-
-
-def _ck_no_overlap_free(case):
-    if case[0] == "skip":
-        return None
-    _, plan, b = case
-    sc = emb_scenario_cached(plan)
-    if not relations.emb_no_overlap(sc.emb, sc.m1):
-        return None
-    m1p = memstate.free(sc.m1, b)
-    if m1p is None:
-        return None
-    if not relations.emb_no_overlap(sc.emb, m1p):
-        return "free broke the no-overlap side condition"
-    return None
-
 
 deflaw(
     "embedding_no_overlap_free",
@@ -1555,24 +1320,8 @@ deflaw(
     family="relation",
     exhaustive=_ex_emb_free,
     sample=_sm_emb_free,
-    check=_ck_no_overlap_free,
+    check=_one_sided(NO_OVERLAP, "left", _do_free, "a left-side free"),
 )
-
-
-def _ck_no_overlap_free_list(case):
-    if case[0] == "skip":
-        return None
-    _, plan, bs = case
-    sc = emb_scenario_cached(plan)
-    if not relations.emb_no_overlap(sc.emb, sc.m1):
-        return None
-    m1p = memstate.free_list(sc.m1, bs)
-    if m1p is None:
-        return None
-    if not relations.emb_no_overlap(sc.emb, m1p):
-        return "free_list broke the no-overlap side condition"
-    return None
-
 
 deflaw(
     "embedding_no_overlap_free_list",
@@ -1581,25 +1330,8 @@ deflaw(
     family="relation",
     exhaustive=_ex_emb_free_list,
     sample=_sm_emb_free_list,
-    check=_ck_no_overlap_free_list,
+    check=_one_sided(NO_OVERLAP, "left", _do_free_list, "a left-side free_list"),
 )
-
-
-def _ck_free_inject(case):
-    if case[0] == "skip":
-        return None
-    _, plan, (src, tgt) = case
-    sc = emb_scenario_cached(plan)
-    if not _inject_ok(sc):
-        return None
-    m1p = memstate.free(sc.m1, src)
-    m2p = memstate.free(sc.m2, tgt)
-    if m1p is None or m2p is None:
-        return None
-    if not relations.mem_inject(sc.emb, m1p, m2p):
-        return "freeing a private pair broke the injection"
-    return None
-
 
 deflaw(
     "free_inject",
@@ -1608,7 +1340,7 @@ deflaw(
     family="relation",
     exhaustive=_ex_free_parallel,
     sample=_sm_free_parallel,
-    check=_ck_free_inject,
+    check=_free_pair(INJECT),
 )
 
 
@@ -1627,8 +1359,6 @@ def _ex_extend_incr():
 
 
 def _ck_extend_embedding_incr(case):
-    if case[0] == "skip":
-        return None
     _, plan, new_src, tgt, delta = case
     sc = emb_scenario_cached(plan)
     if new_src in sc.emb:
@@ -1654,50 +1384,15 @@ deflaw(
     check=_ck_extend_embedding_incr,
 )
 
-
-def _ck_alloc_right_inject(case):
-    if case[0] == "skip":
-        return None
-    _, plan, low, high = case
-    sc = emb_scenario_cached(plan)
-    if not _inject_ok(sc):
-        return None
-    r = memstate.alloc(sc.m2, low, high)
-    if r is None:
-        return None
-    if not relations.mem_inject(sc.emb, sc.m1, r[1]):
-        return "a right-side allocation broke the injection"
-    return None
-
-
 deflaw(
     "alloc_right_inject",
     MEM_INJECT,
     "right-side allocation preserves the injection",
     family="relation",
     exhaustive=_ex_emb_alloc,
-    sample=_sm_emb_alloc,
-    check=_ck_alloc_right_inject,
+    sample=_sm_emb_alloc(_OVERLAP_SOME),
+    check=_one_sided(INJECT, "right", _do_alloc, "a right-side allocation"),
 )
-
-
-def _ck_alloc_left_unmapped_inject(case):
-    if case[0] == "skip":
-        return None
-    _, plan, low, high = case
-    sc = emb_scenario_cached(plan)
-    if not _inject_ok(sc):
-        return None
-    r = memstate.alloc(sc.m1, low, high)
-    if r is None:
-        return None
-    b1, m1p = r
-    if b1 in sc.emb:
-        return "fresh block already mapped"
-    if not relations.mem_inject(sc.emb, m1p, sc.m2):
-        return "an unmapped left-side allocation broke the injection"
-    return None
-
 
 deflaw(
     "alloc_left_unmapped_inject",
@@ -1705,36 +1400,9 @@ deflaw(
     "left-side allocation of an unmapped block preserves the injection",
     family="relation",
     exhaustive=_ex_emb_alloc,
-    sample=_sm_emb_alloc,
-    check=_ck_alloc_left_unmapped_inject,
+    sample=_sm_emb_alloc(_OVERLAP_SOME),
+    check=_alloc_left_unmapped(INJECT),
 )
-
-
-def _ck_alloc_left_mapped_inject(case):
-    if case[0] == "skip":
-        return None
-    _, plan, span = case
-    if plan.overlap:
-        return None
-    sc = emb_scenario_cached(plan)
-    emb = sc.emb
-    if sc.hole is None or span > sc.hole[2]:
-        return None
-    if not relations.mem_inject(emb, sc.m1, sc.m2):
-        return "constructed scenario fails the injection hypothesis"
-    tgt, start, _ = sc.hole
-    r = memstate.alloc(sc.m1, 0, span)
-    if r is None:
-        return "allocation failed under the default policy"
-    b1, m1p = r
-    emb2 = dict(emb)
-    emb2[b1] = (tgt, start)
-    if not relations.emb_incr(emb, emb2):
-        return "extended map does not extend the original"
-    if not relations.mem_inject(emb2, m1p, sc.m2):
-        return "mapping the fresh block into the gap broke the injection"
-    return None
-
 
 deflaw(
     "alloc_left_mapped_inject",
@@ -1743,37 +1411,19 @@ deflaw(
     family="relation",
     exhaustive=_ex_alloc_left_mapped,
     sample=_sm_alloc_left_mapped,
-    check=_ck_alloc_left_mapped_inject,
+    check=_alloc_left_mapped(INJECT),
 )
 
 
-def _sm_emb_reqs(rng, overlap=_OVERLAP_SOME):
-    plan = generators.shared_emb_plan(rng, overlap_chance=overlap)
-    reqs = []
-    for _ in range(rng.below(4)):
-        low = rng.randint(-4, 4)
-        reqs.append((low, low + rng.choice((0, 2, 4, 8))))
-    return ("emb", plan, tuple(reqs))
-
-
-def _ex_emb_reqs():
-    for plan in EX_EMB_PLANS:
-        for reqs in ((), ((0, 4),), ((0, 8), (-4, 4)), ((2, 1), (0, 2), (0, 8))):
-            yield ("emb", plan, reqs)
-
-
 def _ck_alloc_list_left_inject(case):
-    if case[0] == "skip":
-        return None
     _, plan, reqs = case
     sc = emb_scenario_cached(plan)
-    if not _inject_ok(sc):
+    if not _holds(INJECT, sc):
         return None
     r = memstate.alloc_list(sc.m1, reqs)
     if r is None:
         return None
-    _, m1p = r
-    if not relations.mem_inject(sc.emb, m1p, sc.m2):
+    if not relations.mem_inject(sc.emb, r[1], sc.m2):
         return "left-side alloc_list broke the injection"
     return None
 
@@ -1784,7 +1434,7 @@ deflaw(
     "left-side alloc_list of unmapped blocks preserves the injection",
     family="relation",
     exhaustive=_ex_emb_reqs,
-    sample=_sm_emb_reqs,
+    sample=_sm_emb_reqs(_OVERLAP_SOME),
     check=_ck_alloc_list_left_inject,
 )
 
@@ -1801,8 +1451,6 @@ def _pack_requests(reqs):
 
 
 def _ck_alloc_list_alloc_inject(case):
-    if case[0] == "skip":
-        return None
     _, plan, reqs = case
     if plan.overlap:
         return None
@@ -1835,6 +1483,6 @@ deflaw(
     "a block list packs into a single covering target block",
     family="relation",
     exhaustive=_ex_emb_reqs,
-    sample=lambda rng: _sm_emb_reqs(rng, overlap=_NO_OVERLAP),
+    sample=_sm_emb_reqs(_NO_OVERLAP),
     check=_ck_alloc_list_alloc_inject,
 )

@@ -5,11 +5,24 @@ probe block, alloc arguments).  The exhaustive phase sweeps the tiny
 universe; the random phase draws reachable states and mostly-valid
 assignments, with deliberate invalid probes mixed in so that both
 directions of the iff-style laws get exercised.
+
+A law is assembled from three parts:
+
+- a *domain*, an enumerator over the tiny universe and a sampler that
+  draw the same shape of case (``_ex_state_access``/``_sm_state_access``;
+  ``_store_domain`` extends the store domain with a second access);
+- the *prologue* of an operation (``_after``), which rebuilds the state,
+  applies alloc, store, free or free_list with the case's arguments, and
+  passes vacuously when the operation fails;
+- one check per property.  A property that holds for several operations,
+  or in both directions, is stated once and takes the operation or the
+  direction as a parameter (``_bounds_kept("free")``,
+  ``_access_iff("load", forward=True)``).
 """
 
 from __future__ import annotations
 
-from .. import chunks, memstate
+from .. import chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Vint, VUNDEF
 from . import generators, oracle
 from .laws_base import (
@@ -45,7 +58,16 @@ def _valid_blocks(m):
     return [b for b, _, _, _ in memstate.live_blocks(m)]
 
 
-# --- generic samplers ---------------------------------------------------------
+def _pick_block(rng, blocks, odds, fallback):
+    """A valid block with probability ``odds``, else one of ``fallback``."""
+    return rng.choice(blocks) if blocks and rng.chance(*odds) else rng.choice(fallback)
+
+
+def _access_or_probe(rng, m):
+    return generators.sample_valid_access(rng, m) or generators.sample_access_probe(rng, m)
+
+
+# --- domains --------------------------------------------------------------------
 
 
 def _sm_state_probe(rng):
@@ -87,10 +109,7 @@ def _sm_state_alloc(rng):
 def _sm_state_free(rng):
     ops = generators.shared_ops(rng)
     m = state_of(ops)
-    blocks = _valid_blocks(m)
-    if blocks and rng.chance(4, 5):
-        return ("state", ops, rng.choice(blocks))
-    return ("state", ops, rng.choice((0, 1, m.nextblock)))
+    return ("state", ops, _pick_block(rng, _valid_blocks(m), (4, 5), (0, 1, m.nextblock)))
 
 
 def _ex_state_probe():
@@ -108,8 +127,6 @@ def _ex_state_access():
 
 
 def _ex_state_store():
-    from .. import relations
-
     for ops, m in _tiny():
         done = 0
         for b in _valid_blocks(m):
@@ -129,10 +146,76 @@ def _ex_state_alloc():
             yield ("state", ops, low, high)
 
 
-def _ex_state_free():
-    for ops, m in _tiny():
-        for b in generators.tiny_probe_blocks(m):
-            yield ("state", ops, b)
+def _store_domain(draw, extend):
+    """The store domain with a tail appended to each case: ``draw(rng,
+    case)`` gives a random case's tail, ``extend(case)`` the tails of an
+    exhaustive one.  Returns the (enumerator, sampler) pair."""
+
+    def exhaustive():
+        for case in _ex_state_store():
+            for tail in extend(case):
+                yield case + tail
+
+    def sample(rng):
+        case = _sm_state_store(rng)
+        return case if case[0] == "skip" else case + draw(rng, case)
+
+    return exhaustive, sample
+
+
+# --- operation prologues ------------------------------------------------------------
+#
+# Each prologue applies an operation to the state of a case ("state", ops,
+# *args, ...) with the case's arguments and returns (state before, state
+# after, block acted on), or None when the operation fails.  The block is
+# the new one for alloc, the target of a store or free, and the tuple of
+# targets for free_list.
+
+
+def _alloc(case):
+    m = state_of(case[1])
+    r = memstate.alloc(m, case[2], case[3])
+    return None if r is None else (m, r[1], r[0])
+
+
+def _store(case):
+    m = state_of(case[1])
+    m2 = memstate.store(case[2], m, case[3], case[4], case[5])
+    return None if m2 is None else (m, m2, case[3])
+
+
+def _free(case):
+    m = state_of(case[1])
+    m2 = memstate.free(m, case[2])
+    return None if m2 is None else (m, m2, case[2])
+
+
+def _free_list(case):
+    m = state_of(case[1])
+    m2 = memstate.free_list(m, case[2])
+    return None if m2 is None else (m, m2, case[2])
+
+
+_PROLOGUES = {"alloc": _alloc, "store": _store, "free": _free, "free_list": _free_list}
+
+
+def _after(op: str, given=None):
+    """Decorator for a check whose cases apply ``op``: the property
+    ``prop(case, m, m2, b)`` runs on the prologue's result.  A case passes
+    vacuously when ``given(case)``, the law's own hypothesis checked
+    before the operation runs, is false, or when the operation fails."""
+    prologue = _PROLOGUES[op]
+
+    def wrap(prop):
+        def check(case):
+            if given is not None and not given(case):
+                return None
+            r = prologue(case)
+            return None if r is None else prop(case, *r)
+
+        return check
+
+    return wrap
 
 
 # --- decidability / definitional laws ------------------------------------------
@@ -209,13 +292,9 @@ deflaw(
 # --- bounds (S14-S17) -----------------------------------------------------------
 
 
-def _ck_alloc_result_bounds(case):
-    _, ops, low, high = case
-    m = state_of(ops)
-    r = memstate.alloc(m, low, high)
-    if r is None:
-        return None
-    b, m2 = r
+@_after("alloc")
+def _ck_alloc_result_bounds(case, m, m2, b):
+    _, _, low, high = case
     if memstate.bounds(m2, b) != (low, high):
         return "fresh block does not carry the requested bounds"
     return None
@@ -233,17 +312,20 @@ deflaw(
 )
 
 
-def _ck_alloc_bounds_inv(case):
-    _, ops, low, high = case
-    m = state_of(ops)
-    r = memstate.alloc(m, low, high)
-    if r is None:
+def _bounds_kept(op: str):
+    """``op`` keeps the bounds of every block; alloc and free are exempt
+    on the block they act on."""
+
+    @_after(op)
+    def check(case, m, m2, b):
+        for other in range(0, m.nextblock + 1):
+            if other == b and op != "store":
+                continue
+            if memstate.bounds(m2, other) != memstate.bounds(m, other):
+                return f"{op} changed the bounds of block {other}"
         return None
-    b, m2 = r
-    for other in range(0, m.nextblock + 1):
-        if other != b and memstate.bounds(m2, other) != memstate.bounds(m, other):
-            return f"alloc changed the bounds of block {other}"
-    return None
+
+    return check
 
 
 deflaw(
@@ -254,23 +336,8 @@ deflaw(
     groups=(G_BOUNDS,),
     exhaustive=_ex_state_alloc,
     sample=_sm_state_alloc,
-    check=_ck_alloc_bounds_inv,
+    check=_bounds_kept("alloc"),
 )
-
-
-def _ck_store_bounds_inv(case):
-    if case[0] == "skip":
-        return None
-    _, ops, t, b, i, v = case
-    m = state_of(ops)
-    m2 = memstate.store(t, m, b, i, v)
-    if m2 is None:
-        return None
-    for other in range(0, m.nextblock + 1):
-        if memstate.bounds(m2, other) != memstate.bounds(m, other):
-            return f"store changed the bounds of block {other}"
-    return None
-
 
 deflaw(
     "store_bounds_inv_",
@@ -280,21 +347,8 @@ deflaw(
     groups=(G_BOUNDS,),
     exhaustive=_ex_state_store,
     sample=_sm_state_store,
-    check=_ck_store_bounds_inv,
+    check=_bounds_kept("store"),
 )
-
-
-def _ck_free_bounds_inv(case):
-    _, ops, b = case
-    m = state_of(ops)
-    m2 = memstate.free(m, b)
-    if m2 is None:
-        return None
-    for other in range(0, m.nextblock + 1):
-        if other != b and memstate.bounds(m2, other) != memstate.bounds(m, other):
-            return f"free changed the bounds of block {other}"
-    return None
-
 
 deflaw(
     "free_bounds_inv_",
@@ -302,18 +356,14 @@ deflaw(
     "free preserves the bounds of every other block",
     family="state",
     groups=(G_BOUNDS,),
-    exhaustive=_ex_state_free,
+    exhaustive=_ex_state_probe,
     sample=_sm_state_free,
-    check=_ck_free_bounds_inv,
+    check=_bounds_kept("free"),
 )
 
 
-def _ck_free_same_bounds(case):
-    _, ops, b = case
-    m = state_of(ops)
-    m2 = memstate.free(m, b)
-    if m2 is None:
-        return None
+@_after("free")
+def _ck_free_same_bounds(case, m, m2, b):
     if memstate.bounds(m2, b) != memstate.bounds(m, b):
         return "free changed the bounds of the freed block"
     return None
@@ -325,7 +375,7 @@ deflaw(
     "the freed block keeps its bounds",
     family="state",
     groups=(G_BOUNDS,),
-    exhaustive=_ex_state_free,
+    exhaustive=_ex_state_probe,
     sample=_sm_state_free,
     check=_ck_free_same_bounds,
 )
@@ -334,13 +384,8 @@ deflaw(
 # --- validity (S9-S13) ------------------------------------------------------------
 
 
-def _ck_alloc_valid_block(case):
-    _, ops, low, high = case
-    m = state_of(ops)
-    r = memstate.alloc(m, low, high)
-    if r is None:
-        return None
-    b, m2 = r
+@_after("alloc")
+def _ck_alloc_valid_block(case, m, m2, b):
     if not memstate.valid_block(m2, b):
         return "fresh block is not valid after alloc"
     return None
@@ -358,7 +403,7 @@ deflaw(
 )
 
 
-def _ck_alloc_not_valid_block(case):
+def _ck_alloc_validates_only_new(case):
     _, ops, b = case
     m = state_of(ops)
     r = memstate.alloc(m, 0, 4)
@@ -378,7 +423,7 @@ deflaw(
     groups=(G_VALIDITY,),
     exhaustive=_ex_state_probe,
     sample=_sm_state_probe,
-    check=_ck_alloc_not_valid_block,
+    check=_ck_alloc_validates_only_new,
 )
 
 
@@ -402,18 +447,18 @@ deflaw(
 )
 
 
-def _ck_store_valid_block(case):
-    if case[0] == "skip":
+def _store_validity(backward: bool):
+    """A store neither invalidates a block nor, backward, validates one."""
+
+    @_after("store")
+    def check(case, m, m2, b):
+        before, after = (m2, m) if backward else (m, m2)
+        for other in range(1, before.nextblock):
+            if memstate.valid_block(before, other) and not memstate.valid_block(after, other):
+                return f"store {'validated' if backward else 'invalidated'} block {other}"
         return None
-    _, ops, t, b, i, v = case
-    m = state_of(ops)
-    m2 = memstate.store(t, m, b, i, v)
-    if m2 is None:
-        return None
-    for other in range(1, m.nextblock):
-        if memstate.valid_block(m, other) and not memstate.valid_block(m2, other):
-            return f"store invalidated block {other}"
-    return None
+
+    return check
 
 
 deflaw(
@@ -424,23 +469,8 @@ deflaw(
     groups=(G_VALIDITY,),
     exhaustive=_ex_state_store,
     sample=_sm_state_store,
-    check=_ck_store_valid_block,
+    check=_store_validity(backward=False),
 )
-
-
-def _ck_store_valid_block_inv(case):
-    if case[0] == "skip":
-        return None
-    _, ops, t, b, i, v = case
-    m = state_of(ops)
-    m2 = memstate.store(t, m, b, i, v)
-    if m2 is None:
-        return None
-    for other in range(1, m2.nextblock):
-        if memstate.valid_block(m2, other) and not memstate.valid_block(m, other):
-            return f"store validated block {other}"
-    return None
-
 
 deflaw(
     "store_valid_block_inv_",
@@ -450,16 +480,12 @@ deflaw(
     groups=(G_VALIDITY,),
     exhaustive=_ex_state_store,
     sample=_sm_state_store,
-    check=_ck_store_valid_block_inv,
+    check=_store_validity(backward=True),
 )
 
 
-def _ck_free_valid_block(case):
-    _, ops, b = case
-    m = state_of(ops)
-    m2 = memstate.free(m, b)
-    if m2 is None:
-        return None
+@_after("free")
+def _ck_free_valid_block(case, m, m2, b):
     for other in range(1, m.nextblock):
         if other != b and memstate.valid_block(m, other) != memstate.valid_block(m2, other):
             return f"free changed the validity of block {other}"
@@ -472,17 +498,15 @@ deflaw(
     "free changes no other block's validity",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_free,
+    exhaustive=_ex_state_probe,
     sample=_sm_state_free,
     check=_ck_free_valid_block,
 )
 
 
-def _ck_free_not_valid_block(case):
-    _, ops, b = case
-    m = state_of(ops)
-    m2 = memstate.free(m, b)
-    if m2 is not None and memstate.valid_block(m2, b):
+@_after("free")
+def _ck_free_not_valid_block(case, m, m2, b):
+    if memstate.valid_block(m2, b):
         return "freed block is still valid"
     return None
 
@@ -493,7 +517,7 @@ deflaw(
     "the freed block is invalid afterwards",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_free,
+    exhaustive=_ex_state_probe,
     sample=_sm_state_free,
     check=_ck_free_not_valid_block,
 )
@@ -514,7 +538,7 @@ deflaw(
     "free succeeds exactly on valid blocks",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_free,
+    exhaustive=_ex_state_probe,
     sample=_sm_state_free,
     check=_ck_valid_block_free,
 )
@@ -543,13 +567,8 @@ deflaw(
 )
 
 
-def _ck_alloc_fresh(case):
-    _, ops, low, high = case
-    m = state_of(ops)
-    r = memstate.alloc(m, low, high)
-    if r is None:
-        return None
-    b, _ = r
+@_after("alloc")
+def _ck_alloc_fresh(case, m, m2, b):
     if not memstate.fresh_block(m, b):
         return "alloc returned a block that was not fresh"
     return None
@@ -567,13 +586,8 @@ deflaw(
 )
 
 
-def _ck_alloc_fresh_2(case):
-    _, ops, low, high = case
-    m = state_of(ops)
-    r = memstate.alloc(m, low, high)
-    if r is None:
-        return None
-    b, m2 = r
+@_after("alloc")
+def _ck_alloc_fresh_2(case, m, m2, b):
     if memstate.fresh_block(m2, b):
         return "allocated block is still fresh"
     for b2 in range(m.nextblock, m.nextblock + 3):
@@ -594,18 +608,15 @@ deflaw(
 )
 
 
-def _ck_store_fresh(case):
-    if case[0] == "skip":
+def _freshness_kept(op: str):
+    @_after(op)
+    def check(case, m, m2, b):
+        for probe in (0, 1, b, m.nextblock, m.nextblock + 2):
+            if memstate.fresh_block(m2, probe) != memstate.fresh_block(m, probe):
+                return f"{op} changed the freshness of {probe}"
         return None
-    _, ops, t, b, i, v = case
-    m = state_of(ops)
-    m2 = memstate.store(t, m, b, i, v)
-    if m2 is None:
-        return None
-    for probe in (0, 1, b, m.nextblock, m.nextblock + 2):
-        if memstate.fresh_block(m2, probe) != memstate.fresh_block(m, probe):
-            return f"store changed the freshness of {probe}"
-    return None
+
+    return check
 
 
 deflaw(
@@ -616,21 +627,8 @@ deflaw(
     groups=(G_FRESH,),
     exhaustive=_ex_state_store,
     sample=_sm_state_store,
-    check=_ck_store_fresh,
+    check=_freshness_kept("store"),
 )
-
-
-def _ck_free_fresh(case):
-    _, ops, b = case
-    m = state_of(ops)
-    m2 = memstate.free(m, b)
-    if m2 is None:
-        return None
-    for probe in (0, 1, b, m.nextblock, m.nextblock + 2):
-        if memstate.fresh_block(m2, probe) != memstate.fresh_block(m, probe):
-            return f"free changed the freshness of {probe}"
-    return None
-
 
 deflaw(
     "free_fresh_block_",
@@ -638,95 +636,53 @@ deflaw(
     "free preserves freshness",
     family="state",
     groups=(G_FRESH,),
-    exhaustive=_ex_state_free,
+    exhaustive=_ex_state_probe,
     sample=_sm_state_free,
-    check=_ck_free_fresh,
+    check=_freshness_kept("free"),
 )
 
 
 # --- valid access iff (S18, D19-D22) --------------------------------------------------
 
 
-def _ck_valid_pointer_load(case):
-    _, ops, t, b, i = case
-    m = state_of(ops)
-    if memstate.valid_access(m, t, b, i) and memstate.load(t, m, b, i) is None:
-        return "valid access but load failed"
-    return None
+def _access_iff(op: str, forward: bool):
+    """One direction of "``op`` succeeds exactly at valid accesses": forward,
+    it succeeds at every valid access; backward, only at valid ones."""
+
+    def check(case):
+        _, ops, t, b, i = case
+        m = state_of(ops)
+
+        def succeeds():
+            if op == "load":
+                return memstate.load(t, m, b, i) is not None
+            return memstate.store(t, m, b, i, Vint(1)) is not None
+
+        if forward and memstate.valid_access(m, t, b, i) and not succeeds():
+            return f"valid access but {op} failed"
+        if not forward and succeeds() and not memstate.valid_access(m, t, b, i):
+            return f"{op} succeeded at an invalid access"
+        return None
+
+    return check
 
 
-deflaw(
-    "valid_pointer_load_",
-    CONCRETE_MEM,
-    "loads succeed at valid accesses",
-    family="state",
-    groups=(G_ACCESS,),
-    exhaustive=_ex_state_access,
-    sample=_sm_state_access,
-    check=_ck_valid_pointer_load,
-)
-
-
-def _ck_load_valid_pointer(case):
-    _, ops, t, b, i = case
-    m = state_of(ops)
-    if memstate.load(t, m, b, i) is not None and not memstate.valid_access(m, t, b, i):
-        return "load succeeded at an invalid access"
-    return None
-
-
-deflaw(
-    "load_valid_pointer_",
-    CONCRETE_MEM,
-    "loads succeed only at valid accesses",
-    family="state",
-    groups=(G_ACCESS,),
-    exhaustive=_ex_state_access,
-    sample=_sm_state_access,
-    check=_ck_load_valid_pointer,
-)
-
-
-def _ck_valid_pointer_store(case):
-    _, ops, t, b, i = case
-    m = state_of(ops)
-    if memstate.valid_access(m, t, b, i) and memstate.store(t, m, b, i, Vint(1)) is None:
-        return "valid access but store failed"
-    return None
-
-
-deflaw(
-    "valid_pointer_store_",
-    CONCRETE_MEM,
-    "stores succeed at valid accesses",
-    family="state",
-    groups=(G_ACCESS,),
-    exhaustive=_ex_state_access,
-    sample=_sm_state_access,
-    check=_ck_valid_pointer_store,
-)
-
-
-def _ck_store_valid_pointer(case):
-    _, ops, t, b, i = case
-    m = state_of(ops)
-    if memstate.store(t, m, b, i, Vint(1)) is not None and not memstate.valid_access(
-        m, t, b, i
-    ):
-        return "store succeeded at an invalid access"
-    return None
-
-
-deflaw(
-    "store_valid_pointer_",
-    CONCRETE_MEM,
-    "stores succeed only at valid accesses",
-    family="state",
-    groups=(G_ACCESS,),
-    exhaustive=_ex_state_access,
-    sample=_sm_state_access,
-    check=_ck_store_valid_pointer,
-)
+for _name, _op, _forward, _about in (
+    ("valid_pointer_load_", "load", True, "loads succeed at valid accesses"),
+    ("load_valid_pointer_", "load", False, "loads succeed only at valid accesses"),
+    ("valid_pointer_store_", "store", True, "stores succeed at valid accesses"),
+    ("store_valid_pointer_", "store", False, "stores succeed only at valid accesses"),
+):
+    deflaw(
+        _name,
+        CONCRETE_MEM,
+        _about,
+        family="state",
+        groups=(G_ACCESS,),
+        exhaustive=_ex_state_access,
+        sample=_sm_state_access,
+        check=_access_iff(_op, _forward),
+    )
 
 
 def _ck_valid_pointer_compat(case):
@@ -750,52 +706,47 @@ deflaw(
 )
 
 
-def _preserve_pointer_check(op_name: str, forward: bool):
+def _preserve_pointer_check(op: str, forward: bool):
+    """``op`` keeps every valid access (forward) or creates none
+    (backward).  The case's extra field is the freed block, or the
+    (block, offset) stored to; an alloc is exempt on its new block."""
+
     def check(case):
-        if case[0] == "skip":
-            return None
         _, ops, t, b, i, extra = case
         m = state_of(ops)
-        if op_name == "alloc":
+        if op == "alloc":
             r = memstate.alloc(m, 0, 4)
-            if r is None:
+            if r is None or b == r[0]:
                 return None
-            nb, m2 = r
-            if b == nb:
-                return None
-        elif op_name == "free":
+            m2 = r[1]
+        elif op == "free":
             m2 = memstate.free(m, extra)
-            if m2 is None:
-                return None
         else:
             m2 = memstate.store(Chunk.INT8U, m, extra[0], extra[1], Vint(1))
-            if m2 is None:
-                return None
+        if m2 is None:
+            return None
         before = memstate.valid_access(m, t, b, i)
         after = memstate.valid_access(m2, t, b, i)
-        if forward and before and not after and not (op_name == "free" and b == extra):
-            return f"{op_name} lost a valid access in block {b}"
+        if forward and before and not after:
+            return f"{op} lost a valid access in block {b}"
         if not forward and after and not before:
-            return f"{op_name} created a valid access in block {b}"
+            return f"{op} created a valid access in block {b}"
         return None
 
     return check
 
 
-def _sm_pointer_inv(op_name: str):
+def _sm_pointer_inv(op: str):
     def sample(rng):
         ops = generators.shared_ops(rng)
         m = state_of(ops)
-        acc = generators.sample_valid_access(rng, m) or generators.sample_access_probe(
-            rng, m
-        )
-        t, b, i = acc
-        if op_name == "free":
+        t, b, i = _access_or_probe(rng, m)
+        if op == "free":
             blocks = _valid_blocks(m)
             if not blocks:
                 return ("skip",)
             extra = rng.choice(blocks)
-        elif op_name == "store":
+        elif op == "store":
             tgt = generators.sample_valid_access(rng, m)
             if tgt is None:
                 return ("skip",)
@@ -807,16 +758,16 @@ def _sm_pointer_inv(op_name: str):
     return sample
 
 
-def _ex_pointer_inv(op_name: str):
+def _ex_pointer_inv(op: str):
     def gen():
         for ops, m in _tiny():
             for b in _valid_blocks(m) or [1]:
                 for t in (Chunk.INT8U, Chunk.INT32):
                     for i in (-4, 0, 1, 4):
-                        if op_name == "free":
+                        if op == "free":
                             for extra in _valid_blocks(m):
                                 yield ("state", ops, t, b, i, extra)
-                        elif op_name == "store":
+                        elif op == "store":
                             for tb in _valid_blocks(m):
                                 low, high = memstate.bounds(m, tb)
                                 if high - low >= 1:
@@ -827,51 +778,35 @@ def _ex_pointer_inv(op_name: str):
     return gen
 
 
-deflaw(
-    "store_valid_pointer_inv_",
-    CONCRETE_MEM,
-    "store creates no valid access",
-    family="state",
-    groups=(G_ACCESS,),
-    exhaustive=_ex_pointer_inv("store"),
-    sample=_sm_pointer_inv("store"),
-    check=_preserve_pointer_check("store", forward=False),
-)
+_POINTER_INV_ABOUT = {
+    "store": "store creates no valid access",
+    "alloc": "alloc creates no valid access in other blocks",
+    "free": "free creates no valid access",
+}
 
-deflaw(
-    "alloc_valid_pointer_inv_",
-    CONCRETE_MEM,
-    "alloc creates no valid access in other blocks",
-    family="state",
-    groups=(G_ACCESS,),
-    exhaustive=_ex_pointer_inv("alloc"),
-    sample=_sm_pointer_inv("alloc"),
-    check=_preserve_pointer_check("alloc", forward=False),
-)
-
-deflaw(
-    "free_valid_pointer_inv_",
-    CONCRETE_MEM,
-    "free creates no valid access",
-    family="state",
-    groups=(G_ACCESS,),
-    exhaustive=_ex_pointer_inv("free"),
-    sample=_sm_pointer_inv("free"),
-    check=_preserve_pointer_check("free", forward=False),
-)
+for _name, _op in (
+    ("store_valid_pointer_inv_", "store"),
+    ("alloc_valid_pointer_inv_", "alloc"),
+    ("free_valid_pointer_inv_", "free"),
+):
+    deflaw(
+        _name,
+        CONCRETE_MEM,
+        _POINTER_INV_ABOUT[_op],
+        family="state",
+        groups=(G_ACCESS,),
+        exhaustive=_ex_pointer_inv(_op),
+        sample=_sm_pointer_inv(_op),
+        check=_preserve_pointer_check(_op, forward=False),
+    )
 
 
 # --- good variables (S5-S8) -------------------------------------------------------
 
 
-def _ck_load_store_same(case):
-    if case[0] == "skip":
-        return None
-    _, ops, t, b, i, v, t2 = case
-    m = state_of(ops)
-    m2 = memstate.store(t, m, b, i, v)
-    if m2 is None:
-        return None
+@_after("store")
+def _ck_load_store_same(case, m, m2, b):
+    _, _, t, b, i, v, t2 = case
     got = memstate.load(t2, m2, b, i)
     want = oracle.oracle_convert(v, t2)
     if got != want:
@@ -879,19 +814,10 @@ def _ck_load_store_same(case):
     return None
 
 
-def _sm_load_store_same(rng):
-    base = _sm_state_store(rng)
-    if base[0] == "skip":
-        return base
-    t = base[2]
-    return base + (rng.choice(chunks.COMPAT_CHUNKS[t]),)
-
-
-def _ex_load_store_same():
-    for case in _ex_state_store():
-        t = case[2]
-        for t2 in chunks.COMPAT_CHUNKS[t]:
-            yield case + (t2,)
+_ex_load_store_same, _sm_load_store_same = _store_domain(
+    lambda rng, case: (rng.choice(chunks.COMPAT_CHUNKS[case[2]]),),
+    lambda case: ((t2,) for t2 in chunks.COMPAT_CHUNKS[case[2]]),
+)
 
 
 deflaw(
@@ -906,41 +832,30 @@ deflaw(
 )
 
 
-def _ck_load_store_disjoint(case):
-    if case[0] == "skip":
-        return None
-    _, ops, t, b, i, v, t2, b2, i2 = case
-    m = state_of(ops)
-    if b == b2 and i < i2 + chunks.size_chunk(t2) and i2 < i + chunks.size_chunk(t):
-        return None  # overlapping, not this law's case
-    m2 = memstate.store(t, m, b, i, v)
-    if m2 is None:
-        return None
+def _disjoint(case):
+    _, _, t, b, i, v, t2, b2, i2 = case
+    return b != b2 or not (i < i2 + chunks.size_chunk(t2) and i2 < i + chunks.size_chunk(t))
+
+
+@_after("store", given=_disjoint)
+def _ck_load_store_disjoint(case, m, m2, b):
+    _, _, t, b, i, v, t2, b2, i2 = case
     if memstate.load(t2, m2, b2, i2) != memstate.load(t2, m, b2, i2):
         return f"store at ({b}, {i}) changed a disjoint load at ({b2}, {i2})"
     return None
 
 
-def _sm_load_store_disjoint(rng):
-    base = _sm_state_store(rng)
-    if base[0] == "skip":
-        return base
-    ops = base[1]
-    m = state_of(ops)
-    probe = generators.sample_valid_access(rng, m) or generators.sample_access_probe(
-        rng, m
-    )
-    return base + probe
+def _disjoint_tails(case):
+    m = state_of(case[1])
+    for b2 in _valid_blocks(m):
+        for t2 in (Chunk.INT8U, Chunk.INT32):
+            for i2 in (-4, 0, 2, 4):
+                yield (t2, b2, i2)
 
 
-def _ex_load_store_disjoint():
-    for case in _ex_state_store():
-        ops, t, b, i, v = case[1], case[2], case[3], case[4], case[5]
-        m = state_of(ops)
-        for b2 in _valid_blocks(m):
-            for t2 in (Chunk.INT8U, Chunk.INT32):
-                for i2 in (-4, 0, 2, 4):
-                    yield case + (t2, b2, i2)
+_ex_load_store_disjoint, _sm_load_store_disjoint = _store_domain(
+    lambda rng, case: _access_or_probe(rng, state_of(case[1])), _disjoint_tails
+)
 
 
 deflaw(
@@ -955,37 +870,23 @@ deflaw(
 )
 
 
-def _ck_load_store_mismatch(case):
-    if case[0] == "skip":
-        return None
-    _, ops, t, b, i, v, t2 = case
-    m = state_of(ops)
-    if chunks.compat(t, t2):
-        return None
-    m2 = memstate.store(t, m, b, i, v)
-    if m2 is None:
-        return None
+@_after("store", given=lambda case: not chunks.compat(case[2], case[6]))
+def _ck_load_store_mismatch(case, m, m2, b):
+    _, _, t, b, i, v, t2 = case
     got = memstate.load(t2, m2, b, i)
     if got is not None and got != VUNDEF:
         return "size-mismatched reload produced a defined value"
     return None
 
 
-def _sm_load_store_mismatch(rng):
-    base = _sm_state_store(rng)
-    if base[0] == "skip":
-        return base
-    t = base[2]
-    others = [t2 for t2 in ALL_CHUNKS if not chunks.compat(t, t2)]
-    return base + (rng.choice(others),)
+def _mismatched(t):
+    return [t2 for t2 in ALL_CHUNKS if not chunks.compat(t, t2)]
 
 
-def _ex_load_store_mismatch():
-    for case in _ex_state_store():
-        t = case[2]
-        for t2 in ALL_CHUNKS:
-            if not chunks.compat(t, t2):
-                yield case + (t2,)
+_ex_load_store_mismatch, _sm_load_store_mismatch = _store_domain(
+    lambda rng, case: (rng.choice(_mismatched(case[2])),),
+    lambda case: ((t2,) for t2 in _mismatched(case[2])),
+)
 
 
 deflaw(
@@ -1000,38 +901,30 @@ deflaw(
 )
 
 
-def _ck_load_store_overlap(case):
-    if case[0] == "skip":
-        return None
-    _, ops, t, b, i, v, t2, i2 = case
-    m = state_of(ops)
-    if i2 == i or not (i < i2 + chunks.size_chunk(t2) and i2 < i + chunks.size_chunk(t)):
-        return None
-    m2 = memstate.store(t, m, b, i, v)
-    if m2 is None:
-        return None
+def _overlapping(case):
+    _, _, t, b, i, v, t2, i2 = case
+    return i2 != i and i < i2 + chunks.size_chunk(t2) and i2 < i + chunks.size_chunk(t)
+
+
+@_after("store", given=_overlapping)
+def _ck_load_store_overlap(case, m, m2, b):
+    _, _, t, b, i, v, t2, i2 = case
     got = memstate.load(t2, m2, b, i2)
     if got is not None and got != VUNDEF:
         return f"overlapping reload at {i2} produced a defined value"
     return None
 
 
-def _sm_load_store_overlap(rng):
-    base = _sm_state_store(rng)
-    if base[0] == "skip":
-        return base
-    t, i = base[2], base[4]
+def _overlap_tail(rng, case):
+    t, i = case[2], case[4]
     t2 = rng.choice(ALL_CHUNKS)
-    i2 = i + rng.randint(-chunks.size_chunk(t2) + 1, chunks.size_chunk(t) - 1)
-    return base + (t2, i2)
+    return (t2, i + rng.randint(-chunks.size_chunk(t2) + 1, chunks.size_chunk(t) - 1))
 
 
-def _ex_load_store_overlap():
-    for case in _ex_state_store():
-        t, i = case[2], case[4]
-        for t2 in ALL_CHUNKS:
-            for d in (-2, -1, 1, 2, 3):
-                yield case + (t2, i + d)
+_ex_load_store_overlap, _sm_load_store_overlap = _store_domain(
+    _overlap_tail,
+    lambda case: ((t2, case[4] + d) for t2 in ALL_CHUNKS for d in (-2, -1, 1, 2, 3)),
+)
 
 
 deflaw(
@@ -1046,15 +939,8 @@ deflaw(
 )
 
 
-def _ck_load_alloc_same(case):
-    _, ops, low, high = case
-    m = state_of(ops)
-    r = memstate.alloc(m, low, high)
-    if r is None:
-        return None
-    b, m2 = r
-    from .. import relations
-
+@_after("alloc")
+def _ck_load_alloc_same(case, m, m2, b):
     for t, i in relations.valid_accesses(m2, b)[:12]:
         if memstate.load(t, m2, b, i) != VUNDEF:
             return f"fresh block loaded defined at ({t.token}, {i})"
@@ -1082,8 +968,7 @@ def _ck_load_alloc_other(case):
     r = memstate.alloc(m, 0, 8)
     if r is None:
         return None
-    _, m2 = r
-    if memstate.load(t, m2, b, i) != before:
+    if memstate.load(t, r[1], b, i) != before:
         return "alloc changed a load in an existing block"
     return None
 
@@ -1101,8 +986,6 @@ deflaw(
 
 
 def _ck_load_free_other(case):
-    if case[0] == "skip":
-        return None
     _, ops, t, b, i, victim = case
     m = state_of(ops)
     if victim == b:
@@ -1222,14 +1105,8 @@ deflaw(
 )
 
 
-def _ck_store_inversion(case):
-    if case[0] == "skip":
-        return None
-    _, ops, t, b, i, v = case
-    m = state_of(ops)
-    m2 = memstate.store(t, m, b, i, v)
-    if m2 is None:
-        return None
+@_after("store")
+def _ck_store_inversion(case, m, m2, b):
     ids = range(1, m.nextblock)
     if (
         m2.nextblock != m.nextblock
@@ -1259,52 +1136,23 @@ deflaw(
 # --- general facts (abstract-model module) --------------------------------------------
 
 
-def _ck_alloc_valid_block_inv(case):
-    _, ops, b = case
-    m = state_of(ops)
-    r = memstate.alloc(m, 0, 4)
-    if r is None:
-        return None
-    nb, m2 = r
-    if b != nb and memstate.valid_block(m2, b) and not memstate.valid_block(m, b):
-        return f"block {b} became valid across alloc"
-    return None
-
-
-deflaw(
-    "alloc_valid_block_inv",
-    GEN_MEM,
-    "blocks valid after an alloc were valid before, except the new one",
-    family="state",
-    groups=(G_VALIDITY,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_probe,
-    check=_ck_alloc_valid_block_inv,
-)
-
-
-def _ck_alloc_not_valid_block_2(case):
-    _, ops, b = case
-    m = state_of(ops)
-    r = memstate.alloc(m, 0, 4)
-    if r is None:
-        return None
-    nb, m2 = r
-    if b != nb and not memstate.valid_block(m, b) and memstate.valid_block(m2, b):
-        return f"invalid block {b} became valid across alloc"
-    return None
-
-
-deflaw(
-    "alloc_not_valid_block_2",
-    GEN_MEM,
-    "alloc keeps unrelated invalid blocks invalid",
-    family="state",
-    groups=(G_VALIDITY,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_probe,
-    check=_ck_alloc_not_valid_block_2,
-)
+for _name, _about in (
+    (
+        "alloc_valid_block_inv",
+        "blocks valid after an alloc were valid before, except the new one",
+    ),
+    ("alloc_not_valid_block_2", "alloc keeps unrelated invalid blocks invalid"),
+):
+    deflaw(
+        _name,
+        GEN_MEM,
+        _about,
+        family="state",
+        groups=(G_VALIDITY,),
+        exhaustive=_ex_state_probe,
+        sample=_sm_state_probe,
+        check=_ck_alloc_validates_only_new,
+    )
 
 
 deflaw(
@@ -1319,15 +1167,9 @@ deflaw(
 )
 
 
-def _ck_alloc_result_valid_pointer(case):
-    _, ops, low, high = case
-    m = state_of(ops)
-    r = memstate.alloc(m, low, high)
-    if r is None:
-        return None
-    b, m2 = r
-    from .. import relations
-
+@_after("alloc")
+def _ck_alloc_result_valid_pointer(case, m, m2, b):
+    _, _, low, high = case
     for t, i in relations._access_list(low, high, True):
         if not memstate.valid_access(m2, t, b, i):
             return f"in-bounds aligned access ({t.token}, {i}) invalid in fresh block"
@@ -1345,51 +1187,21 @@ deflaw(
     check=_ck_alloc_result_valid_pointer,
 )
 
-deflaw(
-    "alloc_valid_pointer_inv",
-    GEN_MEM,
-    "alloc creates no valid access in other blocks",
-    family="state",
-    groups=(G_ACCESS,),
-    exhaustive=_ex_pointer_inv("alloc"),
-    sample=_sm_pointer_inv("alloc"),
-    check=_preserve_pointer_check("alloc", forward=False),
-)
-
-deflaw(
-    "store_valid_pointer_inv",
-    GEN_MEM,
-    "store creates no valid access",
-    family="state",
-    groups=(G_ACCESS,),
-    exhaustive=_ex_pointer_inv("store"),
-    sample=_sm_pointer_inv("store"),
-    check=_preserve_pointer_check("store", forward=False),
-)
-
-deflaw(
-    "free_valid_pointer_inv",
-    GEN_MEM,
-    "free creates no valid access",
-    family="state",
-    groups=(G_ACCESS,),
-    exhaustive=_ex_pointer_inv("free"),
-    sample=_sm_pointer_inv("free"),
-    check=_preserve_pointer_check("free", forward=False),
-)
-
-
-def _ck_store_valid_pointer_2(case):
-    if case[0] == "skip":
-        return None
-    _, ops, t, b, i, extra = case
-    m = state_of(ops)
-    m2 = memstate.store(Chunk.INT8U, m, extra[0], extra[1], Vint(1))
-    if m2 is None:
-        return None
-    if memstate.valid_access(m, t, b, i) and not memstate.valid_access(m2, t, b, i):
-        return "store lost a valid access"
-    return None
+for _name, _op in (
+    ("alloc_valid_pointer_inv", "alloc"),
+    ("store_valid_pointer_inv", "store"),
+    ("free_valid_pointer_inv", "free"),
+):
+    deflaw(
+        _name,
+        GEN_MEM,
+        _POINTER_INV_ABOUT[_op],
+        family="state",
+        groups=(G_ACCESS,),
+        exhaustive=_ex_pointer_inv(_op),
+        sample=_sm_pointer_inv(_op),
+        check=_preserve_pointer_check(_op, forward=False),
+    )
 
 
 deflaw(
@@ -1400,7 +1212,7 @@ deflaw(
     groups=(G_ACCESS,),
     exhaustive=_ex_pointer_inv("store"),
     sample=_sm_pointer_inv("store"),
-    check=_ck_store_valid_pointer_2,
+    check=_preserve_pointer_check("store", forward=True),
 )
 
 deflaw(
@@ -1457,32 +1269,25 @@ def _class_predicates(t1, b1, i1, t2, b2, i2):
     }
 
 
-def _sm_classification(rng):
-    base = _sm_state_store(rng)
-    if base[0] == "skip":
-        return base
-    ops = base[1]
-    m = state_of(ops)
-    probe = generators.sample_valid_access(rng, m) or generators.sample_access_probe(
-        rng, m
-    )
+def _classification_tail(rng, case):
+    probe = _access_or_probe(rng, state_of(case[1]))
     if rng.chance(1, 2):
         # bias the probe towards the stored location
-        probe = (rng.choice(ALL_CHUNKS), base[3], base[4] + rng.randint(-2, 3))
-    return base + probe
+        probe = (rng.choice(ALL_CHUNKS), case[3], case[4] + rng.randint(-2, 3))
+    return probe
 
 
-def _ex_classification():
-    for case in _ex_state_store():
-        ops, t, b, i = case[1], case[2], case[3], case[4]
-        for t2 in (Chunk.INT8U, Chunk.INT16S, Chunk.INT32):
-            for d in (-2, 0, 1, 4):
-                yield case + (t2, b, i + d)
+_ex_classification, _sm_classification = _store_domain(
+    _classification_tail,
+    lambda case: (
+        (t2, case[3], case[4] + d)
+        for t2 in (Chunk.INT8U, Chunk.INT16S, Chunk.INT32)
+        for d in (-2, 0, 1, 4)
+    ),
+)
 
 
 def _ck_classification(case):
-    if case[0] == "skip":
-        return None
     _, ops, t, b, i, v, t2, b2, i2 = case
     classes = _class_predicates(t, b, i, t2, b2, i2)
     if sum(classes.values()) != 1:
@@ -1502,16 +1307,9 @@ deflaw(
 
 
 def _make_characterization(mode: str):
-    def check(case):
-        if case[0] == "skip":
-            return None
-        _, ops, t, b, i, v, t2, b2, i2 = case
-        m = state_of(ops)
-        if not _class_predicates(t, b, i, t2, b2, i2)[mode]:
-            return None
-        m2 = memstate.store(t, m, b, i, v)
-        if m2 is None:
-            return None
+    @_after("store", given=lambda case: _class_predicates(*case[2:5], *case[6:9])[mode])
+    def check(case, m, m2, b):
+        _, _, t, b, i, v, t2, b2, i2 = case
         got = memstate.load(t2, m2, b2, i2)
         if got is None:
             return None
@@ -1548,13 +1346,9 @@ for _name, _mode in (
     )
 
 
-def _ck_store_same_domain(case):
-    if case[0] == "skip":
-        return None
-    _, ops, t, b, i, v = case
-    m = state_of(ops)
-    m2 = memstate.store(t, m, b, i, v)
-    if m2 is not None and not memstate.same_domain(m, m2):
+@_after("store")
+def _ck_store_same_domain(case, m, m2, b):
+    if not memstate.same_domain(m, m2):
         return "store changed the domain"
     return None
 
@@ -1587,16 +1381,13 @@ def _ck_free_same_domain(case):
 
 def _sm_free_same_domain(rng):
     ops = generators.shared_ops(rng)
-    m = state_of(ops)
-    blocks = _valid_blocks(m)
-    b = rng.choice(blocks) if blocks and rng.chance(4, 5) else rng.choice((0, 1))
+    b = _pick_block(rng, _valid_blocks(state_of(ops)), (4, 5), (0, 1))
     return ("state2", ops, _scrambled(ops, rng.below(5)), b)
 
 
 def _ex_free_same_domain():
-    for ops, m in _tiny():
-        for b in generators.tiny_probe_blocks(m):
-            yield ("state2", ops, _scrambled(ops, 0), b)
+    for _, ops, b in _ex_state_probe():
+        yield ("state2", ops, _scrambled(ops, 0), b)
 
 
 deflaw(
@@ -1611,12 +1402,8 @@ deflaw(
 )
 
 
-def _ck_free_not_valid_pointer(case):
-    _, ops, b = case
-    m = state_of(ops)
-    m2 = memstate.free(m, b)
-    if m2 is None:
-        return None
+@_after("free")
+def _ck_free_not_valid_pointer(case, m, m2, b):
     low, high = memstate.bounds(m, b)
     for t in (Chunk.INT8U, Chunk.INT32):
         for i in (low, 0, high - chunks.size_chunk(t)):
@@ -1631,7 +1418,7 @@ deflaw(
     "a freed block admits no access",
     family="state",
     groups=(G_ACCESS,),
-    exhaustive=_ex_state_free,
+    exhaustive=_ex_state_probe,
     sample=_sm_state_free,
     check=_ck_free_not_valid_pointer,
 )
@@ -1692,13 +1479,10 @@ def _sm_free_list(rng):
     ops = generators.shared_ops(rng)
     m = state_of(ops)
     blocks = _valid_blocks(m)
-    picks = []
-    for _ in range(rng.below(4)):
-        if blocks and rng.chance(5, 6):
-            picks.append(rng.choice(blocks))
-        else:
-            picks.append(rng.choice((0, 1, m.nextblock)))
-    return ("state", ops, tuple(picks))
+    picks = tuple(
+        _pick_block(rng, blocks, (5, 6), (0, 1, m.nextblock)) for _ in range(rng.below(4))
+    )
+    return ("state", ops, picks)
 
 
 def _ex_free_list():
@@ -1711,12 +1495,8 @@ def _ex_free_list():
             yield ("state", ops, bs)
 
 
-def _ck_free_list_fresh_block(case):
-    _, ops, bs = case
-    m = state_of(ops)
-    m2 = memstate.free_list(m, bs)
-    if m2 is None:
-        return None
+@_after("free_list")
+def _ck_free_list_fresh_block(case, m, m2, bs):
     for b in bs:
         if memstate.fresh_block(m, b):
             return f"free_list freed a fresh block {b}"
@@ -1738,12 +1518,8 @@ deflaw(
 )
 
 
-def _ck_free_list_not_valid_block(case):
-    _, ops, bs = case
-    m = state_of(ops)
-    m2 = memstate.free_list(m, bs)
-    if m2 is None:
-        return None
+@_after("free_list")
+def _ck_free_list_not_valid_block(case, m, m2, bs):
     for b in bs:
         if memstate.valid_block(m2, b):
             return f"block {b} is still valid after free_list"

@@ -42,9 +42,7 @@ def test_run_assertion_failure(tmp_path, capsys):
 def test_run_parse_error(tmp_path, capsys):
     p = tmp_path / "oops.trace"
     p.write_text("load bogus $a 0 => undef\n")
-    with pytest.raises(SystemExit) as e:
-        main(["run", str(p)])
-    assert e.value.code == 2
+    assert main(["run", str(p)]) == 2
 
 
 def test_run_capacity_flag(tmp_path):
@@ -86,9 +84,7 @@ def test_run_no_alignment_flag(tmp_path):
 def test_bad_config_is_a_usage_error(tmp_path, fig_trace, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
-    with pytest.raises(SystemExit) as e:
-        main(["run", fig_trace, "--config", str(cfg)])
-    assert e.value.code == 2
+    assert main(["run", fig_trace, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(cfg) in err
 
@@ -126,17 +122,13 @@ def test_unreadable_file_is_a_usage_error(tmp_path, fig_trace, capsys, what):
         "relocation map": ["relate", fig_trace, fig_trace, "--relation", "inject", "--emb", missing],
         "binary trace": ["run", str(binary)],
     }[what]
-    with pytest.raises(SystemExit) as e:
-        main(argv)
-    assert e.value.code == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("cannot read ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as e:
-        main(["frobnicate"])
-    assert e.value.code == 2
+    assert main(["frobnicate"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -144,9 +136,7 @@ def test_usage_error_exit_code():
     [["--cases", "-1"], ["--jobs", "0"], ["--jobs", "-3"], ["--jobs", "two"]],
 )
 def test_laws_rejects_bad_counts(argv, capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["laws", *argv])
-    assert e.value.code == 2
+    assert main(["laws", *argv]) == 2
     assert f"argument {argv[0]}:" in capsys.readouterr().err
 
 

@@ -1,10 +1,12 @@
 """Registry integrity, runner determinism, shrinking soundness."""
 
+import hashlib
 import json
 from dataclasses import replace
+from itertools import islice
 
 from blockmem.lawcheck import generators, laws_base, mutations, registry, runner
-from blockmem.lawcheck.laws_base import ALL_GROUPS, LAWS
+from blockmem.lawcheck.laws_base import ALL_GROUPS, CONCRETE_MEM, LAWS, Law
 from blockmem.lawcheck.rng import law_stream
 from blockmem.lawcheck.runner import SuiteConfig, jsonl_report, run_law, run_suite, text_report
 
@@ -165,3 +167,53 @@ def test_random_phase_violation_does_not_depend_on_the_schedule():
     for other in (after, serial, parallel):
         assert other.violations == alone.violations
         assert (other.cases_random, other.cases_skipped) == (alone.cases_random, alone.cases_skipped)
+
+
+def test_checks_never_see_a_skip():
+    """run_law drops ("skip",) cases in both phases before calling check."""
+
+    def sample(rng):
+        return ("skip",) if rng.chance(1, 2) else ("arith", rng.below(10))
+
+    def check(case):
+        if case[0] == "skip":
+            raise AssertionError("check was called on a skip case")
+        return None
+
+    law = Law(
+        "stub",
+        CONCRETE_MEM,
+        "a law whose phases both produce skips",
+        "cells",
+        exhaustive=lambda: [("skip",), ("arith", 1), ("skip",)],
+        sample=sample,
+        check=check,
+    )
+    result = run_law(law, SuiteConfig(random_cases=60, seed=3))
+    rng = law_stream(3, "stub")
+    skips = sum(sample(rng)[0] == "skip" for _ in range(60))
+    assert result.passed and result.cases_random == 60
+    assert result.cases_skipped == skips
+    assert 0 < skips < 60
+
+
+# sha256 over the lines f"{name} {digest}\n", one per law in registry order,
+# where digest is the sha256 of repr(case) over the law's first 5,000
+# exhaustive cases and then 400 draws of law.sample(law_stream(42, name)).
+# The report hash in test_acceptance records only counts and verdicts; this
+# pins the cases themselves.  A change to case generation must re-pin this
+# constant together with LAW_REPORT_SHA256.
+CASE_STREAMS_SHA256 = "f4e08efcf54c3930596d5cf311bc0ccf66f9405d2348b4ab88103d2da7a9c26a"
+
+
+def test_case_streams_are_pinned():
+    lines = []
+    for name, law in registry.LAWS.items():
+        h = hashlib.sha256()
+        for case in islice(law.exhaustive(), 5000):
+            h.update(repr(case).encode())
+        rng = law_stream(42, name)
+        for _ in range(400):
+            h.update(repr(law.sample(rng)).encode())
+        lines.append(f"{name} {h.hexdigest()}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == CASE_STREAMS_SHA256

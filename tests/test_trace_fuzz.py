@@ -102,10 +102,7 @@ def test_format_then_parse_is_identity(text):
 def _exit_code(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        try:
-            return main(argv)
-        except SystemExit as e:
-            return e.code
+        return main(argv)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
