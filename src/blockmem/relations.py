@@ -17,6 +17,18 @@ do enumerate and are tested to agree, also across alignment configs).
 An embedding is a partial relocation map ``block -> (target block, byte
 delta)``; absent keys are unmapped.  Deltas of an injection must be
 multiples of 8 so that relocation preserves every chunk's alignment.
+
+Each relation is a global condition plus one per-block condition, written
+once: for lessdef, equal ``(low, high, live)`` slots and ``_refines``; for
+extends, ``_extends_block``; for load transport, ``_emb_block``.  The
+whole-state checkers apply the per-block condition to every valid block.
+An operation changes one block and leaves the condition of every other
+block as it was, so ``holds_after_step`` decides a relation after a step
+from the blocks the step changed.  Its answer is the whole-state
+checker's, given that the relation held before the step.  Its work is
+proportional to the changed blocks, plus, for an injection, the left
+blocks mapped onto a changed right block, not to the size of the states.
+Stepwise ``trace.relate`` uses it after its first statement pair.
 """
 
 from __future__ import annotations
@@ -155,26 +167,82 @@ def _relocation_aligned(low: int, high: int, aligned: bool, delta: int) -> bool:
     return True
 
 
+def _refines(low: int, high: int, c1, c2, aligned: bool, realign: bool) -> bool:
+    """The lessdef/extends condition on one valid block of the left state,
+    with bounds ``[low, high)`` and cells ``c1``, against the cells ``c2``
+    at the same id on the right: its accesses stay aligned (``realign``:
+    the right state checks alignment and the left one does not), and every
+    defined load of ``c1`` is refined by the load of ``c2`` at the same
+    location."""
+    if realign and not _relocation_aligned(low, high, False, 0):
+        return False
+    if c1 is c2 or c1 == c2:
+        return True
+    for t, ofs, v1 in _defined_loads(c1, low, high, aligned):
+        if v1 != cells.load_contents(t, c2, ofs):
+            return False
+    return True
+
+
+def _extends_block(
+    b: int, low1: int, high1: int, c1, m2: MemState, aligned: bool, realign: bool
+) -> bool:
+    """The extends condition on one valid block ``b`` of the left state,
+    with bounds ``[low1, high1)`` and cells ``c1``: ``b`` is valid in ``m2``
+    with containing bounds, and ``_refines``."""
+    if not memstate.valid_block(m2, b):
+        return False
+    low2, high2 = memstate.bounds(m2, b)
+    if not (low2 <= low1 and high1 <= high2):
+        return False
+    return _refines(low1, high1, c1, memstate.contents_of(m2, b), aligned, realign)
+
+
+def _emb_block(
+    emb: Embedding, b1: int, low1: int, high1: int, c1, m2: MemState, aligned: bool
+) -> bool:
+    """The load-transport condition on one valid block ``b1`` of the left
+    state, with bounds ``[low1, high1)`` and cells ``c1``: when it is mapped
+    and its span is not empty, the target is valid in ``m2`` with
+    containing bounds, the relocated accesses are aligned if ``m2`` checks
+    alignment, and the loads relate by ``val_emb``."""
+    target = emb.get(b1)
+    if target is None or high1 <= low1:
+        return True
+    b2, delta = target
+    if not memstate.valid_block(m2, b2):
+        return False
+    low2, high2 = memstate.bounds(m2, b2)
+    if not (low2 <= low1 + delta and high1 + delta <= high2):
+        return False
+    if m2.config.check_alignment and not _relocation_aligned(low1, high1, aligned, delta):
+        return False
+    c2 = memstate.contents_of(m2, b2)
+    for t, ofs, v1 in _defined_loads(c1, low1, high1, aligned):
+        if not val_emb(emb, v1, cells.load_contents(t, c2, ofs + delta)):
+            return False
+    return True
+
+
+def _realign(m1: MemState, m2: MemState) -> bool:
+    """Equal bounds admit the same accesses, except that a left state that
+    checks no alignment allows offsets an aligning right state rejects."""
+    return m2.config.check_alignment and not m1.config.check_alignment
+
+
 def mem_lessdef(m1: MemState, m2: MemState) -> bool:
     """Pointwise refinement: same domain, and every valid load of ``m1`` is
     refined by the load of ``m2`` at the same location."""
     if not memstate.same_domain(m1, m2):
         return False
-    # Equal bounds admit the same accesses, except that a left state that
-    # checks no alignment allows offsets an aligning right state rejects.
     aligned = m1.config.check_alignment
-    realign = m2.config.check_alignment and not aligned
+    realign = _realign(m1, m2)
     # The same domain has the same valid blocks, so the walks stay in step.
     for (_, low, high, c1), (_, _, _, c2) in zip(
         memstate.live_blocks(m1), memstate.live_blocks(m2)
     ):
-        if realign and not _relocation_aligned(low, high, False, 0):
+        if not _refines(low, high, c1, c2, aligned, realign):
             return False
-        if c1 is c2 or c1 == c2:
-            continue
-        for t, ofs, v1 in _defined_loads(c1, low, high, aligned):
-            if v1 != cells.load_contents(t, c2, ofs):
-                return False
     return True
 
 
@@ -185,25 +253,10 @@ def mem_extends(m1: MemState, m2: MemState) -> bool:
     if m1.nextblock != m2.nextblock:
         return False
     aligned = m1.config.check_alignment
-    realign = m2.config.check_alignment and not aligned
-    # Merge the two walks: each valid block of m1 must turn up among the
-    # valid blocks of m2.
-    right = memstate.live_blocks(m2)
+    realign = _realign(m1, m2)
     for b, low1, high1, c1 in memstate.live_blocks(m1):
-        for b2, low2, high2, c2 in right:
-            if b2 >= b:
-                break
-        else:
+        if not _extends_block(b, low1, high1, c1, m2, aligned, realign):
             return False
-        if b2 != b or not (low2 <= low1 and high1 <= high2):
-            return False
-        if realign and not _relocation_aligned(low1, high1, False, 0):
-            return False
-        if c1 is c2 or c1 == c2:
-            continue
-        for t, ofs, v1 in _defined_loads(c1, low1, high1, aligned):
-            if v1 != cells.load_contents(t, c2, ofs):
-                return False
     return True
 
 
@@ -220,23 +273,9 @@ def mem_emb(emb: Embedding, m1: MemState, m2: MemState) -> bool:
     form when ``m2`` checks alignment.  Blocks with empty spans have no
     accesses and are skipped."""
     aligned = m1.config.check_alignment
-    check_alignment = m2.config.check_alignment
     for b1, low1, high1, c1 in memstate.live_blocks(m1):
-        target = emb.get(b1)
-        if target is None or high1 <= low1:
-            continue
-        b2, delta = target
-        if not memstate.valid_block(m2, b2):
+        if not _emb_block(emb, b1, low1, high1, c1, m2, aligned):
             return False
-        low2, high2 = memstate.bounds(m2, b2)
-        if not (low2 <= low1 + delta and high1 + delta <= high2):
-            return False
-        if check_alignment and not _relocation_aligned(low1, high1, aligned, delta):
-            return False
-        c2 = memstate.contents_of(m2, b2)
-        for t, ofs, v1 in _defined_loads(c1, low1, high1, aligned):
-            if not val_emb(emb, v1, cells.load_contents(t, c2, ofs + delta)):
-                return False
     return True
 
 
@@ -250,3 +289,89 @@ def mem_inject(emb: Embedding, m1: MemState, m2: MemState) -> bool:
     if not emb_no_overlap(emb, m1):
         return False
     return mem_emb(emb, m1, m2)
+
+
+# --- one step at a time -----------------------------------------------------------
+
+
+def sources_by_target(emb: Embedding) -> dict[int, tuple[int, ...]]:
+    """The reverse of ``emb``: target block -> the blocks mapped onto it."""
+    out: dict[int, list[int]] = {}
+    for b, (tb, _) in emb.items():
+        out.setdefault(tb, []).append(b)
+    return {tb: tuple(bs) for tb, bs in out.items()}
+
+
+def _no_new_overlap(emb: Embedding, sources: dict, m1: MemState, b: int) -> bool:
+    """Whether the valid block ``b`` of ``m1`` relocates clear of the image
+    of every other valid source of its target."""
+    target = emb.get(b)
+    if target is None:
+        return True
+    low, high = memstate.bounds(m1, b)
+    if low >= high:
+        return True
+    tb, delta = target
+    low, high = low + delta, high + delta
+    for s in sources[tb]:
+        if s == b or not memstate.valid_block(m1, s):
+            continue
+        slow, shigh = memstate.bounds(m1, s)
+        if slow < shigh and slow + emb[s][1] < high and low < shigh + emb[s][1]:
+            return False
+    return True
+
+
+def holds_after_step(
+    relation: str,
+    m1: MemState,
+    m2: MemState,
+    changed1,
+    changed2,
+    emb: Embedding | None = None,
+    sources: dict | None = None,
+) -> bool:
+    """Whether ``relation`` ("lessdef", "extends" or "inject") holds
+    between ``m1`` and ``m2``, given that it held between the states they
+    came from, and that the step changed only the block ids ``changed1`` on
+    the left and ``changed2`` on the right (an alloc changes its new id, a
+    store or free its block).  The answer equals the whole-state checker's.
+
+    Every other block carries its condition over, so only the changed ones
+    are checked, plus, for an injection, the left blocks that
+    ``sources = sources_by_target(emb)`` maps onto a changed right block.
+    The deltas of ``emb`` depend on no state and held before; a changed
+    left block is checked for overlap against the other sources of its
+    target only.  The work is proportional to those blocks, not to the
+    size of the states."""
+    aligned = m1.config.check_alignment
+    if relation == "inject":
+        blocks = set()
+        for b in changed1:
+            if memstate.valid_block(m1, b):
+                if not _no_new_overlap(emb, sources, m1, b):
+                    return False
+                blocks.add(b)
+        for tb in changed2:
+            blocks.update(b for b in sources.get(tb, ()) if memstate.valid_block(m1, b))
+        for b in blocks:
+            low, high = memstate.bounds(m1, b)
+            if not _emb_block(emb, b, low, high, memstate.contents_of(m1, b), m2, aligned):
+                return False
+        return True
+    if m1.nextblock != m2.nextblock:
+        return False
+    realign = _realign(m1, m2)
+    for b in {*changed1, *changed2}:
+        slot = m1.blocks.get(b - 1)
+        low, high, live = slot
+        c1 = m1.contents.get(b - 1)
+        if relation == "lessdef":
+            # Equal slots, freed or not; a valid block also refines.
+            if slot != m2.blocks.get(b - 1):
+                return False
+            if live and not _refines(low, high, c1, m2.contents.get(b - 1), aligned, realign):
+                return False
+        elif live and not _extends_block(b, low, high, c1, m2, aligned, realign):
+            return False
+    return True

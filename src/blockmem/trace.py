@@ -21,7 +21,9 @@ the same shape (where the ``[emb]`` header is optional), is a relocation
 map for the injection checker: one ``B -> TB + DELTA`` line per mapped
 block.  Nothing may follow ``DELTA`` or the ``[emb]`` header, and a block
 mapped twice is an error.  ``mem_inject`` requires every ``DELTA`` to be a
-multiple of 8, so an injection with another delta does not hold.
+multiple of 8, so an injection with another delta does not hold.  A map
+passed to ``relate`` wins over the traces' sections; without one, two
+sections must be equal, and ``relate`` rejects two different ones.
 
 Parsing is total: any input either parses or raises a
 ``TraceParseError`` carrying line and column; the CLI reports it as a
@@ -557,6 +559,17 @@ def _check_relation(relation: str, m1: MemState, m2: MemState, emb) -> bool:
     return relations.mem_inject(emb, m1, m2)
 
 
+def _changed(stmt, ex: _Exec, before: MemState) -> tuple:
+    """The block ids that ``stmt``, just run by ``ex`` from the state
+    ``before``, changed.  A statement that changed the state ran an alloc,
+    a store or a free; anything else leaves the state as it was."""
+    if ex.m is before:
+        return ()
+    if isinstance(stmt, FreeList):
+        return tuple(ex.env[var] for var in stmt.vars)
+    return (ex.env[stmt.var],)
+
+
 def relate(
     trace1: Trace,
     trace2: Trace,
@@ -567,16 +580,27 @@ def relate(
 ) -> RelateReport:
     """Execute both traces and check the chosen relation between their
     final states; with ``stepwise``, check it after every statement pair
-    of two equal-length traces."""
+    of two equal-length traces.
+
+    Stepwise verdicts are the whole-state checker's after every statement
+    pair.  Only the first pair is checked whole; since ``relate`` stops at
+    the first failure, every later pair starts from related states, and
+    ``relations.holds_after_step`` re-checks just the blocks the two
+    statements changed (see ``_changed``), plus, for an injection, the left
+    blocks mapped onto a changed right block.  A step's work is
+    proportional to those blocks, not to the size of the states.
+
+    Without ``emb``, an injection uses the traces' ``[emb]`` sections;
+    ``ValueError`` when neither has one or their two maps differ."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
     if relation == "inject" and emb is None:
-        for t in (trace2, trace1):
-            if t.emb is not None:
-                emb = {b: (tb, d) for b, tb, d in t.emb}
-                break
-        if emb is None:
+        maps = [{b: (tb, d) for b, tb, d in t.emb} for t in (trace1, trace2) if t.emb is not None]
+        if not maps:
             raise ValueError("inject needs a relocation map (--emb or an [emb] section)")
+        if len(maps) == 2 and maps[0] != maps[1]:
+            raise ValueError("the two traces carry different [emb] sections; pass one with --emb")
+        emb = maps[0]
     if not stepwise:
         r1 = exec_trace(trace1, config)
         if not r1.ok:
@@ -592,17 +616,25 @@ def relate(
             "stepwise mode needs traces of equal length "
             f"({len(trace1.statements)} vs {len(trace2.statements)})",
         )
+    sources = relations.sources_by_target(emb) if relation == "inject" else None
     ex1 = _Exec(config)
     ex2 = _Exec(config)
     steps = []
     for k, (s1, s2) in enumerate(zip(trace1.statements, trace2.statements)):
+        m1, m2 = ex1.m, ex2.m
         ok1, note1 = ex1.step(s1)
         if not ok1:
             return RelateReport(False, f"left trace failed at line {s1.line}: {note1}", steps)
         ok2, note2 = ex2.step(s2)
         if not ok2:
             return RelateReport(False, f"right trace failed at line {s2.line}: {note2}", steps)
-        holds = _check_relation(relation, ex1.m, ex2.m, emb)
+        if k == 0:
+            holds = _check_relation(relation, ex1.m, ex2.m, emb)
+        else:
+            holds = relations.holds_after_step(
+                relation, ex1.m, ex2.m, _changed(s1, ex1, m1), _changed(s2, ex2, m2),
+                emb, sources,
+            )
         steps.append((k, holds))
         if not holds:
             return RelateReport(False, f"{relation} fails after statement {k + 1}", steps)

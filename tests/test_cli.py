@@ -219,6 +219,22 @@ def test_relate_subcommand(tmp_path, capsys):
     t3.write_text("alloc 0 8 -> $z\nstore int32 $z 0 (int 2)\n")
     assert main(["relate", str(t1), str(t3), "--relation", "lessdef"]) == 1
 
+    stepwise_inject = ["--relation", "inject", "--emb", str(emb), "--stepwise"]
+    assert main(["relate", str(t1), str(t2), *stepwise_inject]) == 0
+    assert main(["relate", str(t1), str(t3), *stepwise_inject]) == 1
+    assert "inject fails after statement 2" in capsys.readouterr().out
+
+
+def test_relate_rejects_two_different_emb_sections(tmp_path, capsys):
+    t1 = tmp_path / "a.trace"
+    t2 = tmp_path / "b.trace"
+    t1.write_text("alloc 0 8 -> $x\n[emb]\n1 -> 1 + 8\n")
+    t2.write_text("alloc 8 16 -> $y\n[emb]\n1 -> 1 + 0\n")
+    assert main(["relate", str(t1), str(t2), "--relation", "inject"]) == 2
+    assert "different [emb] sections" in capsys.readouterr().err
+    t2.write_text("alloc 8 16 -> $y\n[emb]\n1 -> 1 + 8\n")
+    assert main(["relate", str(t1), str(t2), "--relation", "inject"]) == 0
+
 
 def test_relate_rejects_malformed_relocation_maps(tmp_path, capsys):
     t = tmp_path / "a.trace"

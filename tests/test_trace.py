@@ -288,6 +288,21 @@ def test_relate_inject_needs_emb():
         relate(t, t, "inject")
 
 
+def test_relate_rejects_two_different_emb_sections():
+    # The left map relates these two traces, the right one does not; with
+    # no --emb, neither silently wins.
+    t1 = parse_trace("alloc 0 8 -> $x\nstore int32 $x 0 (int 3)\n[emb]\n1 -> 1 + 8")
+    t2 = parse_trace("alloc 8 16 -> $y\nstore int32 $y 8 (int 3)\n[emb]\n1 -> 1 + 0")
+    with pytest.raises(ValueError, match="different"):
+        relate(t1, t2, "inject")
+    with pytest.raises(ValueError, match="different"):
+        relate(t1, t2, "inject", stepwise=True)
+    assert relate(t1, t2, "inject", emb={1: (1, 8)}).ok
+    same = parse_trace("alloc 8 16 -> $y\nstore int32 $y 8 (int 3)\n[emb]\n1 -> 1 + 8")
+    assert relate(t1, same, "inject").ok
+    assert relate(t1, same, "inject", stepwise=True).ok
+
+
 def test_relate_stepwise():
     t1 = parse_trace("alloc 0 8 -> $x\nstore int32 $x 0 (int 1)")
     t2 = parse_trace("alloc 0 8 -> $y\nstore int32 $y 0 (int 1)")
@@ -295,6 +310,19 @@ def test_relate_stepwise():
     assert r.ok and len(r.steps) == 2
     short = parse_trace("alloc 0 8 -> $x")
     assert not relate(t1, short, "lessdef", stepwise=True).ok
+    # extends: the right block is wider and written outside the left bounds.
+    wide = parse_trace("alloc -8 16 -> $y\nstore int32 $y 0 (int 1)\nstore int32 $y -8 (int 9)")
+    t1x = parse_trace("alloc 0 8 -> $x\nstore int32 $x 0 (int 1)\nassert-valid $x")
+    r = relate(t1x, wide, "extends", stepwise=True)
+    assert r.ok and r.steps == [(0, True), (1, True), (2, True)]
+    r = relate(t1x, wide, "lessdef", stepwise=True)
+    assert r.steps == [(0, False)] and r.message == "lessdef fails after statement 1"
+    # inject: the right block holds the left one 8 bytes in.
+    moved = parse_trace("alloc 0 16 -> $y\nstore int32 $y 8 (int 1)")
+    r = relate(t1, moved, "inject", emb={1: (1, 8)}, stepwise=True)
+    assert r.ok and r.steps == [(0, True), (1, True)]
+    r = relate(t1, moved, "inject", emb={1: (1, 0)}, stepwise=True)
+    assert r.steps == [(0, True), (1, False)] and r.message == "inject fails after statement 2"
 
 
 def _grammar_ops(rng):
