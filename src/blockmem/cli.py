@@ -52,8 +52,9 @@ def _load_config_file(path: str | None) -> dict:
             _usage_error(
                 f"config file {path}: {key} must be an integer or null, not {json.dumps(value)}"
             )
-    if (data.get("random_cases") or 0) < 0:
-        _usage_error(f"config file {path}: random_cases must not be negative")
+    for key in ("capacity_bytes", "random_cases"):
+        if (data.get(key) or 0) < 0:
+            _usage_error(f"config file {path}: {key} must not be negative")
     value = data.get("alignment_check", True)
     if type(value) is not bool:
         _usage_error(
@@ -109,6 +110,19 @@ def _cmd_laws(args) -> int:
     from .lawcheck.runner import SuiteConfig, jsonl_report, run_suite, text_report
 
     file_cfg = _load_config_file(args.config)
+    # The laws run on the default memory config, so a config file may not
+    # ask for another one.
+    if file_cfg.get("capacity_bytes") is not None or not file_cfg.get("alignment_check", True):
+        _usage_error(
+            f"config file {args.config}: the laws run on the default memory config; "
+            "capacity_bytes must be null and alignment_check true"
+        )
+    if args.report:
+        try:
+            with open(args.report, "a", encoding="utf-8"):
+                pass
+        except OSError as e:
+            _usage_error(f"cannot write report {args.report}: {e}")
     seed = args.seed
     if seed is None:
         seed = file_cfg.get("seed")
@@ -172,16 +186,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file", default=None)
-    common.add_argument(
-        "--capacity", type=int, default=None, help="total byte budget for alloc"
+    memory = argparse.ArgumentParser(add_help=False, parents=[common])
+    memory.add_argument(
+        "--capacity", type=_at_least(0), default=None, help="total byte budget for alloc"
     )
-    common.add_argument(
+    memory.add_argument(
         "--no-alignment-check",
         action="store_true",
         help="drop the alignment conjunct from valid accesses",
     )
 
-    p_run = sub.add_parser("run", parents=[common], help="execute a trace file")
+    p_run = sub.add_parser("run", parents=[memory], help="execute a trace file")
     p_run.add_argument("trace")
     p_run.add_argument("-v", "--verbose", action="store_true")
     p_run.set_defaults(func=_cmd_run)
@@ -198,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_laws.set_defaults(func=_cmd_laws)
 
     p_rel = sub.add_parser(
-        "relate", parents=[common], help="check a relation between two traces"
+        "relate", parents=[memory], help="check a relation between two traces"
     )
     p_rel.add_argument("trace1")
     p_rel.add_argument("trace2")

@@ -1,10 +1,12 @@
 """Scenario generation for the law suite.
 
-Scenarios are flat operation lists in the trace vocabulary (alloc, free,
-free-list, store, load, plus validity/bounds/freshness queries); they are
-the only way states are built, so every generated state is reachable and
-satisfies the structural invariants by construction.  Blocks are referred
-to by allocation order (ref ``k`` is the k-th alloc of the scenario),
+Scenarios are flat op lists in the trace vocabulary (alloc, free,
+free_list, store, load, plus validity/bounds/freshness queries; see
+``blockmem.trace``), replayed by the trace interpreter ``trace.run_op``.
+They are the only way states are built, so every generated state is
+reachable and satisfies the structural invariants by construction.
+Blocks are referred to by allocation order (ref ``k`` is the block of the
+k-th alloc of the scenario; if that alloc failed, any op on ``k`` fails),
 which keeps scenarios meaningful under shrinking; two reserved refs probe
 an always-invalid and an always-fresh block id.
 
@@ -27,20 +29,8 @@ from functools import lru_cache
 from .. import chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Value, Vfloat, Vint, Vptr, VUNDEF
 from ..memstate import DEFAULT_CONFIG, MemConfig, MemState
+from ..trace import PROBE_FRESH, PROBE_INVALID, SUCCEEDS, Statement, refs, run_op, statement_text
 from .rng import LawStream, SplitMix64, scenario_stream
-
-PROBE_INVALID = -1  # resolves to block 0, never allocatable
-PROBE_FRESH = -2  # resolves to a far-away id, fresh in small scenarios
-_FRESH_ID = 1_000_000
-
-
-def resolve_ref(ref: int, blocks) -> int:
-    """Map a scenario block ref to a concrete block id."""
-    if 0 <= ref < len(blocks):
-        return blocks[ref]
-    if ref == PROBE_FRESH:
-        return _FRESH_ID
-    return 0
 
 
 @dataclass
@@ -51,81 +41,33 @@ class RunResult:
 
 def run_ops(ops, config: MemConfig = DEFAULT_CONFIG) -> RunResult:
     """Replay a scenario on the real model, recording one observable
-    outcome per operation."""
+    ``(kind, outcome)`` per op (see ``trace.run_op``)."""
     m = memstate.empty(config)
-    blocks: list[int] = []
+    blocks: list = []
     outcomes = []
     for op in ops:
-        kind = op[0]
-        if kind == "alloc":
-            r = memstate.alloc(m, op[1], op[2])
-            if r is None:
-                outcomes.append(("alloc", None))
-            else:
-                b, m = r
-                blocks.append(b)
-                outcomes.append(("alloc", b))
-        elif kind == "free":
-            m2 = memstate.free(m, resolve_ref(op[1], blocks))
-            if m2 is not None:
-                m = m2
-            outcomes.append(("free", m2 is not None))
-        elif kind == "free_list":
-            ids = [resolve_ref(r, blocks) for r in op[1]]
-            m2 = memstate.free_list(m, ids)
-            if m2 is not None:
-                m = m2
-            outcomes.append(("free_list", m2 is not None))
-        elif kind == "store":
-            m2 = memstate.store(op[1], m, resolve_ref(op[2], blocks), op[3], op[4])
-            if m2 is not None:
-                m = m2
-            outcomes.append(("store", m2 is not None))
-        elif kind == "load":
-            outcomes.append(
-                ("load", memstate.load(op[1], m, resolve_ref(op[2], blocks), op[3]))
-            )
-        elif kind == "valid":
-            outcomes.append(("valid", memstate.valid_block(m, resolve_ref(op[1], blocks))))
-        elif kind == "fresh":
-            outcomes.append(("fresh", memstate.fresh_block(m, resolve_ref(op[1], blocks))))
-        elif kind == "bounds":
-            outcomes.append(("bounds", memstate.bounds(m, resolve_ref(op[1], blocks))))
-        else:
-            raise ValueError(f"unknown op {kind!r}")
+        m, got = run_op(m, blocks, op)
+        outcomes.append((op[0], got))
     return RunResult(m, outcomes)
 
 
+_PROBE_NAMES = {PROBE_INVALID: "$invalid", PROBE_FRESH: "$fresh"}
+
+
 def format_ops(ops) -> str:
-    """Render a scenario as trace-format lines (queries as comments)."""
+    """Render a scenario as trace lines: ref k is ``$bk``, allocs, frees
+    and stores are expected to succeed, loads and queries are comments."""
     lines = []
-    k = 0
+    allocs = 0
     for op in ops:
-        kind = op[0]
-        if kind == "alloc":
-            lines.append(f"alloc {op[1]} {op[2]} -> $b{k}")
-            k += 1
-        elif kind == "free":
-            lines.append(f"free {_ref_text(op[1])}")
-        elif kind == "free_list":
-            lines.append("free-list " + " ".join(_ref_text(r) for r in op[1]))
-        elif kind == "store":
-            lines.append(
-                f"store {op[1].token} {_ref_text(op[2])} {op[3]} {chunks.value_text(op[4])}"
-            )
-        elif kind == "load":
-            lines.append(f"# load {op[1].token} {_ref_text(op[2])} {op[3]}")
+        if op[0] == "alloc":
+            names = (f"$b{allocs}",)
+            allocs += 1
         else:
-            lines.append(f"# query {kind} {_ref_text(op[1])}")
+            names = tuple(_PROBE_NAMES.get(r, f"$b{r}") for r in refs(op))
+        expect = SUCCEEDS if op[0] in ("alloc", "free", "free_list", "store") else None
+        lines.append(statement_text(Statement(op, expect, names)))
     return "\n".join(lines)
-
-
-def _ref_text(ref: int) -> str:
-    if ref == PROBE_INVALID:
-        return "$invalid"
-    if ref == PROBE_FRESH:
-        return "$fresh"
-    return f"$b{ref}"
 
 
 # --- random scenarios --------------------------------------------------------
@@ -290,53 +232,41 @@ def sample_access_probe(rng: SplitMix64, m: MemState):
 
 
 def shrink_ops(ops):
-    """Smaller scenario candidates: drop one op (cascading refs when an
-    alloc goes away), or simplify one stored value."""
-    alloc_positions = [k for k, op in enumerate(ops) if op[0] == "alloc"]
+    """Smaller candidates for a scenario or a lessdef plan, as tuples: drop
+    one op, last first (with the ops on its block when an alloc goes away),
+    or simplify one stored value."""
+    ops = tuple(ops)
     for k in range(len(ops) - 1, -1, -1):
-        op = ops[k]
-        if op[0] != "alloc":
+        if ops[k][0] != "alloc":
             yield ops[:k] + ops[k + 1 :]
             continue
-        a = alloc_positions.index(k)
-        out = []
-        for j, other in enumerate(ops):
-            if j == k:
-                continue
-            out.append(_shift_refs(other, a))
-        yield [op for op in out if op is not None]
+        dropped = sum(op[0] == "alloc" for op in ops[:k])
+        shifted = (_shift_refs(op, dropped) for j, op in enumerate(ops) if j != k)
+        yield tuple(op for op in shifted if op is not None)
     for k, op in enumerate(ops):
         if op[0] == "store" and op[4] != VUNDEF:
-            yield ops[:k] + [(op[0], op[1], op[2], op[3], VUNDEF)] + ops[k + 1 :]
+            yield ops[:k] + (op[:4] + (VUNDEF,),) + ops[k + 1 :]
 
 
 def _shift_refs(op, dropped: int):
     """Rewrite an op after alloc number ``dropped`` was removed; None means
-    the op depended on it and must go too."""
+    the op depended on it and must go too.  A plan's "store2" step holds
+    its ref where a store does."""
 
     def shift(ref):
-        if ref < 0:
+        if ref < dropped:
             return ref
-        if ref == dropped:
-            return None
-        return ref - 1 if ref > dropped else ref
+        return None if ref == dropped else ref - 1
 
     kind = op[0]
     if kind == "alloc":
         return op
-    if kind in ("free", "valid", "fresh", "bounds"):
-        r = shift(op[1])
-        return None if r is None else (kind, r)
     if kind == "free_list":
-        rs = [shift(r) for r in op[1]]
-        return None if any(r is None for r in rs) else (kind, tuple(rs))
-    if kind == "store":
-        r = shift(op[2])
-        return None if r is None else (kind, op[1], r, op[3], op[4])
-    if kind == "load":
-        r = shift(op[2])
-        return None if r is None else (kind, op[1], r, op[3])
-    return op
+        rs = tuple(map(shift, op[1]))
+        return None if None in rs else (kind, rs)
+    k = 1 if kind in ("free", "valid", "fresh", "bounds") else 2
+    r = shift(op[k])
+    return None if r is None else op[:k] + (r,) + op[k + 1 :]
 
 
 # --- related plans -------------------------------------------------------------
@@ -460,32 +390,6 @@ def build_lessdef_pair(plan, config: MemConfig = DEFAULT_CONFIG):
 
 
 build_extends_pair = build_lessdef_pair  # an extends plan projects the same way
-
-
-def shrink_lessdef_plan(plan):
-    alloc_idx = [k for k, st in enumerate(plan) if st[0] == "alloc"]
-    for k in range(len(plan) - 1, -1, -1):
-        st = plan[k]
-        if st[0] != "alloc":
-            yield plan[:k] + plan[k + 1 :]
-            continue
-        a = alloc_idx.index(k)
-        out = []
-        for j, other in enumerate(plan):
-            if j == k:
-                continue
-            if other[0] == "alloc":
-                out.append(other)
-                continue
-            ref = other[2] if other[0] == "store2" else other[1]
-            if ref == a:
-                continue
-            ref2 = ref - 1 if ref > a else ref
-            if other[0] == "store2":
-                out.append((other[0], other[1], ref2, other[3], other[4], other[5]))
-            else:
-                out.append((other[0], ref2))
-        yield tuple(out)
 
 
 def shrink_plan_steps(plan):

@@ -32,7 +32,6 @@ from .generators import (
     format_ops,
     run_ops,
     shrink_emb_plan,
-    shrink_lessdef_plan,
     shrink_ops,
     shrink_plan_steps,
 )
@@ -159,9 +158,9 @@ def _drop_each(recipe):
 
 # case tag -> smaller candidates for the case's scenario (its second field)
 _SHRINKERS = {
-    "state": lambda ops: map(tuple, shrink_ops(list(ops))),
+    "state": shrink_ops,
     "cells": _drop_each,
-    "lessdef": shrink_lessdef_plan,
+    "lessdef": shrink_ops,
     "lessdef3": shrink_plan_steps,
     "extends": shrink_plan_steps,
     "extends3": shrink_plan_steps,

@@ -1,7 +1,8 @@
 """A deliberately naive twin of the memory model, for differential testing.
 
-Everything here is written the slow, obvious way and shares no code with
-the main implementation: content maps are association lists, the
+Everything here is written the slow, obvious way and shares no model code
+with the main implementation (only ``oracle_exec``'s reading of scenario
+refs, ``trace.block_of``): content maps are association lists, the
 continuation helpers are the one-cell-at-a-time recursions, integer
 narrowing uses modular arithmetic instead of bit masks, and float rounding
 is done by hand on the bit pattern instead of through ``struct``.  The
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import memstate, relations
+from ..trace import block_of
 from ..chunks import ALL_CHUNKS, Chunk, Value, Vfloat, Vint, Vptr, VUNDEF
 from ..memstate import MemState
 
@@ -266,44 +268,42 @@ def oracle_exec(ops, capacity: int | None = None, check_alignment: bool = True):
 
     Returns (description, outcomes): a summary of the final state plus one
     observable outcome per operation, in the same shape the main runner
-    produces, so the two can be compared wholesale.
+    produces, so the two can be compared wholesale.  Refs follow the trace
+    rule: ref k is the block of the k-th alloc, unbound when that alloc
+    failed, and an op on an unbound ref fails (False for a free, free_list
+    or store, None otherwise).
     """
-    from .generators import resolve_ref  # shared ref handling
-
     s = OracleState(capacity=capacity, check_alignment=check_alignment)
-    blocks: list[int] = []
+    blocks: list = []  # per alloc op, its block or None
     outcomes = []
     for op in ops:
         kind = op[0]
         if kind == "alloc":
-            b = o_alloc(s, op[1], op[2])
-            if b is not None:
-                blocks.append(b)
-            outcomes.append(("alloc", b))
+            out = o_alloc(s, op[1], op[2])
+            blocks.append(out)
         elif kind == "free":
-            ok = o_free(s, resolve_ref(op[1], blocks))
-            outcomes.append(("free", ok))
+            b = block_of(blocks, op[1])
+            out = b is not None and o_free(s, b)
         elif kind == "free_list":
-            ids = [resolve_ref(r, blocks) for r in op[1]]
-            ok = True
-            for b in ids:
-                if not o_free(s, b):
-                    ok = False
-                    break
-            outcomes.append(("free_list", ok))
+            # All or nothing: every block valid, none twice.
+            ids = [block_of(blocks, r) for r in op[1]]
+            out = len(set(ids)) == len(ids) and all(o_valid_block(s, b) for b in ids)
+            if out:
+                for b in ids:
+                    o_free(s, b)
         elif kind == "store":
-            ok = o_store(s, op[1], resolve_ref(op[2], blocks), op[3], op[4])
-            outcomes.append(("store", ok))
+            b = block_of(blocks, op[2])
+            out = b is not None and o_store(s, op[1], b, op[3], op[4])
         elif kind == "load":
-            outcomes.append(("load", o_load(s, op[1], resolve_ref(op[2], blocks), op[3])))
-        elif kind == "valid":
-            outcomes.append(("valid", o_valid_block(s, resolve_ref(op[1], blocks))))
-        elif kind == "fresh":
-            outcomes.append(("fresh", o_fresh_block(s, resolve_ref(op[1], blocks))))
-        elif kind == "bounds":
-            outcomes.append(("bounds", o_bounds(s, resolve_ref(op[1], blocks))))
+            b = block_of(blocks, op[2])
+            out = None if b is None else o_load(s, op[1], b, op[3])
+        elif kind in ("valid", "fresh", "bounds"):
+            b = block_of(blocks, op[1])
+            query = {"valid": o_valid_block, "fresh": o_fresh_block, "bounds": o_bounds}[kind]
+            out = None if b is None else query(s, b)
         else:
             raise ValueError(f"unknown op {kind!r}")
+        outcomes.append((kind, out))
     description = {
         "nextblock": s.nextblock,
         "valid_blocks": sorted(b for b, _ in s.bounds if b not in s.freed),

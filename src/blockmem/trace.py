@@ -1,6 +1,6 @@
 """Line-oriented traces: parsing, pretty-printing, execution, relating.
 
-A trace is a sequence of memory operations with inline assertions::
+A trace is a scenario plus one expectation per statement::
 
     # read-after-write
     alloc 0 8 -> $a
@@ -8,11 +8,16 @@ A trace is a sequence of memory operations with inline assertions::
     load int32 $a 0 => (int 42)
     free $a
 
-Blocks never appear as literal ids in operations, only as variables bound
-by ``alloc``; this keeps traces stable under allocation-order refactoring.
-Values are written ``undef``, ``(int N)``, ``(float HEXBITS)`` and
-``(ptr B I)`` (where B may be a variable or a literal id).  ``load``
-carries its expectation after ``=>``: a value, ``undef``, or ``fail``.
+A statement holds an op of the law suite's scenario vocabulary (see
+``run_op``, the one interpreter of ops) and what it expects of the op.
+Ops name blocks by ref: ref k is the block of the k-th ``alloc`` op, and
+if that alloc failed, k is unbound and any op on it fails.  A
+``$variable`` stands for the ref of the alloc that binds it, so blocks
+never appear as literal ids in operations; this keeps traces stable under
+allocation-order refactoring.  Values are written ``undef``, ``(int N)``,
+``(float HEXBITS)`` and ``(ptr B I)`` (where B may be a variable, resolved
+when the statement runs, or a literal id).  ``load`` carries its
+expectation after ``=>``: a value, ``undef``, or ``fail``.
 ``expect-fail`` wraps an operation that must fail; a ``load`` it wraps
 has no ``=>`` part.
 
@@ -59,65 +64,38 @@ class PtrLit:
 ValueExpr = Value | PtrLit
 
 
-@dataclass(frozen=True)
-class Alloc:
-    line: int = field(compare=False)
-    low: int = 0
-    high: int = 0
-    var: str = ""
+SUCCEEDS = "succeeds"  # a plain alloc, free, free-list or store line
+EXPECT_FAIL = "expect-fail"  # expect-fail OP: the op fails, or names an unbound variable
+LOAD_FAILS = "fail"  # load ... => fail: the load of a bound variable fails
 
 
-@dataclass(frozen=True)
-class Free:
-    line: int = field(compare=False)
-    var: str = ""
+class Statement:
+    """One statement: an op, what it expects of the op, the names of the
+    op's refs (for an alloc, the variable it binds), and its line.
 
+    The expectation is one of the constants above (compared by identity), the
+    value of a ``load ... => V``, True (``assert-valid``), the pair of an
+    ``assert-bounds``, or None: no expectation, printed as a comment and
+    never run by ``exec_trace``.  Equality ignores the line."""
 
-@dataclass(frozen=True)
-class FreeList:
-    line: int = field(compare=False)
-    vars: tuple = ()
+    __slots__ = ("op", "expect", "names", "line")
 
+    def __init__(self, op: tuple, expect, names: tuple, line: int = 0) -> None:
+        self.op = op
+        self.expect = expect
+        self.names = names
+        self.line = line
 
-@dataclass(frozen=True)
-class Store:
-    line: int = field(compare=False)
-    chunk: Chunk = Chunk.INT32
-    var: str = ""
-    offset: int = 0
-    value: ValueExpr = VUNDEF
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Statement) and (
+            (self.op, self.expect, self.names) == (other.op, other.expect, other.names)
+        )
 
+    def __hash__(self) -> int:
+        return hash((self.op, self.expect, self.names))
 
-@dataclass(frozen=True)
-class Load:
-    line: int = field(compare=False)
-    chunk: Chunk = Chunk.INT32
-    var: str = ""
-    offset: int = 0
-    expect: tuple = ("fail",)  # ("fail",) | ("value", ValueExpr)
-
-
-@dataclass(frozen=True)
-class AssertValid:
-    line: int = field(compare=False)
-    var: str = ""
-
-
-@dataclass(frozen=True)
-class AssertBounds:
-    line: int = field(compare=False)
-    var: str = ""
-    low: int = 0
-    high: int = 0
-
-
-@dataclass(frozen=True)
-class ExpectFail:
-    line: int = field(compare=False)
-    inner: object = None
-
-
-Statement = Alloc | Free | FreeList | Store | Load | AssertValid | AssertBounds | ExpectFail
+    def __repr__(self) -> str:
+        return f"Statement({self.op!r}, {self.expect!r}, {self.names!r}, line={self.line})"
 
 
 @dataclass(frozen=True)
@@ -191,19 +169,21 @@ def _int(tokens: list, k: int, what: str) -> int:
         raise _Error(k, f"expected {what}, got {text!r}") from None
 
 
-def _var(tokens: list, k: int, bound: set, *, binding: bool = False) -> str:
+def _var(tokens: list, k: int, bound: dict, *, binding: bool = False) -> tuple[int, tuple]:
     """The $variable at token ``k``: bound already, or else (``binding``)
-    not bound yet, and bound from here on."""
+    not bound yet, and bound from here on.  ``bound`` maps each variable
+    to its entry: its ref, the number of allocs before the one that binds
+    it, and a tuple of its name that all its statements share."""
     text = _take(tokens, k, "a $variable")
     if not text.startswith("$") or len(text) < 2:
         raise _Error(k, f"expected a $variable, got {text!r}")
     if binding:
         if text in bound:
             raise _Error(k, f"{text} is already bound")
-        bound.add(text)
+        bound[text] = (len(bound), (text,))
     elif text not in bound:
         raise _Error(k, f"{text} is not bound")
-    return text
+    return bound[text]
 
 
 def _chunk(tokens: list, k: int) -> Chunk:
@@ -214,7 +194,7 @@ def _chunk(tokens: list, k: int) -> Chunk:
     return c
 
 
-def _value(tokens: list, k: int, bound: set) -> tuple[ValueExpr, int]:
+def _value(tokens: list, k: int, bound: dict) -> tuple[ValueExpr, int]:
     """The value starting at token ``k``, and the index after it."""
     text = _peek(tokens, k)
     if text == "undef":
@@ -235,7 +215,7 @@ def _value(tokens: list, k: int, bound: set) -> tuple[ValueExpr, int]:
         v = Vfloat(bits)
     elif kind == "ptr":
         if _peek(tokens, k + 2).startswith("$"):
-            target: str | int = _var(tokens, k + 2, bound)
+            target: str | int = _var(tokens, k + 2, bound)[1][0]
         else:
             target = _int(tokens, k + 2, "a block id or $variable")
         v = PtrLit(target, _int(tokens, k + 3, "a pointer offset"))
@@ -246,56 +226,65 @@ def _value(tokens: list, k: int, bound: set) -> tuple[ValueExpr, int]:
     return v, k + 4
 
 
-def _access(tokens: list, k: int, bound: set) -> tuple[Chunk, str, int]:
-    """The chunk, $variable and offset of a store or load, from token ``k``."""
-    return _chunk(tokens, k), _var(tokens, k + 1, bound), _int(tokens, k + 2, "an offset")
+def _access(tokens: list, k: int, bound: dict) -> tuple[Chunk, int, tuple, int]:
+    """The chunk, the ref and name of the $variable, and the offset of a
+    store or load, from token ``k``."""
+    chunk = _chunk(tokens, k)
+    ref, names = _var(tokens, k + 1, bound)
+    return chunk, ref, names, _int(tokens, k + 2, "an offset")
 
 
-def _operation(line: int, tokens: list, k: int, bound: set) -> tuple[Statement, int]:
-    """The operation named by token ``k``, and the index after it.  A
-    ``load`` here carries no expectation: it is the operand of
-    ``expect-fail``."""
+def _operation(tokens: list, k: int, bound: dict) -> tuple[tuple, tuple, int]:
+    """The op named by token ``k``, the names of its variables, and the
+    index after it.  A ``load`` here carries no expectation: it is the
+    operand of ``expect-fail``."""
     head = tokens[k]
     if head == "store":
-        chunk, var, ofs = _access(tokens, k + 1, bound)
+        chunk, ref, names, ofs = _access(tokens, k + 1, bound)
         value, end = _value(tokens, k + 4, bound)
-        return Store(line, chunk, var, ofs, value), end
+        return ("store", chunk, ref, ofs, value), names, end
     if head == "alloc":
         low = _int(tokens, k + 1, "a low bound")
         high = _int(tokens, k + 2, "a high bound")
         _expect(tokens, k + 3, "->")
-        return Alloc(line, low, high, _var(tokens, k + 4, bound, binding=True)), k + 5
+        return ("alloc", low, high), _var(tokens, k + 4, bound, binding=True)[1], k + 5
     if head == "free":
-        return Free(line, _var(tokens, k + 1, bound)), k + 2
+        ref, names = _var(tokens, k + 1, bound)
+        return ("free", ref), names, k + 2
     if head == "free-list":
-        vs = tuple(_var(tokens, j, bound) for j in range(k + 1, len(tokens)))
-        return FreeList(line, vs), len(tokens)
+        entries = [_var(tokens, j, bound) for j in range(k + 1, len(tokens))]
+        op = ("free_list", tuple(ref for ref, _ in entries))
+        return op, tuple(names[0] for _, names in entries), len(tokens)
     if head == "load":
-        return Load(line, *_access(tokens, k + 1, bound)), k + 4
+        chunk, ref, names, ofs = _access(tokens, k + 1, bound)
+        return ("load", chunk, ref, ofs), names, k + 4
     raise _Error(k, f"unknown operation {head!r}")
 
 
-def _statement(line: int, tokens: list, bound: set) -> tuple[Statement, int]:
+def _statement(line: int, tokens: list, bound: dict) -> tuple[Statement, int]:
     """The statement of one line, and the index after it."""
     head = tokens[0]
     if head == "load":
-        chunk, var, ofs = _access(tokens, 1, bound)
+        op, names, _ = _operation(tokens, 0, bound)
         _expect(tokens, 4, "=>")
         if _peek(tokens, 5) == "fail":
-            return Load(line, chunk, var, ofs, ("fail",)), 6
+            return Statement(op, LOAD_FAILS, names, line), 6
         value, end = _value(tokens, 5, bound)
-        return Load(line, chunk, var, ofs, ("value", value)), end
+        return Statement(op, value, names, line), end
     if head == "assert-valid":
-        return AssertValid(line, _var(tokens, 1, bound)), 2
+        ref, names = _var(tokens, 1, bound)
+        return Statement(("valid", ref), True, names, line), 2
     if head == "assert-bounds":
-        var = _var(tokens, 1, bound)
+        ref, names = _var(tokens, 1, bound)
         low = _int(tokens, 2, "a low bound")
-        return AssertBounds(line, var, low, _int(tokens, 3, "a high bound")), 4
+        high = _int(tokens, 3, "a high bound")
+        return Statement(("bounds", ref), (low, high), names, line), 4
     if head == "expect-fail":
         _take(tokens, 1, "an operation")
-        inner, end = _operation(line, tokens, 1, bound)
-        return ExpectFail(line, inner), end
-    return _operation(line, tokens, 0, bound)
+        op, names, end = _operation(tokens, 1, bound)
+        return Statement(op, EXPECT_FAIL, names, line), end
+    op, names, end = _operation(tokens, 0, bound)
+    return Statement(op, SUCCEEDS, names, line), end
 
 
 def _entry(tokens: list, emb: dict) -> None:
@@ -314,7 +303,7 @@ def parse_trace(text: str) -> Trace:
     """Parse a trace; raises TraceParseError with position on bad input."""
     statements = []
     emb: dict | None = None
-    bound: set[str] = set()
+    bound: dict[str, tuple[int, tuple]] = {}
     for lineno, code, tokens in _lines(text):
         try:
             if tokens[0] == "[emb]":
@@ -359,37 +348,40 @@ def _value_expr_text(v: ValueExpr) -> str:
     return value_text(v)
 
 
-def _statement_text(stmt: Statement, operand: bool = False) -> str:
-    """The line of ``stmt``; ``operand`` for the operation of an
-    ``expect-fail``, where a load has no expectation."""
-    if isinstance(stmt, Alloc):
-        return f"alloc {stmt.low} {stmt.high} -> {stmt.var}"
-    if isinstance(stmt, Free):
-        return f"free {stmt.var}"
-    if isinstance(stmt, FreeList):
-        return "free-list" + "".join(" " + v for v in stmt.vars)
-    if isinstance(stmt, Store):
-        return (
-            f"store {stmt.chunk.token} {stmt.var} {stmt.offset} "
-            f"{_value_expr_text(stmt.value)}"
-        )
-    if isinstance(stmt, Load):
-        text = f"load {stmt.chunk.token} {stmt.var} {stmt.offset}"
-        if operand:
-            return text
-        expect = "fail" if stmt.expect[0] == "fail" else _value_expr_text(stmt.expect[1])
-        return f"{text} => {expect}"
-    if isinstance(stmt, AssertValid):
-        return f"assert-valid {stmt.var}"
-    if isinstance(stmt, AssertBounds):
-        return f"assert-bounds {stmt.var} {stmt.low} {stmt.high}"
-    if isinstance(stmt, ExpectFail):
-        return f"expect-fail {_statement_text(stmt.inner, operand=True)}"
-    raise TypeError(f"not a statement: {stmt!r}")
+def statement_text(stmt: Statement) -> str:
+    """The line of ``stmt``.  With no expectation, a load or query prints
+    as a comment."""
+    op, names, expect = stmt.op, stmt.names, stmt.expect
+    kind = op[0]
+    if kind == "alloc":
+        text = f"alloc {op[1]} {op[2]} -> {names[0]}"
+    elif kind == "free":
+        text = f"free {names[0]}"
+    elif kind == "free_list":
+        text = "free-list" + "".join(" " + v for v in names)
+    elif kind == "store":
+        text = f"store {op[1].token} {names[0]} {op[3]} {_value_expr_text(op[4])}"
+    elif kind == "load":
+        text = f"load {op[1].token} {names[0]} {op[3]}"
+    elif expect is None:
+        return f"# query {kind} {names[0]}"
+    elif kind == "valid":
+        return f"assert-valid {names[0]}"
+    else:
+        return f"assert-bounds {names[0]} {expect[0]} {expect[1]}"
+    if expect is SUCCEEDS:
+        return text
+    if expect is EXPECT_FAIL:
+        return "expect-fail " + text
+    if expect is None:
+        return "# " + text
+    if expect is LOAD_FAILS:
+        return text + " => fail"
+    return f"{text} => {_value_expr_text(expect)}"
 
 
 def format_trace(trace: Trace) -> str:
-    lines = [_statement_text(s) for s in trace.statements]
+    lines = [statement_text(s) for s in trace.statements]
     if trace.emb is not None:
         lines.append("[emb]")
         lines.extend(f"{b} -> {tb} + {delta}" for b, tb, delta in trace.emb)
@@ -397,6 +389,75 @@ def format_trace(trace: Trace) -> str:
 
 
 # --- execution -------------------------------------------------------------------
+
+# Negative refs are probes, which name no alloc: PROBE_FRESH stands for a
+# far-away id, fresh in any small scenario, and any other negative ref for
+# block 0, which is never allocated.  Traces have no syntax for them.
+PROBE_INVALID = -1
+PROBE_FRESH = -2
+_FRESH_ID = 1_000_000
+
+
+def block_of(blocks: list, ref: int) -> int | None:
+    """The block ``ref`` stands for, where ``blocks[k]`` is the block of
+    the k-th alloc so far; None when ``ref`` is unbound."""
+    if ref >= 0:
+        return blocks[ref] if ref < len(blocks) else None
+    return _FRESH_ID if ref == PROBE_FRESH else 0
+
+
+def refs(op: tuple) -> tuple:
+    """The refs ``op`` names, in order."""
+    kind = op[0]
+    if kind == "alloc":
+        return ()
+    if kind == "free_list":
+        return op[1]
+    return (op[2],) if kind in ("store", "load") else (op[1],)
+
+
+def run_op(m: MemState, blocks: list, op: tuple) -> tuple[MemState, object]:
+    """Apply ``op`` to ``m``: the state after it, and its outcome.
+
+    ``blocks[k]`` is the block of the k-th alloc so far, None if it
+    failed; an alloc appends to it.  The outcome is an alloc's block,
+    whether a free, free_list or store succeeded, a load's value, or a
+    query's answer; None for a failed alloc or load.  An op on an unbound
+    ref fails: False for a free, free_list or store, None otherwise.  A
+    failed op leaves the state as it was."""
+    kind = op[0]
+    if kind == "store" or kind == "load":
+        ref = op[2]
+        b = blocks[ref] if 0 <= ref < len(blocks) else block_of(blocks, ref)
+        if kind == "load":
+            return m, None if b is None else memstate.load(op[1], m, b, op[3])
+        m2 = None if b is None else memstate.store(op[1], m, b, op[3], op[4])
+        return (m, False) if m2 is None else (m2, True)
+    if kind == "alloc":
+        r = memstate.alloc(m, op[1], op[2])
+        if r is None:
+            blocks.append(None)
+            return m, None
+        blocks.append(r[0])
+        return r[1], r[0]
+    if kind == "free_list":
+        ids = [block_of(blocks, ref) for ref in op[1]]
+        m2 = None if None in ids else memstate.free_list(m, ids)
+        return (m, False) if m2 is None else (m2, True)
+    ref = op[1]
+    b = blocks[ref] if 0 <= ref < len(blocks) else block_of(blocks, ref)
+    if kind == "free":
+        m2 = None if b is None else memstate.free(m, b)
+        return (m, False) if m2 is None else (m2, True)
+    if b is None:
+        return m, None
+    if kind == "valid":
+        return m, memstate.valid_block(m, b)
+    if kind == "bounds":
+        return m, memstate.bounds(m, b)
+    if kind == "fresh":
+        return m, memstate.fresh_block(m, b)
+    raise ValueError(f"unknown op {kind!r}")
 
 
 @dataclass
@@ -415,127 +476,117 @@ class TraceReport:
     failure: StepOutcome | None = None
 
 
-class _Exec:
-    def __init__(self, config: MemConfig) -> None:
-        self.m = memstate.empty(config)
-        self.env: dict[str, int] = {}
-
-    def value(self, v: ValueExpr) -> Value | None:
-        if isinstance(v, PtrLit):
-            if isinstance(v.target, int):
-                return Vptr(v.target, v.offset)
-            b = self.env.get(v.target)
-            if b is None:
-                return None
-            return Vptr(b, v.offset)
+def _resolve(v: ValueExpr, env: dict) -> Value | None:
+    """``v`` with a pointer literal's variable looked up in ``env``; None
+    when it is unbound."""
+    if type(v) is not PtrLit:
         return v
+    b = v.target if isinstance(v.target, int) else env.get(v.target)
+    return None if b is None else Vptr(b, v.offset)
 
-    def operate(self, stmt) -> tuple[bool, str]:
-        """Apply an operation; True plus a note when it succeeded."""
-        if isinstance(stmt, Alloc):
-            r = memstate.alloc(self.m, stmt.low, stmt.high)
-            if r is None:
-                return False, "allocation rejected by the capacity policy"
-            b, self.m = r
-            self.env[stmt.var] = b
-            return True, f"{stmt.var} = block {b}"
-        if isinstance(stmt, Free):
-            b = self.env.get(stmt.var)
-            if b is None:
-                return False, f"{stmt.var} is unbound"
-            m2 = memstate.free(self.m, b)
-            if m2 is None:
-                return False, f"free of block {b} failed"
-            self.m = m2
-            return True, f"freed block {b}"
-        if isinstance(stmt, FreeList):
-            ids = []
-            for var in stmt.vars:
-                b = self.env.get(var)
-                if b is None:
-                    return False, f"{var} is unbound"
-                ids.append(b)
-            m2 = memstate.free_list(self.m, ids)
-            if m2 is None:
-                return False, f"free-list {ids} failed"
-            self.m = m2
-            return True, f"freed blocks {ids}"
-        if isinstance(stmt, Store):
-            b = self.env.get(stmt.var)
-            if b is None:
-                return False, f"{stmt.var} is unbound"
-            v = self.value(stmt.value)
-            if v is None:
-                return False, "pointer value references an unbound variable"
-            m2 = memstate.store(stmt.chunk, self.m, b, stmt.offset, v)
-            if m2 is None:
-                return False, f"store at ({b}, {stmt.offset}) is not a valid access"
-            self.m = m2
-            return True, f"stored at ({b}, {stmt.offset})"
-        if isinstance(stmt, Load):
-            b = self.env.get(stmt.var)
-            if b is None:
-                return False, f"{stmt.var} is unbound"
-            got = memstate.load(stmt.chunk, self.m, b, stmt.offset)
-            if got is None:
-                return False, f"load at ({b}, {stmt.offset}) is not a valid access"
-            return True, value_text(got)
-        raise TypeError(f"not an operation: {stmt!r}")
 
-    def step(self, stmt) -> tuple[bool, str]:
-        """Run one statement; True when its assertion holds."""
-        if isinstance(stmt, ExpectFail):
-            ok, note = self.operate(stmt.inner)
-            if ok:
-                return False, f"operation succeeded but was expected to fail ({note})"
-            return True, f"failed as expected: {note}"
-        if isinstance(stmt, AssertValid):
-            b = self.env.get(stmt.var)
-            if b is None:
-                return False, f"{stmt.var} is unbound"
-            if not memstate.valid_block(self.m, b):
-                return False, f"block {b} is not valid"
-            return True, f"block {b} is valid"
-        if isinstance(stmt, AssertBounds):
-            b = self.env.get(stmt.var)
-            if b is None:
-                return False, f"{stmt.var} is unbound"
-            got = memstate.bounds(self.m, b)
-            if got != (stmt.low, stmt.high):
-                return False, f"bounds of block {b} are {got}, not ({stmt.low}, {stmt.high})"
-            return True, f"bounds of block {b} are {got}"
-        if isinstance(stmt, Load):
-            b = self.env.get(stmt.var)
-            if b is None:
-                return False, f"{stmt.var} is unbound"
-            got = memstate.load(stmt.chunk, self.m, b, stmt.offset)
-            if stmt.expect[0] == "fail":
-                if got is not None:
-                    return False, f"load succeeded with {value_text(got)}, expected failure"
-                return True, "failed as expected"
-            want = self.value(stmt.expect[1])
-            if want is None:
-                return False, "expected pointer references an unbound variable"
-            if got is None:
-                return False, f"load failed, expected {value_text(want)}"
-            if got != want:
-                return False, f"loaded {value_text(got)}, expected {value_text(want)}"
-            return True, f"loaded {value_text(got)}"
-        return self.operate(stmt)
+def _why_not(stmt: Statement, env: dict) -> str | None:
+    """Why the op of ``stmt`` cannot run, or None: one of its variables,
+    or the one of the pointer it stores, is unbound."""
+    op = stmt.op
+    if op[0] != "alloc":
+        for name in stmt.names:
+            if name not in env:
+                return f"{name} is unbound"
+        if op[0] == "store" and type(op[4]) is PtrLit and _resolve(op[4], env) is None:
+            return "pointer value references an unbound variable"
+    return None
+
+
+def _operate(stmt: Statement, m: MemState, blocks: list, env: dict):
+    """Run the op of a statement that expects it to succeed or to fail:
+    the state after it, whether it succeeded, and a note."""
+    op = stmt.op
+    kind = op[0]
+    if kind == "store" and type(op[4]) is PtrLit:
+        why = _why_not(stmt, env)
+        if why is not None:
+            return m, False, why
+        op = op[:4] + (_resolve(op[4], env),)
+    m, got = run_op(m, blocks, op)
+    if got is None or got is False:
+        why = _why_not(stmt, env)
+        if why is not None:
+            return m, False, why
+    names = stmt.names
+    if kind == "alloc":
+        if got is None:
+            return m, False, "allocation rejected by the capacity policy"
+        env[names[0]] = got
+        return m, True, f"{names[0]} = block {got}"
+    if kind == "free_list":
+        ids = [env[name] for name in names]
+        return m, got, f"freed blocks {ids}" if got else f"free-list {ids} failed"
+    b = env[names[0]]
+    if kind == "free":
+        return m, got, f"freed block {b}" if got else f"free of block {b} failed"
+    if kind == "store":
+        if got:
+            return m, True, f"stored at ({b}, {op[3]})"
+        return m, False, f"store at ({b}, {op[3]}) is not a valid access"
+    if got is None:
+        return m, False, f"load at ({b}, {op[3]}) is not a valid access"
+    return m, True, value_text(got)
+
+
+def _step(stmt: Statement, m: MemState, blocks: list, env: dict):
+    """Run one statement: the state after it, whether its expectation
+    holds, and a note."""
+    expect = stmt.expect
+    if expect is SUCCEEDS:
+        return _operate(stmt, m, blocks, env)
+    if expect is EXPECT_FAIL:
+        m, done, note = _operate(stmt, m, blocks, env)
+        if done:
+            return m, False, f"operation succeeded but was expected to fail ({note})"
+        return m, True, f"failed as expected: {note}"
+    # An assertion or a load with an expected result: its op is a query.
+    op = stmt.op
+    m, got = run_op(m, blocks, op)
+    if got is None or got is False:
+        why = _why_not(stmt, env)
+        if why is not None:
+            return m, False, why
+    b = env[stmt.names[0]]
+    if op[0] == "valid":
+        return m, got, f"block {b} is valid" if got else f"block {b} is not valid"
+    if op[0] == "bounds":
+        if got != expect:
+            return m, False, f"bounds of block {b} are {got}, not {expect}"
+        return m, True, f"bounds of block {b} are {got}"
+    if expect is LOAD_FAILS:
+        if got is not None:
+            return m, False, f"load succeeded with {value_text(got)}, expected failure"
+        return m, True, "failed as expected"
+    want = _resolve(expect, env)
+    if want is None:
+        return m, False, "expected pointer references an unbound variable"
+    if got is None:
+        return m, False, f"load failed, expected {value_text(want)}"
+    if got != want:
+        return m, False, f"loaded {value_text(got)}, expected {value_text(want)}"
+    return m, True, f"loaded {value_text(got)}"
 
 
 def exec_trace(trace: Trace, config: MemConfig = DEFAULT_CONFIG) -> TraceReport:
     """Run the statements in order against an evolving state, stopping at
-    the first failed assertion or unexpected operation failure."""
-    ex = _Exec(config)
+    the first statement whose expectation does not hold."""
+    m = memstate.empty(config)
+    blocks: list = []
+    env: dict[str, int] = {}
     steps: list[StepOutcome] = []
     for stmt in trace.statements:
-        ok, note = ex.step(stmt)
+        m, ok, note = _step(stmt, m, blocks, env)
         outcome = StepOutcome(stmt.line, ok, note)
         steps.append(outcome)
         if not ok:
-            return TraceReport(False, steps, ex.m, ex.env, outcome)
-    return TraceReport(True, steps, ex.m, ex.env)
+            return TraceReport(False, steps, m, env, outcome)
+    return TraceReport(True, steps, m, env)
 
 
 # --- relating two traces -----------------------------------------------------------
@@ -559,15 +610,15 @@ def _check_relation(relation: str, m1: MemState, m2: MemState, emb) -> bool:
     return relations.mem_inject(emb, m1, m2)
 
 
-def _changed(stmt, ex: _Exec, before: MemState) -> tuple:
-    """The block ids that ``stmt``, just run by ``ex`` from the state
-    ``before``, changed.  A statement that changed the state ran an alloc,
-    a store or a free; anything else leaves the state as it was."""
-    if ex.m is before:
+def _changed(op: tuple, blocks: list, m: MemState, before: MemState) -> tuple:
+    """The block ids that ``op``, just run from the state ``before`` to
+    ``m``, changed.  An op that changed the state was an alloc, whose block
+    is the last one bound, or a store or a free of the blocks of its refs."""
+    if m is before:
         return ()
-    if isinstance(stmt, FreeList):
-        return tuple(ex.env[var] for var in stmt.vars)
-    return (ex.env[stmt.var],)
+    if op[0] == "alloc":
+        return (blocks[-1],)
+    return tuple(block_of(blocks, ref) for ref in refs(op))
 
 
 def relate(
@@ -617,22 +668,23 @@ def relate(
             f"({len(trace1.statements)} vs {len(trace2.statements)})",
         )
     sources = relations.sources_by_target(emb) if relation == "inject" else None
-    ex1 = _Exec(config)
-    ex2 = _Exec(config)
+    m1 = m2 = memstate.empty(config)
+    blocks1, blocks2, env1, env2 = [], [], {}, {}
     steps = []
     for k, (s1, s2) in enumerate(zip(trace1.statements, trace2.statements)):
-        m1, m2 = ex1.m, ex2.m
-        ok1, note1 = ex1.step(s1)
+        before1, before2 = m1, m2
+        m1, ok1, note1 = _step(s1, m1, blocks1, env1)
         if not ok1:
             return RelateReport(False, f"left trace failed at line {s1.line}: {note1}", steps)
-        ok2, note2 = ex2.step(s2)
+        m2, ok2, note2 = _step(s2, m2, blocks2, env2)
         if not ok2:
             return RelateReport(False, f"right trace failed at line {s2.line}: {note2}", steps)
         if k == 0:
-            holds = _check_relation(relation, ex1.m, ex2.m, emb)
+            holds = _check_relation(relation, m1, m2, emb)
         else:
             holds = relations.holds_after_step(
-                relation, ex1.m, ex2.m, _changed(s1, ex1, m1), _changed(s2, ex2, m2),
+                relation, m1, m2,
+                _changed(s1.op, blocks1, m1, before1), _changed(s2.op, blocks2, m2, before2),
                 emb, sources,
             )
         steps.append((k, holds))

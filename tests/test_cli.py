@@ -10,6 +10,7 @@ import pytest
 
 import blockmem
 from blockmem.cli import main
+from blockmem.lawcheck import runner
 
 FIG = "alloc 0 8 -> $a\nstore int32 $a 0 (int 42)\nload int32 $a 0 => (int 42)\nfree $a\n"
 
@@ -79,6 +80,7 @@ def test_run_no_alignment_flag(tmp_path):
         '{"seed": 1.5}',
         '{"random_cases": "10"}',
         '{"random_cases": -1}',
+        '{"capacity_bytes": -5}',
     ],
 )
 def test_bad_config_is_a_usage_error(tmp_path, fig_trace, capsys, config):
@@ -99,6 +101,42 @@ def test_config_accepts_nulls_and_false(tmp_path):
         )
     )
     assert main(["run", str(p), "--config", str(cfg)]) == 0
+
+
+def test_negative_capacity_is_a_usage_error(fig_trace, capsys):
+    assert main(["run", fig_trace, "--capacity", "-5"]) == 2
+    assert main(["relate", fig_trace, fig_trace, "--relation", "lessdef", "--capacity", "-1"]) == 2
+    assert "--capacity" in capsys.readouterr().err
+
+
+def _suite_must_not_run(cfg):
+    raise AssertionError("the law suite ran")
+
+
+@pytest.mark.parametrize("flags", [["--capacity", "4"], ["--no-alignment-check"]])
+def test_laws_has_no_memory_flags(monkeypatch, capsys, flags):
+    # The laws run on the default memory config only.
+    monkeypatch.setattr(runner, "run_suite", _suite_must_not_run)
+    assert main(["laws", "--cases", "0", *flags]) == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{"capacity_bytes": 4}, {"alignment_check": False}])
+def test_laws_rejects_a_memory_config_file(tmp_path, monkeypatch, capsys, config):
+    monkeypatch.setattr(runner, "run_suite", _suite_must_not_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["laws", "--cases", "0", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg) in err
+
+
+def test_laws_unwritable_report_fails_before_the_suite(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(runner, "run_suite", _suite_must_not_run)
+    for report in (tmp_path / "missing" / "laws.jsonl", tmp_path):
+        assert main(["laws", "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(report) in err
 
 
 def test_laws_config_null_seed_means_default(tmp_path, capsys):
@@ -252,11 +290,15 @@ def test_relate_rejects_malformed_relocation_maps(tmp_path, capsys):
 
 def test_cli_import_leaves_law_suite_unloaded():
     # `run` and `relate` never touch the laws; only `laws` imports them.
+    # The trace interpreter is imported by the law suite, never the reverse.
     src = str(Path(blockmem.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, blockmem.cli; print('blockmem.lawcheck.runner' in sys.modules)"
+    code = (
+        "import sys, blockmem.cli; "
+        "print([m for m in sys.modules if m.split('.')[:2] == ['blockmem', 'lawcheck']])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -4,12 +4,15 @@ import struct
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from blockmem import chunks, memstate
 from blockmem.chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, Vptr, VUNDEF
 from blockmem.lawcheck import oracle
 from blockmem.lawcheck.generators import run_ops, sample_ops
 from blockmem.lawcheck.oracle import oracle_convert, oracle_exec, oracle_float32_round_bits
 from blockmem.lawcheck.rng import SplitMix64
+from blockmem.memstate import CapacityPolicy, MemConfig
 
 CURATED = [
     0.0,
@@ -89,3 +92,48 @@ def test_oracle_respects_capacity_and_alignment_flags():
     assert outcomes[0] == ("alloc", None)
     desc, outcomes = oracle_exec(ops, check_alignment=False)
     assert outcomes == [("alloc", 1), ("store", True)]
+
+
+@pytest.mark.parametrize("check_alignment", [True, False])
+@pytest.mark.parametrize("capacity", [0, 8, 24, None])
+def test_differential_under_memory_configs(capacity, check_alignment):
+    # Small capacities reject allocs, so later ops meet unbound refs.
+    config = MemConfig(capacity=CapacityPolicy(capacity), check_alignment=check_alignment)
+    rng = SplitMix64(1000 + (capacity or 0))
+    for _ in range(300):
+        ops = sample_ops(rng)
+        main = run_ops(ops, config)
+        desc, outcomes = oracle_exec(ops, capacity=capacity, check_alignment=check_alignment)
+        assert outcomes == main.outcomes, ops
+        assert desc == _describe_main(main), ops
+
+
+def test_ref_of_a_rejected_alloc_stays_unbound():
+    # Ref 1 is the second alloc, the first one the capacity admits.
+    ops = [
+        ("alloc", 0, 100),
+        ("alloc", 0, 8),
+        ("store", Chunk.INT8U, 1, 0, Vint(7)),
+        ("load", Chunk.INT8U, 1, 0),
+        ("store", Chunk.INT8U, 0, 0, Vint(7)),
+        ("valid", 0),
+    ]
+    want = [
+        ("alloc", None),
+        ("alloc", 1),
+        ("store", True),
+        ("load", Vint(7)),
+        ("store", False),
+        ("valid", None),
+    ]
+    assert run_ops(ops, MemConfig(capacity=CapacityPolicy(8))).outcomes == want
+    assert oracle_exec(ops, capacity=8)[1] == want
+
+
+def test_failed_free_list_frees_nothing():
+    ops = [("alloc", 0, 8), ("alloc", 0, 8), ("free_list", (0, 1, 1)), ("valid", 0)]
+    want = [("alloc", 1), ("alloc", 2), ("free_list", False), ("valid", True)]
+    assert run_ops(ops).outcomes == want
+    desc, outcomes = oracle_exec(ops)
+    assert outcomes == want
+    assert desc == _describe_main(run_ops(ops))

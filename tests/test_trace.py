@@ -7,9 +7,6 @@ from blockmem.lawcheck.oracle import oracle_exec
 from blockmem.lawcheck.rng import SplitMix64
 from blockmem.memstate import CapacityPolicy, MemConfig
 from blockmem.trace import (
-    Alloc,
-    Load,
-    Store,
     TraceParseError,
     exec_trace,
     format_trace,
@@ -30,11 +27,11 @@ free $a
 def test_parse_basics():
     t = parse_trace("alloc 0 8 -> $a")
     assert len(t.statements) == 1
-    assert isinstance(t.statements[0], Alloc)
+    assert t.statements[0].op[0] == "alloc"
     two = parse_trace("alloc 0 8 -> $a\nstore int32 $a 0 (int 42)\nload int32 $a 0 => (int 42)")
     assert len(two.statements) == 3
-    assert isinstance(two.statements[1], Store)
-    assert isinstance(two.statements[2], Load)
+    assert two.statements[1].op[0] == "store"
+    assert two.statements[2].op[0] == "load"
 
 
 A = "alloc 0 8 -> $a\n"
@@ -237,6 +234,115 @@ def test_assert_bounds():
     assert exec_trace(t).ok
 
 
+U = "expect-fail alloc 0 16 -> $u\n"  # at capacity 8, $u stays unbound
+
+# One row per note the interpreter gives, recorded before the trace
+# statements became ops: (the note, capacity, trace, (line, ok, note) per step).
+EXEC_NOTES = [
+    ("allocation rejected", 8, "alloc 0 16 -> $a",
+     [(1, False, "allocation rejected by the capacity policy")]),
+    ("alloc binds", None, "alloc -4 8 -> $a\nalloc 0 0 -> $b",
+     [(1, True, "$a = block 1"), (2, True, "$b = block 2")]),
+    ("free: unbound", 8, U + "free $u",
+     [(1, True, "failed as expected: allocation rejected by the capacity policy"),
+      (2, False, "$u is unbound")]),
+    ("free failed", None, A + "free $a\nfree $a",
+     [(1, True, "$a = block 1"), (2, True, "freed block 1"), (3, False, "free of block 1 failed")]),
+    ("freed block", None, A + "free $a",
+     [(1, True, "$a = block 1"), (2, True, "freed block 1")]),
+    ("free-list: unbound", 8, A + U + "free-list $a $u",
+     [(1, True, "$a = block 1"),
+      (2, True, "failed as expected: allocation rejected by the capacity policy"),
+      (3, False, "$u is unbound")]),
+    ("free-list failed", None, A + "alloc 0 8 -> $b\nfree $b\nfree-list $a $b",
+     [(1, True, "$a = block 1"), (2, True, "$b = block 2"), (3, True, "freed block 2"),
+      (4, False, "free-list [1, 2] failed")]),
+    ("freed blocks", None, A + "alloc 0 8 -> $b\nfree-list $b $a",
+     [(1, True, "$a = block 1"), (2, True, "$b = block 2"), (3, True, "freed blocks [2, 1]")]),
+    ("store: unbound", 8, U + "store int32 $u 0 (int 1)",
+     [(1, True, "failed as expected: allocation rejected by the capacity policy"),
+      (2, False, "$u is unbound")]),
+    ("store: unbound pointer", 8, A + U + "store int32 $a 0 (ptr $u 0)",
+     [(1, True, "$a = block 1"),
+      (2, True, "failed as expected: allocation rejected by the capacity policy"),
+      (3, False, "pointer value references an unbound variable")]),
+    ("store invalid", None, A + "store int32 $a 2 (int 1)",
+     [(1, True, "$a = block 1"), (2, False, "store at (1, 2) is not a valid access")]),
+    ("stored", None, A + "store int32 $a 4 (ptr 9 -3)",
+     [(1, True, "$a = block 1"), (2, True, "stored at (1, 4)")]),
+    ("operand load: unbound", 8, U + "expect-fail load int32 $u 0",
+     [(1, True, "failed as expected: allocation rejected by the capacity policy"),
+      (2, True, "failed as expected: $u is unbound")]),
+    ("operand load invalid", None, A + "expect-fail load int32 $a 8",
+     [(1, True, "$a = block 1"),
+      (2, True, "failed as expected: load at (1, 8) is not a valid access")]),
+    ("operand load value", None, A + "store int16s $a 2 (int 70000)\nexpect-fail load int16s $a 2",
+     [(1, True, "$a = block 1"), (2, True, "stored at (1, 2)"),
+      (3, False, "operation succeeded but was expected to fail ((int 4464))")]),
+    ("expect-fail succeeded", None, A + "expect-fail free $a",
+     [(1, True, "$a = block 1"),
+      (2, False, "operation succeeded but was expected to fail (freed block 1)")]),
+    ("expect-fail failed", None, A + "expect-fail store int32 $a 1 (int 1)",
+     [(1, True, "$a = block 1"),
+      (2, True, "failed as expected: store at (1, 1) is not a valid access")]),
+    ("assert-valid: unbound", 8, U + "assert-valid $u",
+     [(1, True, "failed as expected: allocation rejected by the capacity policy"),
+      (2, False, "$u is unbound")]),
+    ("not valid", None, A + "free $a\nassert-valid $a",
+     [(1, True, "$a = block 1"), (2, True, "freed block 1"), (3, False, "block 1 is not valid")]),
+    ("valid", None, A + "assert-valid $a",
+     [(1, True, "$a = block 1"), (2, True, "block 1 is valid")]),
+    ("assert-bounds: unbound", 8, U + "assert-bounds $u 0 16",
+     [(1, True, "failed as expected: allocation rejected by the capacity policy"),
+      (2, False, "$u is unbound")]),
+    ("bounds differ", None, A + "assert-bounds $a 0 4",
+     [(1, True, "$a = block 1"), (2, False, "bounds of block 1 are (0, 8), not (0, 4)")]),
+    ("bounds", None, "alloc -4 12 -> $a\nassert-bounds $a -4 12",
+     [(1, True, "$a = block 1"), (2, True, "bounds of block 1 are (-4, 12)")]),
+    ("load: unbound", 8, U + "load int32 $u 0 => fail",
+     [(1, True, "failed as expected: allocation rejected by the capacity policy"),
+      (2, False, "$u is unbound")]),
+    ("load succeeded, expected failure", None, A + "load int32 $a 0 => fail",
+     [(1, True, "$a = block 1"), (2, False, "load succeeded with undef, expected failure")]),
+    ("load failed as expected", None, A + "free $a\nload int32 $a 0 => fail",
+     [(1, True, "$a = block 1"), (2, True, "freed block 1"), (3, True, "failed as expected")]),
+    ("load: unbound expected pointer", 8, A + U + "load int32 $a 0 => (ptr $u 0)",
+     [(1, True, "$a = block 1"),
+      (2, True, "failed as expected: allocation rejected by the capacity policy"),
+      (3, False, "expected pointer references an unbound variable")]),
+    ("load failed, expected a value", None, A + "load int32 $a 8 => (int 1)",
+     [(1, True, "$a = block 1"), (2, False, "load failed, expected (int 1)")]),
+    ("loaded another value", None,
+     A + "store float64 $a 0 (float 0x3FF8000000000000)\nload float32 $a 0 => (int 1)",
+     [(1, True, "$a = block 1"), (2, True, "stored at (1, 0)"),
+      (3, False, "loaded undef, expected (int 1)")]),
+    ("loaded", None, A + "store int32 $a 0 (ptr $a 4)\nload int32 $a 0 => (ptr $a 4)",
+     [(1, True, "$a = block 1"), (2, True, "stored at (1, 0)"), (3, True, "loaded (ptr 1 4)")]),
+]
+
+
+@pytest.mark.parametrize("row", EXEC_NOTES, ids=[r[0] for r in EXEC_NOTES])
+def test_exec_notes_are_pinned(row):
+    _, capacity, text, steps = row
+    cfg = MemConfig(capacity=CapacityPolicy(max_total_bytes=capacity))
+    report = exec_trace(parse_trace(text), cfg)
+    assert [(s.line, s.ok, s.note) for s in report.steps] == steps
+    assert report.ok == steps[-1][1]
+
+
+def test_ref_of_a_rejected_alloc_stays_unbound():
+    # Ref k is the k-th alloc statement, whether or not it succeeded: $b1
+    # is block 1 here, the first block the capacity admits.
+    text = (
+        "expect-fail alloc 0 100 -> $b0\n"
+        "alloc 0 8 -> $b1\n"
+        "store int8u $b1 0 (int 7)\n"
+        "load int8u $b1 0 => (int 7)\n"
+    )
+    report = exec_trace(parse_trace(text), MemConfig(capacity=CapacityPolicy(max_total_bytes=8)))
+    assert report.ok and report.env == {"$b1": 1}
+
+
 def test_parse_embedding_file():
     emb = parse_embedding("[emb]\n# comment\n1 -> 2 + 8\n3 -> 2 + -16\n")
     assert emb == {1: (2, 8), 3: (2, -16)}
@@ -326,14 +432,18 @@ def test_relate_stepwise():
 
 
 def _grammar_ops(rng):
-    """Random ops expressible in the trace grammar (no probe refs)."""
+    """Random ops expressible in the trace grammar (no probe refs); a free
+    at an odd position becomes a free_list, which sampled scenarios never
+    hold."""
     ops = []
     for op in sample_ops(rng):
-        if op[0] in ("valid", "fresh", "bounds", "free_list"):
+        if op[0] in ("valid", "fresh"):
             continue
-        refs = [op[1]] if op[0] == "free" else [op[2]] if op[0] in ("store", "load") else []
+        refs = [op[2]] if op[0] in ("store", "load") else [] if op[0] == "alloc" else [op[1]]
         if any(r < 0 for r in refs):
             continue
+        if op[0] == "free" and len(ops) % 2:
+            op = ("free_list", (op[1],))
         ops.append(op)
     return ops
 
@@ -350,6 +460,11 @@ def _ops_to_trace(ops, outcomes):
             k += 1
         elif op[0] == "free":
             line = f"free $b{op[1]}"
+        elif op[0] == "free_list":
+            line = "free-list " + " ".join(f"$b{r}" for r in op[1])
+        elif op[0] == "bounds":
+            lines.append(f"assert-bounds $b{op[1]} {out[1][0]} {out[1][1]}")
+            continue
         elif op[0] == "store":
             line = f"store {op[1].token} $b{op[2]} {op[3]} {value_text(op[4])}"
         else:
