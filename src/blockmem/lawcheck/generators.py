@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .. import chunks, memstate, relations
+from .. import chunks, memstate
 from ..chunks import ALL_CHUNKS, Chunk, Value, Vfloat, Vint, Vptr, VUNDEF
 from ..memstate import DEFAULT_CONFIG, MemConfig, MemState
 from ..trace import PROBE_FRESH, PROBE_INVALID, SUCCEEDS, Statement, refs, run_op, statement_text
@@ -207,25 +207,6 @@ def gen_state(seed: int, cfg: UniverseConfig = DEFAULT_UNIVERSE) -> MemState:
     """A reachable random state, reproducible from the seed alone."""
     rng = SplitMix64(seed)
     return run_ops(sample_ops(rng, cfg)).state
-
-
-def sample_valid_access(rng: SplitMix64, m: MemState):
-    """A (chunk, block, offset) access valid in ``m``, or None."""
-    candidates = [
-        b for b, _, _, _ in memstate.live_blocks(m) if relations.valid_accesses(m, b)
-    ]
-    if not candidates:
-        return None
-    b = rng.choice(candidates)
-    t, i = rng.choice(relations.valid_accesses(m, b))
-    return t, b, i
-
-
-def sample_access_probe(rng: SplitMix64, m: MemState):
-    """An arbitrary (chunk, block, offset), valid or not."""
-    t = rng.choice(ALL_CHUNKS)
-    b = rng.choice((0, 1, 2, 3, m.nextblock, m.nextblock + 2))
-    return t, b, rng.randint(-6, 9)
 
 
 # --- shrinking ---------------------------------------------------------------
@@ -430,7 +411,6 @@ class EmbScenario:
     emb: dict
     src_ids: tuple
     own_pairs: tuple  # (src_id, tgt_id, delta) for sole-source targets
-    big_target: int | None
     hole: tuple | None  # (tgt_id, start, span)
     extra_ids: tuple
     ops1: tuple
@@ -531,7 +511,6 @@ def build_emb_scenario(plan: EmbPlan, config: MemConfig = DEFAULT_CONFIG) -> Emb
         emb=emb,
         src_ids=src_ids,
         own_pairs=tuple(own_pairs),
-        big_target=big_target,
         hole=hole,
         extra_ids=tuple(extra_ids),
         ops1=tuple(ops1),
@@ -677,7 +656,6 @@ def shared_emb_plan(
 
 # --- the exhaustive tiny universe ---------------------------------------------
 
-TINY_BOUNDS = ((0, 0), (0, 4), (-4, 4), (0, 8), (-4, 8))
 TINY_BOUNDS_SMALL = ((0, 8), (-4, 4), (0, 4))
 TINY_BOUNDS_SECOND = ((0, 8), (-4, 8))
 
@@ -685,10 +663,7 @@ TINY_CONTENT = (
     (),
     ((Chunk.INT32, 0, Vint(1)),),
     ((Chunk.INT8U, 1, Vint(300)), (Chunk.INT16S, 2, Vint(-2))),
-    ((Chunk.FLOAT64, 0, Vfloat.from_float(1.5)),),
 )
-
-TINY_VALUES = (VUNDEF, Vint(7), Vint(300), Vfloat.from_float(1.5), Vptr(1, 0))
 
 
 def _tiny_build(bounds_list, content_list, freed_mask):
@@ -712,35 +687,13 @@ def tiny_states_small():
     [-4, 8), freed combinations, a handful of content shapes."""
     out = [_tiny_build((), (), 0)]
     for bd in TINY_BOUNDS_SMALL:
-        for content in TINY_CONTENT[:3]:
+        for content in TINY_CONTENT:
             for freed in (0, 1):
                 out.append(_tiny_build((bd,), (content,), freed))
     for bd1 in TINY_BOUNDS_SMALL:
         for bd2 in TINY_BOUNDS_SECOND:
-            for c1 in TINY_CONTENT[:3]:
-                for c2 in TINY_CONTENT[:3]:
-                    for freed in range(4):
-                        out.append(_tiny_build((bd1, bd2), (c1, c2), freed))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def tiny_states_full():
-    """The full tiny universe: all bounds pairs from the [-4, 8) palette,
-    all content shapes, all freed subsets."""
-    out = [_tiny_build((), (), 0)]
-    for bd in TINY_BOUNDS:
-        for content in TINY_CONTENT:
-            for freed in (0, 1):
-                out.append(_tiny_build((bd,), (content,), freed))
-    for bd1 in TINY_BOUNDS:
-        for bd2 in TINY_BOUNDS:
             for c1 in TINY_CONTENT:
                 for c2 in TINY_CONTENT:
                     for freed in range(4):
                         out.append(_tiny_build((bd1, bd2), (c1, c2), freed))
     return tuple(out)
-
-
-def tiny_probe_blocks(m: MemState):
-    return (0, 1, 2, m.nextblock)

@@ -2,18 +2,20 @@
 
 A *law* is an executable, universally quantified property with a name tag
 taken verbatim from the classic lemma inventory for this memory model, so
-suite reports can be diffed against that catalogue.  Each law supplies an
-exhaustive case iterator over the tiny universe and a random case sampler;
-a case is a self-contained tuple (tag, payload...) that the law's checker
-can evaluate from scratch, which is what makes shrinking and standalone
+suite reports can be diffed against that catalogue.  A law is one domain
+description (``domains``) and a check: the description is read once to
+enumerate the exhaustive phase and once to draw the random phase, so a
+law's exhaustive scope is its description's scope.  A case is a
+self-contained tuple (tag, payload...) that the law's checker can
+evaluate from scratch, which is what makes shrinking and standalone
 counterexample replay possible.
 
-A sampler may return ``("skip",)`` when the drawn scenario admits no
-assignment.  Checks never see such a case: ``runner.run_law`` drops skips
-in both phases before calling ``check``, and ``shrink_case`` never yields
-one.  Check functions return ``None`` when the case passes (including
-vacuously, when the case fails the law's hypotheses) and a short
-human-readable detail string when it exhibits a violation.
+A draw that meets an empty choice gives ``("skip",)``.  Checks never see
+such a case: ``runner.run_law`` drops skips in both phases before calling
+``check``, and ``shrink_case`` never yields one.  Check functions return
+``None`` when the case passes (including vacuously, when the case fails
+the law's hypotheses) and a short human-readable detail string when it
+exhibits a violation.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .. import chunks
+from .. import chunks, memstate, relations
 from . import generators
+from .domains import Domain, bind, extend, pick, sampler, source
 from .generators import (
     EmbPlan,
     build_emb_scenario,
     build_extends_pair,
     build_lessdef_pair,
     format_ops,
+    project,
     run_ops,
     shrink_emb_plan,
     shrink_ops,
@@ -78,13 +82,14 @@ def deflaw(
     *,
     family: str,
     groups: tuple = (),
-    exhaustive=lambda: (),
-    sample=lambda rng: ("skip",),
-    check=lambda case: None,
+    domain: Domain,
+    check: Callable,
 ) -> Law:
+    """Register a law whose cases are ``domain``: the exhaustive phase
+    enumerates it and the random phase draws from it."""
     if name in LAWS:
         raise ValueError(f"duplicate law {name}")
-    law = Law(name, module, about, family, groups, exhaustive, sample, check)
+    law = Law(name, module, about, family, groups, domain.cases, sampler(domain), check)
     LAWS[name] = law
     return law
 
@@ -137,6 +142,69 @@ def cells_of(recipe: tuple):
     return f
 
 
+# --- domains over states ---------------------------------------------------------
+
+# The shared random scenarios; enumerated, the tiny universe.
+SCENARIO_OPS = source(
+    generators.shared_ops, lambda: [ops for ops, _ in generators.tiny_states_small()]
+)
+STATE = SCENARIO_OPS.map(lambda ops: ("state", ops))
+
+
+def on_state(tail) -> Domain:
+    """Cases ("state", ops) + a tuple of ``tail(m)``, a domain over the
+    state m that the scenario builds."""
+    return extend(STATE, lambda case: tail(state_of(case[1])))
+
+
+# State -> (state, its live block ids, those with a valid access), for the
+# states the domains read: the laws of a scenario domain all read scenario
+# k's state, and every exhaustive enumeration reads the tiny universe.  Keyed
+# by identity, which the entry keeps alive; the replay memos hand out one
+# object per scenario.
+_BLOCKS: dict = {}
+
+
+def _blocks(m) -> tuple:
+    entry = _BLOCKS.get(id(m))
+    if entry is None:
+        if len(_BLOCKS) >= 32768:
+            _BLOCKS.clear()
+        live = [b for b in range(1, m.nextblock) if memstate.valid_block(m, b)]
+        accessible = [b for b in live if relations.valid_accesses(m, b)]
+        entry = _BLOCKS[id(m)] = (m, live, accessible)
+    return entry
+
+
+def live_ids(m) -> list:
+    return _blocks(m)[1]
+
+
+@lru_cache(maxsize=4096)
+def _lowest_of_each_size(accesses: tuple) -> tuple:
+    """The lowest access of each access size."""
+    lowest: dict = {}
+    for t, i in accesses:
+        if t not in lowest:
+            lowest[t] = i
+    by_size: dict = {}
+    for t, i in lowest.items():
+        by_size.setdefault(chunks.size_chunk(t), (t, i))
+    return tuple(by_size.values())
+
+
+def valid_access(m, scope=_lowest_of_each_size) -> Domain:
+    """A (chunk, block, offset) access valid in ``m``: a live block with
+    valid accesses, then one of them; enumerated, ``scope(accesses)`` of
+    each block.  Empty where no block has a valid access."""
+
+    def of_block(b):
+        accesses = relations.valid_accesses(m, b)
+        return pick(accesses, lambda: scope(accesses)).map(lambda ti: (ti[0], b, ti[1]))
+
+    return bind(pick(_blocks(m)[2]), of_block)
+
+
 def clear_caches() -> None:
     """Drop all memoized rebuilds.  Required around mutation runs, where
     the patched operations must not be shadowed by cached results."""
@@ -147,8 +215,8 @@ def clear_caches() -> None:
     emb_scenario_cached.cache_clear()
     cells_of.cache_clear()
     generators.SCENARIOS.clear()
+    _BLOCKS.clear()
     generators.tiny_states_small.cache_clear()
-    generators.tiny_states_full.cache_clear()
 
 
 def _drop_each(recipe):
@@ -177,17 +245,38 @@ def shrink_case(case) -> Iterator:
             yield (case[0], smaller) + case[2:]
 
 
-def _two_sides(ops1, ops2) -> str:
-    return "# left\n" + format_ops(ops1) + "\n# right\n" + format_ops(ops2)
+def widen_plan(plan, widenings):
+    """An extends plan whose k-th alloc is widened further on the right
+    by ``widenings[k % len(widenings)]``: the third state of an extension
+    chain."""
+    out = []
+    k = 0
+    for st in plan:
+        if st[0] == "alloc":
+            dl2, dh2 = widenings[k % len(widenings)] if widenings else (0, 0)
+            out.append(("alloc", st[1], st[2], st[3] + dl2, st[4] + dh2))
+            k += 1
+        else:
+            out.append(st)
+    return tuple(out)
+
+
+def _sides(*named) -> str:
+    """One trace per side, each under a ``# name`` header."""
+    return "\n".join(f"# {name}\n{format_ops(ops)}" for name, ops in named)
 
 
 def render_case(case) -> dict:
-    """Violation payload: a replayable scenario plus the quantifier
-    assignment that failed."""
+    """Violation payload: a replayable scenario, one trace per state the
+    case builds, plus the quantifier assignment that failed."""
     tag = case[0]
-    assignment = repr(case[2:]) if len(case) > 2 else ""
+    # Fields after the tag that the scenario covers; the rest is the assignment.
+    covered = 2 if tag in ("state2", "extends3") else 1
+    assignment = repr(case[1 + covered :]) if len(case) > 1 + covered else ""
     if tag == "state":
         scenario = format_ops(case[1])
+    elif tag == "state2":
+        scenario = _sides(("first", case[1]), ("second", case[2]))
     elif tag == "cells":
         recipe = case[1]
         scenario = "\n".join(
@@ -196,11 +285,18 @@ def render_case(case) -> dict:
     elif tag in ("lessdef", "extends"):
         build = lessdef_pair_cached if tag == "lessdef" else extends_pair_cached
         _, _, ops1, ops2 = build(case[1])
-        scenario = _two_sides(ops1, ops2)
+        scenario = _sides(("left", ops1), ("right", ops2))
+    elif tag == "lessdef3":
+        scenario = _sides(*zip(("left", "middle", "right"), project(case[1], 3)))
+    elif tag == "extends3":
+        ops1, ops2 = project(case[1])
+        scenario = _sides(
+            ("left", ops1), ("middle", ops2), ("right", project(widen_plan(case[1], case[2]))[1])
+        )
     elif tag == "emb":
         sc = emb_scenario_cached(case[1])
         emb_lines = "\n".join(f"{b} -> {tb} + {d}" for b, (tb, d) in sorted(sc.emb.items()))
-        scenario = _two_sides(sc.ops1, sc.ops2) + "\n[emb]\n" + emb_lines
+        scenario = _sides(("left", sc.ops1), ("right", sc.ops2)) + "\n[emb]\n" + emb_lines
     else:
         scenario = repr(case)
     return {"scenario": scenario, "assignment": assignment}

@@ -12,8 +12,9 @@ from __future__ import annotations
 from itertools import product
 
 from .. import cells, chunks
-from ..chunks import ALL_CHUNKS, Chunk, Vint, VUNDEF
+from ..chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, VUNDEF
 from . import generators, oracle
+from .domains import Domain, bind, branch, const, ints, pick, source, tuples
 from .laws_base import CONCRETE_MEM, cells_of, deflaw
 
 _EX_SINGLE = tuple(
@@ -22,23 +23,45 @@ _EX_SINGLE = tuple(
     for ofs in (-2, 0, 1, 4)
     for v in (Vint(5), VUNDEF)
 )
-_EX_SEED = tuple(
-    (t, ofs, Vint(5)) for t in (Chunk.INT8U, Chunk.INT32, Chunk.FLOAT64) for ofs in (0, 1)
-)
+_EX_SEED_CHUNKS = (Chunk.INT8U, Chunk.INT32, Chunk.FLOAT64)
+_EX_SEED = tuple((t, ofs, Vint(5)) for t in _EX_SEED_CHUNKS for ofs in (0, 1))
 _EX_RECIPES = (
     ((),)
     + tuple((s,) for s in _EX_SINGLE)
     + tuple((a, b) for a in _EX_SEED for b in _EX_SINGLE)
 )
 _EX_OFS = (-2, 0, 1, 2, 4)
-_EX_NS = (0, 1, 3, 8)
 
 
-def _ex_cells(n, tails):
-    """The enumerator of the cases ("cells", recipe) + tail over the
-    first ``n`` exhaustive recipes (all with ``n`` None) and ``tails``."""
-    tails = tuple(tails)
-    return lambda: (("cells", recipe) + tail for recipe in _EX_RECIPES[:n] for tail in tails)
+def _sample_recipe(rng, max_n: int = 3) -> tuple:
+    out = []
+    for _ in range(rng.below(max_n + 1)):
+        t = rng.choice(ALL_CHUNKS)
+        out.append((t, rng.randint(-4, 6), generators.sample_value(rng, (1, 2))))
+    return tuple(out)
+
+
+def _recipes(n) -> Domain:
+    """A random recipe; enumerated, the first ``n`` exhaustive recipes."""
+    return source(_sample_recipe, _EX_RECIPES[:n])
+
+
+def _store(ofs=(0, 1), values=(Vint(5),)):
+    """The three parts of a drawn datum store: chunk, offset and value,
+    enumerated at the seed chunks and the given offsets and values."""
+    return (
+        pick(ALL_CHUNKS, _EX_SEED_CHUNKS),
+        ints(-4, 6, ofs),
+        source(lambda rng: generators.sample_value(rng, (1, 2)), values),
+    )
+
+
+def _cells(k: int):
+    """The case ("cells", recipe, *the other parts) of parts drawn with
+    the recipe at position ``k``."""
+    if k == 0:
+        return ("cells",).__add__
+    return lambda d: ("cells", d[k]) + d[:k] + d[k + 1 :]
 
 
 def _after_store(prop):
@@ -53,31 +76,15 @@ def _after_store(prop):
     return check
 
 
-def _sample_recipe(rng, max_n: int = 3) -> tuple:
-    out = []
-    for _ in range(rng.below(max_n + 1)):
-        t = rng.choice(ALL_CHUNKS)
-        out.append((t, rng.randint(-4, 6), generators.sample_value(rng, (1, 2))))
-    return tuple(out)
+# --- update ---------------------------------------------------------------------
 
 
-def _sample_store(rng):
-    return rng.choice(ALL_CHUNKS), rng.randint(-4, 6), generators.sample_value(rng, (1, 2))
+def _datum(t, ofs, v):
+    return cells.Datum(t, v)
 
 
-# --- update -------------------------------------------------------------------
-
-
-_ex_update_s = _ex_cells(120, product((-2, 0, 3), (None, cells.Datum(Chunk.INT8U, Vint(1)))))
-
-
-def _sm_update_s(rng):
-    if rng.chance(1, 3):
-        c = None
-    else:
-        t, _, v = _sample_store(rng)
-        c = cells.Datum(t, v)
-    return ("cells", _sample_recipe(rng), rng.randint(-4, 6), c)
+# The datum ignores its drawn offset, so that offset is enumerated once.
+_DATUM_OR_NONE = branch((1, const(None)), (2, tuples(*_store(ofs=(0,))).map(lambda s: _datum(*s))))
 
 
 def _ck_update_s(case):
@@ -94,23 +101,11 @@ deflaw(
     CONCRETE_MEM,
     "point update is visible at the updated offset",
     family="cells",
-    exhaustive=_ex_update_s,
-    sample=_sm_update_s,
+    domain=tuples(_DATUM_OR_NONE, _recipes(120), ints(-4, 6, (-2, 0, 3))).map(
+        lambda d: ("cells", d[1], d[2], d[0])
+    ),
     check=_ck_update_s,
 )
-
-
-_ex_update_o = _ex_cells(
-    120, ((ofs, i) for ofs, i in product((-2, 0, 3), (-2, -1, 0, 1, 3, 4)) if i != ofs)
-)
-
-
-def _sm_update_o(rng):
-    ofs = rng.randint(-4, 6)
-    i = rng.randint(-4, 6)
-    if i == ofs:
-        i += 1
-    return ("cells", _sample_recipe(rng), ofs, i)
 
 
 def _ck_update_o(case):
@@ -127,20 +122,15 @@ deflaw(
     CONCRETE_MEM,
     "point update leaves every other offset untouched",
     family="cells",
-    exhaustive=_ex_update_o,
-    sample=_sm_update_o,
+    # An offset i drawn equal to ofs moves to ofs + 1.
+    domain=tuples(ints(-4, 6, (-2, 0, 3)), ints(-4, 6, (-2, -1, 0, 1, 3, 4)), _recipes(120)).map(
+        lambda d: ("cells", d[2], d[0], d[1] + 1 if d[1] == d[0] else d[1])
+    ),
     check=_ck_update_o,
 )
 
 
 # --- check_cont / set_cont ------------------------------------------------------
-
-
-_ex_charact = _ex_cells(None, product((-2, 0, 2), _EX_NS))
-
-
-def _sm_charact(rng):
-    return ("cells", _sample_recipe(rng), rng.randint(-4, 6), rng.below(9))
 
 
 def _ck_charact(case):
@@ -157,8 +147,9 @@ deflaw(
     CONCRETE_MEM,
     "check_cont is true exactly when every cell of the range is empty",
     family="cells",
-    exhaustive=_ex_charact,
-    sample=_sm_charact,
+    domain=tuples(_recipes(None), ints(-4, 6, (-2, 0, 2)), ints(0, 8, (0, 1, 3, 8))).map(
+        _cells(0)
+    ),
     check=_ck_charact,
 )
 
@@ -174,19 +165,9 @@ def _agree_on(f, g0, lo, hi):
     return g
 
 
+# Two recipes: the first of a case and a second one to agree with it.
 _EX_SECOND = (_EX_RECIPES[0], _EX_RECIPES[9], _EX_RECIPES[70])
-
-_ex_check_cont_exten = _ex_cells(60, product(_EX_SECOND, (0, 2), (0, 2, 5)))
-
-
-def _sm_check_cont_exten(rng):
-    return (
-        "cells",
-        _sample_recipe(rng),
-        _sample_recipe(rng),
-        rng.randint(-4, 6),
-        rng.below(9),
-    )
+_TWO_RECIPES = (_recipes(60), source(_sample_recipe, _EX_SECOND))
 
 
 def _ck_check_cont_exten(case):
@@ -203,23 +184,9 @@ deflaw(
     CONCRETE_MEM,
     "check_cont only reads the cells of its range",
     family="cells",
-    exhaustive=_ex_check_cont_exten,
-    sample=_sm_check_cont_exten,
+    domain=tuples(*_TWO_RECIPES, ints(-4, 6, (0, 2)), ints(0, 8, (0, 2, 5))).map(_cells(0)),
     check=_ck_check_cont_exten,
 )
-
-
-_ex_load_exten = _ex_cells(60, product(_EX_SECOND, ALL_CHUNKS, (0,)))
-
-
-def _sm_load_exten(rng):
-    return (
-        "cells",
-        _sample_recipe(rng),
-        _sample_recipe(rng),
-        rng.choice(ALL_CHUNKS),
-        rng.randint(-4, 6),
-    )
 
 
 def _ck_load_exten(case):
@@ -236,29 +203,20 @@ deflaw(
     CONCRETE_MEM,
     "load_contents only reads the cells of the access footprint",
     family="cells",
-    exhaustive=_ex_load_exten,
-    sample=_sm_load_exten,
+    domain=tuples(*_TWO_RECIPES, pick(ALL_CHUNKS), ints(-4, 6, (0,))).map(_cells(0)),
     check=_ck_load_exten,
 )
 
 
-_ex_set_cont_outside = _ex_cells(
-    120,
-    (
-        (ofs, n, i)
-        for ofs, n, i in product((0, 2), (0, 3), (-2, -1, 0, 2, 4, 5, 8))
-        if not ofs <= i < ofs + n
-    ),
-)
-
-
-def _sm_set_cont_outside(rng):
-    ofs = rng.randint(-4, 4)
-    n = rng.below(7)
-    i = rng.randint(-6, 10)
-    if ofs <= i < ofs + n:
-        i = ofs + n + rng.below(3)
-    return ("cells", _sample_recipe(rng), ofs, n, i)
+def _outside(d):
+    """An offset outside [ofs, ofs + n); one drawn inside moves past the
+    range."""
+    ofs, n = d
+    end = ofs + n
+    return bind(
+        ints(-6, 10, (-2, -1, 0, 2, 4, 5, 8)),
+        lambda i: ints(end, end + 2, (end,)) if ofs <= i < end else const(i),
+    )
 
 
 def _ck_set_cont_outside(case):
@@ -274,21 +232,9 @@ deflaw(
     CONCRETE_MEM,
     "clearing a range leaves offsets outside it untouched",
     family="cells",
-    exhaustive=_ex_set_cont_outside,
-    sample=_sm_set_cont_outside,
+    domain=tuples(ints(-4, 4, (0, 2)), ints(0, 6, (0, 3)), _outside, _recipes(120)).map(_cells(3)),
     check=_ck_set_cont_outside,
 )
-
-
-_ex_set_cont_inside = _ex_cells(
-    120, ((ofs, n, i) for ofs in (-1, 0, 2) for n in (1, 3, 6) for i in range(ofs, ofs + n))
-)
-
-
-def _sm_set_cont_inside(rng):
-    ofs = rng.randint(-4, 4)
-    n = rng.randint(1, 7)
-    return ("cells", _sample_recipe(rng), ofs, n, ofs + rng.below(n))
 
 
 def _ck_set_cont_inside(case):
@@ -304,8 +250,12 @@ deflaw(
     CONCRETE_MEM,
     "clearing a range empties every cell inside it",
     family="cells",
-    exhaustive=_ex_set_cont_inside,
-    sample=_sm_set_cont_inside,
+    domain=tuples(
+        ints(-4, 4, (-1, 0, 2)),
+        ints(1, 7, (1, 3, 6)),
+        _recipes(120),
+        lambda d: ints(d[0], d[0] + d[1] - 1),
+    ).map(_cells(2)),
     check=_ck_set_cont_inside,
 )
 
@@ -313,12 +263,7 @@ deflaw(
 # --- store_contents -------------------------------------------------------------
 
 
-_ex_store_at = _ex_cells(120, _EX_SEED)
-
-
-def _sm_store_at(rng):
-    t, ofs, v = _sample_store(rng)
-    return ("cells", _sample_recipe(rng), t, ofs, v)
+_STORE_AT = tuples(*_store(), _recipes(120)).map(_cells(3))
 
 
 @_after_store
@@ -334,8 +279,7 @@ deflaw(
     CONCRETE_MEM,
     "a datum store anchors the datum at the written offset",
     family="cells",
-    exhaustive=_ex_store_at,
-    sample=_sm_store_at,
+    domain=_STORE_AT,
     check=_ck_store_at,
 )
 
@@ -354,27 +298,19 @@ deflaw(
     CONCRETE_MEM,
     "a datum store clears the continuation cells of its footprint",
     family="cells",
-    exhaustive=_ex_store_at,
-    sample=_sm_store_at,
+    domain=_STORE_AT,
     check=_ck_store_cont,
 )
 
 
-_ex_store_outside = _ex_cells(
-    120,
-    (
-        (t, ofs, v, i)
-        for (t, ofs, v), i in product(_EX_SEED, (-3, -1, 0, 2, 5, 8, 9))
-        if not ofs <= i < ofs + chunks.size_chunk(t)
-    ),
-)
-
-
-def _sm_store_outside(rng):
-    t, ofs, v = _sample_store(rng)
-    size = chunks.size_chunk(t)
-    i = ofs - rng.randint(1, 4) if rng.chance(1, 2) else ofs + size + rng.below(4)
-    return ("cells", _sample_recipe(rng), t, ofs, v, i)
+def _beside(d):
+    """An offset before or after the footprint of the store (t, ofs)."""
+    t, ofs = d[0], d[1]
+    end = ofs + chunks.size_chunk(t)
+    return branch(
+        (1, ints(1, 4, (1, 3)).map(lambda k: ofs - k)),
+        (1, ints(0, 3, (0, 2)).map(lambda k: end + k)),
+    )
 
 
 @_after_store
@@ -390,29 +326,12 @@ deflaw(
     CONCRETE_MEM,
     "a datum store leaves everything outside its footprint untouched",
     family="cells",
-    exhaustive=_ex_store_outside,
-    sample=_sm_store_outside,
+    domain=tuples(*_store(), _beside, _recipes(120)).map(_cells(4)),
     check=_ck_store_outside,
 )
 
 
 # --- load after store -------------------------------------------------------------
-
-
-_ex_load_store_same = _ex_cells(
-    60,
-    (
-        (t, ofs, v, t2)
-        for t, ofs, _ in _EX_SEED
-        for v in (Vint(5), Vint(-3), Vint(300), VUNDEF, generators.TINY_VALUES[3])
-        for t2 in chunks.COMPAT_CHUNKS[t]
-    ),
-)
-
-
-def _sm_load_store_same(rng):
-    t, ofs, v = _sample_store(rng)
-    return ("cells", _sample_recipe(rng), t, ofs, v, rng.choice(chunks.COMPAT_CHUNKS[t]))
 
 
 @_after_store
@@ -430,26 +349,13 @@ deflaw(
     CONCRETE_MEM,
     "reloading a stored datum at a compatible chunk yields its conversion",
     family="cells",
-    exhaustive=_ex_load_store_same,
-    sample=_sm_load_store_same,
+    domain=tuples(
+        *_store(values=(Vint(5), Vint(-3), Vint(300), VUNDEF, Vfloat.from_float(1.5))),
+        _recipes(60),
+        lambda d: pick(chunks.COMPAT_CHUNKS[d[0]]),
+    ).map(_cells(3)),
     check=_ck_load_store_same,
 )
-
-
-_ex_load_store_mismatch = _ex_cells(
-    60,
-    (
-        (t, ofs, v, t2)
-        for (t, ofs, v), t2 in product(_EX_SEED, ALL_CHUNKS)
-        if not chunks.compat(t, t2)
-    ),
-)
-
-
-def _sm_load_store_mismatch(rng):
-    t, ofs, v = _sample_store(rng)
-    others = [t2 for t2 in ALL_CHUNKS if not chunks.compat(t, t2)]
-    return ("cells", _sample_recipe(rng), t, ofs, v, rng.choice(others))
 
 
 @_after_store
@@ -465,8 +371,11 @@ deflaw(
     CONCRETE_MEM,
     "reloading at an incompatible chunk yields undef",
     family="cells",
-    exhaustive=_ex_load_store_mismatch,
-    sample=_sm_load_store_mismatch,
+    domain=tuples(
+        *_store(),
+        _recipes(60),
+        lambda d: pick([t2 for t2 in ALL_CHUNKS if not chunks.compat(d[0], t2)]),
+    ).map(_cells(3)),
     check=_ck_load_store_mismatch,
 )
 
@@ -475,26 +384,35 @@ def _overlapping(ofs1: int, size1: int, ofs2: int, size2: int) -> bool:
     return ofs1 < ofs2 + size2 and ofs2 < ofs1 + size1
 
 
-_ex_load_store_overlap = _ex_cells(
-    40,
-    (
-        (t, ofs, v, t2, ofs2)
-        for (t, ofs, v), t2, ofs2 in product(_EX_SEED, ALL_CHUNKS, _EX_OFS)
-        if ofs2 != ofs and _overlapping(ofs, chunks.size_chunk(t), ofs2, chunks.size_chunk(t2))
-    ),
-)
+def _overlapping_load(d):
+    """A load (chunk, offset) at another offset that overlaps the store
+    (t, ofs); a draw tries eight times, then gives None."""
+    t, ofs = d[0], d[1]
+    size = chunks.size_chunk(t)
+
+    def draw(rng):
+        for _ in range(8):
+            t2 = rng.choice(ALL_CHUNKS)
+            ofs2 = ofs + rng.randint(-chunks.size_chunk(t2) + 1, size - 1)
+            if ofs2 != ofs and _overlapping(ofs, size, ofs2, chunks.size_chunk(t2)):
+                return t2, ofs2
+        return None
+
+    return source(
+        draw,
+        [
+            (t2, ofs2)
+            for t2, ofs2 in product(ALL_CHUNKS, _EX_OFS)
+            if ofs2 != ofs and _overlapping(ofs, size, ofs2, chunks.size_chunk(t2))
+        ],
+    )
 
 
-def _sm_load_store_overlap(rng):
-    t, ofs, v = _sample_store(rng)
-    for _ in range(8):
-        t2 = rng.choice(ALL_CHUNKS)
-        ofs2 = ofs + rng.randint(-chunks.size_chunk(t2) + 1, chunks.size_chunk(t) - 1)
-        if ofs2 != ofs and _overlapping(
-            ofs, chunks.size_chunk(t), ofs2, chunks.size_chunk(t2)
-        ):
-            return ("cells", _sample_recipe(rng), t, ofs, v, t2, ofs2)
-    return ("cells", _sample_recipe(rng), Chunk.INT32, 0, v, Chunk.INT16S, 2)
+def _overlap_case(d):
+    t, ofs, v, load, recipe = d
+    if load is None:
+        return ("cells", recipe, Chunk.INT32, 0, v, Chunk.INT16S, 2)
+    return ("cells", recipe, t, ofs, v) + load
 
 
 @_after_store
@@ -510,30 +428,19 @@ deflaw(
     CONCRETE_MEM,
     "reloading across an overlapping store yields undef",
     family="cells",
-    exhaustive=_ex_load_store_overlap,
-    sample=_sm_load_store_overlap,
+    domain=tuples(*_store(), _overlapping_load, _recipes(40)).map(_overlap_case),
     check=_ck_load_store_overlap,
 )
 
 
-_ex_load_store_disjoint = _ex_cells(
-    40,
-    (
-        (t, ofs, v, t2, ofs2)
-        for (t, ofs, v), t2, ofs2 in product(_EX_SEED, ALL_CHUNKS, (-4, -2, 0, 2, 5, 8))
-        if not _overlapping(ofs, chunks.size_chunk(t), ofs2, chunks.size_chunk(t2))
-    ),
-)
-
-
-def _sm_load_store_disjoint(rng):
-    t, ofs, v = _sample_store(rng)
-    t2 = rng.choice(ALL_CHUNKS)
-    if rng.chance(1, 2):
-        ofs2 = ofs + chunks.size_chunk(t) + rng.below(4)
-    else:
-        ofs2 = ofs - chunks.size_chunk(t2) - rng.below(4)
-    return ("cells", _sample_recipe(rng), t, ofs, v, t2, ofs2)
+def _disjoint_offset(d):
+    """An offset for a load at chunk t2 whose footprint misses the store
+    (t, ofs): after it or before it."""
+    t, ofs, _, t2 = d
+    return branch(
+        (1, ints(0, 3, (0, 2)).map(lambda k: ofs + chunks.size_chunk(t) + k)),
+        (1, ints(0, 3, (0, 2)).map(lambda k: ofs - chunks.size_chunk(t2) - k)),
+    )
 
 
 @_after_store
@@ -551,20 +458,12 @@ deflaw(
     CONCRETE_MEM,
     "a store with a disjoint footprint commutes with loads",
     family="cells",
-    exhaustive=_ex_load_store_disjoint,
-    sample=_sm_load_store_disjoint,
+    domain=tuples(*_store(), pick(ALL_CHUNKS), _disjoint_offset, _recipes(40)).map(_cells(5)),
     check=_ck_load_store_disjoint,
 )
 
 
 # --- the four-case load characterization ------------------------------------------
-
-
-_ex_load_cases = _ex_cells(None, ((t, ofs) for t in ALL_CHUNKS for ofs in _EX_OFS))
-
-
-def _sm_load_cases(rng):
-    return ("cells", _sample_recipe(rng), rng.choice(ALL_CHUNKS), rng.randint(-4, 6))
 
 
 def _make_load_case_check(want: str):
@@ -592,6 +491,8 @@ def _make_load_case_check(want: str):
     return check
 
 
+_LOAD_CASES = tuples(_recipes(None), pick(ALL_CHUNKS), ints(-4, 6, _EX_OFS)).map(_cells(0))
+
 for _name, _mode, _about in (
     ("load_contents_1", "defined", "an intact compatible datum loads as its conversion"),
     ("load_contents_2", "mismatch", "a size-mismatched datum loads as undef"),
@@ -603,23 +504,12 @@ for _name, _mode, _about in (
         CONCRETE_MEM,
         _about,
         family="cells",
-        exhaustive=_ex_load_cases,
-        sample=_sm_load_cases,
+        domain=_LOAD_CASES,
         check=_make_load_case_check(_mode),
     )
 
 
 # --- divisibility ------------------------------------------------------------------
-
-
-def _ex_zdivide():
-    for a in range(1, 9):
-        for b in range(-17, 18):
-            yield ("arith", a, b)
-
-
-def _sm_zdivide(rng):
-    return ("arith", rng.randint(1, 8), rng.randint(-64, 64))
 
 
 def _ck_zdivide(case):
@@ -636,7 +526,6 @@ deflaw(
     CONCRETE_MEM,
     "divisibility coincides with a zero remainder",
     family="cells",
-    exhaustive=_ex_zdivide,
-    sample=_sm_zdivide,
+    domain=tuples("arith", ints(1, 8), ints(-64, 64, range(-17, 18))),
     check=_ck_zdivide,
 )

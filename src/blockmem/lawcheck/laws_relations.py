@@ -12,10 +12,9 @@ the right-hand state with one field replaced or an extension of the
 relocation map, and require the real operation to return exactly that
 witness before checking the relation on it.
 
-A law is assembled from a domain, an enumerator over a fixed plan menu
-and a sampler over a shared plan stream (``_ex_pair_access``/
-``_sm_pair_access``, ``_ex_emb_pick``/``_sm_emb_pick``), and one check
-per property.  A property stated for several relations is written once
+A law is assembled from a domain, whose plans come from a shared plan
+stream and enumerate as a fixed plan menu (``LESSDEF.cases(...)``,
+``_emb(...)``), and one check per property.  A property stated for several relations is written once
 and takes the relation as a parameter: ``LESSDEF`` and ``EXTENDS`` for
 the pair relations, ``EMB``, ``EMB_APART``, ``INJECT`` and
 ``NO_OVERLAP`` for the embedding family (``_load_along(LESSDEF)``,
@@ -31,39 +30,36 @@ from typing import Callable, NamedTuple
 from .. import cells, chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, Vptr, VUNDEF
 from . import generators
+from .domains import bind, branch, const, extend, ints, lists, pick, source, tuples
 from .generators import EmbPlan
 from .laws_base import (
     MEM_EXTENDS,
     MEM_INJECT,
     MEM_LESSDEF,
     REL_MEM,
+    STATE,
     deflaw,
     emb_scenario_cached,
     extends_pair_cached,
     lessdef_pair_cached,
+    live_ids,
     state_of,
+    valid_access,
+    widen_plan,
 )
 
 _OVERLAP_SOME = (1, 6)
 _NO_OVERLAP = (0, 1)
 
 
-def _sm_state(rng):
-    return ("state", generators.shared_ops(rng))
-
-
-def _ex_states():
-    for ops, _ in generators.tiny_states_small():
-        yield ("state", ops)
-
-
-def _live(m):
-    return [b for b, _, _, _ in memstate.live_blocks(m)]
-
-
 def _accesses(m, blocks, limit):
     """The first ``limit`` valid (chunk, block, offset) of each block."""
     return [(t, b, i) for b in blocks for t, i in relations.valid_accesses(m, b)[:limit]]
+
+
+def _value(ids, scope):
+    """A stored value that may point into ``ids``; enumerated at ``scope``."""
+    return source(lambda rng: generators.sample_value(rng, ids), scope)
 
 
 # --- fixed exhaustive plan menus -----------------------------------------------
@@ -146,12 +142,17 @@ class _Pair(NamedTuple):
     adjective: str  # of the right-hand state: "refined" | "extended"
     holds: Callable  # (left state, right state) -> bool
     build: Callable  # memoised plan -> (left run, right run, left ops, right ops)
-    draw: Callable  # rng -> a plan of the shared domain
-    plans: tuple  # the exhaustive plan menu
+    plans: object  # the domain of plans: the shared stream; enumerated, a menu
 
     def states(self, plan):
         r1, r2, _, _ = self.build(plan)
         return r1.state, r2.state
+
+    def cases(self, *tails):
+        """Cases (tag, plan) + a tuple of each ``tail(left state, right
+        state)`` in turn."""
+        head = self.plans.map(lambda plan: (self.tag, plan))
+        return extend(head, *(lambda case, t=t: t(*self.states(case[1])) for t in tails))
 
 
 LESSDEF = _Pair(
@@ -160,8 +161,7 @@ LESSDEF = _Pair(
     "refined",
     lambda m1, m2: relations.mem_lessdef(m1, m2),
     lessdef_pair_cached,
-    generators.shared_lessdef_plan,
-    EX_LESSDEF_PLANS,
+    source(generators.shared_lessdef_plan, EX_LESSDEF_PLANS),
 )
 EXTENDS = _Pair(
     "extends",
@@ -169,72 +169,30 @@ EXTENDS = _Pair(
     "extended",
     lambda m1, m2: relations.mem_extends(m1, m2),
     extends_pair_cached,
-    generators.shared_extends_plan,
-    EX_EXTENDS_PLANS,
+    source(generators.shared_extends_plan, EX_EXTENDS_PLANS),
 )
 
 
-def _sm_pair(rel: _Pair):
-    return lambda rng: (rel.tag, rel.draw(rng))
+def _pair_access(rel: _Pair):
+    """A plan plus a valid access of its left state."""
+    return rel.cases(lambda m1, m2: valid_access(m1))
 
 
-def _ex_pair(rel: _Pair):
-    return lambda: ((rel.tag, plan) for plan in rel.plans)
-
-
-def _sm_pair_access(rel: _Pair):
-    """A plan plus a valid access of its left state, or a skip."""
-
-    def sample(rng):
-        plan = rel.draw(rng)
-        acc = generators.sample_valid_access(rng, rel.states(plan)[0])
-        if acc is None:
-            return ("skip",)
-        return (rel.tag, plan) + acc
-
-    return sample
-
-
-def _ex_pair_access(rel: _Pair, limit: int, tails=((),)):
-    def gen():
-        for plan in rel.plans:
-            m1 = rel.states(plan)[0]
-            for acc in _accesses(m1, _live(m1), limit):
-                for tail in tails:
-                    yield (rel.tag, plan) + acc + tail
-
-    return gen
-
-
-def _sm_pair_store(rel: _Pair):
+def _pair_store(rel: _Pair, values):
     """A plan, a valid access of its left state and a pair of values, the
-    left one undefined a third of the time."""
-    draw_access = _sm_pair_access(rel)
+    left one undefined a third of the time; the right one is enumerated
+    at ``values``."""
 
-    def sample(rng):
-        case = draw_access(rng)
-        if case[0] == "skip":
-            return case
-        v2 = generators.sample_value(rng, tuple(range(1, rel.states(case[1])[0].nextblock)))
-        v1 = VUNDEF if rng.chance(1, 3) else v2
-        return case + (v1, v2)
+    def pair(m1, m2):
+        right = _value(tuple(range(1, m1.nextblock)), values)
+        left = lambda v2: branch((1, const(VUNDEF)), (2, const(v2))).map(lambda v1: (v1, v2))
+        return bind(right, left)
 
-    return sample
+    return rel.cases(lambda m1, m2: valid_access(m1), pair)
 
 
-def _sm_pair_free(rel: _Pair):
-    def sample(rng):
-        plan = rel.draw(rng)
-        blocks = _live(rel.states(plan)[0])
-        if not blocks:
-            return ("skip",)
-        return (rel.tag, plan, rng.choice(blocks))
-
-    return sample
-
-
-def _ex_pair_free(rel: _Pair):
-    return lambda: ((rel.tag, plan, b) for plan in rel.plans for b in _live(rel.states(plan)[0]))
+def _pair_free(rel: _Pair):
+    return rel.cases(lambda m1, m2: tuples(pick(live_ids(m1))))
 
 
 def _refl(rel: _Pair):
@@ -306,8 +264,7 @@ deflaw(
     MEM_LESSDEF,
     "refinement is reflexive",
     family="relation",
-    exhaustive=_ex_states,
-    sample=_sm_state,
+    domain=STATE,
     check=_refl(LESSDEF),
 )
 
@@ -342,13 +299,14 @@ def _lessdef3_states(case):
     return tuple(state_of(tuple(ops)) for ops in generators.project(case[1], 3))
 
 
-def _ex_lessdef_trans():
-    for plan in EX_LESSDEF_PLANS:
-        steps = tuple(
-            ("store3",) + st[1:4] + (st[4], st[5], st[5]) if st[0] == "store2" else st
-            for st in plan
-        )
-        yield ("lessdef3", steps)
+# Each menu plan with its right-hand values repeated for the third side.
+_LESSDEF3_PLANS = tuple(
+    tuple(
+        ("store3",) + st[1:4] + (st[4], st[5], st[5]) if st[0] == "store2" else st
+        for st in plan
+    )
+    for plan in EX_LESSDEF_PLANS
+)
 
 
 deflaw(
@@ -356,8 +314,7 @@ deflaw(
     MEM_LESSDEF,
     "refinement composes",
     family="relation",
-    exhaustive=_ex_lessdef_trans,
-    sample=lambda rng: ("lessdef3", _sample_lessdef3_plan(rng)),
+    domain=source(_sample_lessdef3_plan, _LESSDEF3_PLANS).map(lambda plan: ("lessdef3", plan)),
     check=_trans(LESSDEF, _lessdef3_states),
 )
 
@@ -384,8 +341,7 @@ deflaw(
     MEM_LESSDEF,
     "parallel allocation preserves refinement",
     family="relation",
-    exhaustive=_ex_pair(LESSDEF),
-    sample=_sm_pair(LESSDEF),
+    domain=LESSDEF.cases(),
     check=_ck_alloc_lessdef,
 )
 
@@ -394,8 +350,7 @@ deflaw(
     MEM_LESSDEF,
     "loads transport along refinement",
     family="relation",
-    exhaustive=_ex_pair_access(LESSDEF, 4),
-    sample=_sm_pair_access(LESSDEF),
+    domain=_pair_access(LESSDEF),
     check=_load_along(LESSDEF),
 )
 
@@ -425,15 +380,12 @@ def _ck_store_lessdef(case):
     return None
 
 
-_STORE_VALUES = ((Vint(4), Vint(4)), (VUNDEF, Vint(4)), (VUNDEF, VUNDEF))
-
 deflaw(
     "store_lessdef",
     MEM_LESSDEF,
     "a refined store admits the contents-rebuild witness",
     family="relation",
-    exhaustive=_ex_pair_access(LESSDEF, 2, _STORE_VALUES),
-    sample=_sm_pair_store(LESSDEF),
+    domain=_pair_store(LESSDEF, (Vint(4), VUNDEF)),
     check=_ck_store_lessdef,
 )
 
@@ -442,8 +394,7 @@ deflaw(
     MEM_LESSDEF,
     "parallel free preserves refinement",
     family="relation",
-    exhaustive=_ex_pair_free(LESSDEF),
-    sample=_sm_pair_free(LESSDEF),
+    domain=_pair_free(LESSDEF),
     check=_free_along(LESSDEF),
 )
 
@@ -456,40 +407,20 @@ deflaw(
     MEM_EXTENDS,
     "extension is reflexive",
     family="relation",
-    exhaustive=_ex_states,
-    sample=_sm_state,
+    domain=STATE,
     check=_refl(EXTENDS),
 )
-
-
-def _widen_plan(plan, widenings):
-    out = []
-    k = 0
-    for st in plan:
-        if st[0] == "alloc":
-            dl2, dh2 = widenings[k % len(widenings)] if widenings else (0, 0)
-            out.append(("alloc", st[1], st[2], st[3] + dl2, st[4] + dh2))
-            k += 1
-        else:
-            out.append(st)
-    return tuple(out)
 
 
 def _extends3_states(case):
     _, plan, widenings = case
     m1, m2 = EXTENDS.states(plan)
-    return m1, m2, EXTENDS.states(_widen_plan(plan, widenings))[1]
+    return m1, m2, EXTENDS.states(widen_plan(plan, widenings))[1]
 
 
-def _sm_extends_trans(rng):
-    plan = generators.shared_extends_plan(rng)
-    widenings = tuple((rng.choice((0, 4)), rng.choice((0, 8))) for _ in range(3))
-    return ("extends3", plan, widenings)
-
-
-def _ex_extends_trans():
-    for plan in EX_EXTENDS_PLANS:
-        yield ("extends3", plan, ((4, 0), (0, 8)))
+# Three more widenings of the right side, one per alloc of the plan; each
+# enumerated at none and at both sides.
+_WIDENINGS = tuples(*[tuples(pick((0, 4)), pick((0, 8))).scoped(((0, 0), (4, 8)))] * 3)
 
 
 deflaw(
@@ -497,8 +428,7 @@ deflaw(
     MEM_EXTENDS,
     "extension composes",
     family="relation",
-    exhaustive=_ex_extends_trans,
-    sample=_sm_extends_trans,
+    domain=tuples("extends3", EXTENDS.plans, _WIDENINGS),
     check=_trans(EXTENDS, _extends3_states),
 )
 
@@ -524,8 +454,7 @@ deflaw(
     MEM_EXTENDS,
     "parallel allocation with containing bounds preserves extension",
     family="relation",
-    exhaustive=_ex_pair(EXTENDS),
-    sample=_sm_pair(EXTENDS),
+    domain=EXTENDS.cases(),
     check=_ck_alloc_extends,
 )
 
@@ -534,8 +463,7 @@ deflaw(
     MEM_EXTENDS,
     "loads transport along extension",
     family="relation",
-    exhaustive=_ex_pair_access(EXTENDS, 4),
-    sample=_sm_pair_access(EXTENDS),
+    domain=_pair_access(EXTENDS),
     check=_load_along(EXTENDS),
 )
 
@@ -561,8 +489,7 @@ deflaw(
     MEM_EXTENDS,
     "a store inside the original bounds preserves extension",
     family="relation",
-    exhaustive=_ex_pair_access(EXTENDS, 2, _STORE_VALUES[:2]),
-    sample=_sm_pair_store(EXTENDS),
+    domain=_pair_store(EXTENDS, (Vint(4),)),
     check=_ck_store_within_extends,
 )
 
@@ -576,21 +503,6 @@ def _margin_slots(m1, m2, limit=3):
         for t, i in relations._access_list(l2, l1, True)[:limit]:
             out.append((t, b, i))
     return out
-
-
-def _sm_store_outside_extends(rng):
-    plan = generators.shared_extends_plan(rng)
-    slots = _margin_slots(*EXTENDS.states(plan))
-    if not slots:
-        return ("skip",)
-    t, b, i = rng.choice(slots)
-    return ("extends", plan, t, b, i, generators.sample_value(rng, ()))
-
-
-def _ex_store_outside_extends():
-    for plan in EX_EXTENDS_PLANS:
-        for t, b, i in _margin_slots(*EXTENDS.states(plan), 2):
-            yield ("extends", plan, t, b, i, Vint(13))
 
 
 def _ck_store_outside_extends(case):
@@ -614,8 +526,9 @@ deflaw(
     MEM_EXTENDS,
     "a right-side store outside the original bounds preserves extension",
     family="relation",
-    exhaustive=_ex_store_outside_extends,
-    sample=_sm_store_outside_extends,
+    domain=EXTENDS.cases(
+        lambda m1, m2: pick(_margin_slots(m1, m2)), lambda m1, m2: tuples(_value((), (Vint(13),)))
+    ),
     check=_ck_store_outside_extends,
 )
 
@@ -624,8 +537,7 @@ deflaw(
     MEM_EXTENDS,
     "parallel free preserves extension",
     family="relation",
-    exhaustive=_ex_pair_free(EXTENDS),
-    sample=_sm_pair_free(EXTENDS),
+    domain=_pair_free(EXTENDS),
     check=_free_along(EXTENDS),
 )
 
@@ -691,88 +603,53 @@ def _sole_pairs(sc):
     ]
 
 
-def _sm_emb_pick(pick, then=None, **kw):
-    """A shared embedding plan and one of the tuples ``pick(scenario)``,
-    or a skip when there is none; ``then(rng, scenario)`` appends a tail."""
-
-    def sample(rng):
-        plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME, **kw)
-        sc = emb_scenario_cached(plan)
-        choices = pick(sc)
-        if not choices:
-            return ("skip",)
-        case = ("emb", plan) + rng.choice(choices)
-        return case if then is None else case + then(rng, sc)
-
-    return sample
+def _emb_plans(overlap=_OVERLAP_SOME, hole_span=0, need_mapped=False):
+    """The shared embedding plans of one keyword set; enumerated, the menu
+    plans (each given the reserved gap, if there is one)."""
+    return source(
+        lambda rng: generators.shared_emb_plan(
+            rng, overlap_chance=overlap, hole_span=hole_span, need_mapped=need_mapped
+        ),
+        lambda: [replace(plan, hole_span=hole_span or plan.hole_span) for plan in EX_EMB_PLANS],
+    )
 
 
-def _ex_emb_pick(pick, tails=((),)):
-    """Every tuple of ``pick(scenario)`` on every menu plan, with each tail."""
-
-    def gen():
-        for plan in EX_EMB_PLANS:
-            for head in pick(emb_scenario_cached(plan)):
-                for tail in tails:
-                    yield ("emb", plan) + head + tail
-
-    return gen
+def _emb(*tails, **plans):
+    """Cases ("emb", plan) + a tuple of each ``tail(scenario)`` in turn,
+    over the plans of ``_emb_plans(**plans)``."""
+    head = _emb_plans(**plans).map(lambda plan: ("emb", plan))
+    return extend(head, *(lambda case, t=t: t(emb_scenario_cached(case[1])) for t in tails))
 
 
-def _ex_emb_fixed(tails):
-    return lambda: (("emb", plan) + tail for plan in EX_EMB_PLANS for tail in tails)
-
-
-def _one_field(pick):
-    """``pick`` with each item made a one-field tail."""
-    return lambda sc: [(x,) for x in pick(sc)]
-
-
-_ex_emb_access = _ex_emb_pick(lambda sc: _mapped_accesses(sc, 3))
-_sm_emb_access = _sm_emb_pick(lambda sc: _mapped_accesses(sc, 6), need_mapped=True)
-_ex_emb_free = _ex_emb_pick(_one_field(_valid_sources))
-_sm_emb_free = _sm_emb_pick(_one_field(_valid_sources))
-_ex_free_parallel = _ex_emb_pick(_one_field(_sole_pairs))
-_sm_free_parallel = _sm_emb_pick(_one_field(_sole_pairs))
-_ex_emb_alloc = _ex_emb_fixed(((0, 8), (0, 0), (-4, 4)))
-_ex_emb_reqs = _ex_emb_fixed(
-    tuple((reqs,) for reqs in ((), ((0, 4),), ((0, 8), (-4, 4)), ((2, 1), (0, 2), (0, 8))))
+_EMB_ACCESS = _emb(
+    lambda sc: pick(_mapped_accesses(sc, 6), _mapped_accesses(sc, 3)), need_mapped=True
 )
+_EMB_FREE = _emb(lambda sc: tuples(pick(_valid_sources(sc))))
+_FREE_PARALLEL = _emb(lambda sc: tuples(pick(_sole_pairs(sc))))
+def _bounds(lows, spans):
+    """Alloc bounds (low, low + span), enumerated at ``lows`` and ``spans``."""
+    of_low = lambda low: pick((0, 2, 4, 8), spans).map(lambda span: (low, low + span))
+    return bind(ints(-4, 4, lows), of_low)
 
 
-def _sm_emb_alloc(overlap):
-    def sample(rng):
-        plan = generators.shared_emb_plan(rng, overlap_chance=overlap)
-        low = rng.randint(-4, 4)
-        return ("emb", plan, low, low + rng.choice((0, 2, 4, 8)))
-
-    return sample
+def _emb_alloc(overlap):
+    return _emb(lambda sc: _bounds((-4, 0), (0, 4, 8)), overlap=overlap)
 
 
-def _sm_emb_reqs(overlap):
-    def sample(rng):
-        plan = generators.shared_emb_plan(rng, overlap_chance=overlap)
-        reqs = []
-        for _ in range(rng.below(4)):
-            low = rng.randint(-4, 4)
-            reqs.append((low, low + rng.choice((0, 2, 4, 8))))
-        return ("emb", plan, tuple(reqs))
-
-    return sample
+_REQUESTS = lists(ints(0, 3, (0, 1, 2)), _bounds((0,), (4, 8)))
 
 
-def _sm_emb_free_list(rng):
-    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
-    srcs = _valid_sources(emb_scenario_cached(plan))
-    return ("emb", plan, tuple(b for b in srcs if rng.chance(1, 2)))
+def _emb_reqs(overlap):
+    return _emb(lambda sc: tuples(_REQUESTS), overlap=overlap)
 
 
-def _ex_emb_free_list():
-    for plan in EX_EMB_PLANS:
-        srcs = _valid_sources(emb_scenario_cached(plan))
-        yield ("emb", plan, tuple(srcs))
-        if len(srcs) > 1:
-            yield ("emb", plan, (srcs[0],))
+def _subset(items):
+    """Each item kept or left out with even odds."""
+    keep = tuples(*[pick((True, False))] * len(items))
+    return keep.map(lambda kept: tuple(x for x, k in zip(items, kept) if k))
+
+
+_EMB_FREE_LIST = _emb(lambda sc: tuples(_subset(_valid_sources(sc))))
 
 
 # Operations on one state: (state, *assignment) -> state after, or None.
@@ -883,19 +760,13 @@ def _alloc_left_mapped(rel: _EmbRel):
     return check
 
 
-def _sm_alloc_left_mapped(rng):
-    plan = generators.shared_emb_plan(
-        rng, overlap_chance=_NO_OVERLAP, hole_span=rng.choice((8, 16))
-    )
-    span = rng.choice((0, 2, 4, 8))
-    return ("emb", plan, span)
-
-
-def _ex_alloc_left_mapped():
-    for hole in (8, 16):
-        for plan in EX_EMB_PLANS[:6]:
-            for span in (0, 4, 8):
-                yield ("emb", replace(plan, hole_span=hole), span)
+# A plan with a reserved gap of 8 or 16 bytes, and the span of the block to
+# map into it.
+_ALLOC_LEFT_MAPPED = tuples(
+    "emb",
+    bind(pick((8, 16)), lambda hole: _emb_plans(_NO_OVERLAP, hole_span=hole)),
+    pick((0, 2, 4, 8), (0, 4, 8)),
+)
 
 
 def _free_pair(rel: _EmbRel):
@@ -938,24 +809,9 @@ deflaw(
     REL_MEM,
     "valid accesses relocate to valid accesses",
     family="relation",
-    exhaustive=_ex_emb_access,
-    sample=_sm_emb_access,
+    domain=_EMB_ACCESS,
     check=_ck_valid_pointer_emb,
 )
-
-
-def _ex_alignment_shift():
-    for t in ALL_CHUNKS:
-        for i in range(-16, 17):
-            if i % chunks.align_chunk(t) == 0:
-                for delta in (-16, -8, 0, 8, 16):
-                    yield ("arith", t, i, delta)
-
-
-def _sm_alignment_shift(rng):
-    t = rng.choice(ALL_CHUNKS)
-    i = rng.randint(-8, 8) * chunks.align_chunk(t)
-    return ("arith", t, i, 8 * rng.randint(-4, 4))
 
 
 def _ck_alignment_shift(case):
@@ -971,37 +827,40 @@ deflaw(
     REL_MEM,
     "multiples of 8 preserve every chunk's alignment",
     family="cells",
-    exhaustive=_ex_alignment_shift,
-    sample=_sm_alignment_shift,
+    domain=tuples(
+        "arith",
+        pick(ALL_CHUNKS),
+        lambda d: ints(-8, 8).map(lambda k: k * chunks.align_chunk(d[1])),
+        ints(-4, 4, (-2, -1, 0, 1, 2)).map(lambda k: 8 * k),
+    ),
     check=_ck_alignment_shift,
 )
 
 
-def _emb_value_pair(rng, sc):
-    mapped = [b for b in sc.src_ids if b in sc.emb]
-    r = rng.below(8)
-    if r < 1:
-        return VUNDEF, (Vint(5) if rng.chance(1, 2) else VUNDEF)
-    if r < 4:
-        n = rng.randint(-8, 300)
-        return Vint(n), Vint(n)
-    if r < 5:
-        bits = rng.choice(generators.FLOAT_POOL).bits
-        return Vfloat(bits), Vfloat(bits)
-    if mapped:
-        b = rng.choice(mapped)
-        po = rng.randint(-2, 6)
+def _emb_value_pair(sc):
+    """Two values related through the embedding."""
+
+    def pointer(b):
         tb, d = sc.emb[b]
-        return Vptr(b, po), Vptr(tb, po + d)
-    n = rng.randint(-8, 8)
+        return ints(-2, 6, (0,)).map(lambda po: (Vptr(b, po), Vptr(tb, po + d)))
+
+    mapped = [b for b in sc.src_ids if b in sc.emb]
+    return branch(
+        (1, pick((Vint(5), VUNDEF), (Vint(5),)).map(lambda v: (VUNDEF, v))),
+        (3, ints(-8, 300, (6,)).map(_int_pair)),
+        (1, pick(generators.FLOAT_POOL, ()).map(lambda f: (Vfloat(f.bits), Vfloat(f.bits)))),
+        (3, bind(pick(mapped, mapped[:1]), pointer) if mapped else ints(-8, 8, ()).map(_int_pair)),
+    )
+
+
+def _int_pair(n):
     return Vint(n), Vint(n)
 
 
-_ex_store_mapped = _ex_emb_pick(
-    lambda sc: _mapped_accesses(sc, 2), ((Vint(6), Vint(6)), (VUNDEF, Vint(2)))
-)
-_sm_store_mapped = _sm_emb_pick(
-    lambda sc: _mapped_accesses(sc, 6), _emb_value_pair, need_mapped=True
+_STORE_MAPPED = _emb(
+    lambda sc: pick(_mapped_accesses(sc, 6), _mapped_accesses(sc, 2)),
+    _emb_value_pair,
+    need_mapped=True,
 )
 
 
@@ -1029,15 +888,12 @@ deflaw(
     REL_MEM,
     "a store relocates through a non-overlapping embedding",
     family="relation",
-    exhaustive=_ex_store_mapped,
-    sample=_sm_store_mapped,
+    domain=_STORE_MAPPED,
     check=_ck_store_mapped_emb,
 )
 
-_ex_store_unmapped = _ex_emb_pick(lambda sc: _unmapped_accesses(sc, 2), ((Vint(3),),))
-_sm_store_unmapped = _sm_emb_pick(
-    lambda sc: _unmapped_accesses(sc, 6),
-    lambda rng, sc: (generators.sample_value(rng, sc.src_ids),),
+_STORE_UNMAPPED = _emb(
+    lambda sc: pick(_unmapped_accesses(sc, 6)), lambda sc: tuples(_value(sc.src_ids, (Vint(3),)))
 )
 
 deflaw(
@@ -1045,8 +901,7 @@ deflaw(
     REL_MEM,
     "stores in unmapped blocks preserve the embedding",
     family="relation",
-    exhaustive=_ex_store_unmapped,
-    sample=_sm_store_unmapped,
+    domain=_STORE_UNMAPPED,
     check=_one_sided(EMB, "left", _do_store, "a store in an unmapped block", _unmapped_store),
 )
 
@@ -1055,10 +910,8 @@ deflaw(
     REL_MEM,
     "right-side stores outside every image preserve the embedding",
     family="relation",
-    exhaustive=_ex_emb_pick(lambda sc: _extra_accesses(sc, 2), ((Vint(8),),)),
-    sample=_sm_emb_pick(
-        lambda sc: _extra_accesses(sc, 6),
-        lambda rng, sc: (generators.sample_value(rng, ()),),
+    domain=_emb(
+        lambda sc: pick(_extra_accesses(sc, 6)), lambda sc: tuples(_value((), (Vint(8),)))
     ),
     check=_one_sided(EMB, "right", _do_store, "a store outside every image", _extra_store),
 )
@@ -1096,8 +949,7 @@ deflaw(
     REL_MEM,
     "parallel allocation extends the embedding with a zero-delta mapping",
     family="relation",
-    exhaustive=_ex_emb_alloc,
-    sample=_sm_emb_alloc(_NO_OVERLAP),
+    domain=_emb_alloc(_NO_OVERLAP),
     check=_ck_alloc_parallel_emb,
 )
 
@@ -1106,8 +958,7 @@ deflaw(
     REL_MEM,
     "right-side allocation preserves the embedding",
     family="relation",
-    exhaustive=_ex_emb_alloc,
-    sample=_sm_emb_alloc(_OVERLAP_SOME),
+    domain=_emb_alloc(_OVERLAP_SOME),
     check=_one_sided(EMB, "right", _do_alloc, "a right-side allocation"),
 )
 
@@ -1116,8 +967,7 @@ deflaw(
     REL_MEM,
     "left-side allocation of an unmapped block preserves the embedding",
     family="relation",
-    exhaustive=_ex_emb_alloc,
-    sample=_sm_emb_alloc(_OVERLAP_SOME),
+    domain=_emb_alloc(_OVERLAP_SOME),
     check=_alloc_left_unmapped(EMB),
 )
 
@@ -1126,8 +976,7 @@ deflaw(
     REL_MEM,
     "a fresh left block maps into a reserved gap of the target",
     family="relation",
-    exhaustive=_ex_alloc_left_mapped,
-    sample=_sm_alloc_left_mapped,
+    domain=_ALLOC_LEFT_MAPPED,
     check=_alloc_left_mapped(EMB_APART),
 )
 
@@ -1136,8 +985,7 @@ deflaw(
     REL_MEM,
     "left-side free preserves the embedding",
     family="relation",
-    exhaustive=_ex_emb_free,
-    sample=_sm_emb_free,
+    domain=_EMB_FREE,
     check=_one_sided(EMB, "left", _do_free, "a left-side free"),
 )
 
@@ -1146,8 +994,7 @@ deflaw(
     REL_MEM,
     "freeing a target block outside every image preserves the embedding",
     family="relation",
-    exhaustive=_ex_emb_pick(_one_field(lambda sc: sc.extra_ids)),
-    sample=_sm_emb_pick(_one_field(lambda sc: sc.extra_ids)),
+    domain=_emb(lambda sc: tuples(pick(sc.extra_ids))),
     check=_one_sided(EMB, "right", _do_free, "freeing an imageless target block", _extra_block),
 )
 
@@ -1156,8 +1003,7 @@ deflaw(
     REL_MEM,
     "freeing a block together with its private image preserves the embedding",
     family="relation",
-    exhaustive=_ex_free_parallel,
-    sample=_sm_free_parallel,
+    domain=_FREE_PARALLEL,
     check=_free_pair(EMB),
 )
 
@@ -1166,8 +1012,7 @@ deflaw(
     REL_MEM,
     "left-side free_list preserves the embedding",
     family="relation",
-    exhaustive=_ex_emb_free_list,
-    sample=_sm_emb_free_list,
+    domain=_EMB_FREE_LIST,
     check=_one_sided(EMB, "left", _do_free_list, "a left-side free_list"),
 )
 
@@ -1191,8 +1036,7 @@ deflaw(
     REL_MEM,
     "freeing all private pairs in one sweep preserves the embedding",
     family="relation",
-    exhaustive=_ex_emb_fixed(((),)),
-    sample=lambda rng: ("emb", generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)),
+    domain=_emb(),
     check=_ck_free_list_free_parallel_emb,
 )
 
@@ -1222,8 +1066,7 @@ deflaw(
     MEM_INJECT,
     "loads transport along an injection",
     family="relation",
-    exhaustive=_ex_emb_access,
-    sample=_sm_emb_access,
+    domain=_EMB_ACCESS,
     check=_ck_load_inject,
 )
 
@@ -1256,8 +1099,7 @@ deflaw(
     MEM_INJECT,
     "mapped stores preserve the injection",
     family="relation",
-    exhaustive=_ex_store_mapped,
-    sample=_sm_store_mapped,
+    domain=_STORE_MAPPED,
     check=_mapped_store_inject(_do_store, "mapped store"),
 )
 
@@ -1266,8 +1108,7 @@ deflaw(
     MEM_INJECT,
     "stores in unmapped blocks preserve the injection",
     family="relation",
-    exhaustive=_ex_store_unmapped,
-    sample=_sm_store_unmapped,
+    domain=_STORE_UNMAPPED,
     check=_one_sided(INJECT, "left", _do_store, "a store in an unmapped block", _unmapped_store),
 )
 
@@ -1298,8 +1139,7 @@ deflaw(
     MEM_INJECT,
     "value-addressed loads transport along an injection",
     family="relation",
-    exhaustive=_ex_emb_access,
-    sample=_sm_emb_access,
+    domain=_EMB_ACCESS,
     check=_ck_loadv_inject,
 )
 
@@ -1308,8 +1148,7 @@ deflaw(
     MEM_INJECT,
     "value-addressed stores preserve the injection",
     family="relation",
-    exhaustive=_ex_store_mapped,
-    sample=_sm_store_mapped,
+    domain=_STORE_MAPPED,
     check=_mapped_store_inject(_do_storev, "value-addressed store"),
 )
 
@@ -1318,8 +1157,7 @@ deflaw(
     MEM_INJECT,
     "free preserves the no-overlap side condition",
     family="relation",
-    exhaustive=_ex_emb_free,
-    sample=_sm_emb_free,
+    domain=_EMB_FREE,
     check=_one_sided(NO_OVERLAP, "left", _do_free, "a left-side free"),
 )
 
@@ -1328,8 +1166,7 @@ deflaw(
     MEM_INJECT,
     "free_list preserves the no-overlap side condition",
     family="relation",
-    exhaustive=_ex_emb_free_list,
-    sample=_sm_emb_free_list,
+    domain=_EMB_FREE_LIST,
     check=_one_sided(NO_OVERLAP, "left", _do_free_list, "a left-side free_list"),
 )
 
@@ -1338,24 +1175,17 @@ deflaw(
     MEM_INJECT,
     "freeing a block with its private image preserves the injection",
     family="relation",
-    exhaustive=_ex_free_parallel,
-    sample=_sm_free_parallel,
+    domain=_FREE_PARALLEL,
     check=_free_pair(INJECT),
 )
 
 
-def _sm_extend_incr(rng):
-    plan = generators.shared_emb_plan(rng, overlap_chance=_OVERLAP_SOME)
-    sc = emb_scenario_cached(plan)
-    new_src = max(sc.src_ids, default=0) + 1 + rng.below(3)
-    tgt = rng.choice(sc.extra_ids) if sc.extra_ids else 1
-    return ("emb", plan, new_src, tgt, 8 * rng.randint(-2, 2))
-
-
-def _ex_extend_incr():
-    for plan in EX_EMB_PLANS:
-        sc = emb_scenario_cached(plan)
-        yield ("emb", plan, max(sc.src_ids, default=0) + 1, 1, 8)
+def _fresh_mapping(sc):
+    """A block id above the sources, a target (an extra one if there is
+    one) and a delta."""
+    top = max(sc.src_ids, default=0)
+    target = pick(sc.extra_ids) if sc.extra_ids else const(1)
+    return tuples(ints(top + 1, top + 3, (top + 1,)), target, ints(-2, 2).map(lambda k: 8 * k))
 
 
 def _ck_extend_embedding_incr(case):
@@ -1379,8 +1209,7 @@ deflaw(
     MEM_INJECT,
     "adding a mapping for a fresh block extends the embedding",
     family="relation",
-    exhaustive=_ex_extend_incr,
-    sample=_sm_extend_incr,
+    domain=_emb(_fresh_mapping),
     check=_ck_extend_embedding_incr,
 )
 
@@ -1389,8 +1218,7 @@ deflaw(
     MEM_INJECT,
     "right-side allocation preserves the injection",
     family="relation",
-    exhaustive=_ex_emb_alloc,
-    sample=_sm_emb_alloc(_OVERLAP_SOME),
+    domain=_emb_alloc(_OVERLAP_SOME),
     check=_one_sided(INJECT, "right", _do_alloc, "a right-side allocation"),
 )
 
@@ -1399,8 +1227,7 @@ deflaw(
     MEM_INJECT,
     "left-side allocation of an unmapped block preserves the injection",
     family="relation",
-    exhaustive=_ex_emb_alloc,
-    sample=_sm_emb_alloc(_OVERLAP_SOME),
+    domain=_emb_alloc(_OVERLAP_SOME),
     check=_alloc_left_unmapped(INJECT),
 )
 
@@ -1409,8 +1236,7 @@ deflaw(
     MEM_INJECT,
     "a fresh left block maps into a reserved gap under the injection",
     family="relation",
-    exhaustive=_ex_alloc_left_mapped,
-    sample=_sm_alloc_left_mapped,
+    domain=_ALLOC_LEFT_MAPPED,
     check=_alloc_left_mapped(INJECT),
 )
 
@@ -1433,8 +1259,7 @@ deflaw(
     MEM_INJECT,
     "left-side alloc_list of unmapped blocks preserves the injection",
     family="relation",
-    exhaustive=_ex_emb_reqs,
-    sample=_sm_emb_reqs(_OVERLAP_SOME),
+    domain=_emb_reqs(_OVERLAP_SOME),
     check=_ck_alloc_list_left_inject,
 )
 
@@ -1482,7 +1307,6 @@ deflaw(
     MEM_INJECT,
     "a block list packs into a single covering target block",
     family="relation",
-    exhaustive=_ex_emb_reqs,
-    sample=_sm_emb_reqs(_NO_OVERLAP),
+    domain=_emb_reqs(_NO_OVERLAP),
     check=_ck_alloc_list_alloc_inject,
 )

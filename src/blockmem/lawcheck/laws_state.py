@@ -8,9 +8,10 @@ directions of the iff-style laws get exercised.
 
 A law is assembled from three parts:
 
-- a *domain*, an enumerator over the tiny universe and a sampler that
-  draw the same shape of case (``_ex_state_access``/``_sm_state_access``;
-  ``_store_domain`` extends the store domain with a second access);
+- a *domain* over the state of a shared scenario (``on_state``): the
+  probe, access, store, alloc and free domains, and their extensions
+  with a second access or a reload chunk (``_valid_store(m)`` extended
+  by ``_overlap_tail``, say);
 - the *prologue* of an operation (``_after``), which rebuilds the state,
   applies alloc, store, free or free_list with the case's arguments, and
   passes vacuously when the operation fails;
@@ -25,6 +26,7 @@ from __future__ import annotations
 from .. import chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Vint, VUNDEF
 from . import generators, oracle
+from .domains import bind, branch, const, extend, first, ints, lists, pick, source, tuples
 from .laws_base import (
     CONCRETE_MEM,
     GEN_MEM,
@@ -36,131 +38,89 @@ from .laws_base import (
     G_VALIDITY,
     MEM_INJECT,
     REF_GEN_MEM,
+    SCENARIO_OPS,
+    STATE,
     deflaw,
+    live_ids,
+    on_state,
     state_of,
+    valid_access,
 )
-
-_ALLOC_ARGS = ((0, 8), (-4, 4), (0, 0), (2, 1), (0, 4))
-
-
-def _tiny():
-    return generators.tiny_states_small()
-
-
-def _sample_alloc_args(rng):
-    low = rng.randint(-6, 6)
-    if rng.chance(1, 10):
-        return low, low - rng.below(3)
-    return low, low + rng.choice((0, 1, 2, 4, 8, 12))
-
-
-def _valid_blocks(m):
-    return [b for b, _, _, _ in memstate.live_blocks(m)]
-
-
-def _pick_block(rng, blocks, odds, fallback):
-    """A valid block with probability ``odds``, else one of ``fallback``."""
-    return rng.choice(blocks) if blocks and rng.chance(*odds) else rng.choice(fallback)
-
-
-def _access_or_probe(rng, m):
-    return generators.sample_valid_access(rng, m) or generators.sample_access_probe(rng, m)
-
 
 # --- domains --------------------------------------------------------------------
 
 
-def _sm_state_probe(rng):
-    ops = generators.shared_ops(rng)
-    m = state_of(ops)
-    b = rng.choice((0, 1, 2, 3, m.nextblock, m.nextblock + 2))
-    return ("state", ops, b)
+def _probe_block(m):
+    """Any block id, valid or not; enumerated, blocks 0, 1, 2 and the next."""
+    nb = m.nextblock
+    return pick((0, 1, 2, 3, nb, nb + 2), (0, 1, 2, nb))
 
 
-def _sm_state_access(rng):
-    """State plus an access triple, valid three times out of four."""
-    ops = generators.shared_ops(rng)
-    m = state_of(ops)
-    if rng.chance(3, 4):
-        acc = generators.sample_valid_access(rng, m)
-        if acc is not None:
-            return ("state", ops) + acc
-    return ("state", ops) + generators.sample_access_probe(rng, m)
+# One chunk of each size.
+_SIZES = (Chunk.INT8U, Chunk.INT16S, Chunk.INT32, Chunk.FLOAT64)
+# The chunk and the offset of a probe, enumerated widely for the laws about
+# arbitrary accesses and narrowly where a probe only stands in for a missing
+# valid access.
+_PROBE_WIDE = (pick(ALL_CHUNKS, _SIZES), ints(-6, 9, (-4, -1, 0, 1, 2, 4, 6)))
+_PROBE_NARROW = (pick(ALL_CHUNKS, (Chunk.INT8U, Chunk.INT32)), ints(-6, 9, (0, 1)))
 
 
-def _sm_state_store(rng):
-    """State plus a store assignment that will succeed, if possible."""
-    ops = generators.shared_ops(rng)
-    m = state_of(ops)
-    acc = generators.sample_valid_access(rng, m)
-    if acc is None:
-        return ("skip",)
-    t, b, i = acc
-    v = generators.sample_value(rng, tuple(_valid_blocks(m)))
-    return ("state", ops, t, b, i, v)
+def _access_probe(m, scope=_PROBE_WIDE):
+    """An arbitrary (chunk, block, offset), valid or not."""
+    return tuples(scope[0], _probe_block(m), scope[1])
 
 
-def _sm_state_alloc(rng):
-    ops = generators.shared_ops(rng)
-    low, high = _sample_alloc_args(rng)
-    return ("state", ops, low, high)
+def _access_or_probe(m):
+    """A valid access, or a probe where there is none."""
+    return first(valid_access(m), lambda: _access_probe(m, _PROBE_NARROW))
 
 
-def _sm_state_free(rng):
-    ops = generators.shared_ops(rng)
-    m = state_of(ops)
-    return ("state", ops, _pick_block(rng, _valid_blocks(m), (4, 5), (0, 1, m.nextblock)))
+def _block_or(m, odds, fallback, scope=None):
+    """A valid block with probability ``odds``, else one of ``fallback``
+    (enumerated at ``scope``)."""
+    blocks = live_ids(m)
+    if not blocks:
+        return pick(fallback, scope)
+    return branch((odds[0], pick(blocks)), (odds[1] - odds[0], pick(fallback, scope)))
 
 
-def _ex_state_probe():
-    for ops, m in _tiny():
-        for b in generators.tiny_probe_blocks(m):
-            yield ("state", ops, b)
+def _value(m):
+    """A stored value; enumerated, an int and undef."""
+    ids = tuple(live_ids(m))
+    return source(lambda rng: generators.sample_value(rng, ids), (Vint(7), VUNDEF))
 
 
-def _ex_state_access():
-    for ops, m in _tiny():
-        for b in generators.tiny_probe_blocks(m):
-            for t in ALL_CHUNKS:
-                for i in (-4, -1, 0, 1, 2, 4, 6):
-                    yield ("state", ops, t, b, i)
+def _alloc_args(lows=(0, 2), spans=(0, 8)):
+    """Alloc bounds: now and then an empty span, else a span from a menu."""
+
+    def of_low(low):
+        return branch(
+            (1, ints(0, 2, (1,)).map(lambda k: (low, low - k))),
+            (9, pick((0, 1, 2, 4, 8, 12), spans).map(lambda span: (low, low + span))),
+        )
+
+    return bind(ints(-6, 6, lows), of_low)
 
 
-def _ex_state_store():
-    for ops, m in _tiny():
-        done = 0
-        for b in _valid_blocks(m):
-            for t, i in relations.valid_accesses(m, b)[:6]:
-                for v in (Vint(7), VUNDEF):
-                    yield ("state", ops, t, b, i, v)
-                done += 1
-                if done >= 8:
-                    break
-            if done >= 8:
-                break
+def _access(m):
+    """An access triple, valid three times out of four; enumerated, the
+    valid ones and the probes once each."""
+    return branch(
+        (3, lambda: first(valid_access(m), lambda: _access_probe(m).scoped(()))),
+        (1, lambda: _access_probe(m)),
+    )
 
 
-def _ex_state_alloc():
-    for ops, m in _tiny():
-        for low, high in _ALLOC_ARGS:
-            yield ("state", ops, low, high)
+def _valid_store(m):
+    """A store that will succeed: a valid access and a value."""
+    return extend(valid_access(m), tuples(_value(m)))
 
 
-def _store_domain(draw, extend):
-    """The store domain with a tail appended to each case: ``draw(rng,
-    case)`` gives a random case's tail, ``extend(case)`` the tails of an
-    exhaustive one.  Returns the (enumerator, sampler) pair."""
-
-    def exhaustive():
-        for case in _ex_state_store():
-            for tail in extend(case):
-                yield case + tail
-
-    def sample(rng):
-        case = _sm_state_store(rng)
-        return case if case[0] == "skip" else case + draw(rng, case)
-
-    return exhaustive, sample
+_PROBE = on_state(lambda m: tuples(_probe_block(m)))
+_ACCESS = on_state(_access)
+_STORE = on_state(_valid_store)
+_ALLOC = extend(STATE, _alloc_args())
+_FREE = on_state(lambda m: tuples(_block_or(m, (4, 5), (0, 1, m.nextblock))))
 
 
 # --- operation prologues ------------------------------------------------------------
@@ -236,8 +196,7 @@ deflaw(
     "block validity agrees with its spelled-out definition",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_probe,
+    domain=_PROBE,
     check=_ck_valid_block_dec,
 )
 
@@ -256,8 +215,7 @@ deflaw(
     "every valid access is aligned",
     family="state",
     groups=(G_ACCESS,),
-    exhaustive=_ex_state_access,
-    sample=_sm_state_access,
+    domain=_ACCESS,
     check=_ck_aligned_dec,
 )
 
@@ -283,8 +241,7 @@ deflaw(
     "valid access agrees with its four-conjunct definition",
     family="state",
     groups=(G_ACCESS,),
-    exhaustive=_ex_state_access,
-    sample=_sm_state_access,
+    domain=_ACCESS,
     check=_ck_valid_pointer_dec,
 )
 
@@ -306,8 +263,7 @@ deflaw(
     "a fresh block has the bounds given to alloc",
     family="state",
     groups=(G_BOUNDS,),
-    exhaustive=_ex_state_alloc,
-    sample=_sm_state_alloc,
+    domain=_ALLOC,
     check=_ck_alloc_result_bounds,
 )
 
@@ -334,8 +290,7 @@ deflaw(
     "alloc preserves the bounds of every other block",
     family="state",
     groups=(G_BOUNDS,),
-    exhaustive=_ex_state_alloc,
-    sample=_sm_state_alloc,
+    domain=_ALLOC,
     check=_bounds_kept("alloc"),
 )
 
@@ -345,8 +300,7 @@ deflaw(
     "store preserves all bounds",
     family="state",
     groups=(G_BOUNDS,),
-    exhaustive=_ex_state_store,
-    sample=_sm_state_store,
+    domain=_STORE,
     check=_bounds_kept("store"),
 )
 
@@ -356,8 +310,7 @@ deflaw(
     "free preserves the bounds of every other block",
     family="state",
     groups=(G_BOUNDS,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_free,
+    domain=_FREE,
     check=_bounds_kept("free"),
 )
 
@@ -375,8 +328,7 @@ deflaw(
     "the freed block keeps its bounds",
     family="state",
     groups=(G_BOUNDS,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_free,
+    domain=_FREE,
     check=_ck_free_same_bounds,
 )
 
@@ -397,8 +349,7 @@ deflaw(
     "alloc validates the new block",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_alloc,
-    sample=_sm_state_alloc,
+    domain=_ALLOC,
     check=_ck_alloc_valid_block,
 )
 
@@ -421,8 +372,7 @@ deflaw(
     "alloc validates nothing but the new block",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_probe,
+    domain=_PROBE,
     check=_ck_alloc_validates_only_new,
 )
 
@@ -441,8 +391,7 @@ deflaw(
     "a successful load implies a valid block",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_access,
-    sample=_sm_state_access,
+    domain=_ACCESS,
     check=_ck_load_valid_block,
 )
 
@@ -467,8 +416,7 @@ deflaw(
     "store preserves block validity",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_store,
-    sample=_sm_state_store,
+    domain=_STORE,
     check=_store_validity(backward=False),
 )
 
@@ -478,8 +426,7 @@ deflaw(
     "store validates no block",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_store,
-    sample=_sm_state_store,
+    domain=_STORE,
     check=_store_validity(backward=True),
 )
 
@@ -498,8 +445,7 @@ deflaw(
     "free changes no other block's validity",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_free,
+    domain=_FREE,
     check=_ck_free_valid_block,
 )
 
@@ -517,8 +463,7 @@ deflaw(
     "the freed block is invalid afterwards",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_free,
+    domain=_FREE,
     check=_ck_free_not_valid_block,
 )
 
@@ -538,8 +483,7 @@ deflaw(
     "free succeeds exactly on valid blocks",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_free,
+    domain=_FREE,
     check=_ck_valid_block_free,
 )
 
@@ -561,8 +505,7 @@ deflaw(
     "freshness and validity are mutually exclusive",
     family="state",
     groups=(G_FRESH,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_probe,
+    domain=_PROBE,
     check=_ck_fresh_exclusive,
 )
 
@@ -580,8 +523,7 @@ deflaw(
     "the block returned by alloc was fresh beforehand",
     family="state",
     groups=(G_FRESH,),
-    exhaustive=_ex_state_alloc,
-    sample=_sm_state_alloc,
+    domain=_ALLOC,
     check=_ck_alloc_fresh,
 )
 
@@ -602,8 +544,7 @@ deflaw(
     "alloc consumes exactly the freshness of its result",
     family="state",
     groups=(G_FRESH,),
-    exhaustive=_ex_state_alloc,
-    sample=_sm_state_alloc,
+    domain=_ALLOC,
     check=_ck_alloc_fresh_2,
 )
 
@@ -625,8 +566,7 @@ deflaw(
     "store preserves freshness",
     family="state",
     groups=(G_FRESH,),
-    exhaustive=_ex_state_store,
-    sample=_sm_state_store,
+    domain=_STORE,
     check=_freshness_kept("store"),
 )
 
@@ -636,8 +576,7 @@ deflaw(
     "free preserves freshness",
     family="state",
     groups=(G_FRESH,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_free,
+    domain=_FREE,
     check=_freshness_kept("free"),
 )
 
@@ -679,8 +618,7 @@ for _name, _op, _forward, _about in (
         _about,
         family="state",
         groups=(G_ACCESS,),
-        exhaustive=_ex_state_access,
-        sample=_sm_state_access,
+        domain=_ACCESS,
         check=_access_iff(_op, _forward),
     )
 
@@ -700,8 +638,7 @@ deflaw(
     "access validity only depends on the chunk's size class",
     family="state",
     groups=(G_ACCESS,),
-    exhaustive=_ex_state_access,
-    sample=_sm_state_access,
+    domain=_ACCESS,
     check=_ck_valid_pointer_compat,
 )
 
@@ -736,46 +673,15 @@ def _preserve_pointer_check(op: str, forward: bool):
     return check
 
 
-def _sm_pointer_inv(op: str):
-    def sample(rng):
-        ops = generators.shared_ops(rng)
-        m = state_of(ops)
-        t, b, i = _access_or_probe(rng, m)
-        if op == "free":
-            blocks = _valid_blocks(m)
-            if not blocks:
-                return ("skip",)
-            extra = rng.choice(blocks)
-        elif op == "store":
-            tgt = generators.sample_valid_access(rng, m)
-            if tgt is None:
-                return ("skip",)
-            extra = (tgt[1], tgt[2])
-        else:
-            extra = None
-        return ("state", ops, t, b, i, extra)
-
-    return sample
-
-
-def _ex_pointer_inv(op: str):
-    def gen():
-        for ops, m in _tiny():
-            for b in _valid_blocks(m) or [1]:
-                for t in (Chunk.INT8U, Chunk.INT32):
-                    for i in (-4, 0, 1, 4):
-                        if op == "free":
-                            for extra in _valid_blocks(m):
-                                yield ("state", ops, t, b, i, extra)
-                        elif op == "store":
-                            for tb in _valid_blocks(m):
-                                low, high = memstate.bounds(m, tb)
-                                if high - low >= 1:
-                                    yield ("state", ops, t, b, i, (tb, low))
-                        else:
-                            yield ("state", ops, t, b, i, None)
-
-    return gen
+def _pointer_inv(op: str):
+    """An access (a valid one where there is one), and the freed block or
+    the (block, offset) stored to."""
+    extra = {
+        "free": lambda m: pick(live_ids(m)),
+        "store": lambda m: valid_access(m, lambda accesses: accesses[:1]).map(lambda a: a[1:]),
+        "alloc": lambda m: const(None),
+    }[op]
+    return on_state(lambda m: extend(_access_or_probe(m), tuples(extra(m))))
 
 
 _POINTER_INV_ABOUT = {
@@ -795,8 +701,7 @@ for _name, _op in (
         _POINTER_INV_ABOUT[_op],
         family="state",
         groups=(G_ACCESS,),
-        exhaustive=_ex_pointer_inv(_op),
-        sample=_sm_pointer_inv(_op),
+        domain=_pointer_inv(_op),
         check=_preserve_pointer_check(_op, forward=False),
     )
 
@@ -814,10 +719,8 @@ def _ck_load_store_same(case, m, m2, b):
     return None
 
 
-_ex_load_store_same, _sm_load_store_same = _store_domain(
-    lambda rng, case: (rng.choice(chunks.COMPAT_CHUNKS[case[2]]),),
-    lambda case: ((t2,) for t2 in chunks.COMPAT_CHUNKS[case[2]]),
-)
+_COMPATIBLE = {t: tuples(pick(chunks.COMPAT_CHUNKS[t])) for t in ALL_CHUNKS}
+_LOAD_STORE_SAME = on_state(lambda m: extend(_valid_store(m), lambda st: _COMPATIBLE[st[0]]))
 
 
 deflaw(
@@ -826,8 +729,7 @@ deflaw(
     "store then load at the same location yields the converted value",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_load_store_same,
-    sample=_sm_load_store_same,
+    domain=_LOAD_STORE_SAME,
     check=_ck_load_store_same,
 )
 
@@ -845,17 +747,7 @@ def _ck_load_store_disjoint(case, m, m2, b):
     return None
 
 
-def _disjoint_tails(case):
-    m = state_of(case[1])
-    for b2 in _valid_blocks(m):
-        for t2 in (Chunk.INT8U, Chunk.INT32):
-            for i2 in (-4, 0, 2, 4):
-                yield (t2, b2, i2)
-
-
-_ex_load_store_disjoint, _sm_load_store_disjoint = _store_domain(
-    lambda rng, case: _access_or_probe(rng, state_of(case[1])), _disjoint_tails
-)
+_LOAD_STORE_DISJOINT = on_state(lambda m: extend(_valid_store(m), _access_or_probe(m)))
 
 
 deflaw(
@@ -864,8 +756,7 @@ deflaw(
     "a store preserves loads at disjoint footprints",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_load_store_disjoint,
-    sample=_sm_load_store_disjoint,
+    domain=_LOAD_STORE_DISJOINT,
     check=_ck_load_store_disjoint,
 )
 
@@ -879,14 +770,12 @@ def _ck_load_store_mismatch(case, m, m2, b):
     return None
 
 
-def _mismatched(t):
-    return [t2 for t2 in ALL_CHUNKS if not chunks.compat(t, t2)]
+_MISMATCHED = {
+    t: tuples(pick([t2 for t2 in ALL_CHUNKS if not chunks.compat(t, t2)])) for t in ALL_CHUNKS
+}
 
 
-_ex_load_store_mismatch, _sm_load_store_mismatch = _store_domain(
-    lambda rng, case: (rng.choice(_mismatched(case[2])),),
-    lambda case: ((t2,) for t2 in _mismatched(case[2])),
-)
+_LOAD_STORE_MISMATCH = on_state(lambda m: extend(_valid_store(m), lambda st: _MISMATCHED[st[0]]))
 
 
 deflaw(
@@ -895,8 +784,7 @@ deflaw(
     "reading back at a size-mismatched chunk yields undef",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_load_store_mismatch,
-    sample=_sm_load_store_mismatch,
+    domain=_LOAD_STORE_MISMATCH,
     check=_ck_load_store_mismatch,
 )
 
@@ -915,16 +803,20 @@ def _ck_load_store_overlap(case, m, m2, b):
     return None
 
 
-def _overlap_tail(rng, case):
-    t, i = case[2], case[4]
-    t2 = rng.choice(ALL_CHUNKS)
-    return (t2, i + rng.randint(-chunks.size_chunk(t2) + 1, chunks.size_chunk(t) - 1))
+def _overlap_tail(st):
+    """A chunk and an offset whose footprint overlaps the store's;
+    enumerated at one chunk of each size and up to five offsets near the
+    store's."""
+    t, _, i, _ = st
+
+    def offset(t2):
+        lo, hi = -chunks.size_chunk(t2) + 1, chunks.size_chunk(t) - 1
+        return ints(i + lo, i + hi, [i + d for d in (-2, -1, 1, 2, 3) if lo <= d <= hi])
+
+    return tuples(pick(ALL_CHUNKS, _SIZES), lambda d: offset(d[0]))
 
 
-_ex_load_store_overlap, _sm_load_store_overlap = _store_domain(
-    _overlap_tail,
-    lambda case: ((t2, case[4] + d) for t2 in ALL_CHUNKS for d in (-2, -1, 1, 2, 3)),
-)
+_LOAD_STORE_OVERLAP = on_state(lambda m: extend(_valid_store(m), _overlap_tail))
 
 
 deflaw(
@@ -933,8 +825,7 @@ deflaw(
     "reading across an overlapping store yields undef",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_load_store_overlap,
-    sample=_sm_load_store_overlap,
+    domain=_LOAD_STORE_OVERLAP,
     check=_ck_load_store_overlap,
 )
 
@@ -953,8 +844,7 @@ deflaw(
     "every load from a fresh block yields undef",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_state_alloc,
-    sample=_sm_state_alloc,
+    domain=_ALLOC,
     check=_ck_load_alloc_same,
 )
 
@@ -979,8 +869,7 @@ deflaw(
     "alloc preserves loads in existing blocks",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_state_access,
-    sample=_sm_state_access,
+    domain=_ACCESS,
     check=_ck_load_alloc_other,
 )
 
@@ -1001,23 +890,7 @@ def _ck_load_free_other(case):
     return None
 
 
-def _sm_load_free_other(rng):
-    ops = generators.shared_ops(rng)
-    m = state_of(ops)
-    acc = generators.sample_valid_access(rng, m)
-    blocks = _valid_blocks(m)
-    if acc is None or not blocks:
-        return ("skip",)
-    return ("state", ops) + acc + (rng.choice(blocks),)
-
-
-def _ex_load_free_other():
-    for ops, m in _tiny():
-        for b in _valid_blocks(m):
-            for victim in _valid_blocks(m):
-                for t in (Chunk.INT8U, Chunk.INT32):
-                    for i in (0, 1, 4):
-                        yield ("state", ops, t, b, i, victim)
+_LOAD_FREE_OTHER = on_state(lambda m: extend(valid_access(m), tuples(pick(live_ids(m)))))
 
 
 deflaw(
@@ -1026,8 +899,7 @@ deflaw(
     "free preserves loads in other blocks",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_load_free_other,
-    sample=_sm_load_free_other,
+    domain=_LOAD_FREE_OTHER,
     check=_ck_load_free_other,
 )
 
@@ -1045,14 +917,11 @@ def _scrambled(ops, salt: int):
     return tuple(out)
 
 
-def _sm_state2(rng):
-    ops = generators.shared_ops(rng)
-    return ("state2", ops, _scrambled(ops, rng.below(5)))
-
-
-def _ex_state2():
-    for ops, _ in _tiny():
-        yield ("state2", ops, _scrambled(ops, 0))
+# A scenario and its twin with other stored values; the salt of the twin's
+# values is enumerated at 0.
+_STATE2 = tuples(SCENARIO_OPS, ints(0, 4, (0,))).map(
+    lambda d: ("state2", d[0], _scrambled(*d))
+)
 
 
 def _ck_same_domain_nextblock(case):
@@ -1069,8 +938,7 @@ deflaw(
     "equal domains share the next-block counter",
     family="state",
     groups=(G_DETERMINISM,),
-    exhaustive=_ex_state2,
-    sample=_sm_state2,
+    domain=_STATE2,
     check=_ck_same_domain_nextblock,
 )
 
@@ -1099,8 +967,7 @@ deflaw(
     "alloc picks the same block on equal domains",
     family="state",
     groups=(G_DETERMINISM,),
-    exhaustive=_ex_state2,
-    sample=_sm_state2,
+    domain=_STATE2,
     check=_ck_alloc_same_domain,
 )
 
@@ -1127,8 +994,7 @@ deflaw(
     "a successful store only rewrites the stored block's contents",
     family="state",
     groups=(G_DETERMINISM,),
-    exhaustive=_ex_state_store,
-    sample=_sm_state_store,
+    domain=_STORE,
     check=_ck_store_inversion,
 )
 
@@ -1149,8 +1015,7 @@ for _name, _about in (
         _about,
         family="state",
         groups=(G_VALIDITY,),
-        exhaustive=_ex_state_probe,
-        sample=_sm_state_probe,
+        domain=_PROBE,
         check=_ck_alloc_validates_only_new,
     )
 
@@ -1161,8 +1026,7 @@ deflaw(
     "alloc preserves loads in existing blocks",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_state_access,
-    sample=_sm_state_access,
+    domain=_ACCESS,
     check=_ck_load_alloc_other,
 )
 
@@ -1182,8 +1046,7 @@ deflaw(
     "a fresh block admits every aligned in-bounds access",
     family="state",
     groups=(G_ACCESS,),
-    exhaustive=_ex_state_alloc,
-    sample=_sm_state_alloc,
+    domain=_ALLOC,
     check=_ck_alloc_result_valid_pointer,
 )
 
@@ -1198,8 +1061,7 @@ for _name, _op in (
         _POINTER_INV_ABOUT[_op],
         family="state",
         groups=(G_ACCESS,),
-        exhaustive=_ex_pointer_inv(_op),
-        sample=_sm_pointer_inv(_op),
+        domain=_pointer_inv(_op),
         check=_preserve_pointer_check(_op, forward=False),
     )
 
@@ -1210,8 +1072,7 @@ deflaw(
     "store preserves valid accesses",
     family="state",
     groups=(G_ACCESS,),
-    exhaustive=_ex_pointer_inv("store"),
-    sample=_sm_pointer_inv("store"),
+    domain=_pointer_inv("store"),
     check=_preserve_pointer_check("store", forward=True),
 )
 
@@ -1221,8 +1082,7 @@ deflaw(
     "every load from a fresh block yields undef",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_state_alloc,
-    sample=_sm_state_alloc,
+    domain=_ALLOC,
     check=_ck_load_alloc_same,
 )
 
@@ -1232,8 +1092,7 @@ deflaw(
     "reading back at a size-mismatched chunk yields undef",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_load_store_mismatch,
-    sample=_sm_load_store_mismatch,
+    domain=_LOAD_STORE_MISMATCH,
     check=_ck_load_store_mismatch,
 )
 
@@ -1243,8 +1102,7 @@ deflaw(
     "reading across an overlapping store yields undef",
     family="state",
     groups=(G_GOODVARS,),
-    exhaustive=_ex_load_store_overlap,
-    sample=_sm_load_store_overlap,
+    domain=_LOAD_STORE_OVERLAP,
     check=_ck_load_store_overlap,
 )
 
@@ -1269,22 +1127,32 @@ def _class_predicates(t1, b1, i1, t2, b2, i2):
     }
 
 
-def _classification_tail(rng, case):
-    probe = _access_or_probe(rng, state_of(case[1]))
-    if rng.chance(1, 2):
-        # bias the probe towards the stored location
-        probe = (rng.choice(ALL_CHUNKS), case[3], case[4] + rng.randint(-2, 3))
-    return probe
+def _classification(m):
+    """A store, and any access, half the time replaced by one near the
+    stored location; enumerated, the near ones."""
+    anywhere = _access_or_probe(m)
+
+    def tail(st):
+        _, b, i, _ = st
+
+        def near():
+            chunk = pick(ALL_CHUNKS, (Chunk.INT8U, Chunk.INT16S, Chunk.INT32))
+            return tuples(chunk, b, ints(i - 2, i + 3, (i - 2, i, i + 1)))
+
+        either = tuples(anywhere, branch((1, near), (1, _NO_ACCESS)))
+        return either.map(_near_or_any).scoped(lambda: near().cases())
+
+    return extend(_valid_store(m), tail)
 
 
-_ex_classification, _sm_classification = _store_domain(
-    _classification_tail,
-    lambda case: (
-        (t2, case[3], case[4] + d)
-        for t2 in (Chunk.INT8U, Chunk.INT16S, Chunk.INT32)
-        for d in (-2, 0, 1, 4)
-    ),
-)
+_NO_ACCESS = const(None)
+
+
+def _near_or_any(d):
+    return d[1] or d[0]
+
+
+_CLASSIFICATION = on_state(_classification)
 
 
 def _ck_classification(case):
@@ -1300,8 +1168,7 @@ deflaw(
     REF_GEN_MEM,
     "every load/store location pair falls in exactly one class",
     family="state",
-    exhaustive=_ex_classification,
-    sample=_sm_classification,
+    domain=_CLASSIFICATION,
     check=_ck_classification,
 )
 
@@ -1340,8 +1207,7 @@ for _name, _mode in (
         f"load-after-store behaves per its class ({_mode})",
         family="state",
         groups=(G_GOODVARS,),
-        exhaustive=_ex_classification,
-        sample=_sm_classification,
+        domain=_CLASSIFICATION,
         check=_make_characterization(_mode),
     )
 
@@ -1359,8 +1225,7 @@ deflaw(
     "store preserves the domain",
     family="state",
     groups=(G_DETERMINISM,),
-    exhaustive=_ex_state_store,
-    sample=_sm_state_store,
+    domain=_STORE,
     check=_ck_store_same_domain,
 )
 
@@ -1379,15 +1244,9 @@ def _ck_free_same_domain(case):
     return None
 
 
-def _sm_free_same_domain(rng):
-    ops = generators.shared_ops(rng)
-    b = _pick_block(rng, _valid_blocks(state_of(ops)), (4, 5), (0, 1))
-    return ("state2", ops, _scrambled(ops, rng.below(5)), b)
-
-
-def _ex_free_same_domain():
-    for _, ops, b in _ex_state_probe():
-        yield ("state2", ops, _scrambled(ops, 0), b)
+_FREE_SAME_DOMAIN = tuples(
+    SCENARIO_OPS, lambda d: _block_or(state_of(d[0]), (4, 5), (0, 1)), ints(0, 4, (0,))
+).map(lambda d: ("state2", d[0], _scrambled(d[0], d[2]), d[1]))
 
 
 deflaw(
@@ -1396,8 +1255,7 @@ deflaw(
     "free acts identically on equal domains",
     family="state",
     groups=(G_DETERMINISM,),
-    exhaustive=_ex_free_same_domain,
-    sample=_sm_free_same_domain,
+    domain=_FREE_SAME_DOMAIN,
     check=_ck_free_same_domain,
 )
 
@@ -1418,8 +1276,7 @@ deflaw(
     "a freed block admits no access",
     family="state",
     groups=(G_ACCESS,),
-    exhaustive=_ex_state_probe,
-    sample=_sm_state_free,
+    domain=_FREE,
     check=_ck_free_not_valid_pointer,
 )
 
@@ -1427,16 +1284,9 @@ deflaw(
 # --- list operations --------------------------------------------------------------
 
 
-def _sm_alloc_list(rng):
-    ops = generators.shared_ops(rng)
-    reqs = tuple(_sample_alloc_args(rng) for _ in range(rng.below(4)))
-    return ("state", ops, reqs)
-
-
-def _ex_alloc_list():
-    for ops, _ in _tiny():
-        for reqs in ((), ((0, 4),), ((0, 4), (0, 8)), ((2, 1), (-4, 4))):
-            yield ("state", ops, reqs)
+_ALLOC_LIST = on_state(
+    lambda m: tuples(lists(ints(0, 3, (0, 1, 2)), _alloc_args(lows=(0,), spans=(4,))))
+)
 
 
 def _ck_alloc_list_unfold(case):
@@ -1469,30 +1319,16 @@ deflaw(
     MEM_INJECT,
     "alloc_list unfolds one allocation at a time",
     family="state",
-    exhaustive=_ex_alloc_list,
-    sample=_sm_alloc_list,
+    domain=_ALLOC_LIST,
     check=_ck_alloc_list_unfold,
 )
 
 
-def _sm_free_list(rng):
-    ops = generators.shared_ops(rng)
-    m = state_of(ops)
-    blocks = _valid_blocks(m)
-    picks = tuple(
-        _pick_block(rng, blocks, (5, 6), (0, 1, m.nextblock)) for _ in range(rng.below(4))
+_FREE_LIST = on_state(
+    lambda m: tuples(
+        lists(ints(0, 3, (0, 1, 2)), _block_or(m, (5, 6), (0, 1, m.nextblock), (m.nextblock,)))
     )
-    return ("state", ops, picks)
-
-
-def _ex_free_list():
-    for ops, m in _tiny():
-        blocks = _valid_blocks(m)
-        menu = [(), tuple(blocks)]
-        if blocks:
-            menu.append((blocks[0], blocks[0]))
-        for bs in menu:
-            yield ("state", ops, bs)
+)
 
 
 @_after("free_list")
@@ -1512,8 +1348,7 @@ deflaw(
     "free_list never touches fresh blocks and preserves freshness",
     family="state",
     groups=(G_FRESH,),
-    exhaustive=_ex_free_list,
-    sample=_sm_free_list,
+    domain=_FREE_LIST,
     check=_ck_free_list_fresh_block,
 )
 
@@ -1532,7 +1367,6 @@ deflaw(
     "no freed-list element stays valid",
     family="state",
     groups=(G_VALIDITY,),
-    exhaustive=_ex_free_list,
-    sample=_sm_free_list,
+    domain=_FREE_LIST,
     check=_ck_free_list_not_valid_block,
 )

@@ -1,7 +1,7 @@
 """Suite runner: evaluates every law and emits the reports.
 
-Each law runs two phases: a full sweep of its exhaustive tiny-universe
-cases, then seeded random cases.  A random case is a scenario, taken from
+Each law runs two phases over its domain (``domains``): a sweep of the
+domain's exhaustive scope, then seeded random draws.  A random case is a scenario, taken from
 the stream its domain shares with every other law of the domain (draw k
 of the law takes scenario k), and an assignment drawn from the law's own
 stream (see ``rng``).  Both depend only on the seed, the law and the draw
@@ -30,6 +30,9 @@ from .laws_base import ALL_GROUPS, Law, render_case, shrink_case
 from .rng import law_stream
 
 _SHRINK_ROUNDS = 200
+# The way cases are generated, recorded in the report's header: bumped by
+# every change that moves any law's exhaustive cases or random draws.
+REPORT_FORMAT = 2
 # Laws per worker task when the suite runs in several processes.
 _CHUNK = 4
 
@@ -228,6 +231,7 @@ def jsonl_report(suite: SuiteResult) -> str:
     records = [
         {
             "kind": "suite",
+            "report_format": REPORT_FORMAT,
             "seed": cfg.seed,
             "random_cases": cfg.random_cases,
             "cases_state": cfg.cases_state,

@@ -6,9 +6,10 @@ from dataclasses import replace
 from itertools import islice
 
 from blockmem.lawcheck import generators, laws_base, mutations, registry, runner
-from blockmem.lawcheck.laws_base import ALL_GROUPS, CONCRETE_MEM, LAWS, Law
+from blockmem.lawcheck.laws_base import ALL_GROUPS, CONCRETE_MEM, LAWS, Law, render_case
 from blockmem.lawcheck.rng import law_stream
 from blockmem.lawcheck.runner import SuiteConfig, jsonl_report, run_law, run_suite, text_report
+from blockmem.trace import exec_trace, parse_trace
 
 SMALL = SuiteConfig(random_cases=40)
 
@@ -99,6 +100,34 @@ def test_violation_reports_carry_scenarios():
     v = result.violations[0]
     assert v.detail
     assert "alloc" in v.scenario or v.scenario == ""
+
+
+def _rendered_sides(scenario: str) -> dict:
+    """The traces of a rendered scenario by their ``# name`` headers."""
+    sides: dict = {}
+    for line in scenario.splitlines():
+        if line.startswith("# "):
+            sides[line[2:]] = []
+        else:
+            sides[next(reversed(sides))].append(line)
+    return {name: "\n".join(lines) for name, lines in sides.items()}
+
+
+def test_chain_cases_render_as_replayable_traces():
+    """A case of a transitivity law renders one trace per state of its
+    chain, and each trace parses and runs to its end."""
+    for name in ("mem_lessdef_trans", "mem_extends_trans"):
+        for case in registry.law(name).exhaustive():
+            sides = _rendered_sides(render_case(case)["scenario"])
+            assert list(sides) == ["left", "middle", "right"]
+            for text in sides.values():
+                report = exec_trace(parse_trace(text))
+                assert report.ok, (name, case, text)
+    same_domain = registry.law("free_same_domain")
+    case = next(iter(same_domain.exhaustive()))
+    rendered = render_case(case)
+    assert list(_rendered_sides(rendered["scenario"])) == ["first", "second"]
+    assert rendered["assignment"] == repr(case[3:])
 
 
 def test_pool_has_no_more_processes_than_tasks(monkeypatch):
@@ -214,7 +243,7 @@ def _streams_sha256(cases) -> str:
 # phase's case generation re-pins that phase's constant alone (together with
 # LAW_REPORT_SHA256 when the case counts move).
 # Each law's first 5,000 exhaustive cases:
-EXHAUSTIVE_STREAMS_SHA256 = "54b11acc684a283e24b02905ebb46998b0c78d8b1269db1191b9515176fa8423"
+EXHAUSTIVE_STREAMS_SHA256 = "809afa7ee3d722a9a4d122ea5b28e69899fb532c706e5ed5112226184553e12e"
 # Each law's first 400 draws of law.sample(law_stream(42, name)):
 RANDOM_STREAMS_SHA256 = "55974b4e7eb55c82a29d12a4b69fefc31256572b577456977b7745f4c832c093"
 

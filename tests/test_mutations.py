@@ -28,3 +28,39 @@ def test_mutation_context_restores_the_original():
     assert memstate.free is original
     # and the model is healthy again
     assert run_law(registry.law("valid_block_free_"), SuiteConfig(random_cases=200)).passed
+
+
+# The (mutation, law) pairs whose exhaustive phase alone, at the default
+# max_exhaustive, catches the mutation; recorded when each law still had a
+# hand-written enumerator, so that re-scoping the exhaustive phase cannot
+# lose one of them.
+KILLED_WITHOUT_RANDOM_CASES = {
+    "alignment-check-dropped": ("aligned_dec", "valid_pointer_dec"),
+    "continuation-clear-skipped": (
+        "store_contents_cont",
+        "load_store_contents_same",
+        "load_store_contents_overlap",
+    ),
+    "freed-id-reused": (
+        "alloc_parallel_emb",
+        "alloc_left_unmapped_emb",
+        "alloc_left_mapped_emb",
+        "alloc_left_unmapped_inject",
+        "alloc_left_mapped_inject",
+        "alloc_list_alloc_inject",
+        "alloc_fresh_block_",
+    ),
+    "sign-extension-zeroed": ("load_store_contents_same",),
+    "free-validity-unchecked": ("valid_block_free_",),
+    "inject-overlap-unchecked": ("store_mapped_inject", "storev_inject"),
+}
+
+
+@pytest.mark.parametrize(
+    "mutation, law",
+    [(m, law) for m, laws in KILLED_WITHOUT_RANDOM_CASES.items() for law in laws],
+)
+def test_exhaustive_phase_alone_catches(mutation, law):
+    with mutations.applied(mutation):
+        result = run_law(registry.law(law), SuiteConfig(random_cases=0))
+    assert not result.passed, f"the exhaustive phase of {law} misses {mutation}"
