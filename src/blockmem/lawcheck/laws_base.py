@@ -131,6 +131,21 @@ def emb_scenario_cached(plan: EmbPlan):
     return build_emb_scenario(plan)
 
 
+# The last store a check applied, for the cases of an enumeration that vary
+# only after their store: ((ops, t, b, i, v), (state, state after)).
+_LAST_STORE: list = [None, None]
+
+
+def stored(ops, t, b, i, v):
+    """The state of ``ops`` and the state after storing ``v`` at ``(t, b,
+    i)`` in it (None when the store fails)."""
+    args = (ops, t, b, i, v)
+    if _LAST_STORE[0] != args:
+        m = state_of(ops)
+        _LAST_STORE[:] = args, (m, memstate.store(t, m, b, i, v))
+    return _LAST_STORE[1]
+
+
 @lru_cache(maxsize=4096)
 def cells_of(recipe: tuple):
     """Content map built by a sequence of datum stores."""
@@ -216,6 +231,7 @@ def clear_caches() -> None:
     cells_of.cache_clear()
     generators.SCENARIOS.clear()
     _BLOCKS.clear()
+    _LAST_STORE[:] = None, None
     generators.tiny_states_small.cache_clear()
 
 

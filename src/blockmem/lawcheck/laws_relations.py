@@ -610,7 +610,9 @@ def _emb_plans(overlap=_OVERLAP_SOME, hole_span=0, need_mapped=False):
         lambda rng: generators.shared_emb_plan(
             rng, overlap_chance=overlap, hole_span=hole_span, need_mapped=need_mapped
         ),
-        lambda: [replace(plan, hole_span=hole_span or plan.hole_span) for plan in EX_EMB_PLANS],
+        lambda: [replace(plan, hole_span=hole_span) for plan in EX_EMB_PLANS]
+        if hole_span
+        else EX_EMB_PLANS,
     )
 
 

@@ -44,6 +44,7 @@ from .laws_base import (
     live_ids,
     on_state,
     state_of,
+    stored,
     valid_access,
 )
 
@@ -139,8 +140,7 @@ def _alloc(case):
 
 
 def _store(case):
-    m = state_of(case[1])
-    m2 = memstate.store(case[2], m, case[3], case[4], case[5])
+    m, m2 = stored(*case[1:6])
     return None if m2 is None else (m, m2, case[3])
 
 
