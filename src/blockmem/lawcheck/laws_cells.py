@@ -79,12 +79,9 @@ def _after_store(prop):
 # --- update ---------------------------------------------------------------------
 
 
-def _datum(t, ofs, v):
-    return cells.Datum(t, v)
-
-
 # The datum ignores its drawn offset, so that offset is enumerated once.
-_DATUM_OR_NONE = branch((1, const(None)), (2, tuples(*_store(ofs=(0,))).map(lambda s: _datum(*s))))
+_DATUM = tuples(*_store(ofs=(0,))).map(lambda s: cells.Datum(s[0], s[2]))
+_DATUM_OR_NONE = branch((1, const(None)), (2, _DATUM))
 
 
 def _ck_update_s(case):

@@ -14,12 +14,13 @@ witness before checking the relation on it.
 
 A law is assembled from a domain, whose plans come from a shared plan
 stream and enumerate as a fixed plan menu (``LESSDEF.cases(...)``,
-``_emb(...)``), and one check per property.  A property stated for several relations is written once
-and takes the relation as a parameter: ``LESSDEF`` and ``EXTENDS`` for
-the pair relations, ``EMB``, ``EMB_APART``, ``INJECT`` and
-``NO_OVERLAP`` for the embedding family (``_load_along(LESSDEF)``,
-``_one_sided(INJECT, ...)``); an operation that comes in two forms, such
-as ``free``/``free_list`` or ``store``/``storev``, is a parameter too.
+``_emb(...)``), and one check per property.  A property stated for
+several relations is written once and takes the relation as a
+parameter: ``LESSDEF`` and ``EXTENDS`` for the pair relations, ``EMB``,
+``EMB_APART``, ``INJECT`` and ``NO_OVERLAP`` for the embedding family
+(``_load_along(LESSDEF)``, ``_one_sided(INJECT, ...)``); an operation
+that comes in two forms, such as ``free``/``free_list`` or
+``store``/``storev``, is a parameter too.
 """
 
 from __future__ import annotations
@@ -606,14 +607,18 @@ def _sole_pairs(sc):
 def _emb_plans(overlap=_OVERLAP_SOME, hole_span=0, need_mapped=False):
     """The shared embedding plans of one keyword set; enumerated, the menu
     plans (each given the reserved gap, if there is one)."""
-    return source(
-        lambda rng: generators.shared_emb_plan(
+
+    def menu():
+        if not hole_span:
+            return EX_EMB_PLANS
+        return [replace(plan, hole_span=hole_span) for plan in EX_EMB_PLANS]
+
+    def draw(rng):
+        return generators.shared_emb_plan(
             rng, overlap_chance=overlap, hole_span=hole_span, need_mapped=need_mapped
-        ),
-        lambda: [replace(plan, hole_span=hole_span) for plan in EX_EMB_PLANS]
-        if hole_span
-        else EX_EMB_PLANS,
-    )
+        )
+
+    return source(draw, menu)
 
 
 def _emb(*tails, **plans):
@@ -628,6 +633,8 @@ _EMB_ACCESS = _emb(
 )
 _EMB_FREE = _emb(lambda sc: tuples(pick(_valid_sources(sc))))
 _FREE_PARALLEL = _emb(lambda sc: tuples(pick(_sole_pairs(sc))))
+
+
 def _bounds(lows, spans):
     """Alloc bounds (low, low + span), enumerated at ``lows`` and ``spans``."""
     of_low = lambda low: pick((0, 2, 4, 8), spans).map(lambda span: (low, low + span))
