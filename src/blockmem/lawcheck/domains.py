@@ -10,8 +10,9 @@ SmallCheck and QuickCheck read one generator description as a bounded
 enumeration and as a random draw.
 
 - ``pick(options)`` draws ``rng.choice(options)``; ``ints(lo, hi)`` draws
-  ``rng.randint(lo, hi)``.  Both take an optional ``scope``; by default
-  the scope is every option (each once).
+  ``rng.randint(lo, hi)``.  Both take an optional ``scope`` (for ``pick``,
+  possibly a function that computes it when enumerated); by default the
+  scope is every option (each once).  ``const(v)`` draws nothing.
 - ``source(draw, scope)`` wraps a scenario sampler: its draw is the
   sampler, its scope a fixed menu.
 - ``branch((w1, d1), (w2, d2), ...)`` draws ``rng.below(w1 + w2 + ...)``
@@ -22,7 +23,8 @@ enumeration and as a random draw.
 - ``tuples(d1, d2, ...)`` draws its parts in order.  A part may be a
   constant, or a function of the values drawn before it that returns the
   part's domain.  ``bind(d, f)`` is the value of ``f(x)`` for ``x`` of
-  ``d``; ``extend(head, *tails)`` grows a tuple by dependent tuples.
+  ``d``; ``extend(head, *tails)`` grows a tuple by dependent tuples;
+  ``lists(length, item)`` is a tuple of a drawn number of items.
 - ``d.map(f)`` applies ``f`` to every value; ``d.scoped(values)`` keeps
   the draw and states the scope outright.
 - An empty choice is a skip: ``pick(())`` raises ``Skip`` in a draw and

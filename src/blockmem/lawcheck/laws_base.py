@@ -185,13 +185,13 @@ def _blocks(m) -> tuple:
     if entry is None:
         if len(_BLOCKS) >= 32768:
             _BLOCKS.clear()
-        live = [b for b in range(1, m.nextblock) if memstate.valid_block(m, b)]
-        accessible = [b for b in live if relations.valid_accesses(m, b)]
+        live = tuple(b for b in range(1, m.nextblock) if memstate.valid_block(m, b))
+        accessible = tuple(b for b in live if relations.valid_accesses(m, b))
         entry = _BLOCKS[id(m)] = (m, live, accessible)
     return entry
 
 
-def live_ids(m) -> list:
+def live_ids(m) -> tuple:
     return _blocks(m)[1]
 
 

@@ -87,7 +87,7 @@ def _block_or(m, odds, fallback, scope=None):
 
 def _value(m):
     """A stored value; enumerated, an int and undef."""
-    ids = tuple(live_ids(m))
+    ids = live_ids(m)
     return source(lambda rng: generators.sample_value(rng, ids), (Vint(7), VUNDEF))
 
 

@@ -102,11 +102,14 @@ def test_violation_reports_carry_scenarios():
     assert "alloc" in v.scenario or v.scenario == ""
 
 
+_SIDES = ("left", "middle", "right", "first", "second")
+
+
 def _rendered_sides(scenario: str) -> dict:
     """The traces of a rendered scenario by their ``# name`` headers."""
     sides: dict = {}
     for line in scenario.splitlines():
-        if line.startswith("# "):
+        if line[2:] in _SIDES and line.startswith("# "):
             sides[line[2:]] = []
         else:
             sides[next(reversed(sides))].append(line)
