@@ -197,13 +197,10 @@ def live_ids(m) -> tuple:
 
 @lru_cache(maxsize=4096)
 def _lowest_of_each_size(accesses: tuple) -> tuple:
-    """The lowest access of each access size."""
-    lowest: dict = {}
-    for t, i in accesses:
-        if t not in lowest:
-            lowest[t] = i
+    """The first access of each access size: ``accesses`` lists each
+    chunk's offsets in ascending order."""
     by_size: dict = {}
-    for t, i in lowest.items():
+    for t, i in accesses:
         by_size.setdefault(chunks.size_chunk(t), (t, i))
     return tuple(by_size.values())
 

@@ -1284,9 +1284,8 @@ deflaw(
 # --- list operations --------------------------------------------------------------
 
 
-_ALLOC_LIST = on_state(
-    lambda m: tuples(lists(ints(0, 3, (0, 1, 2)), _alloc_args(lows=(0,), spans=(4,))))
-)
+_REQUESTS = lists(ints(0, 3, (0, 1, 2)), _alloc_args(lows=(0,), spans=(4,)))
+_ALLOC_LIST = extend(STATE, tuples(_REQUESTS))
 
 
 def _ck_alloc_list_unfold(case):
