@@ -24,9 +24,9 @@ scenario streams" below.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .. import chunks, memstate
+from .. import chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Value, Vfloat, Vint, Vptr, VUNDEF
 from ..memstate import DEFAULT_CONFIG, MemConfig, MemState
 from ..trace import PROBE_FRESH, PROBE_INVALID, SUCCEEDS, Statement, refs, run_op, statement_text
@@ -35,8 +35,36 @@ from .rng import LawStream, SplitMix64, scenario_stream
 
 @dataclass
 class RunResult:
+    """A replayed scenario: its final state, one outcome per op, and the
+    tables that law domains read off the state, each built when first read."""
+
     state: MemState
     outcomes: list
+
+    @cached_property
+    def live(self) -> tuple:
+        """The live block ids, ascending."""
+        m = self.state
+        return tuple(b for b in range(1, m.nextblock) if memstate.valid_block(m, b))
+
+    @cached_property
+    def accesses(self) -> dict:
+        """Block id -> ``relations.valid_accesses``, for the live blocks
+        that have some."""
+        m = self.state
+        return {b: a for b in self.live if (a := relations.valid_accesses(m, b))}
+
+    @cached_property
+    def lowest(self) -> dict:
+        """Block id -> the lowest access of each access size, for the
+        blocks of ``accesses``."""
+        table = {}
+        for b, accesses in self.accesses.items():
+            by_size: dict = {}
+            for t, i in accesses:
+                by_size.setdefault(chunks.size_chunk(t), (t, i))
+            table[b] = tuple(by_size.values())
+        return table
 
 
 def run_ops(ops, config: MemConfig = DEFAULT_CONFIG) -> RunResult:
@@ -605,10 +633,12 @@ def shrink_emb_plan(plan: EmbPlan):
 # A scenario domain is one of the samplers above with fixed arguments.  Its
 # scenarios come from one stream per (seed, domain), extended lazily and kept
 # for the process, so scenario k is the same value for every law that asks
-# for it, and the states it builds are replayed once and then found in the
-# replay memos of ``laws_base``.  A law's k-th request (counted by its
-# ``LawStream``) takes scenario k; the law's assignment stays on its own
-# stream.  So a case depends on the seed, the law and the draw number only.
+# for it.  A law's k-th request (counted by its ``LawStream``) takes scenario
+# k; the law's assignment stays on its own stream.  So a case depends on the
+# seed, the law and the draw number only.  Replaying a scenario is left to
+# the memos of ``laws_base``, which hand every law of the domain the same
+# ``RunResult`` (or pair, or ``EmbScenario``) while they hold it; each process
+# of a parallel run replays for itself.
 
 SCENARIOS: dict = {}  # (seed, domain) -> (stream, scenarios drawn so far)
 
@@ -667,24 +697,23 @@ TINY_CONTENT = (
 
 
 def _tiny_build(bounds_list, content_list, freed_mask):
-    ops = []
-    for low, high in bounds_list:
-        ops.append(("alloc", low, high))
-    for k, content in enumerate(content_list):
-        for t, i, v in content:
-            if i + chunks.size_chunk(t) <= bounds_list[k][1] and i >= bounds_list[k][0]:
-                ops.append(("store", t, k, i, v))
-    for k in range(len(bounds_list)):
-        if freed_mask & (1 << k):
-            ops.append(("free", k))
-    ops = tuple(ops)
-    return ops, run_ops(ops).state
+    allocs = [("alloc", low, high) for low, high in bounds_list]
+    stores = [
+        ("store", t, k, i, v)
+        for k, content in enumerate(content_list)
+        for t, i, v in content
+        if bounds_list[k][0] <= i and i + chunks.size_chunk(t) <= bounds_list[k][1]
+    ]
+    frees = [("free", k) for k in range(len(bounds_list)) if freed_mask >> k & 1]
+    return tuple(allocs + stores + frees)
 
 
 @lru_cache(maxsize=None)
 def tiny_states_small():
-    """A few hundred reachable states: up to two blocks, bounds within
-    [-4, 8), freed combinations, a handful of content shapes."""
+    """The scenarios of a few hundred reachable states: up to two blocks,
+    bounds within [-4, 8), freed combinations, a handful of content
+    shapes.  Only stores that fit their block are kept, so every op
+    succeeds."""
     out = [_tiny_build((), (), 0)]
     for bd in TINY_BOUNDS_SMALL:
         for content in TINY_CONTENT:

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .. import chunks, memstate, relations
+from .. import chunks, memstate
 from . import generators
 from .domains import Domain, bind, extend, pick, sampler, source
+# perfbench rebinds run_ops and build_* here by name; see "cached rebuilds".
 from .generators import (
     EmbPlan,
     build_emb_scenario,
@@ -96,14 +97,15 @@ def deflaw(
 
 # --- cached rebuilds ---------------------------------------------------------
 #
-# Cases carry scenarios, not states; rebuilding through a memo keeps
-# exhaustive sweeps (which revisit the same scenario with many quantifier
-# assignments) cheap without giving up replayability.  Random cases share
-# their scenarios across the laws of a domain (``generators.shared_ops``
-# and its siblings), so the memos are sized to hold everything a default
-# run builds, lest a law evict the states its domain's next law needs: at
-# seed 42 that is about 18k states and 9k embedding scenarios, where a
-# domain has up to 10k scenarios.
+# Cases carry scenarios, not states, so that they stay replayable; these
+# memos turn a scenario back into what it builds, once for every law and
+# case that reads it while the memo holds it.  A ``RunResult`` also carries
+# the tables that domains read off its state, built once per replay.
+#
+# perfbench/layers.py reads these six memos' ``cache_info()``, and rebinds
+# ``run_ops`` and the ``build_*`` functions in this module, by name; CI's
+# "Benchmark self-check" step fails without them.  Removing them (ROADMAP
+# item 2) waits for the next change to perfbench (item 10).
 
 
 @lru_cache(maxsize=32768)
@@ -160,61 +162,28 @@ def cells_of(recipe: tuple):
 # --- domains over states ---------------------------------------------------------
 
 # The shared random scenarios; enumerated, the tiny universe.
-SCENARIO_OPS = source(
-    generators.shared_ops, lambda: [ops for ops, _ in generators.tiny_states_small()]
-)
+SCENARIO_OPS = source(generators.shared_ops, generators.tiny_states_small)
 STATE = SCENARIO_OPS.map(lambda ops: ("state", ops))
 
 
 def on_state(tail) -> Domain:
-    """Cases ("state", ops) + a tuple of ``tail(m)``, a domain over the
-    state m that the scenario builds."""
-    return extend(STATE, lambda case: tail(state_of(case[1])))
+    """Cases ("state", ops) + a tuple of ``tail(r)``, a domain over the
+    replay r of the scenario (a ``generators.RunResult``)."""
+    return extend(STATE, lambda case: tail(run_cached(case[1])))
 
 
-# State -> (state, its live block ids, those with a valid access), for the
-# states the domains read: the laws of a scenario domain all read scenario
-# k's state, and every exhaustive enumeration reads the tiny universe.  Keyed
-# by identity, which the entry keeps alive; the replay memos hand out one
-# object per scenario.
-_BLOCKS: dict = {}
-
-
-def _blocks(m) -> tuple:
-    entry = _BLOCKS.get(id(m))
-    if entry is None:
-        if len(_BLOCKS) >= 32768:
-            _BLOCKS.clear()
-        live = tuple(b for b in range(1, m.nextblock) if memstate.valid_block(m, b))
-        accessible = tuple(b for b in live if relations.valid_accesses(m, b))
-        entry = _BLOCKS[id(m)] = (m, live, accessible)
-    return entry
-
-
-def live_ids(m) -> tuple:
-    return _blocks(m)[1]
-
-
-@lru_cache(maxsize=4096)
-def _lowest_of_each_size(accesses: tuple) -> tuple:
-    """The first access of each access size: ``accesses`` lists each
-    chunk's offsets in ascending order."""
-    by_size: dict = {}
-    for t, i in accesses:
-        by_size.setdefault(chunks.size_chunk(t), (t, i))
-    return tuple(by_size.values())
-
-
-def valid_access(m, scope=_lowest_of_each_size) -> Domain:
-    """A (chunk, block, offset) access valid in ``m``: a live block with
-    valid accesses, then one of them; enumerated, ``scope(accesses)`` of
-    each block.  Empty where no block has a valid access."""
+def valid_access(r, scope=None) -> Domain:
+    """A (chunk, block, offset) access valid in the state of the replay
+    ``r``: a block with valid accesses, then one of them; enumerated, each
+    block's lowest access of each size, or ``scope(accesses)``.  Empty
+    where no block has a valid access."""
+    table = r.accesses
 
     def of_block(b):
-        accesses = relations.valid_accesses(m, b)
-        return pick(accesses, lambda: scope(accesses)).map(lambda ti: (ti[0], b, ti[1]))
+        menu = (lambda: r.lowest[b]) if scope is None else (lambda: scope(table[b]))
+        return pick(table[b], menu).map(lambda ti: (ti[0], b, ti[1]))
 
-    return bind(pick(_blocks(m)[2]), of_block)
+    return bind(pick(tuple(table)), of_block)
 
 
 def clear_caches() -> None:
@@ -227,7 +196,6 @@ def clear_caches() -> None:
     emb_scenario_cached.cache_clear()
     cells_of.cache_clear()
     generators.SCENARIOS.clear()
-    _BLOCKS.clear()
     _LAST_STORE[:] = None, None
     generators.tiny_states_small.cache_clear()
 

@@ -43,7 +43,6 @@ from .laws_base import (
     emb_scenario_cached,
     extends_pair_cached,
     lessdef_pair_cached,
-    live_ids,
     state_of,
     valid_access,
     widen_plan,
@@ -150,10 +149,10 @@ class _Pair(NamedTuple):
         return r1.state, r2.state
 
     def cases(self, *tails):
-        """Cases (tag, plan) + a tuple of each ``tail(left state, right
-        state)`` in turn."""
+        """Cases (tag, plan) + a tuple of each ``tail(left run, right
+        run)`` in turn (``generators.RunResult``s)."""
         head = self.plans.map(lambda plan: (self.tag, plan))
-        return extend(head, *(lambda case, t=t: t(*self.states(case[1])) for t in tails))
+        return extend(head, *(lambda case, t=t: t(*self.build(case[1])[:2]) for t in tails))
 
 
 LESSDEF = _Pair(
@@ -176,7 +175,7 @@ EXTENDS = _Pair(
 
 def _pair_access(rel: _Pair):
     """A plan plus a valid access of its left state."""
-    return rel.cases(lambda m1, m2: valid_access(m1))
+    return rel.cases(lambda r1, r2: valid_access(r1))
 
 
 def _pair_store(rel: _Pair, values):
@@ -184,16 +183,16 @@ def _pair_store(rel: _Pair, values):
     left one undefined a third of the time; the right one is enumerated
     at ``values``."""
 
-    def pair(m1, m2):
-        right = _value(tuple(range(1, m1.nextblock)), values)
+    def pair(r1, r2):
+        right = _value(tuple(range(1, r1.state.nextblock)), values)
         left = lambda v2: branch((1, const(VUNDEF)), (2, const(v2))).map(lambda v1: (v1, v2))
         return bind(right, left)
 
-    return rel.cases(lambda m1, m2: valid_access(m1), pair)
+    return rel.cases(lambda r1, r2: valid_access(r1), pair)
 
 
 def _pair_free(rel: _Pair):
-    return rel.cases(lambda m1, m2: tuples(pick(live_ids(m1))))
+    return rel.cases(lambda r1, r2: tuples(pick(r1.live)))
 
 
 def _refl(rel: _Pair):
@@ -528,7 +527,8 @@ deflaw(
     "a right-side store outside the original bounds preserves extension",
     family="relation",
     domain=EXTENDS.cases(
-        lambda m1, m2: pick(_margin_slots(m1, m2)), lambda m1, m2: tuples(_value((), (Vint(13),)))
+        lambda r1, r2: pick(_margin_slots(r1.state, r2.state)),
+        lambda r1, r2: tuples(_value((), (Vint(13),))),
     ),
     check=_ck_store_outside_extends,
 )

@@ -8,9 +8,9 @@ directions of the iff-style laws get exercised.
 
 A law is assembled from three parts:
 
-- a *domain* over the state of a shared scenario (``on_state``): the
+- a *domain* over the replay of a shared scenario (``on_state``): the
   probe, access, store, alloc and free domains, and their extensions
-  with a second access or a reload chunk (``_valid_store(m)`` extended
+  with a second access or a reload chunk (``_valid_store(r)`` extended
   by ``_overlap_tail``, say);
 - the *prologue* of an operation (``_after``), which rebuilds the state,
   applies alloc, store, free or free_list with the case's arguments, and
@@ -41,8 +41,8 @@ from .laws_base import (
     SCENARIO_OPS,
     STATE,
     deflaw,
-    live_ids,
     on_state,
+    run_cached,
     state_of,
     stored,
     valid_access,
@@ -51,9 +51,9 @@ from .laws_base import (
 # --- domains --------------------------------------------------------------------
 
 
-def _probe_block(m):
+def _probe_block(r):
     """Any block id, valid or not; enumerated, blocks 0, 1, 2 and the next."""
-    nb = m.nextblock
+    nb = r.state.nextblock
     return pick((0, 1, 2, 3, nb, nb + 2), (0, 1, 2, nb))
 
 
@@ -66,28 +66,28 @@ _PROBE_WIDE = (pick(ALL_CHUNKS, _SIZES), ints(-6, 9, (-4, -1, 0, 1, 2, 4, 6)))
 _PROBE_NARROW = (pick(ALL_CHUNKS, (Chunk.INT8U, Chunk.INT32)), ints(-6, 9, (0, 1)))
 
 
-def _access_probe(m, scope=_PROBE_WIDE):
+def _access_probe(r, scope=_PROBE_WIDE):
     """An arbitrary (chunk, block, offset), valid or not."""
-    return tuples(scope[0], _probe_block(m), scope[1])
+    return tuples(scope[0], _probe_block(r), scope[1])
 
 
-def _access_or_probe(m):
+def _access_or_probe(r):
     """A valid access, or a probe where there is none."""
-    return first(valid_access(m), lambda: _access_probe(m, _PROBE_NARROW))
+    return first(valid_access(r), lambda: _access_probe(r, _PROBE_NARROW))
 
 
-def _block_or(m, odds, fallback, scope=None):
+def _block_or(r, odds, fallback, scope=None):
     """A valid block with probability ``odds``, else one of ``fallback``
     (enumerated at ``scope``)."""
-    blocks = live_ids(m)
+    blocks = r.live
     if not blocks:
         return pick(fallback, scope)
     return branch((odds[0], pick(blocks)), (odds[1] - odds[0], pick(fallback, scope)))
 
 
-def _value(m):
+def _value(r):
     """A stored value; enumerated, an int and undef."""
-    ids = live_ids(m)
+    ids = r.live
     return source(lambda rng: generators.sample_value(rng, ids), (Vint(7), VUNDEF))
 
 
@@ -103,25 +103,25 @@ def _alloc_args(lows=(0, 2), spans=(0, 8)):
     return bind(ints(-6, 6, lows), of_low)
 
 
-def _access(m):
+def _access(r):
     """An access triple, valid three times out of four; enumerated, the
     valid ones and the probes once each."""
     return branch(
-        (3, lambda: first(valid_access(m), lambda: _access_probe(m).scoped(()))),
-        (1, lambda: _access_probe(m)),
+        (3, lambda: first(valid_access(r), lambda: _access_probe(r).scoped(()))),
+        (1, lambda: _access_probe(r)),
     )
 
 
-def _valid_store(m):
+def _valid_store(r):
     """A store that will succeed: a valid access and a value."""
-    return extend(valid_access(m), tuples(_value(m)))
+    return extend(valid_access(r), tuples(_value(r)))
 
 
-_PROBE = on_state(lambda m: tuples(_probe_block(m)))
+_PROBE = on_state(lambda r: tuples(_probe_block(r)))
 _ACCESS = on_state(_access)
 _STORE = on_state(_valid_store)
 _ALLOC = extend(STATE, _alloc_args())
-_FREE = on_state(lambda m: tuples(_block_or(m, (4, 5), (0, 1, m.nextblock))))
+_FREE = on_state(lambda r: tuples(_block_or(r, (4, 5), (0, 1, r.state.nextblock))))
 
 
 # --- operation prologues ------------------------------------------------------------
@@ -677,11 +677,11 @@ def _pointer_inv(op: str):
     """An access (a valid one where there is one), and the freed block or
     the (block, offset) stored to."""
     extra = {
-        "free": lambda m: pick(live_ids(m)),
-        "store": lambda m: valid_access(m, lambda accesses: accesses[:1]).map(lambda a: a[1:]),
-        "alloc": lambda m: const(None),
+        "free": lambda r: pick(r.live),
+        "store": lambda r: valid_access(r, lambda accesses: accesses[:1]).map(lambda a: a[1:]),
+        "alloc": lambda r: const(None),
     }[op]
-    return on_state(lambda m: extend(_access_or_probe(m), tuples(extra(m))))
+    return on_state(lambda r: extend(_access_or_probe(r), tuples(extra(r))))
 
 
 _POINTER_INV_ABOUT = {
@@ -720,7 +720,7 @@ def _ck_load_store_same(case, m, m2, b):
 
 
 _COMPATIBLE = {t: tuples(pick(chunks.COMPAT_CHUNKS[t])) for t in ALL_CHUNKS}
-_LOAD_STORE_SAME = on_state(lambda m: extend(_valid_store(m), lambda st: _COMPATIBLE[st[0]]))
+_LOAD_STORE_SAME = on_state(lambda r: extend(_valid_store(r), lambda st: _COMPATIBLE[st[0]]))
 
 
 deflaw(
@@ -747,7 +747,7 @@ def _ck_load_store_disjoint(case, m, m2, b):
     return None
 
 
-_LOAD_STORE_DISJOINT = on_state(lambda m: extend(_valid_store(m), _access_or_probe(m)))
+_LOAD_STORE_DISJOINT = on_state(lambda r: extend(_valid_store(r), _access_or_probe(r)))
 
 
 deflaw(
@@ -775,7 +775,7 @@ _MISMATCHED = {
 }
 
 
-_LOAD_STORE_MISMATCH = on_state(lambda m: extend(_valid_store(m), lambda st: _MISMATCHED[st[0]]))
+_LOAD_STORE_MISMATCH = on_state(lambda r: extend(_valid_store(r), lambda st: _MISMATCHED[st[0]]))
 
 
 deflaw(
@@ -816,7 +816,7 @@ def _overlap_tail(st):
     return tuples(pick(ALL_CHUNKS, _SIZES), lambda d: offset(d[0]))
 
 
-_LOAD_STORE_OVERLAP = on_state(lambda m: extend(_valid_store(m), _overlap_tail))
+_LOAD_STORE_OVERLAP = on_state(lambda r: extend(_valid_store(r), _overlap_tail))
 
 
 deflaw(
@@ -890,7 +890,7 @@ def _ck_load_free_other(case):
     return None
 
 
-_LOAD_FREE_OTHER = on_state(lambda m: extend(valid_access(m), tuples(pick(live_ids(m)))))
+_LOAD_FREE_OTHER = on_state(lambda r: extend(valid_access(r), tuples(pick(r.live))))
 
 
 deflaw(
@@ -1127,10 +1127,10 @@ def _class_predicates(t1, b1, i1, t2, b2, i2):
     }
 
 
-def _classification(m):
+def _classification(r):
     """A store, and any access, half the time replaced by one near the
     stored location; enumerated, the near ones."""
-    anywhere = _access_or_probe(m)
+    anywhere = _access_or_probe(r)
 
     def tail(st):
         _, b, i, _ = st
@@ -1142,7 +1142,7 @@ def _classification(m):
         either = tuples(anywhere, branch((1, near), (1, _NO_ACCESS)))
         return either.map(_near_or_any).scoped(lambda: near().cases())
 
-    return extend(_valid_store(m), tail)
+    return extend(_valid_store(r), tail)
 
 
 _NO_ACCESS = const(None)
@@ -1245,7 +1245,7 @@ def _ck_free_same_domain(case):
 
 
 _FREE_SAME_DOMAIN = tuples(
-    SCENARIO_OPS, lambda d: _block_or(state_of(d[0]), (4, 5), (0, 1)), ints(0, 4, (0,))
+    SCENARIO_OPS, lambda d: _block_or(run_cached(d[0]), (4, 5), (0, 1)), ints(0, 4, (0,))
 ).map(lambda d: ("state2", d[0], _scrambled(d[0], d[2]), d[1]))
 
 
@@ -1323,11 +1323,12 @@ deflaw(
 )
 
 
-_FREE_LIST = on_state(
-    lambda m: tuples(
-        lists(ints(0, 3, (0, 1, 2)), _block_or(m, (5, 6), (0, 1, m.nextblock), (m.nextblock,)))
-    )
-)
+def _free_list_args(r):
+    nb = r.state.nextblock
+    return tuples(lists(ints(0, 3, (0, 1, 2)), _block_or(r, (5, 6), (0, 1, nb), (nb,))))
+
+
+_FREE_LIST = on_state(_free_list_args)
 
 
 @_after("free_list")

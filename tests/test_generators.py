@@ -1,6 +1,6 @@
 """Scenario generators: determinism, invariants, pair constructors."""
 
-from blockmem import memstate, relations
+from blockmem import chunks, memstate, relations
 from blockmem.lawcheck import generators, registry
 from blockmem.lawcheck.generators import (
     UniverseConfig,
@@ -100,7 +100,8 @@ def test_emb_hole_scenarios_reserve_an_unmapped_gap():
 def test_tiny_universe_shape():
     small = tiny_states_small()
     assert 200 <= len(small)
-    for ops, m in small:
+    for ops in small:
+        m = run_ops(ops).state
         assert m.nextblock <= 3  # at most two blocks
         for b in range(1, m.nextblock):
             low, high = memstate.bounds(m, b)
@@ -169,3 +170,40 @@ def test_emb_keyword_sets_are_separate_domains():
     assert all(p.hole_span == 0 for p in plain) and all(p.hole_span == 8 for p in holed)
     # Spelling out a default keyword names the same domain.
     assert _draws(lambda r: generators.shared_emb_plan(r, overlap_chance=(0, 1)), 4, "x", 30) == plain
+
+
+# --- the tables a replay carries --------------------------------------------------
+
+
+def _lowest_of_each_size(accesses):
+    """The first access of each access size: ``accesses`` lists each
+    chunk's offsets in ascending order."""
+    by_size = {}
+    for t, i in accesses:
+        by_size.setdefault(chunks.size_chunk(t), (t, i))
+    return tuple(by_size.values())
+
+
+def _check_tables(r):
+    m = r.state
+    assert r.live == tuple(b for b in range(1, m.nextblock) if memstate.valid_block(m, b))
+    want = {b: relations.valid_accesses(m, b) for b in r.live if relations.valid_accesses(m, b)}
+    assert r.accesses == want and list(r.accesses) == list(want)
+    assert r.lowest == {b: _lowest_of_each_size(a) for b, a in want.items()}
+
+
+def test_replay_tables_match_their_definitions():
+    for ops in tiny_states_small():
+        _check_tables(run_ops(ops))
+    rng = law_stream(42, "tables")
+    for _ in range(2000):
+        _check_tables(run_ops(generators.shared_ops(rng)))
+    for draw, build in (
+        (generators.shared_lessdef_plan, build_lessdef_pair),
+        (generators.shared_extends_plan, build_extends_pair),
+    ):
+        rng = law_stream(42, "tables")
+        for _ in range(500):
+            r1, r2, _, _ = build(draw(rng))
+            _check_tables(r1)
+            _check_tables(r2)

@@ -1,10 +1,13 @@
 """Registry integrity, runner determinism, shrinking soundness."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 from dataclasses import replace
 from itertools import islice
 
+from blockmem import lawcheck
 from blockmem.lawcheck import generators, laws_base, mutations, registry, runner
 from blockmem.lawcheck.laws_base import ALL_GROUPS, CONCRETE_MEM, LAWS, Law, render_case
 from blockmem.lawcheck.rng import law_stream
@@ -199,6 +202,29 @@ def test_random_phase_violation_does_not_depend_on_the_schedule():
     for other in (after, serial, parallel):
         assert other.violations == alone.violations
         assert (other.cases_random, other.cases_skipped) == (alone.cases_random, alone.cases_skipped)
+
+
+def test_clear_caches_empties_every_lawcheck_cache():
+    """The mutation harness clears the caches around a mutated run, so that
+    no state built by the healthy model survives into it."""
+    modules = [
+        importlib.import_module(f"{lawcheck.__name__}.{info.name}")
+        for info in pkgutil.iter_modules(lawcheck.__path__)
+    ]
+    caches = {
+        f"{module.__name__}.{name}": value
+        for module in modules
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    }
+    run_suite(SuiteConfig(random_cases=5, max_exhaustive=300))
+    assert all(cache.cache_info().currsize for cache in caches.values())
+    assert generators.SCENARIOS and laws_base._LAST_STORE != [None, None]
+    laws_base.clear_caches()
+    kept = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    assert {name: size for name, size in kept.items() if size} == {}
+    assert not generators.SCENARIOS
+    assert laws_base._LAST_STORE == [None, None]
 
 
 def test_checks_never_see_a_skip():
