@@ -19,9 +19,10 @@ from . import chunks
 from .chunks import Chunk, Value, VUNDEF
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Datum:
-    """A stored value anchored at a cell, tagged with its store chunk."""
+    """A stored value anchored at a cell, tagged with its store chunk.
+    Never mutated once built, since its hash depends on its fields."""
 
     chunk: Chunk
     value: Value

@@ -8,6 +8,11 @@ machine integers, IEEE-754 doubles, or block/offset pointers.
 Floats are carried as raw 64-bit patterns so that value equality is exact
 bit equality (NaN compares equal to itself), which keeps every property in
 the law suite decidable.
+
+Values are never mutated once built: they are hashed by their fields
+(``unsafe_hash``), and states and statements share them.  They are not
+frozen, because a frozen dataclass sets each field through
+``object.__setattr__`` and so costs about twice as much to build.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ COMPAT_CHUNKS: dict[Chunk, tuple[Chunk, ...]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Vundef:
     """The undefined value; refines to anything."""
 
@@ -90,7 +95,7 @@ class Vundef:
         return "Vundef"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Vint:
     """A machine integer.  Carried as a plain int for headroom; values are
     canonicalized to the chunk's range only by ``convert``."""
@@ -101,7 +106,7 @@ class Vint:
         return f"Vint({self.value})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Vfloat:
     """An IEEE-754 double, stored as its raw 64-bit pattern."""
 
@@ -118,7 +123,7 @@ class Vfloat:
         return f"Vfloat(0x{self.bits:016X})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Vptr:
     """A pointer: block id plus byte offset within that block."""
 

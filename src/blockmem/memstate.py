@@ -64,12 +64,13 @@ class MemConfig:
 DEFAULT_CONFIG = MemConfig()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MemState:
     """Two persistent vectors of one length, ``nextblock - 1``, indexed by
     ``b - 1``: ``blocks`` holds ``(low, high, live)`` per issued id and
     ``contents`` the block's cell map.  Read them through the accessors
-    below."""
+    below.  A state is never mutated once built (states share their
+    vectors); it is unhashable, as its vectors are."""
 
     nextblock: int
     blocks: PVec

@@ -38,6 +38,7 @@ usage error (exit 2).
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import memstate, relations
@@ -53,9 +54,10 @@ class TraceParseError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PtrLit:
-    """A pointer literal; the block is a variable name or a literal id."""
+    """A pointer literal; the block is a variable name or a literal id.
+    Instances are never mutated: statements hash them."""
 
     target: str | int
     offset: int
@@ -156,9 +158,10 @@ def _end(tokens: list, k: int, message: str = "unexpected trailing token") -> No
 
 
 def _expect(tokens: list, k: int, literal: str) -> None:
-    text = _take(tokens, k, repr(literal))
-    if text != literal:
-        raise _Error(k, f"expected {literal!r}, got {text!r}")
+    if k >= len(tokens):
+        raise _Error(k, f"expected {literal!r}")
+    if tokens[k] != literal:
+        raise _Error(k, f"expected {literal!r}, got {tokens[k]!r}")
 
 
 def _int(tokens: list, k: int, what: str) -> int:
@@ -460,17 +463,57 @@ def run_op(m: MemState, blocks: list, op: tuple) -> tuple[MemState, object]:
     raise ValueError(f"unknown op {kind!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepOutcome:
     line: int
     ok: bool
     note: str
 
 
+class Steps(Sequence):
+    """The steps of a run, as a read-only sequence of ``StepOutcome``:
+    one per statement that ran, each built when it is read.
+
+    A run keeps only the trace's statements, how many of them ran, the
+    final bindings and the failure.  That is enough: every step but the
+    last held its expectation, and an ok step's note depends only on its
+    statement and on bindings that no later step changes (see "describing
+    steps" below).  The last step, when it failed, is the failure, whose
+    note was written when it happened."""
+
+    __slots__ = ("_statements", "_count", "_env", "_failure")
+
+    def __init__(
+        self, statements: tuple, count: int, env: dict, failure: StepOutcome | None
+    ) -> None:
+        self._statements = statements
+        self._count = count
+        self._env = env
+        self._failure = failure
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, k: int) -> StepOutcome:
+        n = self._count
+        if k < 0:
+            k += n
+        if not 0 <= k < n:
+            raise IndexError("step index out of range")
+        if k == n - 1 and self._failure is not None:
+            return self._failure
+        stmt = self._statements[k]
+        return StepOutcome(stmt.line, True, _ok_note(stmt, self._env))
+
+
 @dataclass
 class TraceReport:
+    """The outcome of ``exec_trace``: whether every statement held its
+    expectation, the steps that ran (a ``Steps`` view), the final state
+    and bindings, and the step that failed, if one did."""
+
     ok: bool
-    steps: list
+    steps: Steps
     state: MemState
     env: dict
     failure: StepOutcome | None = None
@@ -483,6 +526,56 @@ def _resolve(v: ValueExpr, env: dict) -> Value | None:
         return v
     b = v.target if isinstance(v.target, int) else env.get(v.target)
     return None if b is None else Vptr(b, v.offset)
+
+
+def _operate(stmt: Statement, m: MemState, blocks: list, env: dict):
+    """Run the op of a statement that expects it to succeed or to fail:
+    the state after it and the op's outcome (see ``run_op``), or False
+    for a store of a pointer to an unbound variable.  A successful alloc
+    binds its variable in ``env``."""
+    op = stmt.op
+    kind = op[0]
+    if kind == "store" and type(op[4]) is PtrLit:
+        v = _resolve(op[4], env)
+        if v is None:
+            return m, False
+        op = op[:4] + (v,)
+    m, got = run_op(m, blocks, op)
+    if kind == "alloc" and got is not None:
+        env[stmt.names[0]] = got
+    return m, got
+
+
+def _step(stmt: Statement, m: MemState, blocks: list, env: dict):
+    """Run one statement: the state after it, whether its expectation
+    holds, and the op's outcome.  The notes are written apart, by
+    ``_ok_note`` and ``_failure_note``."""
+    expect = stmt.expect
+    if expect is SUCCEEDS:
+        m, got = _operate(stmt, m, blocks, env)
+        return m, got is not None and got is not False, got
+    if expect is EXPECT_FAIL:
+        m, got = _operate(stmt, m, blocks, env)
+        return m, got is None or got is False, got
+    # An assertion or a load with an expected result: its op is a query,
+    # whose outcome is None when its variable is unbound.
+    m, got = run_op(m, blocks, stmt.op)
+    kind = stmt.op[0]
+    if kind == "valid":
+        return m, got is True, got
+    if kind == "bounds":
+        return m, got == expect, got
+    if expect is LOAD_FAILS:
+        return m, got is None and stmt.names[0] in env, got
+    return m, got is not None and got == _resolve(expect, env), got
+
+
+# --- describing steps ------------------------------------------------------------
+#
+# A note names blocks through ``env``.  A variable is bound at most once,
+# by an alloc that comes before every statement naming it, and a failed
+# alloc never binds, so the final ``env`` gives any statement of the run
+# the blocks that the ``env`` of its step did.
 
 
 def _why_not(stmt: Statement, env: dict) -> str | None:
@@ -498,95 +591,102 @@ def _why_not(stmt: Statement, env: dict) -> str | None:
     return None
 
 
-def _operate(stmt: Statement, m: MemState, blocks: list, env: dict):
-    """Run the op of a statement that expects it to succeed or to fail:
-    the state after it, whether it succeeded, and a note."""
-    op = stmt.op
+def _op_done_note(stmt: Statement, env: dict, got) -> str:
+    """The note of an op that succeeded with outcome ``got``."""
+    op, names = stmt.op, stmt.names
     kind = op[0]
-    if kind == "store" and type(op[4]) is PtrLit:
-        why = _why_not(stmt, env)
-        if why is not None:
-            return m, False, why
-        op = op[:4] + (_resolve(op[4], env),)
-    m, got = run_op(m, blocks, op)
-    if got is None or got is False:
-        why = _why_not(stmt, env)
-        if why is not None:
-            return m, False, why
-    names = stmt.names
     if kind == "alloc":
-        if got is None:
-            return m, False, "allocation rejected by the capacity policy"
-        env[names[0]] = got
-        return m, True, f"{names[0]} = block {got}"
+        return f"{names[0]} = block {env[names[0]]}"
     if kind == "free_list":
-        ids = [env[name] for name in names]
-        return m, got, f"freed blocks {ids}" if got else f"free-list {ids} failed"
+        return f"freed blocks {[env[name] for name in names]}"
+    if kind == "free":
+        return f"freed block {env[names[0]]}"
+    if kind == "store":
+        return f"stored at ({env[names[0]]}, {op[3]})"
+    return value_text(got)
+
+
+def _op_failed_note(stmt: Statement, env: dict) -> str:
+    """The note of an op that failed."""
+    why = _why_not(stmt, env)
+    if why is not None:
+        return why
+    op, names = stmt.op, stmt.names
+    kind = op[0]
+    if kind == "alloc":
+        return "allocation rejected by the capacity policy"
+    if kind == "free_list":
+        return f"free-list {[env[name] for name in names]} failed"
     b = env[names[0]]
     if kind == "free":
-        return m, got, f"freed block {b}" if got else f"free of block {b} failed"
+        return f"free of block {b} failed"
     if kind == "store":
-        if got:
-            return m, True, f"stored at ({b}, {op[3]})"
-        return m, False, f"store at ({b}, {op[3]}) is not a valid access"
-    if got is None:
-        return m, False, f"load at ({b}, {op[3]}) is not a valid access"
-    return m, True, value_text(got)
+        return f"store at ({b}, {op[3]}) is not a valid access"
+    return f"load at ({b}, {op[3]}) is not a valid access"
 
 
-def _step(stmt: Statement, m: MemState, blocks: list, env: dict):
-    """Run one statement: the state after it, whether its expectation
-    holds, and a note."""
+def _ok_note(stmt: Statement, env: dict) -> str:
+    """The note of a statement whose expectation held."""
     expect = stmt.expect
     if expect is SUCCEEDS:
-        return _operate(stmt, m, blocks, env)
+        return _op_done_note(stmt, env, None)
     if expect is EXPECT_FAIL:
-        m, done, note = _operate(stmt, m, blocks, env)
-        if done:
-            return m, False, f"operation succeeded but was expected to fail ({note})"
-        return m, True, f"failed as expected: {note}"
-    # An assertion or a load with an expected result: its op is a query.
-    op = stmt.op
-    m, got = run_op(m, blocks, op)
+        return f"failed as expected: {_op_failed_note(stmt, env)}"
+    kind = stmt.op[0]
+    if kind == "valid":
+        return f"block {env[stmt.names[0]]} is valid"
+    if kind == "bounds":
+        return f"bounds of block {env[stmt.names[0]]} are {expect}"
+    if expect is LOAD_FAILS:
+        return "failed as expected"
+    return f"loaded {value_text(_resolve(expect, env))}"
+
+
+def _failure_note(stmt: Statement, env: dict, got) -> str:
+    """The note of a statement whose expectation did not hold, where
+    ``got`` is the outcome ``_step`` gave."""
+    expect = stmt.expect
+    if expect is SUCCEEDS:
+        return _op_failed_note(stmt, env)
+    if expect is EXPECT_FAIL:
+        return f"operation succeeded but was expected to fail ({_op_done_note(stmt, env, got)})"
     if got is None or got is False:
         why = _why_not(stmt, env)
         if why is not None:
-            return m, False, why
+            return why
     b = env[stmt.names[0]]
-    if op[0] == "valid":
-        return m, got, f"block {b} is valid" if got else f"block {b} is not valid"
-    if op[0] == "bounds":
-        if got != expect:
-            return m, False, f"bounds of block {b} are {got}, not {expect}"
-        return m, True, f"bounds of block {b} are {got}"
+    kind = stmt.op[0]
+    if kind == "valid":
+        return f"block {b} is not valid"
+    if kind == "bounds":
+        return f"bounds of block {b} are {got}, not {expect}"
     if expect is LOAD_FAILS:
-        if got is not None:
-            return m, False, f"load succeeded with {value_text(got)}, expected failure"
-        return m, True, "failed as expected"
+        return f"load succeeded with {value_text(got)}, expected failure"
     want = _resolve(expect, env)
     if want is None:
-        return m, False, "expected pointer references an unbound variable"
+        return "expected pointer references an unbound variable"
     if got is None:
-        return m, False, f"load failed, expected {value_text(want)}"
-    if got != want:
-        return m, False, f"loaded {value_text(got)}, expected {value_text(want)}"
-    return m, True, f"loaded {value_text(got)}"
+        return f"load failed, expected {value_text(want)}"
+    return f"loaded {value_text(got)}, expected {value_text(want)}"
 
 
 def exec_trace(trace: Trace, config: MemConfig = DEFAULT_CONFIG) -> TraceReport:
     """Run the statements in order against an evolving state, stopping at
-    the first statement whose expectation does not hold."""
+    the first statement whose expectation does not hold.
+
+    The report keeps the final state and bindings and the failure, and
+    describes each step when ``report.steps`` is read; a run builds no
+    record per statement."""
     m = memstate.empty(config)
     blocks: list = []
     env: dict[str, int] = {}
-    steps: list[StepOutcome] = []
-    for stmt in trace.statements:
-        m, ok, note = _step(stmt, m, blocks, env)
-        outcome = StepOutcome(stmt.line, ok, note)
-        steps.append(outcome)
+    statements = trace.statements
+    for k, stmt in enumerate(statements):
+        m, ok, got = _step(stmt, m, blocks, env)
         if not ok:
-            return TraceReport(False, steps, m, env, outcome)
-    return TraceReport(True, steps, m, env)
+            failure = StepOutcome(stmt.line, False, _failure_note(stmt, env, got))
+            return TraceReport(False, Steps(statements, k + 1, env, failure), m, env, failure)
+    return TraceReport(True, Steps(statements, len(statements), env, None), m, env)
 
 
 # --- relating two traces -----------------------------------------------------------
@@ -673,12 +773,14 @@ def relate(
     steps = []
     for k, (s1, s2) in enumerate(zip(trace1.statements, trace2.statements)):
         before1, before2 = m1, m2
-        m1, ok1, note1 = _step(s1, m1, blocks1, env1)
+        m1, ok1, got1 = _step(s1, m1, blocks1, env1)
         if not ok1:
-            return RelateReport(False, f"left trace failed at line {s1.line}: {note1}", steps)
-        m2, ok2, note2 = _step(s2, m2, blocks2, env2)
+            note = _failure_note(s1, env1, got1)
+            return RelateReport(False, f"left trace failed at line {s1.line}: {note}", steps)
+        m2, ok2, got2 = _step(s2, m2, blocks2, env2)
         if not ok2:
-            return RelateReport(False, f"right trace failed at line {s2.line}: {note2}", steps)
+            note = _failure_note(s2, env2, got2)
+            return RelateReport(False, f"right trace failed at line {s2.line}: {note}", steps)
         if k == 0:
             holds = _check_relation(relation, m1, m2, emb)
         else:

@@ -33,6 +33,57 @@ def test_run_verbose(fig_trace, capsys):
     assert "block 1" in out
 
 
+TRACES = Path(__file__).resolve().parents[1] / "traces"
+
+# `blockmem run -v` on every sample trace, byte for byte, as recorded
+# before a run's steps were described when read.
+RUN_VERBOSE = {
+    "pack_left.trace": (
+        "ok   line 2: $a = block 1\n"
+        "ok   line 3: $b = block 2\n"
+        "ok   line 4: stored at (1, 0)\n"
+        "ok   line 5: stored at (2, 0)\n"
+        "ok: 4 statements, 2 live blocks, next block 3\n"
+    ),
+    "pack_right.trace": (
+        "ok   line 2: $t = block 1\n"
+        "ok   line 3: stored at (1, 0)\n"
+        "ok   line 4: stored at (1, 8)\n"
+        "ok: 3 statements, 1 live blocks, next block 2\n"
+    ),
+    "read_after_write.trace": (
+        "ok   line 2: $a = block 1\n"
+        "ok   line 3: stored at (1, 0)\n"
+        "ok   line 4: loaded (int 42)\n"
+        "ok   line 5: freed block 1\n"
+        "ok: 4 statements, 0 live blocks, next block 2\n"
+    ),
+    "refine_left.trace": (
+        "ok   line 2: $x = block 1\n"
+        "ok   line 3: stored at (1, 4)\n"
+        "ok: 2 statements, 1 live blocks, next block 2\n"
+    ),
+    "refine_right.trace": (
+        "ok   line 2: $y = block 1\n"
+        "ok   line 3: stored at (1, 4)\n"
+        "ok   line 4: stored at (1, 0)\n"
+        "ok: 3 statements, 1 live blocks, next block 2\n"
+    ),
+}
+
+
+def test_every_sample_trace_has_a_pinned_run():
+    assert sorted(p.name for p in TRACES.glob("*.trace")) == sorted(RUN_VERBOSE)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_VERBOSE))
+def test_run_verbose_is_pinned(name, capsys):
+    assert main(["run", str(TRACES / name), "-v"]) == 0
+    out = capsys.readouterr()
+    assert out.out == RUN_VERBOSE[name]
+    assert out.err == ""
+
+
 def test_run_assertion_failure(tmp_path, capsys):
     p = tmp_path / "bad.trace"
     p.write_text("alloc 0 8 -> $a\nload int32 $a 0 => (int 9)\n")

@@ -1,5 +1,7 @@
 """Trace grammar, execution semantics, and the relate command."""
 
+import tracemalloc
+
 import pytest
 
 from blockmem.lawcheck.generators import run_ops, sample_ops
@@ -341,6 +343,38 @@ def test_ref_of_a_rejected_alloc_stays_unbound():
     )
     report = exec_trace(parse_trace(text), MemConfig(capacity=CapacityPolicy(max_total_bytes=8)))
     assert report.ok and report.env == {"$b1": 1}
+
+
+def _one_block_trace(n: int) -> str:
+    """One alloc and a store, then ``n`` loads, assertions, failing loads and small
+    stores on its block."""
+    lines = ["alloc 0 64 -> $a", "store int32 $a 0 (int 7)"]
+    for k in range(n):
+        lines.append((
+            "load int32 $a 0 => (int 7)",
+            "assert-valid $a",
+            "assert-bounds $a 0 64",
+            "expect-fail load int32 $a 64",
+            f"store int8u $a {8 + k % 56} (int {k % 7})",
+        )[k % 5])
+    return "\n".join(lines)
+
+
+def test_a_run_keeps_no_record_per_statement():
+    n = 5000
+    t = parse_trace(_one_block_trace(n))
+    exec_trace(parse_trace(_one_block_trace(5)))  # warm up lazily built module state
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = exec_trace(t)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(report.steps) == n + 2
+    assert retained < 16 * (n + 2), f"{retained / (n + 2):.1f} B per statement"
+    # Every step is still described when read.
+    assert report.steps[-1].note == f"stored at (1, {8 + (n - 1) % 56})"
 
 
 def test_parse_embedding_file():

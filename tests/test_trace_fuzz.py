@@ -1,16 +1,19 @@
 """Fuzzing the trace front end: the parser is total, printing round-trips,
-and the CLI answers every input with an exit code."""
+a run's step view agrees with the run, and the CLI answers every input
+with an exit code."""
 
 import contextlib
 import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from blockmem.chunks import Chunk
 from blockmem.cli import main
-from blockmem.trace import TraceParseError, format_trace, parse_embedding, parse_trace
+from blockmem.memstate import CapacityPolicy, MemConfig
+from blockmem.trace import TraceParseError, exec_trace, format_trace, parse_embedding, parse_trace
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -131,6 +134,24 @@ def test_parsers_return_or_raise_parse_errors(text):
 def test_format_then_parse_is_identity(text):
     t = parse_trace(text)
     assert parse_trace(format_trace(t)) == t
+
+
+@FUZZ
+@given(parsing_traces(), st.sampled_from([None, 8, 24]))
+def test_steps_view_agrees_with_the_run(text, capacity):
+    config = MemConfig(capacity=CapacityPolicy(max_total_bytes=capacity))
+    report = exec_trace(parse_trace(text), config)
+    steps = report.steps
+    n = len(steps)
+    listed = list(steps)
+    assert len(listed) == n > 0
+    assert [steps[k] for k in range(n)] == listed == [steps[k - n] for k in range(n)]
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            steps[k]
+    assert all(s.ok for s in listed[:-1])
+    assert listed[-1].ok == report.ok
+    assert (listed[-1] == report.failure) == (not report.ok)
 
 
 def _exit_code(argv):
