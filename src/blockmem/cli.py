@@ -45,6 +45,9 @@ def _load_config_file(path: str | None) -> dict:
         _usage_error(f"cannot read config file {path}: {e}")
     if not isinstance(data, dict):
         _usage_error(f"config file {path} must hold a JSON object")
+    for key in data:
+        if key not in ("capacity_bytes", "alignment_check", "seed", "random_cases"):
+            _usage_error(f"config file {path}: unknown key {json.dumps(key)}")
     # bool is a subclass of int, so the types are compared exactly.
     for key in ("capacity_bytes", "seed", "random_cases"):
         value = data.get(key)

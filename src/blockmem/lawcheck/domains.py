@@ -28,8 +28,7 @@ enumeration and as a random draw.
 - ``d.map(f)`` applies ``f`` to every value; ``d.scoped(values)`` keeps
   the draw and states the scope outright.
 - An empty choice is a skip: ``pick(())`` raises ``Skip`` in a draw and
-  has no cases.  ``first(a, b)`` draws ``b`` where ``a`` is empty; ``b``
-  may be a function that builds it, as an arm may.
+  has no cases.
 """
 
 from __future__ import annotations
@@ -231,31 +230,8 @@ class Map(Domain):
         return map(self.f, self.d.cases())
 
 
-class First(Domain):
-    """``a``, or ``b`` where ``a`` is empty.  ``a`` must meet its empty
-    choice before it draws anything; ``b`` may be a function that builds
-    it."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: Domain, b):
-        self.a, self.b = a, b
-
-    def draw(self, rng):
-        try:
-            return self.a.draw(rng)
-        except Skip:
-            return _built(self.b).draw(rng)
-
-    def cases(self):
-        it = self.a.cases()
-        for head in it:
-            return chain((head,), it)
-        return _built(self.b).cases()
-
-
 pick, ints, source, const, branch = Pick, Ints, Source, Const, Branch
-tuples, bind, extend, first = Tuples, Bind, Extend, First
+tuples, bind, extend = Tuples, Bind, Extend
 
 
 def lists(length: Domain, item: Domain) -> Domain:

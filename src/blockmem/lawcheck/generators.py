@@ -35,11 +35,18 @@ from .rng import LawStream, SplitMix64, scenario_stream
 
 @dataclass
 class RunResult:
-    """A replayed scenario: its final state, one outcome per op, and the
-    tables that law domains read off the state, each built when first read."""
+    """A replayed scenario: the ops it replayed, its final state, one result
+    per op, and the tables that law domains read off the state, each built
+    when first read."""
 
+    ops: tuple
     state: MemState
-    outcomes: list
+    results: list
+
+    @property
+    def outcomes(self) -> list:
+        """One observable ``(kind, result)`` per op (see ``trace.run_op``)."""
+        return [(op[0], got) for op, got in zip(self.ops, self.results)]
 
     @cached_property
     def live(self) -> tuple:
@@ -68,15 +75,15 @@ class RunResult:
 
 
 def run_ops(ops, config: MemConfig = DEFAULT_CONFIG) -> RunResult:
-    """Replay a scenario on the real model, recording one observable
-    ``(kind, outcome)`` per op (see ``trace.run_op``)."""
+    """Replay a scenario on the real model."""
+    ops = tuple(ops)
     m = memstate.empty(config)
     blocks: list = []
-    outcomes = []
+    results = []
     for op in ops:
         m, got = run_op(m, blocks, op)
-        outcomes.append((op[0], got))
-    return RunResult(m, outcomes)
+        results.append(got)
+    return RunResult(ops, m, results)
 
 
 _PROBE_NAMES = {PROBE_INVALID: "$invalid", PROBE_FRESH: "$fresh"}
@@ -330,6 +337,33 @@ def sample_lessdef_plan(rng: SplitMix64):
     return tuple(steps)
 
 
+def sample_lessdef3_plan(rng: SplitMix64):
+    """A refinement plan of three sides ("store3" steps): each value is
+    undefined where the next side's is, and otherwise equal to it or
+    undefined."""
+    steps = []
+    planned = []
+    for _ in range(rng.randint(1, 6)):
+        r = rng.below(10)
+        if r < 4 and len(planned) < 3:
+            low = rng.randint(-6, 4)
+            high = low + rng.choice((2, 4, 8, 8))
+            steps.append(("alloc", low, high))
+            planned.append([low, high, True])
+        elif r < 9 and planned:
+            slot = _pick_store(rng, planned)
+            if slot is None:
+                continue
+            k, t, i = slot
+            v3 = sample_value(rng, _live_ids(planned))
+            v2 = VUNDEF if rng.chance(1, 3) else v3
+            v1 = VUNDEF if v2 == VUNDEF or (not rng.chance(1, 2) and rng.chance(1, 2)) else v2
+            steps.append(("store3", t, k, i, v1, v2, v3))
+        elif planned:
+            _free_one(rng, planned, steps)
+    return tuple(steps)
+
+
 def sample_extends_plan(rng: SplitMix64):
     steps = []
     planned = []  # [low, high, dl, dh, alive]
@@ -393,9 +427,9 @@ def project(plan, sides: int = 2) -> tuple:
 
 
 def build_lessdef_pair(plan, config: MemConfig = DEFAULT_CONFIG):
-    """Replay both sides of a plan: (left run, right run, left ops, right ops)."""
+    """Replay both sides of a plan: (left run, right run)."""
     ops1, ops2 = project(plan)
-    return run_ops(ops1, config), run_ops(ops2, config), ops1, ops2
+    return run_ops(ops1, config), run_ops(ops2, config)
 
 
 build_extends_pair = build_lessdef_pair  # an extends plan projects the same way
@@ -434,19 +468,40 @@ class EmbPlan:
 
 @dataclass
 class EmbScenario:
-    m1: MemState
-    m2: MemState
+    r1: RunResult  # the left run: the sources, ids 1..n
+    r2: RunResult  # the right run: the targets
     emb: dict
     src_ids: tuple
     own_pairs: tuple  # (src_id, tgt_id, delta) for sole-source targets
     hole: tuple | None  # (tgt_id, start, span)
     extra_ids: tuple
-    ops1: tuple
-    ops2: tuple
+
+    @property
+    def m1(self) -> MemState:
+        return self.r1.state
+
+    @property
+    def m2(self) -> MemState:
+        return self.r2.state
 
 
 def _ceil8(x: int) -> int:
     return x + (-x) % 8
+
+
+def pack(spans, overlap: bool = False) -> tuple[list, int]:
+    """Place (low, high) spans in one block from offset 0: the delta of
+    each, a multiple of 8, and the end of the images.  Each span starts at
+    the first multiple of 8 at or after the images before it or, with
+    ``overlap``, after 0."""
+    deltas = []
+    end = 0
+    for low, high in spans:
+        delta = _ceil8((0 if overlap else end) - low)
+        deltas.append(delta)
+        if high > low:
+            end = _ceil8(max(end, high + delta))
+    return deltas, end
 
 
 def _realize(vspec, src_ids) -> Value:
@@ -472,15 +527,9 @@ def build_emb_scenario(plan: EmbPlan, config: MemConfig = DEFAULT_CONFIG) -> Emb
     src_ids = tuple(range(1, n + 1))
 
     # Pack slot sources into the shared target.
-    slot_delta: dict[int, int] = {}
-    cursor = 0
-    for idx, (low, high, kind) in enumerate(plan.sources):
-        if kind[0] != "slot":
-            continue
-        delta = _ceil8((0 if plan.overlap else cursor) - low)
-        slot_delta[idx] = delta
-        if high > low:
-            cursor = _ceil8(max(cursor, high + delta))
+    slots = [idx for idx, (_, _, kind) in enumerate(plan.sources) if kind[0] == "slot"]
+    deltas, cursor = pack((plan.sources[idx][:2] for idx in slots), plan.overlap)
+    slot_delta = dict(zip(slots, deltas))
     hole = None
     hole_start = cursor
     if plan.hole_span:
@@ -531,18 +580,14 @@ def build_emb_scenario(plan: EmbPlan, config: MemConfig = DEFAULT_CONFIG) -> Emb
     for src_idx in plan.frees:
         ops1.append(("free", src_idx))
 
-    r1 = run_ops(ops1, config)
-    r2 = run_ops(ops2, config)
     return EmbScenario(
-        m1=r1.state,
-        m2=r2.state,
+        r1=run_ops(ops1, config),
+        r2=run_ops(ops2, config),
         emb=emb,
         src_ids=src_ids,
         own_pairs=tuple(own_pairs),
         hole=hole,
         extra_ids=tuple(extra_ids),
-        ops1=tuple(ops1),
-        ops2=tuple(ops2),
     )
 
 
@@ -637,8 +682,8 @@ def shrink_emb_plan(plan: EmbPlan):
 # k; the law's assignment stays on its own stream.  So a case depends on the
 # seed, the law and the draw number only.  Replaying a scenario is left to
 # the memos of ``laws_base``, which hand every law of the domain the same
-# ``RunResult`` (or pair, or ``EmbScenario``) while they hold it; each process
-# of a parallel run replays for itself.
+# ``RunResult`` (or pair of them, or ``EmbScenario`` holding two) while they
+# hold it; each process of a parallel run replays for itself.
 
 SCENARIOS: dict = {}  # (seed, domain) -> (stream, scenarios drawn so far)
 

@@ -99,8 +99,9 @@ def deflaw(
 #
 # Cases carry scenarios, not states, so that they stay replayable; these
 # memos turn a scenario back into what it builds, once for every law and
-# case that reads it while the memo holds it.  A ``RunResult`` also carries
-# the tables that domains read off its state, built once per replay.
+# case that reads it while the memo holds it.  Each side is a ``RunResult``,
+# which carries its ops and the tables that domains read off its state,
+# built once per replay.
 #
 # perfbench/layers.py reads these six memos' ``cache_info()``, and rebinds
 # ``run_ops`` and the ``build_*`` functions in this module, by name; CI's
@@ -265,8 +266,8 @@ def render_case(case) -> dict:
         )
     elif tag in ("lessdef", "extends"):
         build = lessdef_pair_cached if tag == "lessdef" else extends_pair_cached
-        _, _, ops1, ops2 = build(case[1])
-        scenario = _sides(("left", ops1), ("right", ops2))
+        r1, r2 = build(case[1])
+        scenario = _sides(("left", r1.ops), ("right", r2.ops))
     elif tag == "lessdef3":
         scenario = _sides(*zip(("left", "middle", "right"), project(case[1], 3)))
     elif tag == "extends3":
@@ -277,7 +278,7 @@ def render_case(case) -> dict:
     elif tag == "emb":
         sc = emb_scenario_cached(case[1])
         emb_lines = "\n".join(f"{b} -> {tb} + {d}" for b, (tb, d) in sorted(sc.emb.items()))
-        scenario = _sides(("left", sc.ops1), ("right", sc.ops2)) + "\n[emb]\n" + emb_lines
+        scenario = _sides(("left", sc.r1.ops), ("right", sc.r2.ops)) + "\n[emb]\n" + emb_lines
     else:
         scenario = repr(case)
     return {"scenario": scenario, "assignment": assignment}

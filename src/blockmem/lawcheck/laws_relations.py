@@ -52,9 +52,11 @@ _OVERLAP_SOME = (1, 6)
 _NO_OVERLAP = (0, 1)
 
 
-def _accesses(m, blocks, limit):
-    """The first ``limit`` valid (chunk, block, offset) of each block."""
-    return [(t, b, i) for b in blocks for t, i in relations.valid_accesses(m, b)[:limit]]
+def _accesses(r, blocks, limit):
+    """The first ``limit`` valid (chunk, block, offset) of each of
+    ``blocks`` in the state of the run ``r``."""
+    table = r.accesses
+    return [(t, b, i) for b in blocks if b in table for t, i in table[b][:limit]]
 
 
 def _value(ids, scope):
@@ -141,18 +143,18 @@ class _Pair(NamedTuple):
     noun: str  # "refinement" | "extension", for failure details
     adjective: str  # of the right-hand state: "refined" | "extended"
     holds: Callable  # (left state, right state) -> bool
-    build: Callable  # memoised plan -> (left run, right run, left ops, right ops)
+    build: Callable  # memoised plan -> (left run, right run)
     plans: object  # the domain of plans: the shared stream; enumerated, a menu
 
     def states(self, plan):
-        r1, r2, _, _ = self.build(plan)
+        r1, r2 = self.build(plan)
         return r1.state, r2.state
 
     def cases(self, *tails):
         """Cases (tag, plan) + a tuple of each ``tail(left run, right
         run)`` in turn (``generators.RunResult``s)."""
         head = self.plans.map(lambda plan: (self.tag, plan))
-        return extend(head, *(lambda case, t=t: t(*self.build(case[1])[:2]) for t in tails))
+        return extend(head, *(lambda case, t=t: t(*self.build(case[1])) for t in tails))
 
 
 LESSDEF = _Pair(
@@ -269,32 +271,6 @@ deflaw(
 )
 
 
-def _sample_lessdef3_plan(rng):
-    steps = []
-    planned = []
-    for _ in range(rng.randint(1, 6)):
-        r = rng.below(10)
-        if r < 4 and len(planned) < 3:
-            low = rng.randint(-6, 4)
-            high = low + rng.choice((2, 4, 8, 8))
-            steps.append(("alloc", low, high))
-            planned.append([low, high, True])
-        elif r < 9 and planned:
-            slot = generators._pick_store(rng, planned)
-            if slot is None:
-                continue
-            k, t, i = slot
-            v3 = generators.sample_value(rng, generators._live_ids(planned))
-            v2 = VUNDEF if rng.chance(1, 3) else v3
-            v1 = v2 if (v2 != VUNDEF and rng.chance(1, 2)) else VUNDEF if v2 == VUNDEF or rng.chance(1, 2) else v2
-            if v2 == VUNDEF:
-                v1 = VUNDEF
-            steps.append(("store3", t, k, i, v1, v2, v3))
-        elif planned:
-            generators._free_one(rng, planned, steps)
-    return tuple(steps)
-
-
 def _lessdef3_states(case):
     return tuple(state_of(tuple(ops)) for ops in generators.project(case[1], 3))
 
@@ -314,7 +290,9 @@ deflaw(
     MEM_LESSDEF,
     "refinement composes",
     family="relation",
-    domain=source(_sample_lessdef3_plan, _LESSDEF3_PLANS).map(lambda plan: ("lessdef3", plan)),
+    domain=source(generators.sample_lessdef3_plan, _LESSDEF3_PLANS).map(
+        lambda plan: ("lessdef3", plan)
+    ),
     check=_trans(LESSDEF, _lessdef3_states),
 )
 
@@ -574,34 +552,25 @@ def _holds(rel: _EmbRel, sc) -> bool:
 def _mapped_sources(sc, mapped: bool = True):
     """The valid left blocks that the embedding maps (or, with ``mapped``
     false, leaves unmapped)."""
-    return [
-        b for b in sc.src_ids if (b in sc.emb) == mapped and memstate.valid_block(sc.m1, b)
-    ]
+    return [b for b in sc.r1.live if (b in sc.emb) == mapped]
 
 
 def _mapped_accesses(sc, limit):
-    return _accesses(sc.m1, _mapped_sources(sc), limit)
+    return _accesses(sc.r1, _mapped_sources(sc), limit)
 
 
 def _unmapped_accesses(sc, limit):
-    return _accesses(sc.m1, _mapped_sources(sc, mapped=False), limit)
+    return _accesses(sc.r1, _mapped_sources(sc, mapped=False), limit)
 
 
 def _extra_accesses(sc, limit):
-    return _accesses(sc.m2, sc.extra_ids, limit)
-
-
-def _valid_sources(sc):
-    return [b for b in sc.src_ids if memstate.valid_block(sc.m1, b)]
+    return _accesses(sc.r2, sc.extra_ids, limit)
 
 
 def _sole_pairs(sc):
-    """Own-target pairs whose source is still valid."""
-    return [
-        (src, tgt)
-        for src, tgt, _ in sc.own_pairs
-        if memstate.valid_block(sc.m1, src) and memstate.valid_block(sc.m2, tgt)
-    ]
+    """Own-target pairs whose source and target are still valid."""
+    live1, live2 = sc.r1.live, sc.r2.live
+    return [(src, tgt) for src, tgt, _ in sc.own_pairs if src in live1 and tgt in live2]
 
 
 def _emb_plans(overlap=_OVERLAP_SOME, hole_span=0, need_mapped=False):
@@ -631,7 +600,7 @@ def _emb(*tails, **plans):
 _EMB_ACCESS = _emb(
     lambda sc: pick(_mapped_accesses(sc, 6), _mapped_accesses(sc, 3)), need_mapped=True
 )
-_EMB_FREE = _emb(lambda sc: tuples(pick(_valid_sources(sc))))
+_EMB_FREE = _emb(lambda sc: tuples(pick(sc.r1.live)))
 _FREE_PARALLEL = _emb(lambda sc: tuples(pick(_sole_pairs(sc))))
 
 
@@ -658,7 +627,7 @@ def _subset(items):
     return keep.map(lambda kept: tuple(x for x, k in zip(items, kept) if k))
 
 
-_EMB_FREE_LIST = _emb(lambda sc: tuples(_subset(_valid_sources(sc))))
+_EMB_FREE_LIST = _emb(lambda sc: tuples(_subset(sc.r1.live)))
 
 
 # Operations on one state: (state, *assignment) -> state after, or None.
@@ -1273,17 +1242,6 @@ deflaw(
 )
 
 
-def _pack_requests(reqs):
-    deltas = []
-    cursor = 0
-    for low, high in reqs:
-        d = generators._ceil8(cursor - low)
-        deltas.append(d)
-        if high > low:
-            cursor = generators._ceil8(high + d)
-    return deltas, cursor
-
-
 def _ck_alloc_list_alloc_inject(case):
     _, plan, reqs = case
     if plan.overlap:
@@ -1296,7 +1254,7 @@ def _ck_alloc_list_alloc_inject(case):
     if r is None:
         return "alloc_list failed under the default policy"
     bs, m1p = r
-    deltas, total = _pack_requests(reqs)
+    deltas, total = generators.pack(reqs)
     r2 = memstate.alloc(sc.m2, 0, total)
     if r2 is None:
         return "covering allocation failed under the default policy"

@@ -26,7 +26,7 @@ from __future__ import annotations
 from .. import chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Vint, VUNDEF
 from . import generators, oracle
-from .domains import bind, branch, const, extend, first, ints, lists, pick, source, tuples
+from .domains import bind, branch, const, extend, ints, lists, pick, source, tuples
 from .laws_base import (
     CONCRETE_MEM,
     GEN_MEM,
@@ -73,7 +73,7 @@ def _access_probe(r, scope=_PROBE_WIDE):
 
 def _access_or_probe(r):
     """A valid access, or a probe where there is none."""
-    return first(valid_access(r), lambda: _access_probe(r, _PROBE_NARROW))
+    return valid_access(r) if r.accesses else _access_probe(r, _PROBE_NARROW)
 
 
 def _block_or(r, odds, fallback, scope=None):
@@ -107,7 +107,7 @@ def _access(r):
     """An access triple, valid three times out of four; enumerated, the
     valid ones and the probes once each."""
     return branch(
-        (3, lambda: first(valid_access(r), lambda: _access_probe(r).scoped(()))),
+        (3, lambda: valid_access(r) if r.accesses else _access_probe(r).scoped(())),
         (1, lambda: _access_probe(r)),
     )
 

@@ -22,13 +22,14 @@ expectation after ``=>``: a value, ``undef``, or ``fail``.
 has no ``=>`` part.
 
 An optional ``[emb]`` section at the end of a trace, or a separate file of
-the same shape (where the ``[emb]`` header is optional), is a relocation
-map for the injection checker: one ``B -> TB + DELTA`` line per mapped
-block.  Nothing may follow ``DELTA`` or the ``[emb]`` header, and a block
-mapped twice is an error.  ``mem_inject`` requires every ``DELTA`` to be a
-multiple of 8, so an injection with another delta does not hold.  A map
-passed to ``relate`` wins over the traces' sections; without one, two
-sections must be equal, and ``relate`` rejects two different ones.
+the same shape (where the ``[emb]`` header is optional, but may not follow
+an entry), is a relocation map for the injection checker: one ``B -> TB +
+DELTA`` line per mapped block.  Nothing may follow ``DELTA`` or the
+``[emb]`` header, and a block mapped twice is an error.  ``mem_inject``
+requires every ``DELTA`` to be a multiple of 8, so an injection with
+another delta does not hold.  A map passed to ``relate`` wins over the
+traces' sections; without one, two sections must be equal, and
+``relate`` rejects two different ones.
 
 Parsing is total: any input either parses or raises a
 ``TraceParseError`` carrying line and column; the CLI reports it as a
@@ -310,9 +311,9 @@ def parse_trace(text: str) -> Trace:
     for lineno, code, tokens in _lines(text):
         try:
             if tokens[0] == "[emb]":
+                _end(tokens, 1, "unexpected token after [emb]")
                 if emb is not None:
                     raise _Error(0, "duplicate [emb] section")
-                _end(tokens, 1, "unexpected token after [emb]")
                 emb = {}
             elif emb is not None:
                 _entry(tokens, emb)
@@ -328,13 +329,19 @@ def parse_trace(text: str) -> Trace:
 
 
 def parse_embedding(text: str) -> dict:
-    """Parse a relocation map: ``B -> TB + DELTA`` lines, with an optional
-    ``[emb]`` header; raises TraceParseError with position on bad input."""
+    """Parse a relocation map: an optional ``[emb]`` header, then ``B -> TB
+    + DELTA`` lines; raises TraceParseError with position on bad input."""
     emb: dict = {}
+    header = False
     for lineno, code, tokens in _lines(text):
         try:
             if tokens[0] == "[emb]":
                 _end(tokens, 1, "unexpected token after [emb]")
+                if header:
+                    raise _Error(0, "duplicate [emb] section")
+                if emb:
+                    raise _Error(0, "unexpected [emb] header after an entry")
+                header = True
             else:
                 _entry(tokens, emb)
         except _Error as e:

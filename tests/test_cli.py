@@ -132,6 +132,8 @@ def test_run_no_alignment_flag(tmp_path):
         '{"random_cases": "10"}',
         '{"random_cases": -1}',
         '{"capacity_bytes": -5}',
+        '{"capacity": 8}',
+        '{"alignment": false}',
     ],
 )
 def test_bad_config_is_a_usage_error(tmp_path, fig_trace, capsys, config):

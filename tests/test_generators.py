@@ -8,6 +8,7 @@ from blockmem.lawcheck.generators import (
     build_extends_pair,
     build_lessdef_pair,
     gen_state,
+    pack,
     run_ops,
     sample_emb_plan,
     sample_extends_plan,
@@ -61,14 +62,14 @@ def test_generated_states_satisfy_invariants():
 def test_lessdef_pairs_satisfy_relation():
     rng = SplitMix64(9)
     for _ in range(300):
-        r1, r2, _, _ = build_lessdef_pair(sample_lessdef_plan(rng))
+        r1, r2 = build_lessdef_pair(sample_lessdef_plan(rng))
         assert relations.mem_lessdef(r1.state, r2.state)
 
 
 def test_extends_pairs_satisfy_relation():
     rng = SplitMix64(10)
     for _ in range(300):
-        r1, r2, _, _ = build_extends_pair(sample_extends_plan(rng))
+        r1, r2 = build_extends_pair(sample_extends_plan(rng))
         assert relations.mem_extends(r1.state, r2.state)
 
 
@@ -204,6 +205,50 @@ def test_replay_tables_match_their_definitions():
     ):
         rng = law_stream(42, "tables")
         for _ in range(500):
-            r1, r2, _, _ = build(draw(rng))
+            r1, r2 = build(draw(rng))
             _check_tables(r1)
             _check_tables(r2)
+    for keywords in ({}, {"hole_span": 8}):
+        rng = law_stream(42, "tables")
+        for _ in range(500):
+            sc = build_emb_scenario(generators.shared_emb_plan(rng, **keywords))
+            _check_tables(sc.r1)
+            _check_tables(sc.r2)
+
+
+# --- packing spans into one block -------------------------------------------------
+
+
+def _pack_requests(reqs):
+    """Packing as ``alloc_list_alloc_inject`` first wrote it: each span at
+    the first multiple of 8 at or after the end of the non-empty spans
+    before it."""
+    ceil8 = lambda x: x + (-x) % 8
+    deltas = []
+    cursor = 0
+    for low, high in reqs:
+        d = ceil8(cursor - low)
+        deltas.append(d)
+        if high > low:
+            cursor = ceil8(high + d)
+    return deltas, cursor
+
+
+def test_pack():
+    rng = SplitMix64(31)
+    for _ in range(2000):
+        spans = []
+        for _ in range(rng.below(5)):
+            low = rng.randint(-12, 12)
+            spans.append((low, low + rng.randint(-2, 16)))  # empty when high <= low
+        for overlap in (False, True):
+            deltas, end = pack(spans, overlap)
+            assert len(deltas) == len(spans) and all(d % 8 == 0 for d in deltas)
+            placed = [(low + d, high + d) for (low, high), d in zip(spans, deltas)]
+            images = [(low, high) for low, high in placed if high > low]
+            assert all(0 <= low and high <= end for low, high in images)
+            if overlap:
+                assert all(0 <= low < 8 for low, _ in placed)
+            else:
+                assert all(h1 <= l2 for (_, h1), (l2, _) in zip(images, images[1:]))
+                assert (deltas, end) == _pack_requests(spans)

@@ -175,14 +175,14 @@ def test_checkers_agree_with_reference_on_pairs():
     for c1, c2 in CONFIG_PAIRS:
         for _ in range(150):
             plan = sample_lessdef_plan(rng)
-            r1, _, _, _ = build_lessdef_pair(plan, c1)
-            _, r2, _, _ = build_lessdef_pair(plan, c2)
+            r1, _ = build_lessdef_pair(plan, c1)
+            _, r2 = build_lessdef_pair(plan, c2)
             assert mem_lessdef(r1.state, r2.state) == oracle.ref_mem_lessdef(
                 r1.state, r2.state
             )
             plan = sample_extends_plan(rng)
-            e1, _, _, _ = build_extends_pair(plan, c1)
-            _, e2, _, _ = build_extends_pair(plan, c2)
+            e1, _ = build_extends_pair(plan, c1)
+            _, e2 = build_extends_pair(plan, c2)
             assert mem_extends(e1.state, e2.state) == oracle.ref_mem_extends(
                 e1.state, e2.state
             )

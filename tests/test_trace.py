@@ -129,6 +129,7 @@ PARSE_ERRORS = [
     ("[emb]\n\n  [emb] # again", 3, 3, "duplicate [emb] section"),
     ("[emb] extra", 1, 7, "unexpected token after [emb]"),
     ("[emb] (", 1, 7, "unexpected token after [emb]"),
+    ("[emb]\n[emb] x", 2, 7, "unexpected token after [emb]"),
     ("[emb]\nalloc 0 8 -> $a", 2, 1, "expected a block id, got 'alloc'"),
     # tabs, '#' inside a token, columns and line numbers
     ("alloc\t0\t8\t->\t$a\tx", 1, 17, "unexpected trailing token"),
@@ -152,6 +153,8 @@ EMBEDDING_ERRORS = [
     ("[emb]\n1 -> 2 + 0x", 2, 10, "expected a delta, got '0x'"),
     ("1\t->\t2\t+\t0\n2 -> 3 + (", 2, 10, "expected a delta, got '('"),
     ("1 -> 2 + 0#c\n)", 2, 1, "expected a block id, got ')'"),
+    ("[emb]\n1 -> 2 + 0\n[emb]\n3 -> 2 + 8", 3, 1, "duplicate [emb] section"),
+    ("1 -> 2 + 0\n# c\n[emb]\n3 -> 2 + 8", 3, 1, "unexpected [emb] header after an entry"),
 ]
 
 
