@@ -1,10 +1,13 @@
 """Simulation laws over the four memory relations.
 
 Hypothesis instances come from the related-pair constructors: refinement
-pairs, extension pairs, and embedding scenarios.  Laws re-verify the
-constructed hypothesis before using it; a case whose hypothesis does not
-hold passes vacuously, except in the witness-construction laws, where a
-broken hypothesis means the constructor itself is wrong and is reported.
+pairs, extension pairs, and embedding scenarios.  Each relation law's
+check is its property alone; one gate per scenario family (``_Pair.given``
+for the pairs, ``_under`` for embedding scenarios) rebuilds the case's
+states and re-verifies the relation first.  A case whose hypothesis does
+not hold passes vacuously, except in the witness-construction laws
+(``built``), where a broken hypothesis means the constructor itself is
+wrong and is reported.
 
 The existential laws (store_lessdef, store_mapped_emb, alloc_parallel_emb,
 alloc_list_alloc_inject, ...) build their witness explicitly, a rebuild of
@@ -19,8 +22,8 @@ several relations is written once and takes the relation as a
 parameter: ``LESSDEF`` and ``EXTENDS`` for the pair relations, ``EMB``,
 ``EMB_APART``, ``INJECT`` and ``NO_OVERLAP`` for the embedding family
 (``_load_along(LESSDEF)``, ``_one_sided(INJECT, ...)``); an operation
-that comes in two forms, such as ``free``/``free_list`` or
-``store``/``storev``, is a parameter too.
+that comes in two forms, such as ``free``/``free_list``,
+``store``/``storev`` or ``load``/``loadv``, is a parameter too.
 """
 
 from __future__ import annotations
@@ -150,6 +153,23 @@ class _Pair(NamedTuple):
         r1, r2 = self.build(plan)
         return r1.state, r2.state
 
+    def given(self, built=False):
+        """Decorator for a property ``prop(m1, m2, *assignment)`` of cases
+        (tag, plan, *assignment): it runs on the plan's states where they
+        are related.  Elsewhere the case passes vacuously or, for a
+        ``built`` (witness) law, is reported."""
+
+        def wrap(prop):
+            def check(case):
+                m1, m2 = self.states(case[1])
+                if not self.holds(m1, m2):
+                    return f"constructed pair fails the {self.noun} hypothesis" if built else None
+                return prop(m1, m2, *case[2:])
+
+            return check
+
+        return wrap
+
     def cases(self, *tails):
         """Cases (tag, plan) + a tuple of each ``tail(left run, right
         run)`` in turn (``generators.RunResult``s)."""
@@ -221,11 +241,8 @@ def _trans(rel: _Pair, triple):
 
 
 def _load_along(rel: _Pair):
-    def check(case):
-        _, plan, t, b, i = case
-        m1, m2 = rel.states(plan)
-        if not rel.holds(m1, m2):
-            return None
+    @rel.given()
+    def check(m1, m2, t, b, i):
         v1 = memstate.load(t, m1, b, i)
         if v1 is None:
             return None
@@ -240,11 +257,8 @@ def _load_along(rel: _Pair):
 
 
 def _free_along(rel: _Pair):
-    def check(case):
-        _, plan, b = case
-        m1, m2 = rel.states(plan)
-        if not rel.holds(m1, m2):
-            return None
+    @rel.given()
+    def check(m1, m2, b):
         r1 = memstate.free(m1, b)
         if r1 is None:
             return None
@@ -253,6 +267,28 @@ def _free_along(rel: _Pair):
             return f"{rel.adjective} state fails a free the original allows"
         if not rel.holds(r1, r2):
             return f"parallel free broke the {rel.noun}"
+        return None
+
+    return check
+
+
+def _alloc_along(rel: _Pair, requests):
+    """Parallel allocs keep ``rel``: each request (low, high, dl, dh)
+    allocates (low, high) on the left and (low - dl, high + dh) on the
+    right."""
+
+    @rel.given()
+    def check(m1, m2):
+        for low, high, dl, dh in requests:
+            r1 = memstate.alloc(m1, low, high)
+            r2 = memstate.alloc(m2, low - dl, high + dh)
+            if (r1 is None) != (r2 is None):
+                return "parallel allocs disagree on success"
+            if r1 is not None:
+                if r1[0] != r2[0]:
+                    return "parallel allocs chose different blocks"
+                if not rel.holds(r1[1], r2[1]):
+                    return f"parallel alloc broke the {rel.noun}"
         return None
 
     return check
@@ -296,31 +332,13 @@ deflaw(
     check=_trans(LESSDEF, _lessdef3_states),
 )
 
-
-def _ck_alloc_lessdef(case):
-    m1, m2 = LESSDEF.states(case[1])
-    if not relations.mem_lessdef(m1, m2):
-        return None
-    for low, high in ((0, 8), (2, 1)):
-        r1 = memstate.alloc(m1, low, high)
-        r2 = memstate.alloc(m2, low, high)
-        if (r1 is None) != (r2 is None):
-            return "parallel allocs disagree on success"
-        if r1 is not None:
-            if r1[0] != r2[0]:
-                return "parallel allocs chose different blocks"
-            if not relations.mem_lessdef(r1[1], r2[1]):
-                return "alloc broke refinement"
-    return None
-
-
 deflaw(
     "alloc_lessdef",
     MEM_LESSDEF,
     "parallel allocation preserves refinement",
     family="relation",
     domain=LESSDEF.cases(),
-    check=_ck_alloc_lessdef,
+    check=_alloc_along(LESSDEF, ((0, 8, 0, 0), (2, 1, 0, 0))),
 )
 
 deflaw(
@@ -339,11 +357,8 @@ def _store_witness(m2, t, b, i, v):
     )
 
 
-def _ck_store_lessdef(case):
-    _, plan, t, b, i, v1, v2 = case
-    m1, m2 = LESSDEF.states(plan)
-    if not relations.mem_lessdef(m1, m2):
-        return "constructed pair fails the refinement hypothesis"
+@LESSDEF.given(built=True)
+def _ck_store_lessdef(m1, m2, t, b, i, v1, v2):
     if not relations.val_lessdef(v1, v2):
         return None
     m1p = memstate.store(t, m1, b, i, v1)
@@ -410,30 +425,13 @@ deflaw(
     check=_trans(EXTENDS, _extends3_states),
 )
 
-
-def _ck_alloc_extends(case):
-    m1, m2 = EXTENDS.states(case[1])
-    if not relations.mem_extends(m1, m2):
-        return None
-    for (l1, h1), (dl, dh) in (((0, 8), (0, 0)), ((0, 4), (4, 8)), ((2, 1), (0, 4))):
-        r1 = memstate.alloc(m1, l1, h1)
-        r2 = memstate.alloc(m2, l1 - dl, h1 + dh)
-        if r1 is None or r2 is None:
-            continue
-        if r1[0] != r2[0]:
-            return "parallel allocs chose different blocks"
-        if not relations.mem_extends(r1[1], r2[1]):
-            return "widened parallel alloc broke extension"
-    return None
-
-
 deflaw(
     "alloc_extends",
     MEM_EXTENDS,
     "parallel allocation with containing bounds preserves extension",
     family="relation",
     domain=EXTENDS.cases(),
-    check=_ck_alloc_extends,
+    check=_alloc_along(EXTENDS, ((0, 8, 0, 0), (0, 4, 4, 8), (2, 1, 0, 4))),
 )
 
 deflaw(
@@ -446,10 +444,9 @@ deflaw(
 )
 
 
-def _ck_store_within_extends(case):
-    _, plan, t, b, i, v1, v2 = case
-    m1, m2 = EXTENDS.states(plan)
-    if not relations.mem_extends(m1, m2) or not relations.val_lessdef(v1, v2):
+@EXTENDS.given()
+def _ck_store_within_extends(m1, m2, t, b, i, v1, v2):
+    if not relations.val_lessdef(v1, v2):
         return None
     m1p = memstate.store(t, m1, b, i, v1)
     if m1p is None:
@@ -472,22 +469,20 @@ deflaw(
 )
 
 
-def _margin_slots(m1, m2, limit=3):
+def _margin_slots(r1, r2, limit=3):
+    """Accesses in the right margins of each live left block of the
+    runs: the first ``limit`` above the left bounds, then below them."""
     out = []
-    for b, l1, h1, _ in memstate.live_blocks(m1):
-        l2, h2 = memstate.bounds(m2, b)
-        for t, i in relations._access_list(h1, h2, True)[:limit]:
-            out.append((t, b, i))
-        for t, i in relations._access_list(l2, l1, True)[:limit]:
-            out.append((t, b, i))
+    for b in r1.live:
+        l1, h1 = memstate.bounds(r1.state, b)
+        l2, h2 = memstate.bounds(r2.state, b)
+        for low, high in ((h1, h2), (l2, l1)):
+            out.extend((t, b, i) for t, i in relations._access_list(low, high, True)[:limit])
     return out
 
 
-def _ck_store_outside_extends(case):
-    _, plan, t, b, i, v = case
-    m1, m2 = EXTENDS.states(plan)
-    if not relations.mem_extends(m1, m2):
-        return None
+@EXTENDS.given()
+def _ck_store_outside_extends(m1, m2, t, b, i, v):
     l1, h1 = memstate.bounds(m1, b)
     if not (i + chunks.size_chunk(t) <= l1 or i >= h1):
         return None
@@ -505,7 +500,7 @@ deflaw(
     "a right-side store outside the original bounds preserves extension",
     family="relation",
     domain=EXTENDS.cases(
-        lambda r1, r2: pick(_margin_slots(r1.state, r2.state)),
+        lambda r1, r2: pick(_margin_slots(r1, r2)),
         lambda r1, r2: tuples(_value((), (Vint(13),))),
     ),
     check=_ck_store_outside_extends,
@@ -545,8 +540,26 @@ NO_OVERLAP = _EmbRel(
 )
 
 
-def _holds(rel: _EmbRel, sc) -> bool:
-    return rel.holds(sc.emb, sc.m1, sc.m2)
+def _under(rel: _EmbRel, built=False):
+    """Decorator for a property ``prop(sc, *assignment)`` of cases ("emb",
+    plan, *assignment): it runs on the plan's scenario where ``rel``
+    holds.  Elsewhere the case passes vacuously.  A ``built`` (witness)
+    law takes only the plans without overlap, which its constructor
+    promises to relate, and reports a scenario that fails ``rel``."""
+
+    def wrap(prop):
+        def check(case):
+            plan = case[1]
+            if built and plan.overlap:
+                return None
+            sc = emb_scenario_cached(plan)
+            if not rel.holds(sc.emb, sc.m1, sc.m2):
+                return f"constructed scenario fails the {rel.noun} hypothesis" if built else None
+            return prop(sc, *case[2:])
+
+        return check
+
+    return wrap
 
 
 def _mapped_sources(sc, mapped: bool = True):
@@ -630,7 +643,8 @@ def _subset(items):
 _EMB_FREE_LIST = _emb(lambda sc: tuples(_subset(sc.r1.live)))
 
 
-# Operations on one state: (state, *assignment) -> state after, or None.
+# Operations on one state: (state, *assignment) -> state after (for a load,
+# the value loaded), or None.
 
 
 def _do_alloc(m, low, high):
@@ -654,18 +668,28 @@ def _do_free_list(m, bs):
     return memstate.free_list(m, bs)
 
 
+def _do_alloc_list(m, reqs):
+    r = memstate.alloc_list(m, reqs)
+    return None if r is None else r[1]
+
+
+def _do_load(m, t, b, i):
+    return memstate.load(t, m, b, i)
+
+
+def _do_loadv(m, t, b, i):
+    return memstate.loadv(t, m, Vptr(b, i))
+
+
 def _one_sided(rel: _EmbRel, side: str, op, what: str, applies=None):
     """``rel`` survives ``op(m, *assignment)`` on one side, "left" or
     "right"; ``applies(scenario, *assignment)`` is the law's own
     hypothesis."""
     left = side == "left"
 
-    def check(case):
-        sc = emb_scenario_cached(case[1])
-        args = case[2:]
+    @_under(rel)
+    def check(sc, *args):
         if applies is not None and not applies(sc, *args):
-            return None
-        if not _holds(rel, sc):
             return None
         m = op(sc.m1 if left else sc.m2, *args)
         if m is None:
@@ -691,11 +715,8 @@ def _extra_block(sc, b):
 
 
 def _alloc_left_unmapped(rel: _EmbRel):
-    def check(case):
-        _, plan, low, high = case
-        sc = emb_scenario_cached(plan)
-        if not _holds(rel, sc):
-            return None
+    @_under(rel)
+    def check(sc, low, high):
         r = memstate.alloc(sc.m1, low, high)
         if r is None:
             return None
@@ -713,15 +734,10 @@ def _alloc_left_mapped(rel: _EmbRel):
     """A fresh left block mapped into the scenario's reserved gap keeps
     ``rel``; the scenario is built to satisfy it."""
 
-    def check(case):
-        _, plan, span = case
-        if plan.overlap:
-            return None
-        sc = emb_scenario_cached(plan)
+    @_under(rel, built=True)
+    def check(sc, span):
         if sc.hole is None or span > sc.hole[2]:
             return None
-        if not _holds(rel, sc):
-            return f"constructed scenario fails the {rel.noun} hypothesis"
         tgt, start, _ = sc.hole
         r = memstate.alloc(sc.m1, 0, span)
         if r is None:
@@ -750,11 +766,9 @@ _ALLOC_LEFT_MAPPED = tuples(
 def _free_pair(rel: _EmbRel):
     """Freeing a block together with its private image keeps ``rel``."""
 
-    def check(case):
-        _, plan, (src, tgt) = case
-        sc = emb_scenario_cached(plan)
-        if not _holds(rel, sc):
-            return None
+    @_under(rel)
+    def check(sc, pair):
+        src, tgt = pair
         m1p = memstate.free(sc.m1, src)
         m2p = memstate.free(sc.m2, tgt)
         if m1p is None or m2p is None:
@@ -769,11 +783,8 @@ def _free_pair(rel: _EmbRel):
 # --- embeddings (Rel_Mem) ------------------------------------------------------------
 
 
-def _ck_valid_pointer_emb(case):
-    _, plan, t, b1, i = case
-    sc = emb_scenario_cached(plan)
-    if not relations.mem_emb(sc.emb, sc.m1, sc.m2):
-        return None
+@_under(EMB)
+def _ck_valid_pointer_emb(sc, t, b1, i):
     if not memstate.valid_access(sc.m1, t, b1, i):
         return None
     b2, delta = sc.emb[b1]
@@ -842,21 +853,19 @@ _STORE_MAPPED = _emb(
 )
 
 
-def _ck_store_mapped_emb(case):
-    _, plan, t, b1, i, v1, v2 = case
-    sc = emb_scenario_cached(plan)
-    emb = sc.emb
-    if not _holds(EMB_APART, sc) or not relations.val_emb(emb, v1, v2):
+@_under(EMB_APART)
+def _ck_store_mapped_emb(sc, t, b1, i, v1, v2):
+    if not relations.val_emb(sc.emb, v1, v2):
         return None
     m1p = memstate.store(t, sc.m1, b1, i, v1)
     if m1p is None:
         return None
-    b2, delta = emb[b1]
+    b2, delta = sc.emb[b1]
     witness = _store_witness(sc.m2, t, b2, i + delta, v2)
     actual = memstate.store(t, sc.m2, b2, i + delta, v2)
     if actual != witness:
         return "relocated store is not the contents-rebuild witness"
-    if not relations.mem_emb(emb, m1p, witness):
+    if not relations.mem_emb(sc.emb, m1p, witness):
         return "relocated store broke the embedding"
     return None
 
@@ -895,25 +904,17 @@ deflaw(
 )
 
 
-def _ck_alloc_parallel_emb(case):
-    _, plan, low, high = case
-    if plan.overlap:
-        return None
-    sc = emb_scenario_cached(plan)
-    emb = sc.emb
-    if not relations.emb_no_overlap(emb, sc.m1):
-        return "constructed scenario fails the no-overlap hypothesis"
-    if not relations.mem_emb(emb, sc.m1, sc.m2):
-        return "constructed scenario fails the embedding hypothesis"
+@_under(EMB_APART, built=True)
+def _ck_alloc_parallel_emb(sc, low, high):
     r1 = memstate.alloc(sc.m1, low, high)
     r2 = memstate.alloc(sc.m2, low, high)
     if r1 is None or r2 is None:
         return "parallel allocation failed under the default policy"
     b1, m1p = r1
     b2, m2p = r2
-    emb2 = dict(emb)
+    emb2 = dict(sc.emb)
     emb2[b1] = (b2, 0)
-    if not relations.emb_incr(emb, emb2):
+    if not relations.emb_incr(sc.emb, emb2):
         return "extended map does not extend the original"
     if not relations.emb_no_overlap(emb2, m1p):
         return "parallel allocation introduced an image overlap"
@@ -995,10 +996,10 @@ deflaw(
 )
 
 
-def _ck_free_list_free_parallel_emb(case):
-    sc = emb_scenario_cached(case[1])
+@_under(EMB)
+def _ck_free_list_free_parallel_emb(sc):
     pairs = _sole_pairs(sc)
-    if not pairs or not relations.mem_emb(sc.emb, sc.m1, sc.m2):
+    if not pairs:
         return None
     m1p = memstate.free_list(sc.m1, [p[0] for p in pairs])
     m2p = memstate.free_list(sc.m2, [p[1] for p in pairs])
@@ -1022,21 +1023,26 @@ deflaw(
 # --- injections (Mem_Inject) -----------------------------------------------------------
 
 
-def _ck_load_inject(case):
-    _, plan, t, b1, i = case
-    sc = emb_scenario_cached(plan)
-    if not _holds(INJECT, sc):
+def _mapped_load_inject(op, what: str):
+    """A load through ``op`` at a mapped location and its relocated twin
+    give values related through the injection."""
+
+    @_under(INJECT)
+    def check(sc, t, b1, i):
+        v1 = op(sc.m1, t, b1, i)
+        if v1 is None:
+            return None
+        b2, delta = sc.emb[b1]
+        if not relations.val_emb(sc.emb, Vptr(b1, i), Vptr(b2, i + delta)):
+            return "constructed addresses do not relate"
+        v2 = op(sc.m2, t, b2, i + delta)
+        if v2 is None:
+            return f"{what} failed on the relocated address"
+        if not relations.val_emb(sc.emb, v1, v2):
+            return f"{what}s do not relate through the injection: {v1!r} vs {v2!r}"
         return None
-    v1 = memstate.load(t, sc.m1, b1, i)
-    if v1 is None:
-        return None
-    b2, delta = sc.emb[b1]
-    v2 = memstate.load(t, sc.m2, b2, i + delta)
-    if v2 is None:
-        return "target load failed under an injection"
-    if not relations.val_emb(sc.emb, v1, v2):
-        return f"loads do not relate through the injection: {v1!r} vs {v2!r}"
-    return None
+
+    return check
 
 
 deflaw(
@@ -1045,7 +1051,7 @@ deflaw(
     "loads transport along an injection",
     family="relation",
     domain=_EMB_ACCESS,
-    check=_ck_load_inject,
+    check=_mapped_load_inject(_do_load, "load"),
 )
 
 
@@ -1053,10 +1059,9 @@ def _mapped_store_inject(op, what: str):
     """A store through ``op`` at a mapped location and its relocated twin
     keep the injection."""
 
-    def check(case):
-        _, plan, t, b1, i, v1, v2 = case
-        sc = emb_scenario_cached(plan)
-        if not _holds(INJECT, sc) or not relations.val_emb(sc.emb, v1, v2):
+    @_under(INJECT)
+    def check(sc, t, b1, i, v1, v2):
+        if not relations.val_emb(sc.emb, v1, v2):
             return None
         m1p = op(sc.m1, t, b1, i, v1)
         if m1p is None:
@@ -1090,35 +1095,13 @@ deflaw(
     check=_one_sided(INJECT, "left", _do_store, "a store in an unmapped block", _unmapped_store),
 )
 
-
-def _ck_loadv_inject(case):
-    _, plan, t, b1, i = case
-    sc = emb_scenario_cached(plan)
-    if not _holds(INJECT, sc):
-        return None
-    a1 = Vptr(b1, i)
-    v1 = memstate.loadv(t, sc.m1, a1)
-    if v1 is None:
-        return None
-    b2, delta = sc.emb[b1]
-    a2 = Vptr(b2, i + delta)
-    if not relations.val_emb(sc.emb, a1, a2):
-        return "constructed addresses do not relate"
-    v2 = memstate.loadv(t, sc.m2, a2)
-    if v2 is None:
-        return "value-addressed load failed on the relocated address"
-    if not relations.val_emb(sc.emb, v1, v2):
-        return "value-addressed loads do not relate"
-    return None
-
-
 deflaw(
     "loadv_inject",
     MEM_INJECT,
     "value-addressed loads transport along an injection",
     family="relation",
     domain=_EMB_ACCESS,
-    check=_ck_loadv_inject,
+    check=_mapped_load_inject(_do_loadv, "value-addressed load"),
 )
 
 deflaw(
@@ -1218,38 +1201,18 @@ deflaw(
     check=_alloc_left_mapped(INJECT),
 )
 
-
-def _ck_alloc_list_left_inject(case):
-    _, plan, reqs = case
-    sc = emb_scenario_cached(plan)
-    if not _holds(INJECT, sc):
-        return None
-    r = memstate.alloc_list(sc.m1, reqs)
-    if r is None:
-        return None
-    if not relations.mem_inject(sc.emb, r[1], sc.m2):
-        return "left-side alloc_list broke the injection"
-    return None
-
-
 deflaw(
     "alloc_list_left_inject",
     MEM_INJECT,
     "left-side alloc_list of unmapped blocks preserves the injection",
     family="relation",
     domain=_emb_reqs(_OVERLAP_SOME),
-    check=_ck_alloc_list_left_inject,
+    check=_one_sided(INJECT, "left", _do_alloc_list, "left-side alloc_list"),
 )
 
 
-def _ck_alloc_list_alloc_inject(case):
-    _, plan, reqs = case
-    if plan.overlap:
-        return None
-    sc = emb_scenario_cached(plan)
-    emb = sc.emb
-    if not relations.mem_inject(emb, sc.m1, sc.m2):
-        return "constructed scenario fails the injection hypothesis"
+@_under(INJECT, built=True)
+def _ck_alloc_list_alloc_inject(sc, reqs):
     r = memstate.alloc_list(sc.m1, reqs)
     if r is None:
         return "alloc_list failed under the default policy"
@@ -1259,10 +1222,10 @@ def _ck_alloc_list_alloc_inject(case):
     if r2 is None:
         return "covering allocation failed under the default policy"
     b2, m2p = r2
-    emb2 = dict(emb)
+    emb2 = dict(sc.emb)
     for b, d in zip(bs, deltas):
         emb2[b] = (b2, d)
-    if not relations.emb_incr(emb, emb2):
+    if not relations.emb_incr(sc.emb, emb2):
         return "extended map does not extend the original"
     if not relations.mem_inject(emb2, m1p, m2p):
         return "packing the new blocks into one target broke the injection"

@@ -16,9 +16,10 @@ A law is assembled from three parts:
   applies alloc, store, free or free_list with the case's arguments, and
   passes vacuously when the operation fails;
 - one check per property.  A property that holds for several operations,
-  or in both directions, is stated once and takes the operation or the
-  direction as a parameter (``_bounds_kept("free")``,
-  ``_access_iff("load", forward=True)``).
+  in both directions or for several classes of locations, is stated once
+  and takes the operation, the direction or the class as a parameter
+  (``_kept("free", "bounds", exempt=True)``, ``_access_iff("load",
+  forward=True)``, ``_load_after_store("overlap", _overlapping)``).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .laws_base import (
     G_VALIDITY,
     MEM_INJECT,
     REF_GEN_MEM,
+    REL_MEM,
     SCENARIO_OPS,
     STATE,
     deflaw,
@@ -268,17 +270,26 @@ deflaw(
 )
 
 
-def _bounds_kept(op: str):
-    """``op`` keeps the bounds of every block; alloc and free are exempt
-    on the block they act on."""
+# What a frame law compares before and after an operation on block b: the
+# ``memstate`` query, and the blocks it probes in the state m before.
+_FRAMES = {
+    "bounds": ("bounds", lambda m, b: range(0, m.nextblock + 1)),
+    "validity": ("valid_block", lambda m, b: range(1, m.nextblock)),
+    "freshness": ("fresh_block", lambda m, b: (0, 1, b, m.nextblock, m.nextblock + 2)),
+}
+
+
+def _kept(op: str, what: str, exempt: bool = False):
+    """``op`` keeps the ``what`` of every probed block; with ``exempt``,
+    of every block but the one it acts on."""
+    query, probes = _FRAMES[what]
 
     @_after(op)
     def check(case, m, m2, b):
-        for other in range(0, m.nextblock + 1):
-            if other == b and op != "store":
-                continue
-            if memstate.bounds(m2, other) != memstate.bounds(m, other):
-                return f"{op} changed the bounds of block {other}"
+        get = getattr(memstate, query)
+        for other in probes(m, b):
+            if not (exempt and other == b) and get(m2, other) != get(m, other):
+                return f"{op} changed the {what} of block {other}"
         return None
 
     return check
@@ -291,7 +302,7 @@ deflaw(
     family="state",
     groups=(G_BOUNDS,),
     domain=_ALLOC,
-    check=_bounds_kept("alloc"),
+    check=_kept("alloc", "bounds", exempt=True),
 )
 
 deflaw(
@@ -301,7 +312,7 @@ deflaw(
     family="state",
     groups=(G_BOUNDS,),
     domain=_STORE,
-    check=_bounds_kept("store"),
+    check=_kept("store", "bounds"),
 )
 
 deflaw(
@@ -311,7 +322,7 @@ deflaw(
     family="state",
     groups=(G_BOUNDS,),
     domain=_FREE,
-    check=_bounds_kept("free"),
+    check=_kept("free", "bounds", exempt=True),
 )
 
 
@@ -430,15 +441,6 @@ deflaw(
     check=_store_validity(backward=True),
 )
 
-
-@_after("free")
-def _ck_free_valid_block(case, m, m2, b):
-    for other in range(1, m.nextblock):
-        if other != b and memstate.valid_block(m, other) != memstate.valid_block(m2, other):
-            return f"free changed the validity of block {other}"
-    return None
-
-
 deflaw(
     "free_valid_block_",
     CONCRETE_MEM,
@@ -446,7 +448,7 @@ deflaw(
     family="state",
     groups=(G_VALIDITY,),
     domain=_FREE,
-    check=_ck_free_valid_block,
+    check=_kept("free", "validity", exempt=True),
 )
 
 
@@ -548,18 +550,6 @@ deflaw(
     check=_ck_alloc_fresh_2,
 )
 
-
-def _freshness_kept(op: str):
-    @_after(op)
-    def check(case, m, m2, b):
-        for probe in (0, 1, b, m.nextblock, m.nextblock + 2):
-            if memstate.fresh_block(m2, probe) != memstate.fresh_block(m, probe):
-                return f"{op} changed the freshness of {probe}"
-        return None
-
-    return check
-
-
 deflaw(
     "store_fresh_block_",
     CONCRETE_MEM,
@@ -567,7 +557,7 @@ deflaw(
     family="state",
     groups=(G_FRESH,),
     domain=_STORE,
-    check=_freshness_kept("store"),
+    check=_kept("store", "freshness"),
 )
 
 deflaw(
@@ -577,7 +567,7 @@ deflaw(
     family="state",
     groups=(G_FRESH,),
     domain=_FREE,
-    check=_freshness_kept("free"),
+    check=_kept("free", "freshness"),
 )
 
 
@@ -709,14 +699,33 @@ for _name, _op in (
 # --- good variables (S5-S8) -------------------------------------------------------
 
 
-@_after("store")
-def _ck_load_store_same(case, m, m2, b):
-    _, _, t, b, i, v, t2 = case
-    got = memstate.load(t2, m2, b, i)
-    want = oracle.oracle_convert(v, t2)
-    if got != want:
-        return f"reload after store gave {got!r}, conversion oracle says {want!r}"
-    return None
+def _load_after_store(cls: str, given=None):
+    """A load after a store behaves per the class of the two locations
+    (``_class_predicates``): a "similar" one reads the stored value
+    converted, a "mismatch" or "overlap" one reads undef, an "other" one
+    what it read before.  ``given(case)`` is the law's hypothesis that
+    the locations fall in ``cls``.  A case ("state", ops, t, b, i, v, t2,
+    ...) loads t2 at the block and offset that follow it; where it gives
+    only an offset, or neither, the store's block and offset stand in."""
+
+    @_after("store", given=given)
+    def check(case, m, m2, b):
+        t2, *at = case[6:]
+        b2, i2 = at if at[1:] else (b, at[0] if at else case[4])
+        got = memstate.load(t2, m2, b2, i2)
+        if cls == "similar":
+            want = oracle.oracle_convert(case[5], t2)
+            if got != want:
+                return f"reload after store gave {got!r}, conversion oracle says {want!r}"
+        elif cls == "other":
+            if got != memstate.load(t2, m, b2, i2):
+                return f"store at ({b}, {case[4]}) changed a disjoint load at ({b2}, {i2})"
+        elif got is not None and got != VUNDEF:
+            where = "size-mismatched reload" if cls == "mismatch" else f"overlapping reload at {i2}"
+            return f"{where} produced a defined value"
+        return None
+
+    return check
 
 
 _COMPATIBLE = {t: tuples(pick(chunks.COMPAT_CHUNKS[t])) for t in ALL_CHUNKS}
@@ -730,21 +739,13 @@ deflaw(
     family="state",
     groups=(G_GOODVARS,),
     domain=_LOAD_STORE_SAME,
-    check=_ck_load_store_same,
+    check=_load_after_store("similar"),
 )
 
 
 def _disjoint(case):
     _, _, t, b, i, v, t2, b2, i2 = case
     return b != b2 or not (i < i2 + chunks.size_chunk(t2) and i2 < i + chunks.size_chunk(t))
-
-
-@_after("store", given=_disjoint)
-def _ck_load_store_disjoint(case, m, m2, b):
-    _, _, t, b, i, v, t2, b2, i2 = case
-    if memstate.load(t2, m2, b2, i2) != memstate.load(t2, m, b2, i2):
-        return f"store at ({b}, {i}) changed a disjoint load at ({b2}, {i2})"
-    return None
 
 
 _LOAD_STORE_DISJOINT = on_state(lambda r: extend(_valid_store(r), _access_or_probe(r)))
@@ -757,17 +758,12 @@ deflaw(
     family="state",
     groups=(G_GOODVARS,),
     domain=_LOAD_STORE_DISJOINT,
-    check=_ck_load_store_disjoint,
+    check=_load_after_store("other", _disjoint),
 )
 
 
-@_after("store", given=lambda case: not chunks.compat(case[2], case[6]))
-def _ck_load_store_mismatch(case, m, m2, b):
-    _, _, t, b, i, v, t2 = case
-    got = memstate.load(t2, m2, b, i)
-    if got is not None and got != VUNDEF:
-        return "size-mismatched reload produced a defined value"
-    return None
+def _mismatched(case):
+    return not chunks.compat(case[2], case[6])
 
 
 _MISMATCHED = {
@@ -785,22 +781,13 @@ deflaw(
     family="state",
     groups=(G_GOODVARS,),
     domain=_LOAD_STORE_MISMATCH,
-    check=_ck_load_store_mismatch,
+    check=_load_after_store("mismatch", _mismatched),
 )
 
 
 def _overlapping(case):
     _, _, t, b, i, v, t2, i2 = case
     return i2 != i and i < i2 + chunks.size_chunk(t2) and i2 < i + chunks.size_chunk(t)
-
-
-@_after("store", given=_overlapping)
-def _ck_load_store_overlap(case, m, m2, b):
-    _, _, t, b, i, v, t2, i2 = case
-    got = memstate.load(t2, m2, b, i2)
-    if got is not None and got != VUNDEF:
-        return f"overlapping reload at {i2} produced a defined value"
-    return None
 
 
 def _overlap_tail(st):
@@ -826,7 +813,7 @@ deflaw(
     family="state",
     groups=(G_GOODVARS,),
     domain=_LOAD_STORE_OVERLAP,
-    check=_ck_load_store_overlap,
+    check=_load_after_store("overlap", _overlapping),
 )
 
 
@@ -1093,7 +1080,7 @@ deflaw(
     family="state",
     groups=(G_GOODVARS,),
     domain=_LOAD_STORE_MISMATCH,
-    check=_ck_load_store_mismatch,
+    check=_load_after_store("mismatch", _mismatched),
 )
 
 deflaw(
@@ -1103,7 +1090,7 @@ deflaw(
     family="state",
     groups=(G_GOODVARS,),
     domain=_LOAD_STORE_OVERLAP,
-    check=_ck_load_store_overlap,
+    check=_load_after_store("overlap", _overlapping),
 )
 
 
@@ -1173,26 +1160,8 @@ deflaw(
 )
 
 
-def _make_characterization(mode: str):
-    @_after("store", given=lambda case: _class_predicates(*case[2:5], *case[6:9])[mode])
-    def check(case, m, m2, b):
-        _, _, t, b, i, v, t2, b2, i2 = case
-        got = memstate.load(t2, m2, b2, i2)
-        if got is None:
-            return None
-        if mode == "similar":
-            want = oracle.oracle_convert(v, t2)
-            if got != want:
-                return f"similar reload gave {got!r}, expected {want!r}"
-        elif mode in ("mismatch", "overlap"):
-            if got != VUNDEF:
-                return f"{mode} reload produced a defined value"
-        else:
-            if got != memstate.load(t2, m, b2, i2):
-                return "unrelated load changed across the store"
-        return None
-
-    return check
+def _in_class(cls: str):
+    return lambda case: _class_predicates(*case[2:5], *case[6:9])[cls]
 
 
 for _name, _mode in (
@@ -1208,7 +1177,7 @@ for _name, _mode in (
         family="state",
         groups=(G_GOODVARS,),
         domain=_CLASSIFICATION,
-        check=_make_characterization(_mode),
+        check=_load_after_store(_mode, _in_class(_mode)),
     )
 
 
@@ -1363,7 +1332,7 @@ def _ck_free_list_not_valid_block(case, m, m2, bs):
 
 deflaw(
     "free_list_not_valid_block",
-    "Rel_Mem",
+    REL_MEM,
     "no freed-list element stays valid",
     family="state",
     groups=(G_VALIDITY,),

@@ -4,10 +4,11 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
 from dataclasses import replace
 from itertools import islice
 
-from blockmem import lawcheck
+from blockmem import lawcheck, relations
 from blockmem.lawcheck import generators, laws_base, mutations, registry, runner
 from blockmem.lawcheck.laws_base import ALL_GROUPS, CONCRETE_MEM, LAWS, Law, render_case
 from blockmem.lawcheck.rng import law_stream
@@ -253,6 +254,40 @@ def test_checks_never_see_a_skip():
     assert result.passed and result.cases_random == 60
     assert result.cases_skipped == skips
     assert 0 < skips < 60
+
+
+def test_relation_hypotheses_are_decided_by_the_gates(monkeypatch):
+    """With the relation checkers rebound to reject every pair, each law
+    whose scenario is built to satisfy its hypothesis reports the
+    constructor, mem_lessdef_refl (whose property is the relation itself)
+    fails, and every other relation law passes vacuously."""
+    built = (
+        "store_lessdef",
+        "alloc_parallel_emb",
+        "alloc_left_mapped_emb",
+        "alloc_left_mapped_inject",
+        "alloc_list_alloc_inject",
+    )
+    with monkeypatch.context() as patch:
+        for name in ("mem_lessdef", "mem_emb", "mem_inject"):
+            patch.setattr(relations, name, lambda *args: False)
+        laws_base.clear_caches()
+        for law in LAWS.values():
+            if law.family != "relation":
+                continue
+            rng = law_stream(42, law.name)
+            draws = (law.sample(rng) for _ in range(40))
+            cases = list(islice(law.exhaustive(), 300)) + [c for c in draws if c[0] != "skip"]
+            details = [law.check(case) for case in cases]
+            if law.name in built:
+                first = next(k for k, c in enumerate(cases) if c[0] != "emb" or not c[1].overlap)
+                hypothesis = r"constructed (pair|scenario) fails the \w+ hypothesis"
+                assert re.fullmatch(hypothesis, details[first] or ""), (law.name, details[first])
+            elif law.name == "mem_lessdef_refl":
+                assert details[0] == "refinement is not reflexive on this state"
+            else:
+                assert details == [None] * len(cases), law.name
+    laws_base.clear_caches()
 
 
 def _streams_sha256(cases) -> str:
