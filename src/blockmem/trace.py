@@ -38,6 +38,8 @@ usage error (exit 2).
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -45,6 +47,30 @@ from dataclasses import dataclass, field
 from . import memstate, relations
 from .chunks import Chunk, Value, Vfloat, Vint, Vptr, VUNDEF, value_text
 from .memstate import DEFAULT_CONFIG, MemConfig, MemState
+
+
+def _collector_paused(fn):
+    """``fn`` with the cyclic garbage collector paused while it runs.
+
+    Trace work builds no reference cycles (``tests/test_trace.py`` checks
+    this): its garbage is freed by reference counting, so a collection
+    during it would walk every live object, statements and states, and
+    free nothing.  The caller's setting is restored on every exit, and the
+    pause leaves nothing behind.  ``gc.freeze()`` would instead move every
+    object of the process out of the collector's reach for good, so a cycle
+    that a caller later builds through them would never be freed."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 class TraceParseError(Exception):
@@ -113,6 +139,8 @@ class Trace:
 # parentheses and '#'; a line's code ends at its first '#'.
 _TOKEN = re.compile(r"[()]|[^ \t()#]+")
 
+_CHUNKS = {c.token: c for c in Chunk}
+
 
 class _Error(Exception):
     """A parse error at token ``index`` of its line; an index past the last
@@ -173,32 +201,52 @@ def _int(tokens: list, k: int, what: str) -> int:
         raise _Error(k, f"expected {what}, got {text!r}") from None
 
 
-def _var(tokens: list, k: int, bound: dict, *, binding: bool = False) -> tuple[int, tuple]:
-    """The $variable at token ``k``: bound already, or else (``binding``)
-    not bound yet, and bound from here on.  ``bound`` maps each variable
-    to its entry: its ref, the number of allocs before the one that binds
-    it, and a tuple of its name that all its statements share."""
+def _shared(literals: dict, cls, *fields):
+    """The one ``cls(*fields)`` of this parse, a value or a pair of bounds:
+    literals are never mutated, so equal ones can be one object."""
+    key = (cls, *fields)
+    v = literals.get(key)
+    if v is None:
+        v = literals[key] = cls(*fields)
+    return v
+
+
+def _var(tokens: list, k: int, bound: dict) -> tuple[int, tuple]:
+    """The entry of the bound $variable at token ``k``: its ref and a tuple
+    of its name that all its statements share."""
+    try:
+        return bound[tokens[k]]
+    except (IndexError, KeyError):
+        pass
     text = _take(tokens, k, "a $variable")
     if not text.startswith("$") or len(text) < 2:
         raise _Error(k, f"expected a $variable, got {text!r}")
-    if binding:
-        if text in bound:
-            raise _Error(k, f"{text} is already bound")
-        bound[text] = (len(bound), (text,))
-    elif text not in bound:
-        raise _Error(k, f"{text} is not bound")
-    return bound[text]
+    raise _Error(k, f"{text} is not bound")
+
+
+def _bind(tokens: list, k: int, bound: dict) -> tuple:
+    """Bind the $variable at token ``k``, not bound yet, to the next ref;
+    the tuple of its name."""
+    text = _take(tokens, k, "a $variable")
+    if not text.startswith("$") or len(text) < 2:
+        raise _Error(k, f"expected a $variable, got {text!r}")
+    if text in bound:
+        raise _Error(k, f"{text} is already bound")
+    names = (text,)
+    bound[text] = (len(bound), names)
+    return names
 
 
 def _chunk(tokens: list, k: int) -> Chunk:
-    text = _take(tokens, k, "a chunk name")
-    c = Chunk.from_token(text)
-    if c is None:
-        raise _Error(k, f"unknown chunk {text!r}")
-    return c
+    try:
+        return _CHUNKS[tokens[k]]
+    except KeyError:
+        raise _Error(k, f"unknown chunk {tokens[k]!r}") from None
+    except IndexError:
+        raise _Error(k, "expected a chunk name") from None
 
 
-def _value(tokens: list, k: int, bound: dict) -> tuple[ValueExpr, int]:
+def _value(tokens: list, k: int, bound: dict, literals: dict) -> tuple[ValueExpr, int]:
     """The value starting at token ``k``, and the index after it."""
     text = _peek(tokens, k)
     if text == "undef":
@@ -207,7 +255,7 @@ def _value(tokens: list, k: int, bound: dict) -> tuple[ValueExpr, int]:
         raise _Error(k, f"expected a value, got {text!r}")
     kind = _take(tokens, k + 1, "value kind")
     if kind == "int":
-        v: ValueExpr = Vint(_int(tokens, k + 2, "an integer"))
+        cls, fields = Vint, (_int(tokens, k + 2, "an integer"),)
     elif kind == "float":
         bits_text = _take(tokens, k + 2, "float bits")
         try:
@@ -216,18 +264,18 @@ def _value(tokens: list, k: int, bound: dict) -> tuple[ValueExpr, int]:
             raise _Error(k + 2, f"expected hex bits, got {bits_text!r}") from None
         if not 0 <= bits < 1 << 64:
             raise _Error(k + 2, "float bits out of 64-bit range")
-        v = Vfloat(bits)
+        cls, fields = Vfloat, (bits,)
     elif kind == "ptr":
         if _peek(tokens, k + 2).startswith("$"):
             target: str | int = _var(tokens, k + 2, bound)[1][0]
         else:
             target = _int(tokens, k + 2, "a block id or $variable")
-        v = PtrLit(target, _int(tokens, k + 3, "a pointer offset"))
+        cls, fields = PtrLit, (target, _int(tokens, k + 3, "a pointer offset"))
         k += 1
     else:
         raise _Error(k + 1, f"unknown value kind {kind!r}")
     _expect(tokens, k + 3, ")")
-    return v, k + 4
+    return _shared(literals, cls, *fields), k + 4
 
 
 def _access(tokens: list, k: int, bound: dict) -> tuple[Chunk, int, tuple, int]:
@@ -238,20 +286,20 @@ def _access(tokens: list, k: int, bound: dict) -> tuple[Chunk, int, tuple, int]:
     return chunk, ref, names, _int(tokens, k + 2, "an offset")
 
 
-def _operation(tokens: list, k: int, bound: dict) -> tuple[tuple, tuple, int]:
+def _operation(tokens: list, k: int, bound: dict, literals: dict) -> tuple[tuple, tuple, int]:
     """The op named by token ``k``, the names of its variables, and the
     index after it.  A ``load`` here carries no expectation: it is the
     operand of ``expect-fail``."""
     head = tokens[k]
     if head == "store":
         chunk, ref, names, ofs = _access(tokens, k + 1, bound)
-        value, end = _value(tokens, k + 4, bound)
+        value, end = _value(tokens, k + 4, bound, literals)
         return ("store", chunk, ref, ofs, value), names, end
     if head == "alloc":
         low = _int(tokens, k + 1, "a low bound")
         high = _int(tokens, k + 2, "a high bound")
         _expect(tokens, k + 3, "->")
-        return ("alloc", low, high), _var(tokens, k + 4, bound, binding=True)[1], k + 5
+        return ("alloc", low, high), _bind(tokens, k + 4, bound), k + 5
     if head == "free":
         ref, names = _var(tokens, k + 1, bound)
         return ("free", ref), names, k + 2
@@ -265,15 +313,15 @@ def _operation(tokens: list, k: int, bound: dict) -> tuple[tuple, tuple, int]:
     raise _Error(k, f"unknown operation {head!r}")
 
 
-def _statement(line: int, tokens: list, bound: dict) -> tuple[Statement, int]:
+def _statement(line: int, tokens: list, bound: dict, literals: dict) -> tuple[Statement, int]:
     """The statement of one line, and the index after it."""
     head = tokens[0]
     if head == "load":
-        op, names, _ = _operation(tokens, 0, bound)
+        op, names, _ = _operation(tokens, 0, bound, literals)
         _expect(tokens, 4, "=>")
         if _peek(tokens, 5) == "fail":
             return Statement(op, LOAD_FAILS, names, line), 6
-        value, end = _value(tokens, 5, bound)
+        value, end = _value(tokens, 5, bound, literals)
         return Statement(op, value, names, line), end
     if head == "assert-valid":
         ref, names = _var(tokens, 1, bound)
@@ -282,12 +330,12 @@ def _statement(line: int, tokens: list, bound: dict) -> tuple[Statement, int]:
         ref, names = _var(tokens, 1, bound)
         low = _int(tokens, 2, "a low bound")
         high = _int(tokens, 3, "a high bound")
-        return Statement(("bounds", ref), (low, high), names, line), 4
+        return Statement(("bounds", ref), _shared(literals, tuple, (low, high)), names, line), 4
     if head == "expect-fail":
         _take(tokens, 1, "an operation")
-        op, names, end = _operation(tokens, 1, bound)
+        op, names, end = _operation(tokens, 1, bound, literals)
         return Statement(op, EXPECT_FAIL, names, line), end
-    op, names, end = _operation(tokens, 0, bound)
+    op, names, end = _operation(tokens, 0, bound, literals)
     return Statement(op, SUCCEEDS, names, line), end
 
 
@@ -303,11 +351,15 @@ def _entry(tokens: list, emb: dict) -> None:
     _end(tokens, 5)
 
 
+@_collector_paused
 def parse_trace(text: str) -> Trace:
     """Parse a trace; raises TraceParseError with position on bad input."""
     statements = []
     emb: dict | None = None
+    # Each variable's ref (the number of allocs before the one that binds
+    # it) and the tuple of its name that all its statements share.
     bound: dict[str, tuple[int, tuple]] = {}
+    literals: dict = {}  # see _shared
     for lineno, code, tokens in _lines(text):
         try:
             if tokens[0] == "[emb]":
@@ -318,7 +370,7 @@ def parse_trace(text: str) -> Trace:
             elif emb is not None:
                 _entry(tokens, emb)
             else:
-                stmt, end = _statement(lineno, tokens, bound)
+                stmt, end = _statement(lineno, tokens, bound, literals)
                 _end(tokens, end)
                 statements.append(stmt)
         except _Error as e:
@@ -677,6 +729,7 @@ def _failure_note(stmt: Statement, env: dict, got) -> str:
     return f"loaded {value_text(got)}, expected {value_text(want)}"
 
 
+@_collector_paused
 def exec_trace(trace: Trace, config: MemConfig = DEFAULT_CONFIG) -> TraceReport:
     """Run the statements in order against an evolving state, stopping at
     the first statement whose expectation does not hold.
@@ -728,6 +781,7 @@ def _changed(op: tuple, blocks: list, m: MemState, before: MemState) -> tuple:
     return tuple(block_of(blocks, ref) for ref in refs(op))
 
 
+@_collector_paused
 def relate(
     trace1: Trace,
     trace2: Trace,

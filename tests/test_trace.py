@@ -1,11 +1,14 @@
 """Trace grammar, execution semantics, and the relate command."""
 
+import gc
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from blockmem.lawcheck.generators import run_ops, sample_ops
 from blockmem.lawcheck.oracle import oracle_exec
+from blockmem import memstate, trace
 from blockmem.lawcheck.rng import SplitMix64
 from blockmem.memstate import CapacityPolicy, MemConfig
 from blockmem.trace import (
@@ -37,6 +40,7 @@ def test_parse_basics():
 
 
 A = "alloc 0 8 -> $a\n"
+AB = A + "alloc 0 16 -> $b\n"
 
 # Every diagnostic the parser gives, as (input, line, column, message).
 PARSE_ERRORS = [
@@ -142,6 +146,69 @@ PARSE_ERRORS = [
     ("alloc 0 8 -> $é x", 1, 17, "unexpected trailing token"),
     ("alloc 0 8 -> $a\r\nfree $a junk", 2, 9, "unexpected trailing token"),
     ("alloc 0 8 -> $a\x0cfree $b", 2, 6, "$b is not bound"),
+    # a token that names no bound variable or no chunk
+    (A + "store int32 $a 0 (ptr $ 0)", 2, 23, "expected a $variable, got '$'"),
+    (A + "free $", 2, 6, "expected a $variable, got '$'"),
+    (A + "assert-valid a", 2, 14, "expected a $variable, got 'a'"),
+    (A + "load int32 a 0 => undef", 2, 12, "expected a $variable, got 'a'"),
+    (A + "free-list $a $", 2, 14, "expected a $variable, got '$'"),
+    (A + "load int32 $a 0 => (ptr $b 0)", 2, 25, "$b is not bound"),
+    (A + "assert-bounds $ 0 8", 2, 15, "expected a $variable, got '$'"),
+    (A + "load int32$a 0 => undef", 2, 6, "unknown chunk 'int32$a'"),
+    (A + "load Int32 $a 0 => undef", 2, 6, "unknown chunk 'Int32'"),
+    (A + "expect-fail load float32 $a", 2, 28, "expected an offset"),
+    # every cut, after each token, of one line of each statement form
+    (AB + "alloc", 3, 6, "expected a low bound"),
+    (AB + "alloc 0", 3, 8, "expected a high bound"),
+    (AB + "alloc 0 8", 3, 10, "expected '->'"),
+    (AB + "alloc 0 8 ->", 3, 13, "expected a $variable"),
+    (AB + "free", 3, 5, "expected a $variable"),
+    (AB + "store", 3, 6, "expected a chunk name"),
+    (AB + "store int32", 3, 12, "expected a $variable"),
+    (AB + "store int32 $a", 3, 15, "expected an offset"),
+    (AB + "store int32 $a 0", 3, 17, "expected a value, got ''"),
+    (AB + "store int32 $a 0 (", 3, 19, "expected value kind"),
+    (AB + "store int32 $a 0 (int", 3, 22, "expected an integer"),
+    (AB + "store int32 $a 0 (int 7", 3, 24, "expected ')'"),
+    (AB + "store float64", 3, 14, "expected a $variable"),
+    (AB + "store float64 $a", 3, 17, "expected an offset"),
+    (AB + "store float64 $a 0", 3, 19, "expected a value, got ''"),
+    (AB + "store float64 $a 0 (", 3, 21, "expected value kind"),
+    (AB + "store float64 $a 0 (float", 3, 26, "expected float bits"),
+    (AB + "store float64 $a 0 (float 0x3FF0000000000000", 3, 45, "expected ')'"),
+    (AB + "store int32 $a 0 (ptr", 3, 22, "expected a block id or $variable"),
+    (AB + "store int32 $a 0 (ptr $b", 3, 25, "expected a pointer offset"),
+    (AB + "store int32 $a 0 (ptr $b 4", 3, 27, "expected ')'"),
+    (AB + "store int32 $a 0 (ptr 2", 3, 24, "expected a pointer offset"),
+    (AB + "store int32 $a 0 (ptr 2 4", 3, 26, "expected ')'"),
+    (AB + "load", 3, 5, "expected a chunk name"),
+    (AB + "load int32", 3, 11, "expected a $variable"),
+    (AB + "load int32 $a", 3, 14, "expected an offset"),
+    (AB + "load int32 $a 0", 3, 16, "expected '=>'"),
+    (AB + "load int32 $a 0 =>", 3, 19, "expected a value, got ''"),
+    (AB + "load int32 $a 0 => (", 3, 21, "expected value kind"),
+    (AB + "load int32 $a 0 => (int", 3, 24, "expected an integer"),
+    (AB + "load int32 $a 0 => (int 7", 3, 26, "expected ')'"),
+    (AB + "expect-fail", 3, 12, "expected an operation"),
+    (AB + "expect-fail alloc", 3, 18, "expected a low bound"),
+    (AB + "expect-fail alloc 0", 3, 20, "expected a high bound"),
+    (AB + "expect-fail alloc 0 8", 3, 22, "expected '->'"),
+    (AB + "expect-fail alloc 0 8 ->", 3, 25, "expected a $variable"),
+    (AB + "expect-fail free", 3, 17, "expected a $variable"),
+    (AB + "expect-fail store", 3, 18, "expected a chunk name"),
+    (AB + "expect-fail store int32", 3, 24, "expected a $variable"),
+    (AB + "expect-fail store int32 $a", 3, 27, "expected an offset"),
+    (AB + "expect-fail store int32 $a 0", 3, 29, "expected a value, got ''"),
+    (AB + "expect-fail store int32 $a 0 (", 3, 31, "expected value kind"),
+    (AB + "expect-fail store int32 $a 0 (int", 3, 34, "expected an integer"),
+    (AB + "expect-fail store int32 $a 0 (int 7", 3, 36, "expected ')'"),
+    (AB + "expect-fail load", 3, 17, "expected a chunk name"),
+    (AB + "expect-fail load int32", 3, 23, "expected a $variable"),
+    (AB + "expect-fail load int32 $a", 3, 26, "expected an offset"),
+    (AB + "assert-valid", 3, 13, "expected a $variable"),
+    (AB + "assert-bounds", 3, 14, "expected a $variable"),
+    (AB + "assert-bounds $a", 3, 17, "expected a low bound"),
+    (AB + "assert-bounds $a 0", 3, 19, "expected a high bound"),
 ]
 EMBEDDING_ERRORS = [
     ("1", 1, 2, "expected '->'"),
@@ -163,6 +230,13 @@ def test_parse_errors_have_positions():
         assert _diagnostic(parse_trace, text) == (line, column, message), text
     for text, line, column, message in EMBEDDING_ERRORS:
         assert _diagnostic(parse_embedding, text) == (line, column, message), text
+
+
+def test_the_cuts_that_parse():
+    # The cuts of the lines above that are statements: a free-list of any length.
+    for text, refs in [("free-list", ()), ("free-list $a", (0,)), ("free-list $a $b", (0, 1))]:
+        for line in (text, "expect-fail " + text):
+            assert parse_trace(AB + line).statements[-1].op == ("free_list", refs), line
 
 
 def test_roundtrip_with_all_features():
@@ -378,6 +452,135 @@ def test_a_run_keeps_no_record_per_statement():
     assert retained < 16 * (n + 2), f"{retained / (n + 2):.1f} B per statement"
     # Every step is still described when read.
     assert report.steps[-1].note == f"stored at (1, {8 + (n - 1) % 56})"
+
+
+def test_a_parse_keeps_little_per_statement():
+    # Equal literals share one object, so what a statement keeps is its
+    # own record, op and line number.
+    n = 5000
+    text = _one_block_trace(n)
+    parse_trace(_one_block_trace(5))  # warm up lazily built module state
+    gc.collect()  # else a collection in the parse could free earlier tests' cycles
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = parse_trace(text)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(t.statements) == n + 2
+    assert kept < 175 * (n + 2), f"{kept / (n + 2):.1f} B per statement"
+
+
+def test_equal_literals_share_one_object():
+    t = parse_trace(
+        "alloc 0 64 -> $a\n"
+        "store int32 $a 0 (int 7)\nload int32 $a 0 => (int 0x7)\n"
+        "store float64 $a 8 (float 3ff0000000000000)\n"
+        "load float64 $a 8 => (float 0x3FF0000000000000)\n"
+        "store int32 $a 16 (ptr $a 4)\nload int32 $a 16 => (ptr $a 4)\n"
+        "assert-bounds $a 0 64\nassert-bounds $a 0 64"
+    )
+    s = t.statements
+    assert s[1].op[4] is s[2].expect and s[3].op[4] is s[4].expect and s[5].op[4] is s[6].expect
+    assert s[7].expect is s[8].expect == (0, 64)
+    # A literal pointer block is not the variable bound to that block.
+    p = parse_trace("alloc 0 8 -> $a\nstore int32 $a 0 (ptr 1 0)\nstore int32 $a 4 (ptr $a 0)")
+    assert p.statements[1].op[4] != p.statements[2].op[4]
+
+
+def _collector_states(monkeypatch):
+    """The collector's setting seen each time a parse reads its lines and
+    each time a run or relate makes its first state."""
+    seen = []
+    lines, empty = trace._lines, memstate.empty
+
+    def recording_lines(text):
+        seen.append(("parse", gc.isenabled()))
+        return lines(text)
+
+    def recording_empty(*args):
+        seen.append(("state", gc.isenabled()))
+        return empty(*args)
+
+    monkeypatch.setattr(trace, "_lines", recording_lines)
+    monkeypatch.setattr(memstate, "empty", recording_empty)
+    return seen
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_trace_work_pauses_the_collector_and_restores_it(enabled, monkeypatch):
+    seen = _collector_states(monkeypatch)
+    left = parse_trace("alloc 0 8 -> $x\nstore int32 $x 0 (int 3)\n[emb]\n1 -> 1 + 8")
+    right = parse_trace("alloc 8 16 -> $y\nstore int32 $y 8 (int 3)\n[emb]\n1 -> 1 + 0")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        parse_trace(READ_AFTER_WRITE)
+        assert gc.isenabled() is enabled
+        exec_trace(left)
+        assert gc.isenabled() is enabled
+        relate(left, right, "inject", emb={1: (1, 8)})
+        assert gc.isenabled() is enabled
+        relate(left, left, "lessdef", stepwise=True)
+        assert gc.isenabled() is enabled
+        with pytest.raises(TraceParseError):
+            parse_trace(A + "free $b")
+        assert gc.isenabled() is enabled
+        for stepwise in (False, True):
+            with pytest.raises(ValueError, match="different"):
+                relate(left, right, "inject", stepwise=stepwise)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert {where for where, _ in seen} == {"parse", "state"}
+    assert not any(enabled for _, enabled in seen)
+
+
+def _no_cycles_left(work) -> int:
+    """The objects that ``work()`` left unreachable, run with the collector
+    off after a warm-up run; reference counting frees all other garbage."""
+    work()
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+TRACES = Path(__file__).resolve().parents[1] / "traces"
+
+
+def test_trace_work_builds_no_cycles():
+    long_text = _one_block_trace(200)
+
+    def run_long():
+        assert exec_trace(parse_trace(long_text)).ok
+
+    def run_shipped():
+        for path in sorted(TRACES.iterdir()):
+            text = path.read_text()
+            if path.suffix == ".emb":
+                parse_embedding(text)
+            else:
+                exec_trace(parse_trace(text))
+
+    long_trace = parse_trace(long_text)
+    pack = [parse_trace((TRACES / f"pack_{side}.trace").read_text()) for side in ("left", "right")]
+    pack_emb = parse_embedding((TRACES / "pack.emb").read_text())
+
+    def relate_stepwise():
+        assert relate(long_trace, long_trace, "lessdef", stepwise=True).ok
+
+    def relate_pack():
+        assert relate(*pack, "inject", emb=pack_emb).ok
+
+    for work in (run_long, run_shipped, relate_stepwise, relate_pack):
+        assert _no_cycles_left(work) == 0, work.__name__
 
 
 def test_parse_embedding_file():
