@@ -7,8 +7,8 @@ They are the only way states are built, so every generated state is
 reachable and satisfies the structural invariants by construction.
 Blocks are referred to by allocation order (ref ``k`` is the block of the
 k-th alloc of the scenario; if that alloc failed, any op on ``k`` fails),
-which keeps scenarios meaningful under shrinking; two reserved refs probe
-an always-invalid and an always-fresh block id.
+so a scenario does not depend on the ids the model hands out; two reserved
+refs probe an always-invalid and an always-fresh block id.
 
 Besides single states, this module constructs *related pairs*: two
 scenarios replayed in lockstep whose final states satisfy one of the
@@ -16,21 +16,21 @@ memory relations by construction (refinement, extension, or an embedding
 with its relocation map).  The relation laws draw their hypothesis
 instances from these constructors.
 
-Laws take their scenarios through the ``shared_*`` draws, which hand every
-law of one domain the same scenario k at its k-th request; see "shared
-scenario streams" below.
+Laws take their scenarios through the ``shared_*`` draws, which ask the
+law's stream for them, so every law of one domain gets the same scenario k
+at its k-th request; see "shared scenario streams" below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .. import chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Value, Vfloat, Vint, Vptr, VUNDEF
 from ..memstate import DEFAULT_CONFIG, MemConfig, MemState
 from ..trace import PROBE_FRESH, PROBE_INVALID, SUCCEEDS, Statement, refs, run_op, statement_text
-from .rng import LawStream, SplitMix64, scenario_stream
+from .rng import LawStream, SplitMix64
 
 
 @dataclass
@@ -244,47 +244,6 @@ def gen_state(seed: int, cfg: UniverseConfig = DEFAULT_UNIVERSE) -> MemState:
     return run_ops(sample_ops(rng, cfg)).state
 
 
-# --- shrinking ---------------------------------------------------------------
-
-
-def shrink_ops(ops):
-    """Smaller candidates for a scenario or a lessdef plan, as tuples: drop
-    one op, last first (with the ops on its block when an alloc goes away),
-    or simplify one stored value."""
-    ops = tuple(ops)
-    for k in range(len(ops) - 1, -1, -1):
-        if ops[k][0] != "alloc":
-            yield ops[:k] + ops[k + 1 :]
-            continue
-        dropped = sum(op[0] == "alloc" for op in ops[:k])
-        shifted = (_shift_refs(op, dropped) for j, op in enumerate(ops) if j != k)
-        yield tuple(op for op in shifted if op is not None)
-    for k, op in enumerate(ops):
-        if op[0] == "store" and op[4] != VUNDEF:
-            yield ops[:k] + (op[:4] + (VUNDEF,),) + ops[k + 1 :]
-
-
-def _shift_refs(op, dropped: int):
-    """Rewrite an op after alloc number ``dropped`` was removed; None means
-    the op depended on it and must go too.  A plan's "store2" step holds
-    its ref where a store does."""
-
-    def shift(ref):
-        if ref < dropped:
-            return ref
-        return None if ref == dropped else ref - 1
-
-    kind = op[0]
-    if kind == "alloc":
-        return op
-    if kind == "free_list":
-        rs = tuple(map(shift, op[1]))
-        return None if None in rs else (kind, rs)
-    k = 1 if kind in ("free", "valid", "fresh", "bounds") else 2
-    r = shift(op[k])
-    return None if r is None else op[:k] + (r,) + op[k + 1 :]
-
-
 # --- related plans -------------------------------------------------------------
 #
 # A plan is one scenario that ``project`` turns into an op list per side;
@@ -433,14 +392,6 @@ def build_lessdef_pair(plan, config: MemConfig = DEFAULT_CONFIG):
 
 
 build_extends_pair = build_lessdef_pair  # an extends plan projects the same way
-
-
-def shrink_plan_steps(plan):
-    """Drop one step other than an alloc, last first: the shrinker of
-    extends plans and of the laws' plan triples."""
-    for k in range(len(plan) - 1, -1, -1):
-        if plan[k][0] != "alloc":
-            yield plan[:k] + plan[k + 1 :]
 
 
 # --- embedding scenarios ------------------------------------------------------
@@ -664,52 +615,26 @@ def sample_emb_plan(
         )
 
 
-def shrink_emb_plan(plan: EmbPlan):
-    for k in range(len(plan.stores) - 1, -1, -1):
-        yield replace(plan, stores=plan.stores[:k] + plan.stores[k + 1 :])
-    if plan.frees:
-        yield replace(plan, frees=())
-    if plan.extra_targets and not plan.extra_stores:
-        yield replace(plan, extra_targets=())
-
-
 # --- shared scenario streams -----------------------------------------------------
 #
-# A scenario domain is one of the samplers above with fixed arguments.  Its
-# scenarios come from one stream per (seed, domain), extended lazily and kept
-# for the process, so scenario k is the same value for every law that asks
-# for it.  A law's k-th request (counted by its ``LawStream``) takes scenario
-# k; the law's assignment stays on its own stream.  So a case depends on the
-# seed, the law and the draw number only.  Replaying a scenario is left to
-# the memos of ``laws_base``, which hand every law of the domain the same
+# A scenario domain is one of the samplers above with fixed arguments.  A law
+# stream serves its k-th request with scenario k of the domain, the same value
+# for every law (``LawStream.scenario``).  Replaying a scenario is left to the
+# memos of ``laws_base``, which hand every law of the domain the same
 # ``RunResult`` (or pair of them, or ``EmbScenario`` holding two) while they
 # hold it; each process of a parallel run replays for itself.
 
-SCENARIOS: dict = {}  # (seed, domain) -> (stream, scenarios drawn so far)
-
-
-def _shared(rng: LawStream, domain: str, sample):
-    k = rng.next_scenario()
-    key = (rng.seed, domain)
-    entry = SCENARIOS.get(key)
-    if entry is None:
-        entry = SCENARIOS[key] = (scenario_stream(rng.seed, domain), [])
-    stream, drawn = entry
-    while len(drawn) <= k:
-        drawn.append(sample(stream))
-    return drawn[k]
-
 
 def shared_ops(rng: LawStream) -> tuple:
-    return _shared(rng, "ops", lambda s: tuple(sample_ops(s)))
+    return rng.scenario("ops", lambda s: tuple(sample_ops(s)))
 
 
 def shared_lessdef_plan(rng: LawStream) -> tuple:
-    return _shared(rng, "lessdef", sample_lessdef_plan)
+    return rng.scenario("lessdef", sample_lessdef_plan)
 
 
 def shared_extends_plan(rng: LawStream) -> tuple:
-    return _shared(rng, "extends", sample_extends_plan)
+    return rng.scenario("extends", sample_extends_plan)
 
 
 def shared_emb_plan(
@@ -720,8 +645,7 @@ def shared_emb_plan(
     need_mapped: bool = False,
 ) -> EmbPlan:
     """One domain per keyword set."""
-    return _shared(
-        rng,
+    return rng.scenario(
         f"emb overlap={overlap_chance} hole={hole_span} mapped={need_mapped}",
         lambda s: sample_emb_plan(
             s, overlap_chance=overlap_chance, hole_span=hole_span, need_mapped=need_mapped

@@ -7,12 +7,12 @@ description (``domains``) and a check: the description is read once to
 enumerate the exhaustive phase and once to draw the random phase, so a
 law's exhaustive scope is its description's scope.  A case is a
 self-contained tuple (tag, payload...) that the law's checker can
-evaluate from scratch, which is what makes shrinking and standalone
-counterexample replay possible.
+evaluate from scratch, which makes counterexamples replayable; a failing
+random case shrinks through the random numbers its draw read (``runner``).
 
 A draw that meets an empty choice gives ``("skip",)``.  Checks never see
 such a case: ``runner.run_law`` drops skips in both phases before calling
-``check``, and ``shrink_case`` never yields one.  Check functions return
+``check``, and the shrinker drops the skips it reads.  Check functions return
 ``None`` when the case passes (including vacuously, when the case fails
 the law's hypotheses) and a short human-readable detail string when it
 exhibits a violation.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .. import chunks, memstate
 from . import generators
@@ -36,10 +36,8 @@ from .generators import (
     format_ops,
     project,
     run_ops,
-    shrink_emb_plan,
-    shrink_ops,
-    shrink_plan_steps,
 )
+from .rng import SCENARIOS
 
 # Module tags, matching the catalogue's module names.
 GEN_MEM = "Gen_Mem_Facts"
@@ -196,35 +194,9 @@ def clear_caches() -> None:
     extends_pair_cached.cache_clear()
     emb_scenario_cached.cache_clear()
     cells_of.cache_clear()
-    generators.SCENARIOS.clear()
+    SCENARIOS.clear()
     _LAST_STORE[:] = None, None
     generators.tiny_states_small.cache_clear()
-
-
-def _drop_each(recipe):
-    for k in range(len(recipe) - 1, -1, -1):
-        yield recipe[:k] + recipe[k + 1 :]
-
-
-# case tag -> smaller candidates for the case's scenario (its second field)
-_SHRINKERS = {
-    "state": shrink_ops,
-    "cells": _drop_each,
-    "lessdef": shrink_ops,
-    "lessdef3": shrink_plan_steps,
-    "extends": shrink_plan_steps,
-    "extends3": shrink_plan_steps,
-    "emb": shrink_emb_plan,
-}
-
-
-def shrink_case(case) -> Iterator:
-    """Generic smaller-case candidates, dispatched on the case tag: the
-    scenario shrinks, the quantifier assignment stays."""
-    shrink = _SHRINKERS.get(case[0])
-    if shrink is not None:
-        for smaller in shrink(case[1]):
-            yield (case[0], smaller) + case[2:]
 
 
 def widen_plan(plan, widenings):

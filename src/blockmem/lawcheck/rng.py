@@ -14,9 +14,9 @@ are named by folding a string (FNV-1a) into the master seed:
 - the *assignment*, the law's own choices on those states, comes from the
   law's stream (``law_stream``).
 
-A law's stream also numbers its scenario requests, so its k-th request
-takes scenario k of the domain.  Neither part depends on which other laws
-run or in what order.
+A law asks its stream for each scenario (``LawStream.scenario``), and the
+stream serves its k-th request with scenario k of the domain.  Neither part
+depends on which other laws run or in what order.
 """
 
 from __future__ import annotations
@@ -54,9 +54,12 @@ class SplitMix64:
         return self.next_u64() % den < num
 
 
+SCENARIOS: dict = {}  # (seed, domain) -> (stream, scenarios drawn so far)
+
+
 class LawStream(SplitMix64):
     """A law's assignment stream, which also counts the law's scenario
-    requests: ``next_scenario`` returns 0, 1, 2, ..."""
+    requests and serves request k with scenario k of the domain asked for."""
 
     __slots__ = ("seed", "scenarios")
 
@@ -65,10 +68,17 @@ class LawStream(SplitMix64):
         self.seed = master_seed
         self.scenarios = 0
 
-    def next_scenario(self) -> int:
+    def scenario(self, domain: str, sample):
+        """Scenario k of ``domain`` at the k-th request, shared by every law."""
         k = self.scenarios
         self.scenarios += 1
-        return k
+        entry = SCENARIOS.get((self.seed, domain))
+        if entry is None:
+            entry = SCENARIOS[self.seed, domain] = (scenario_stream(self.seed, domain), [])
+        stream, drawn = entry
+        while len(drawn) <= k:
+            drawn.append(sample(stream))
+        return drawn[k]
 
 
 def fnv1a64(text: str) -> int:

@@ -6,10 +6,10 @@ the stream its domain shares with every other law of the domain (draw k
 of the law takes scenario k), and an assignment drawn from the law's own
 stream (see ``rng``).  Both depend only on the seed, the law and the draw
 number, so a law's result does not depend on which laws run, in which
-order, or in how many processes.  A failing case is shrunk greedily
-before being reported, and the shrunk case still violates the law when
-replayed on its own (the shrinker only ever keeps candidates that fail
-the same check).
+order, or in how many processes.  A failing random case shrinks through
+the u64s its draw read (one tape for the law's stream, one per scenario),
+which ``law.sample`` reads again: the shrunk case is a draw of the law's
+domain that still violates the law when replayed on its own.
 
 Reports come in two forms: human-readable text with timings, and a
 machine-readable JSON-lines file with one record per catalogue entry.
@@ -26,15 +26,16 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from . import registry
-from .laws_base import ALL_GROUPS, Law, render_case, shrink_case
-from .rng import law_stream
+from .domains import Skip
+from .laws_base import ALL_GROUPS, Law, render_case
+from .rng import LawStream, SplitMix64, law_stream, scenario_stream
 
-_SHRINK_ROUNDS = 200
 # The way cases are generated, recorded in the report's header: bumped by
 # every change that moves any law's exhaustive cases or random draws.
 REPORT_FORMAT = 2
 # Laws per worker task when the suite runs in several processes.
 _CHUNK = 4
+_SHRINK_BUDGET = 20_000  # candidate replays per shrink
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,109 @@ class LawResult:
         return not self.violations
 
 
-def _shrink(law: Law, case, detail: str):
-    for _ in range(_SHRINK_ROUNDS):
-        for candidate in shrink_case(case):
-            d = law.check(candidate)
-            if d:
-                case, detail = candidate, d
-                break
-        else:
+class _Recorder(LawStream):
+    """The law stream from ``state``, keeping the u64s its draw reads: its
+    own in ``tapes[0]``, then one tape per scenario request, each read
+    from a fresh stream of the domain rather than from ``SCENARIOS``."""
+
+    __slots__ = ("tapes",)
+
+    def __init__(self, state: int, seed: int = 0, scenarios: int = 0) -> None:
+        self.state, self.seed, self.scenarios, self.tapes = state, seed, scenarios, [[]]
+
+    def next_u64(self) -> int:
+        self.tapes[0].append(SplitMix64.next_u64(self))
+        return self.tapes[0][-1]
+
+    def scenario(self, domain: str, sample):
+        stream = scenario_stream(self.seed, domain)
+        for _ in range(self.scenarios):
+            sample(stream)
+        self.scenarios += 1
+        recorder = _Recorder(stream.state)
+        self.tapes += recorder.tapes
+        return sample(recorder)
+
+
+class _Replay(SplitMix64):
+    """Reads ``tapes[0]`` and then zeros, and serves its k-th scenario
+    request from ``tapes[k]``.  An overrun, a thousand zeros read, is a
+    skip: on zeros, ``sample_emb_plan(need_mapped=True)`` retries forever."""
+
+    __slots__ = ("tapes", "read", "scenarios")
+
+    def __init__(self, tapes: list) -> None:
+        self.tapes, self.read, self.scenarios = tapes or [[]], 0, 0
+
+    def next_u64(self) -> int:
+        tape, self.read = self.tapes[0], self.read + 1
+        if self.read > len(tape) + 1000:
+            raise Skip
+        return tape[self.read - 1] if self.read <= len(tape) else 0
+
+    def scenario(self, domain: str, sample):
+        self.scenarios += 1
+        return sample(_Replay(self.tapes[self.scenarios : self.scenarios + 1]))
+
+
+def _shrink(law: Law, seed: int, n: int):
+    """The smallest tapes found for the law's failing n-th draw, and the
+    case and detail they read.  Passes delete spans and lower values (to 0
+    or by a binary search), and when stuck lower a value by one with a
+    later span deleted: a count and one item's draws.  A candidate is kept
+    when the check still fails and its scenario renders no longer, as a
+    zero need not read as the simpler choice (``chance`` holds at 0)."""
+    rng = law_stream(seed, law.name)
+    for _ in range(n - 1):
+        law.sample(rng)
+    recorder = _Recorder(rng.state, rng.seed, rng.scenarios)
+    case = law.sample(recorder)
+    tapes, detail, budget = recorder.tapes, law.check(case), _SHRINK_BUDGET
+
+    def lines(c) -> int:
+        return render_case(c)["scenario"].count("\n")
+
+    def put(t: int, i: int, x: int) -> list:
+        return tapes[t][:i] + [x] + tapes[t][i + 1 :]
+
+    def keep(t: int, tape: list) -> bool:
+        nonlocal tapes, case, detail, budget
+        budget -= 1
+        candidate = tapes[:t] + [tape] + tapes[t + 1 :]
+        new = budget >= 0 and law.sample(_Replay(candidate))
+        if new and new[0] != "skip" and (d := law.check(new)) and lines(new) <= lines(case):
+            tapes, case, detail = candidate, new, d
+            return True
+        return False
+
+    def delete_spans(t: int, i: int = -1) -> None:
+        # With i >= 0, each deletion also takes one off value i.
+        for size in range(8, 0, -1):
+            j = len(tapes[t]) - size
+            while j > i and (i < 0 or tapes[t][i]):
+                tape = tapes[t] if i < 0 else put(t, i, tapes[t][i] - 1)
+                keep(t, tape[:j] + tape[j + size :])
+                j = min(j - 1, len(tapes[t]) - size)
+
+    def lower(t: int, i: int) -> None:
+        x, lo = tapes[t][i], 0
+        if x and not keep(t, put(t, i, 0)) and keep(t, put(t, i, x - 1)):
+            while tapes[t][i] - lo > 1:
+                mid = (lo + tapes[t][i]) // 2
+                lo = lo if keep(t, put(t, i, mid)) else mid
+
+    while budget > 0:
+        before = tapes
+        for t in range(len(tapes)):
+            delete_spans(t)
+            for i in range(len(tapes[t])):
+                lower(t, i)
+        for t in range(len(tapes) if tapes == before else 0):
+            for i in range(len(tapes[t])):
+                delete_spans(t, i)
+        if tapes == before:
             break
-    return case, detail
+    return tapes, case, detail
 
 
 def run_law(law: Law, cfg: SuiteConfig) -> LawResult:
@@ -126,7 +220,7 @@ def run_law(law: Law, cfg: SuiteConfig) -> LawResult:
                 continue
             detail = law.check(case)
             if detail:
-                case, detail = _shrink(law, case, detail)
+                _, case, detail = _shrink(law, cfg.seed, n_random)
                 rendered = render_case(case)
                 violations.append(
                     Violation(detail, rendered["scenario"], rendered["assignment"])

@@ -14,10 +14,9 @@ from blockmem.lawcheck.generators import (
     sample_extends_plan,
     sample_lessdef_plan,
     sample_ops,
-    shrink_ops,
     tiny_states_small,
 )
-from blockmem.lawcheck.rng import SplitMix64, law_stream
+from blockmem.lawcheck.rng import SCENARIOS, SplitMix64, law_stream
 
 
 def test_splitmix_reference_values():
@@ -110,15 +109,6 @@ def test_tiny_universe_shape():
         _check_invariants(m)
 
 
-def test_shrink_ops_candidates_stay_runnable():
-    rng = SplitMix64(77)
-    for _ in range(200):
-        ops = sample_ops(rng)
-        for cand in shrink_ops(ops):
-            run_ops(cand)  # must not raise
-            assert len(cand) <= len(ops)
-
-
 # --- shared scenario streams ----------------------------------------------------
 
 _SHARED = (
@@ -135,7 +125,7 @@ def _draws(draw, seed, law, n):
 
 
 def test_laws_of_one_domain_share_scenario_k():
-    generators.SCENARIOS.clear()
+    SCENARIOS.clear()
     for draw in _SHARED:
         a = _draws(draw, 3, "law_a", 40)
         assert a == _draws(draw, 3, "law_b", 40)
@@ -157,11 +147,11 @@ def test_scenarios_depend_on_the_seed():
 
 def test_scenario_k_does_not_depend_on_the_order_of_requests():
     for draw in _SHARED:
-        generators.SCENARIOS.clear()
+        SCENARIOS.clear()
         rng = law_stream(8, "law")
         rng.scenarios = 5
         first = draw(rng)
-        generators.SCENARIOS.clear()
+        SCENARIOS.clear()
         assert _draws(draw, 8, "other", 6)[5] == first
 
 

@@ -8,10 +8,13 @@ import re
 from dataclasses import replace
 from itertools import islice
 
+import pytest
+
 from blockmem import lawcheck, relations
 from blockmem.lawcheck import generators, laws_base, mutations, registry, runner
+from blockmem.lawcheck.domains import Skip, ints, lists, sampler, tuples
 from blockmem.lawcheck.laws_base import ALL_GROUPS, CONCRETE_MEM, LAWS, Law, render_case
-from blockmem.lawcheck.rng import law_stream
+from blockmem.lawcheck.rng import SCENARIOS, law_stream
 from blockmem.lawcheck.runner import SuiteConfig, jsonl_report, run_law, run_suite, text_report
 from blockmem.trace import exec_trace, parse_trace
 
@@ -75,25 +78,64 @@ def test_exhaustive_only_run():
     assert all(r.cases_random == 0 for r in suite.results)
 
 
-def test_shrunk_counterexample_still_violates():
-    """Break an operation, catch it, and replay the shrunk case."""
-    law = registry.law("load_store_contents_overlap")
-    with mutations.applied("continuation-clear-skipped"):
-        rng = law_stream(0, law.name)
-        failing = None
-        for _ in range(500):
-            case = law.sample(rng)
-            if case[0] != "skip" and law.check(case):
-                failing = case
-                break
-        assert failing is not None, "mutation was not caught by sampling"
-        from blockmem.lawcheck.runner import _shrink
+def _statements(scenario: str) -> list:
+    """The statements of a rendered scenario: its lines but the ``# side``
+    headers and the ``[emb]`` header."""
+    return [ln for ln in scenario.splitlines() if not ln.startswith("# ") and ln != "[emb]"]
 
-        detail = law.check(failing)
-        shrunk, detail2 = _shrink(law, failing, detail)
-        assert law.check(shrunk), "shrunk case no longer violates the law"
-        assert len(shrunk[1]) <= len(failing[1])
-    assert law.check(shrunk) is None, "mutation leaked out of its context"
+
+# Random-phase catches at max_exhaustive=0 and seed 42, with the number of
+# statements their counterexample had when each case shape had its own
+# shrinker.
+SHRUNK_CATCHES = (
+    ("sign-extension-zeroed", "load_store_same_", 2),
+    ("alignment-check-dropped", "valid_pointer_dec", 3),
+    ("freed-id-reused", "alloc_left_unmapped_emb", 10),
+)
+
+
+@pytest.mark.parametrize("mutation, name, statements", SHRUNK_CATCHES)
+def test_shrunk_counterexample_is_a_failing_draw(mutation, name, statements):
+    """The shrunk case is what law.sample reads from its own tapes, so it
+    is a draw of the law's domain; the check still fails on it, and it is
+    no larger than what the shape shrinkers gave."""
+    law = registry.law(name)
+    with mutations.applied(mutation):
+        result = run_law(law, SuiteConfig(max_exhaustive=0, seed=42))
+        assert result.violations and result.cases_random > 0
+        tapes, case, detail = runner._shrink(law, 42, result.cases_random)
+        assert law.sample(runner._Replay(tapes)) == case
+        assert law.check(case) == detail == result.violations[0].detail
+    scenario = render_case(case)["scenario"]
+    assert scenario == result.violations[0].scenario
+    assert 0 < len(_statements(scenario)) <= statements
+    assert law.check(case) is None, "mutation leaked out of its context"
+
+
+def test_shrinker_knows_no_case_tag():
+    """A case shape that no shrinker knows shrinks to the minimal failing
+    case: a list of one item, just over the bound."""
+    domain = tuples("arith", lists(ints(0, 6), ints(0, 100)))
+    law = Law(
+        "stub",
+        CONCRETE_MEM,
+        "a sum of at most 50",
+        "cells",
+        sample=sampler(domain),
+        check=lambda case: f"sum {sum(case[1])}" if sum(case[1]) > 50 else None,
+    )
+    result = run_law(law, SuiteConfig(random_cases=100, seed=3))
+    assert result.violations[0].scenario == repr(("arith", (51,)))
+
+
+def test_an_empty_tape_overruns_rather_than_loops():
+    """On zeros, sample_emb_plan(need_mapped=True) never draws a mapped
+    source and retries forever.  A replay stops it once it has read a
+    thousand zeros, and the law's draw reads that as a skip."""
+    with pytest.raises(Skip):
+        generators.sample_emb_plan(runner._Replay([]), need_mapped=True)
+    law = registry.law("store_mapped_inject")
+    assert law.sample(runner._Replay([])) == ("skip",)
 
 
 def test_violation_reports_carry_scenarios():
@@ -196,7 +238,7 @@ def test_random_phase_violation_does_not_depend_on_the_schedule():
         laws_base.clear_caches()
         for name in siblings:
             run_law(registry.law(name), cfg)
-        assert len(generators.SCENARIOS[(0, "ops")][1]) == 300
+        assert len(SCENARIOS[(0, "ops")][1]) == 300
         after = run_law(law, cfg)
         serial = run_suite(replace(cfg, jobs=1)).by_name()[law.name]
         parallel = run_suite(replace(cfg, jobs=2)).by_name()[law.name]
@@ -220,11 +262,11 @@ def test_clear_caches_empties_every_lawcheck_cache():
     }
     run_suite(SuiteConfig(random_cases=5, max_exhaustive=300))
     assert all(cache.cache_info().currsize for cache in caches.values())
-    assert generators.SCENARIOS and laws_base._LAST_STORE != [None, None]
+    assert SCENARIOS and laws_base._LAST_STORE != [None, None]
     laws_base.clear_caches()
     kept = {name: cache.cache_info().currsize for name, cache in caches.items()}
     assert {name: size for name, size in kept.items() if size} == {}
-    assert not generators.SCENARIOS
+    assert not SCENARIOS
     assert laws_base._LAST_STORE == [None, None]
 
 
