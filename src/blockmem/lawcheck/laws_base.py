@@ -237,9 +237,7 @@ def render_case(case) -> dict:
             f"store-contents {t.token} {ofs} {chunks.value_text(v)}" for t, ofs, v in recipe
         )
     elif tag in ("lessdef", "extends"):
-        build = lessdef_pair_cached if tag == "lessdef" else extends_pair_cached
-        r1, r2 = build(case[1])
-        scenario = _sides(("left", r1.ops), ("right", r2.ops))
+        scenario = _sides(*zip(("left", "right"), project(case[1])))
     elif tag == "lessdef3":
         scenario = _sides(*zip(("left", "middle", "right"), project(case[1], 3)))
     elif tag == "extends3":

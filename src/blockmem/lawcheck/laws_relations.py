@@ -1,13 +1,17 @@
 """Simulation laws over the four memory relations.
 
-Hypothesis instances come from the related-pair constructors: refinement
-pairs, extension pairs, and embedding scenarios.  Each relation law's
-check is its property alone; one gate per scenario family (``_Pair.given``
-for the pairs, ``_under`` for embedding scenarios) rebuilds the case's
-states and re-verifies the relation first.  A case whose hypothesis does
-not hold passes vacuously, except in the witness-construction laws
-(``built``), where a broken hypothesis means the constructor itself is
-wrong and is reported.
+Every relation answers ``holds(embedding, left state, right state)``.
+Refinement and extension are embeddings along ``relations.IDENTITY``,
+which maps every block to itself at delta 0 (Leroy & Blazy 2008; in
+CompCert, ``Mem.extends`` is equal ``nextblock`` plus ``mem_inj
+inject_id``).  A relation law's case is (tag, plan, *assignment), and its
+plan builds a scenario of a left run, a right run and an embedding: the
+pair memo's two runs along the identity, or an embedding scenario.  One
+gate, ``_under``, rebuilds the scenario and re-verifies the relation
+before the property ``prop(sc, *assignment)`` runs.  A case whose
+hypothesis does not hold passes vacuously, except in the
+witness-construction laws (``built``), where a broken hypothesis means
+the constructor itself is wrong and is reported.
 
 The existential laws (store_lessdef, store_mapped_emb, alloc_parallel_emb,
 alloc_list_alloc_inject, ...) build their witness explicitly, a rebuild of
@@ -17,13 +21,14 @@ witness before checking the relation on it.
 
 A law is assembled from a domain, whose plans come from a shared plan
 stream and enumerate as a fixed plan menu (``LESSDEF.cases(...)``,
-``_emb(...)``), and one check per property.  A property stated for
-several relations is written once and takes the relation as a
-parameter: ``LESSDEF`` and ``EXTENDS`` for the pair relations, ``EMB``,
-``EMB_APART``, ``INJECT`` and ``NO_OVERLAP`` for the embedding family
-(``_load_along(LESSDEF)``, ``_one_sided(INJECT, ...)``); an operation
-that comes in two forms, such as ``free``/``free_list``,
-``store``/``storev`` or ``load``/``loadv``, is a parameter too.
+``_emb(...)``), and one check per property.  A property is written once
+and takes the relation as a parameter: load transport, the witness
+store, the parallel store and the one-sided update serve both families
+(``_load_transport(LESSDEF, ...)``, ``_one_sided(INJECT, ...)``).  An
+operation that comes in two forms, such as ``free``/``free_list``,
+``store``/``storev`` or ``load``/``loadv``, is a parameter too.  Free and
+alloc stay per family: a pair law reports a right-side free that fails
+where ``free_parallel_emb`` passes vacuously, and their cases differ.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .. import cells, chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, Vptr, VUNDEF
 from . import generators
 from .domains import bind, branch, const, extend, ints, lists, pick, source, tuples
-from .generators import EmbPlan
+from .generators import EmbPlan, RunResult
 from .laws_base import (
     MEM_EXTENDS,
     MEM_INJECT,
@@ -136,39 +141,39 @@ EX_EMB_PLANS = (
 )
 
 
-# --- the pair relations: refinement and extension ------------------------------
+# --- relations and the gate ----------------------------------------------------
+
+
+class _PairScenario(NamedTuple):
+    """The scenario of a pair plan: its two runs, related along the
+    identity embedding."""
+
+    r1: RunResult
+    r2: RunResult
+    emb: object = relations.IDENTITY
+
+    @property
+    def m1(self):
+        return self.r1.state
+
+    @property
+    def m2(self):
+        return self.r2.state
 
 
 class _Pair(NamedTuple):
-    """A relation whose instances are one plan projected onto two states."""
+    """A relation whose instances are one plan projected onto two states,
+    related along ``IDENTITY``."""
 
     tag: str  # case tag, the plan kind
     noun: str  # "refinement" | "extension", for failure details
     adjective: str  # of the right-hand state: "refined" | "extended"
-    holds: Callable  # (left state, right state) -> bool
+    holds: Callable  # (embedding, left state, right state) -> bool
     build: Callable  # memoised plan -> (left run, right run)
     plans: object  # the domain of plans: the shared stream; enumerated, a menu
 
-    def states(self, plan):
-        r1, r2 = self.build(plan)
-        return r1.state, r2.state
-
-    def given(self, built=False):
-        """Decorator for a property ``prop(m1, m2, *assignment)`` of cases
-        (tag, plan, *assignment): it runs on the plan's states where they
-        are related.  Elsewhere the case passes vacuously or, for a
-        ``built`` (witness) law, is reported."""
-
-        def wrap(prop):
-            def check(case):
-                m1, m2 = self.states(case[1])
-                if not self.holds(m1, m2):
-                    return f"constructed pair fails the {self.noun} hypothesis" if built else None
-                return prop(m1, m2, *case[2:])
-
-            return check
-
-        return wrap
+    def scenario(self, plan) -> _PairScenario:
+        return _PairScenario(*self.build(plan))
 
     def cases(self, *tails):
         """Cases (tag, plan) + a tuple of each ``tail(left run, right
@@ -181,7 +186,7 @@ LESSDEF = _Pair(
     "lessdef",
     "refinement",
     "refined",
-    lambda m1, m2: relations.mem_lessdef(m1, m2),
+    lambda emb, m1, m2: relations.mem_lessdef(m1, m2),
     lessdef_pair_cached,
     source(generators.shared_lessdef_plan, EX_LESSDEF_PLANS),
 )
@@ -189,10 +194,186 @@ EXTENDS = _Pair(
     "extends",
     "extension",
     "extended",
-    lambda m1, m2: relations.mem_extends(m1, m2),
+    lambda emb, m1, m2: relations.mem_extends(m1, m2),
     extends_pair_cached,
     source(generators.shared_extends_plan, EX_EXTENDS_PLANS),
 )
+
+
+class _EmbRel(NamedTuple):
+    """A relation over (embedding, left state, right state) whose
+    instances are embedding scenarios.  The checkers are called through
+    ``relations`` so that a rebinding there (a seeded mutation, a tracing
+    wrapper) is seen."""
+
+    noun: str  # for failure details
+    holds: Callable
+    scenario: Callable = emb_scenario_cached  # plan -> scenario
+
+
+EMB = _EmbRel("embedding", lambda emb, m1, m2: relations.mem_emb(emb, m1, m2))
+# The embedding together with its no-overlap side condition.
+EMB_APART = _EmbRel(
+    "embedding",
+    lambda emb, m1, m2: relations.emb_no_overlap(emb, m1) and relations.mem_emb(emb, m1, m2),
+)
+INJECT = _EmbRel("injection", lambda emb, m1, m2: relations.mem_inject(emb, m1, m2))
+NO_OVERLAP = _EmbRel(
+    "no-overlap side condition", lambda emb, m1, m2: relations.emb_no_overlap(emb, m1)
+)
+
+
+def _under(rel, built=False):
+    """Decorator for a property ``prop(sc, *assignment)`` of cases (tag,
+    plan, *assignment): it runs on the plan's scenario where ``rel``
+    holds.  Elsewhere the case passes vacuously.  A ``built`` (witness)
+    law takes only the plans without overlap, which its constructor
+    promises to relate, and reports a scenario that fails ``rel``."""
+
+    def wrap(prop):
+        def check(case):
+            plan = case[1]
+            if built and isinstance(plan, EmbPlan) and plan.overlap:
+                return None
+            sc = rel.scenario(plan)
+            if not rel.holds(sc.emb, sc.m1, sc.m2):
+                return f"constructed scenario fails the {rel.noun} hypothesis" if built else None
+            return prop(sc, *case[2:])
+
+        return check
+
+    return wrap
+
+
+# --- properties of every relation ------------------------------------------------
+
+# Operations on one state: (state, *assignment) -> state after (for a load,
+# the value loaded), or None.
+
+
+def _do_alloc(m, low, high):
+    r = memstate.alloc(m, low, high)
+    return None if r is None else r[1]
+
+
+def _do_store(m, t, b, i, v):
+    return memstate.store(t, m, b, i, v)
+
+
+def _do_storev(m, t, b, i, v):
+    return memstate.storev(t, m, Vptr(b, i), v)
+
+
+def _do_free(m, b):
+    return memstate.free(m, b)
+
+
+def _do_free_list(m, bs):
+    return memstate.free_list(m, bs)
+
+
+def _do_alloc_list(m, reqs):
+    r = memstate.alloc_list(m, reqs)
+    return None if r is None else r[1]
+
+
+def _do_load(m, t, b, i):
+    return memstate.load(t, m, b, i)
+
+
+def _do_loadv(m, t, b, i):
+    return memstate.loadv(t, m, Vptr(b, i))
+
+
+def _load_transport(rel, op, what: str):
+    """A load through ``op`` at a mapped location and its relocated twin
+    give values related through the embedding."""
+
+    @_under(rel)
+    def check(sc, t, b1, i):
+        v1 = op(sc.m1, t, b1, i)
+        if v1 is None:
+            return None
+        b2, delta = sc.emb[b1]
+        if not relations.val_emb(sc.emb, Vptr(b1, i), Vptr(b2, i + delta)):
+            return "constructed addresses do not relate"
+        v2 = op(sc.m2, t, b2, i + delta)
+        if v2 is None:
+            return f"{what} failed on the relocated address"
+        if not relations.val_emb(sc.emb, v1, v2):
+            return f"{what}s do not relate through the {rel.noun}: {v1!r} vs {v2!r}"
+        return None
+
+    return check
+
+
+def _witness_store(rel, built=False):
+    """A store at a mapped location, related values stored, is answered at
+    its relocated twin by the contents-rebuild witness, which keeps
+    ``rel``."""
+
+    @_under(rel, built)
+    def check(sc, t, b1, i, v1, v2):
+        if not relations.val_emb(sc.emb, v1, v2):
+            return None
+        m1p = memstate.store(t, sc.m1, b1, i, v1)
+        if m1p is None:
+            return None
+        b2, delta = sc.emb[b1]
+        c2 = cells.store_contents(memstate.contents_of(sc.m2, b2), t, i + delta, v2)
+        witness = memstate.set_contents(sc.m2, b2, c2)
+        if memstate.store(t, sc.m2, b2, i + delta, v2) != witness:
+            return "relocated store is not the contents-rebuild witness"
+        if not rel.holds(sc.emb, m1p, witness):
+            return f"relocated store broke the {rel.noun}"
+        return None
+
+    return check
+
+
+def _parallel_store(rel, op, what: str):
+    """A store through ``op`` at a mapped location and its relocated twin,
+    related values stored, keep ``rel``."""
+
+    @_under(rel)
+    def check(sc, t, b1, i, v1, v2):
+        if not relations.val_emb(sc.emb, v1, v2):
+            return None
+        m1p = op(sc.m1, t, b1, i, v1)
+        if m1p is None:
+            return None
+        b2, delta = sc.emb[b1]
+        m2p = op(sc.m2, t, b2, i + delta, v2)
+        if m2p is None:
+            return f"{what} failed on the relocated address"
+        if not rel.holds(sc.emb, m1p, m2p):
+            return f"a {what} broke the {rel.noun}"
+        return None
+
+    return check
+
+
+def _one_sided(rel, side: str, op, what: str, applies=None):
+    """``rel`` survives ``op(m, *assignment)`` on one side, "left" or
+    "right"; ``applies(scenario, *assignment)`` is the law's own
+    hypothesis."""
+    left = side == "left"
+
+    @_under(rel)
+    def check(sc, *args):
+        if applies is not None and not applies(sc, *args):
+            return None
+        m = op(sc.m1 if left else sc.m2, *args)
+        if m is None:
+            return None
+        if not (rel.holds(sc.emb, m, sc.m2) if left else rel.holds(sc.emb, sc.m1, m)):
+            return f"{what} broke the {rel.noun}"
+        return None
+
+    return check
+
+
+# --- the pair relations: refinement and extension ------------------------------
 
 
 def _pair_access(rel: _Pair):
@@ -220,7 +401,7 @@ def _pair_free(rel: _Pair):
 def _refl(rel: _Pair):
     def check(case):
         m = state_of(case[1])
-        if not rel.holds(m, m):
+        if not rel.holds(relations.IDENTITY, m, m):
             return f"{rel.noun} is not reflexive on this state"
         return None
 
@@ -233,39 +414,24 @@ def _trans(rel: _Pair, triple):
 
     def check(case):
         m1, m2, m3 = triple(case)
-        if rel.holds(m1, m2) and rel.holds(m2, m3) and not rel.holds(m1, m3):
+        holds = lambda ma, mb: rel.holds(relations.IDENTITY, ma, mb)
+        if holds(m1, m2) and holds(m2, m3) and not holds(m1, m3):
             return f"{rel.noun} chain does not compose"
         return None
 
     return check
 
 
-def _load_along(rel: _Pair):
-    @rel.given()
-    def check(m1, m2, t, b, i):
-        v1 = memstate.load(t, m1, b, i)
-        if v1 is None:
-            return None
-        v2 = memstate.load(t, m2, b, i)
-        if v2 is None:
-            return f"{rel.adjective} state fails a load the original answers"
-        if not relations.val_lessdef(v1, v2):
-            return f"loads do not refine along the {rel.noun}: {v1!r} vs {v2!r}"
-        return None
-
-    return check
-
-
 def _free_along(rel: _Pair):
-    @rel.given()
-    def check(m1, m2, b):
-        r1 = memstate.free(m1, b)
+    @_under(rel)
+    def check(sc, b):
+        r1 = memstate.free(sc.m1, b)
         if r1 is None:
             return None
-        r2 = memstate.free(m2, b)
+        r2 = memstate.free(sc.m2, b)
         if r2 is None:
             return f"{rel.adjective} state fails a free the original allows"
-        if not rel.holds(r1, r2):
+        if not rel.holds(sc.emb, r1, r2):
             return f"parallel free broke the {rel.noun}"
         return None
 
@@ -277,17 +443,17 @@ def _alloc_along(rel: _Pair, requests):
     allocates (low, high) on the left and (low - dl, high + dh) on the
     right."""
 
-    @rel.given()
-    def check(m1, m2):
+    @_under(rel)
+    def check(sc):
         for low, high, dl, dh in requests:
-            r1 = memstate.alloc(m1, low, high)
-            r2 = memstate.alloc(m2, low - dl, high + dh)
+            r1 = memstate.alloc(sc.m1, low, high)
+            r2 = memstate.alloc(sc.m2, low - dl, high + dh)
             if (r1 is None) != (r2 is None):
                 return "parallel allocs disagree on success"
             if r1 is not None:
                 if r1[0] != r2[0]:
                     return "parallel allocs chose different blocks"
-                if not rel.holds(r1[1], r2[1]):
+                if not rel.holds(sc.emb, r1[1], r2[1]):
                     return f"parallel alloc broke the {rel.noun}"
         return None
 
@@ -347,31 +513,8 @@ deflaw(
     "loads transport along refinement",
     family="relation",
     domain=_pair_access(LESSDEF),
-    check=_load_along(LESSDEF),
+    check=_load_transport(LESSDEF, _do_load, "load"),
 )
-
-
-def _store_witness(m2, t, b, i, v):
-    return memstate.set_contents(
-        m2, b, cells.store_contents(memstate.contents_of(m2, b), t, i, v)
-    )
-
-
-@LESSDEF.given(built=True)
-def _ck_store_lessdef(m1, m2, t, b, i, v1, v2):
-    if not relations.val_lessdef(v1, v2):
-        return None
-    m1p = memstate.store(t, m1, b, i, v1)
-    if m1p is None:
-        return None
-    witness = _store_witness(m2, t, b, i, v2)
-    actual = memstate.store(t, m2, b, i, v2)
-    if actual != witness:
-        return "store on the refined state is not the contents-rebuild witness"
-    if not relations.mem_lessdef(m1p, witness):
-        return "constructed witness does not preserve refinement"
-    return None
-
 
 deflaw(
     "store_lessdef",
@@ -379,7 +522,7 @@ deflaw(
     "a refined store admits the contents-rebuild witness",
     family="relation",
     domain=_pair_store(LESSDEF, (Vint(4), VUNDEF)),
-    check=_ck_store_lessdef,
+    check=_witness_store(LESSDEF, built=True),
 )
 
 deflaw(
@@ -407,8 +550,8 @@ deflaw(
 
 def _extends3_states(case):
     _, plan, widenings = case
-    m1, m2 = EXTENDS.states(plan)
-    return m1, m2, EXTENDS.states(widen_plan(plan, widenings))[1]
+    sc = EXTENDS.scenario(plan)
+    return sc.m1, sc.m2, EXTENDS.scenario(widen_plan(plan, widenings)).m2
 
 
 # Three more widenings of the right side, one per alloc of the plan; each
@@ -440,24 +583,8 @@ deflaw(
     "loads transport along extension",
     family="relation",
     domain=_pair_access(EXTENDS),
-    check=_load_along(EXTENDS),
+    check=_load_transport(EXTENDS, _do_load, "load"),
 )
-
-
-@EXTENDS.given()
-def _ck_store_within_extends(m1, m2, t, b, i, v1, v2):
-    if not relations.val_lessdef(v1, v2):
-        return None
-    m1p = memstate.store(t, m1, b, i, v1)
-    if m1p is None:
-        return None
-    m2p = memstate.store(t, m2, b, i, v2)
-    if m2p is None:
-        return "extended state rejects a store inside the original bounds"
-    if not relations.mem_extends(m1p, m2p):
-        return "in-bounds store broke extension"
-    return None
-
 
 deflaw(
     "store_within_extends",
@@ -465,7 +592,7 @@ deflaw(
     "a store inside the original bounds preserves extension",
     family="relation",
     domain=_pair_store(EXTENDS, (Vint(4),)),
-    check=_ck_store_within_extends,
+    check=_parallel_store(EXTENDS, _do_store, "store inside the original bounds"),
 )
 
 
@@ -481,17 +608,9 @@ def _margin_slots(r1, r2, limit=3):
     return out
 
 
-@EXTENDS.given()
-def _ck_store_outside_extends(m1, m2, t, b, i, v):
-    l1, h1 = memstate.bounds(m1, b)
-    if not (i + chunks.size_chunk(t) <= l1 or i >= h1):
-        return None
-    m2p = memstate.store(t, m2, b, i, v)
-    if m2p is None:
-        return None
-    if not relations.mem_extends(m1, m2p):
-        return "a store outside the original bounds broke extension"
-    return None
+def _outside_left_bounds(sc, t, b, i, v):
+    l1, h1 = memstate.bounds(sc.m1, b)
+    return i + chunks.size_chunk(t) <= l1 or i >= h1
 
 
 deflaw(
@@ -503,7 +622,9 @@ deflaw(
         lambda r1, r2: pick(_margin_slots(r1, r2)),
         lambda r1, r2: tuples(_value((), (Vint(13),))),
     ),
-    check=_ck_store_outside_extends,
+    check=_one_sided(
+        EXTENDS, "right", _do_store, "a store outside the original bounds", _outside_left_bounds
+    ),
 )
 
 deflaw(
@@ -517,49 +638,6 @@ deflaw(
 
 
 # --- the embedding family ------------------------------------------------------
-
-
-class _EmbRel(NamedTuple):
-    """A relation over (embedding, left state, right state).  The checkers
-    are called through ``relations`` so that a rebinding there (a seeded
-    mutation, a tracing wrapper) is seen."""
-
-    noun: str  # for failure details
-    holds: Callable
-
-
-EMB = _EmbRel("embedding", lambda emb, m1, m2: relations.mem_emb(emb, m1, m2))
-# The embedding together with its no-overlap side condition.
-EMB_APART = _EmbRel(
-    "embedding",
-    lambda emb, m1, m2: relations.emb_no_overlap(emb, m1) and relations.mem_emb(emb, m1, m2),
-)
-INJECT = _EmbRel("injection", lambda emb, m1, m2: relations.mem_inject(emb, m1, m2))
-NO_OVERLAP = _EmbRel(
-    "no-overlap side condition", lambda emb, m1, m2: relations.emb_no_overlap(emb, m1)
-)
-
-
-def _under(rel: _EmbRel, built=False):
-    """Decorator for a property ``prop(sc, *assignment)`` of cases ("emb",
-    plan, *assignment): it runs on the plan's scenario where ``rel``
-    holds.  Elsewhere the case passes vacuously.  A ``built`` (witness)
-    law takes only the plans without overlap, which its constructor
-    promises to relate, and reports a scenario that fails ``rel``."""
-
-    def wrap(prop):
-        def check(case):
-            plan = case[1]
-            if built and plan.overlap:
-                return None
-            sc = emb_scenario_cached(plan)
-            if not rel.holds(sc.emb, sc.m1, sc.m2):
-                return f"constructed scenario fails the {rel.noun} hypothesis" if built else None
-            return prop(sc, *case[2:])
-
-        return check
-
-    return wrap
 
 
 def _mapped_sources(sc, mapped: bool = True):
@@ -641,64 +719,6 @@ def _subset(items):
 
 
 _EMB_FREE_LIST = _emb(lambda sc: tuples(_subset(sc.r1.live)))
-
-
-# Operations on one state: (state, *assignment) -> state after (for a load,
-# the value loaded), or None.
-
-
-def _do_alloc(m, low, high):
-    r = memstate.alloc(m, low, high)
-    return None if r is None else r[1]
-
-
-def _do_store(m, t, b, i, v):
-    return memstate.store(t, m, b, i, v)
-
-
-def _do_storev(m, t, b, i, v):
-    return memstate.storev(t, m, Vptr(b, i), v)
-
-
-def _do_free(m, b):
-    return memstate.free(m, b)
-
-
-def _do_free_list(m, bs):
-    return memstate.free_list(m, bs)
-
-
-def _do_alloc_list(m, reqs):
-    r = memstate.alloc_list(m, reqs)
-    return None if r is None else r[1]
-
-
-def _do_load(m, t, b, i):
-    return memstate.load(t, m, b, i)
-
-
-def _do_loadv(m, t, b, i):
-    return memstate.loadv(t, m, Vptr(b, i))
-
-
-def _one_sided(rel: _EmbRel, side: str, op, what: str, applies=None):
-    """``rel`` survives ``op(m, *assignment)`` on one side, "left" or
-    "right"; ``applies(scenario, *assignment)`` is the law's own
-    hypothesis."""
-    left = side == "left"
-
-    @_under(rel)
-    def check(sc, *args):
-        if applies is not None and not applies(sc, *args):
-            return None
-        m = op(sc.m1 if left else sc.m2, *args)
-        if m is None:
-            return None
-        if not (rel.holds(sc.emb, m, sc.m2) if left else rel.holds(sc.emb, sc.m1, m)):
-            return f"{what} broke the {rel.noun}"
-        return None
-
-    return check
 
 
 # The one-sided laws' own hypotheses on their target block.
@@ -853,30 +873,13 @@ _STORE_MAPPED = _emb(
 )
 
 
-@_under(EMB_APART)
-def _ck_store_mapped_emb(sc, t, b1, i, v1, v2):
-    if not relations.val_emb(sc.emb, v1, v2):
-        return None
-    m1p = memstate.store(t, sc.m1, b1, i, v1)
-    if m1p is None:
-        return None
-    b2, delta = sc.emb[b1]
-    witness = _store_witness(sc.m2, t, b2, i + delta, v2)
-    actual = memstate.store(t, sc.m2, b2, i + delta, v2)
-    if actual != witness:
-        return "relocated store is not the contents-rebuild witness"
-    if not relations.mem_emb(sc.emb, m1p, witness):
-        return "relocated store broke the embedding"
-    return None
-
-
 deflaw(
     "store_mapped_emb",
     REL_MEM,
     "a store relocates through a non-overlapping embedding",
     family="relation",
     domain=_STORE_MAPPED,
-    check=_ck_store_mapped_emb,
+    check=_witness_store(EMB_APART),
 )
 
 _STORE_UNMAPPED = _emb(
@@ -1023,58 +1026,14 @@ deflaw(
 # --- injections (Mem_Inject) -----------------------------------------------------------
 
 
-def _mapped_load_inject(op, what: str):
-    """A load through ``op`` at a mapped location and its relocated twin
-    give values related through the injection."""
-
-    @_under(INJECT)
-    def check(sc, t, b1, i):
-        v1 = op(sc.m1, t, b1, i)
-        if v1 is None:
-            return None
-        b2, delta = sc.emb[b1]
-        if not relations.val_emb(sc.emb, Vptr(b1, i), Vptr(b2, i + delta)):
-            return "constructed addresses do not relate"
-        v2 = op(sc.m2, t, b2, i + delta)
-        if v2 is None:
-            return f"{what} failed on the relocated address"
-        if not relations.val_emb(sc.emb, v1, v2):
-            return f"{what}s do not relate through the injection: {v1!r} vs {v2!r}"
-        return None
-
-    return check
-
-
 deflaw(
     "load_inject",
     MEM_INJECT,
     "loads transport along an injection",
     family="relation",
     domain=_EMB_ACCESS,
-    check=_mapped_load_inject(_do_load, "load"),
+    check=_load_transport(INJECT, _do_load, "load"),
 )
-
-
-def _mapped_store_inject(op, what: str):
-    """A store through ``op`` at a mapped location and its relocated twin
-    keep the injection."""
-
-    @_under(INJECT)
-    def check(sc, t, b1, i, v1, v2):
-        if not relations.val_emb(sc.emb, v1, v2):
-            return None
-        m1p = op(sc.m1, t, b1, i, v1)
-        if m1p is None:
-            return None
-        b2, delta = sc.emb[b1]
-        m2p = op(sc.m2, t, b2, i + delta, v2)
-        if m2p is None:
-            return f"{what} failed on the relocated address"
-        if not relations.mem_inject(sc.emb, m1p, m2p):
-            return f"a {what} broke the injection"
-        return None
-
-    return check
 
 
 deflaw(
@@ -1083,7 +1042,7 @@ deflaw(
     "mapped stores preserve the injection",
     family="relation",
     domain=_STORE_MAPPED,
-    check=_mapped_store_inject(_do_store, "mapped store"),
+    check=_parallel_store(INJECT, _do_store, "mapped store"),
 )
 
 deflaw(
@@ -1101,7 +1060,7 @@ deflaw(
     "value-addressed loads transport along an injection",
     family="relation",
     domain=_EMB_ACCESS,
-    check=_mapped_load_inject(_do_loadv, "value-addressed load"),
+    check=_load_transport(INJECT, _do_loadv, "value-addressed load"),
 )
 
 deflaw(
@@ -1110,7 +1069,7 @@ deflaw(
     "value-addressed stores preserve the injection",
     family="relation",
     domain=_STORE_MAPPED,
-    check=_mapped_store_inject(_do_storev, "value-addressed store"),
+    check=_parallel_store(INJECT, _do_storev, "value-addressed store"),
 )
 
 deflaw(

@@ -1020,8 +1020,7 @@ deflaw(
 
 @_after("alloc")
 def _ck_alloc_result_valid_pointer(case, m, m2, b):
-    _, _, low, high = case
-    for t, i in relations._access_list(low, high, True):
+    for t, i in relations.valid_accesses(m2, b):
         if not memstate.valid_access(m2, t, b, i):
             return f"in-bounds aligned access ({t.token}, {i}) invalid in fresh block"
     return None

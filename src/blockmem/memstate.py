@@ -18,8 +18,8 @@ sits in two persistent vectors indexed by ``b - 1`` (see ``pvec``):
 O(log32 n), and sharing the rest with the state it came from.
 
 Code outside this module reads states through ``nextblock`` and the
-functions here: ``valid_block``, ``bounds``, ``live_blocks`` (one in-order
-walk over the valid blocks), ``contents_of`` and ``freed_blocks``.
+functions here: ``valid_block``, ``bounds``, ``slot``, ``live_blocks`` (one
+in-order walk over the valid blocks), ``contents_of`` and ``freed_blocks``.
 ``set_contents`` and ``set_block`` rewrite one slot unchecked, for
 witness states and seeded bugs.
 """
@@ -192,6 +192,11 @@ def live_blocks(m: MemState):
     for b, (low, high, live), c in zip(count(1), m.blocks, m.contents):
         if live:
             yield b, low, high, c
+
+
+def slot(m: MemState, b: int) -> tuple[int, int, bool]:
+    """``(low, high, live)`` of the issued id ``b``."""
+    return m.blocks.get(b - 1)
 
 
 def contents_of(m: MemState, b: int) -> BlockContents:

@@ -42,6 +42,24 @@ from .memstate import MemState
 # Finite map block -> (target block, delta); absent keys are unmapped.
 Embedding = dict
 
+
+class _Identity:
+    """The embedding that maps every block to itself at delta 0.  Along
+    it ``val_emb`` is ``val_lessdef``, so refinement and extension are
+    embeddings (Leroy & Blazy, JAR 2008)."""
+
+    def __getitem__(self, b: int) -> tuple[int, int]:
+        return b, 0
+
+    def get(self, b: int, default=None) -> tuple[int, int]:
+        return b, 0
+
+    def __contains__(self, b: int) -> bool:
+        return True
+
+
+IDENTITY = _Identity()
+
 DELTA_ALIGNMENT = 8
 
 
@@ -363,14 +381,14 @@ def holds_after_step(
         return False
     realign = _realign(m1, m2)
     for b in {*changed1, *changed2}:
-        slot = m1.blocks.get(b - 1)
+        slot = memstate.slot(m1, b)
         low, high, live = slot
-        c1 = m1.contents.get(b - 1)
+        c1 = memstate.contents_of(m1, b)
         if relation == "lessdef":
             # Equal slots, freed or not; a valid block also refines.
-            if slot != m2.blocks.get(b - 1):
+            if slot != memstate.slot(m2, b):
                 return False
-            if live and not _refines(low, high, c1, m2.contents.get(b - 1), aligned, realign):
+            if live and not _refines(low, high, c1, memstate.contents_of(m2, b), aligned, realign):
                 return False
         elif live and not _extends_block(b, low, high, c1, m2, aligned, realign):
             return False

@@ -10,7 +10,7 @@ import pytest
 
 import blockmem
 from blockmem.cli import main
-from blockmem.lawcheck import runner
+from blockmem.lawcheck import mutations, registry, runner
 
 FIG = "alloc 0 8 -> $a\nstore int32 $a 0 (int 42)\nload int32 $a 0 => (int 42)\nfree $a\n"
 
@@ -200,6 +200,47 @@ def test_laws_config_null_seed_means_default(tmp_path, capsys):
     capsys.readouterr()
     header = json.loads(report.read_text().splitlines()[0])
     assert header["seed"] == 42 and header["random_cases"] == 1
+
+
+def _stand_in_suite(monkeypatch, *results):
+    """Replace ``run_suite`` by one that records its config and returns
+    ``results``, every other law passing with no cases run."""
+    given = {r.name: r for r in results}
+    configs = []
+
+    def run_suite(cfg):
+        configs.append(cfg)
+        passed = lambda law: runner.LawResult(law.name, law.module, law.groups, law.about, 0, 0)
+        out = [given.get(name) or passed(law) for name, law in registry.LAWS.items()]
+        return runner.SuiteResult(cfg, out, 0.0)
+
+    monkeypatch.setattr(runner, "run_suite", run_suite)
+    return configs
+
+
+def test_laws_config_random_cases_apply_without_the_flag(tmp_path, monkeypatch, capsys):
+    configs = _stand_in_suite(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"random_cases": 3}))
+    assert main(["laws", "--config", str(cfg)]) == 0
+    assert main(["laws", "--config", str(cfg), "--cases", "1"]) == 0
+    assert [c.random_cases for c in configs] == [3, 1]
+
+
+def test_laws_failure_exits_1_and_prints_the_counterexample(monkeypatch, capsys):
+    with mutations.applied("alignment-check-dropped"):
+        failing = runner.run_law(registry.law("aligned_dec"), runner.SuiteConfig(random_cases=0))
+    (v,) = failing.violations
+    _stand_in_suite(monkeypatch, failing)
+    assert main(["laws"]) == 1
+    out = capsys.readouterr().out
+    pad = "\n          "
+    assert "FAIL  aligned_dec  [" in out
+    assert f"      violation: {v.detail}\n" in out
+    assert f"      scenario:{pad}{pad.join(v.scenario.splitlines())}\n" in out
+    assert f"      assignment:{pad}{v.assignment}\n" in out
+    n = len(registry.LAWS)
+    assert f"{n} laws, {n - 1} passed, 1 failed" in out and "\nfailed: aligned_dec\n" in out
 
 
 @pytest.mark.parametrize("what", ["trace", "config", "relocation map", "binary trace"])

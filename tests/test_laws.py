@@ -163,12 +163,18 @@ def _rendered_sides(scenario: str) -> dict:
 
 
 def test_chain_cases_render_as_replayable_traces():
-    """A case of a transitivity law renders one trace per state of its
-    chain, and each trace parses and runs to its end."""
-    for name in ("mem_lessdef_trans", "mem_extends_trans"):
+    """A case of a pair or transitivity law renders one trace per state of
+    its pair or chain, and each trace parses and runs to its end."""
+    chain, pair = ["left", "middle", "right"], ["left", "right"]
+    for name, names in (
+        ("mem_lessdef_trans", chain),
+        ("mem_extends_trans", chain),
+        ("load_lessdef", pair),
+        ("load_extends", pair),
+    ):
         for case in registry.law(name).exhaustive():
             sides = _rendered_sides(render_case(case)["scenario"])
-            assert list(sides) == ["left", "middle", "right"]
+            assert list(sides) == names
             for text in sides.values():
                 report = exec_trace(parse_trace(text))
                 assert report.ok, (name, case, text)

@@ -166,6 +166,9 @@ def test_alloc_list():
     b, m1 = head
     rest = alloc_list(m1, [(0, 4)])
     assert alloc_list(empty(), [(0, 4), (0, 4)]) == ([b] + rest[0], rest[1])
+    # a request the capacity rejects fails the whole list
+    capped = empty(MemConfig(capacity=CapacityPolicy(8)))
+    assert alloc_list(capped, [(0, 4), (0, 8)]) is None
 
 
 def test_loadv_storev():

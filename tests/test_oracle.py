@@ -1,5 +1,6 @@
 """The naive twin: independent conversion and differential execution."""
 
+import math
 import struct
 
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,9 @@ CURATED = [
     0.1,
     -2.75,
     3.4028234663852886e38,  # float32 max
+    3.4028235677973366e38,  # rounds up past float32 max: infinity
+    0.9999999999999999,  # the mantissa carries into the next binade
+    math.nextafter(2**-126, 0),  # just below the smallest normal: rounds up to it
     3.5e38,
     1e39,
     -1e39,

@@ -70,6 +70,19 @@ def _two_states():
     return b, m, m1, m2
 
 
+def test_identity_embedding_relates_values_as_refinement():
+    """The premise of relating pairs along IDENTITY: it maps every block
+    to itself at delta 0, and along it val_emb is val_lessdef."""
+    ident = relations.IDENTITY
+    for b in (0, 1, 2, 9, 10**6):
+        assert ident[b] == ident.get(b) == (b, 0) and b in ident
+    values = [VUNDEF, Vint(0), Vint(5), Vint(-7), Vfloat.from_float(0.0), Vfloat.from_float(1.5)]
+    values += [Vptr(b, i) for b in (1, 2, 10**6) for i in (-4, 0, 8)]
+    for v1 in values:
+        for v2 in values:
+            assert val_emb(ident, v1, v2) == val_lessdef(v1, v2), (v1, v2)
+
+
 def test_mem_lessdef_examples():
     b, m, m1, m2 = _two_states()
     assert mem_lessdef(m, m)

@@ -620,6 +620,10 @@ def test_relate_lessdef_and_inject():
     tu = parse_trace("alloc 0 8 -> $x")
     assert relate(tu, t2, "lessdef").ok
     assert not relate(t2, tu, "lessdef").ok
+    # a trace whose assertion fails relates nothing
+    bad = parse_trace("alloc 0 8 -> $y\nload int32 $y 0 => (int 1)")
+    r = relate(t1, bad, "lessdef")
+    assert not r.ok and r.message.startswith("right trace failed at line 2:")
 
 
 def test_relate_uses_trace_emb_section():
