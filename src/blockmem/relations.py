@@ -18,22 +18,25 @@ An embedding is a partial relocation map ``block -> (target block, byte
 delta)``; absent keys are unmapped.  Deltas of an injection must be
 multiples of 8 so that relocation preserves every chunk's alignment.
 
-Each relation is a global condition plus one per-block condition, written
-once: for lessdef, equal ``(low, high, live)`` slots and ``_refines``; for
-extends, ``_extends_block``; for load transport, ``_emb_block``.  The
-whole-state checkers apply the per-block condition to every valid block.
-An operation changes one block and leaves the condition of every other
-block as it was, so ``holds_after_step`` decides a relation after a step
-from the blocks the step changed.  Its answer is the whole-state
-checker's, given that the relation held before the step.  Its work is
-proportional to the changed blocks, plus, for an injection, the left
-blocks mapped onto a changed right block, not to the size of the states.
-Stepwise ``trace.relate`` uses it after its first statement pair.
+Each relation is a domain condition plus one per-block condition, load
+transport (``_emb_block``), along the relation's embedding.  Refinement is
+``same_domain`` and transport along ``IDENTITY``.  Extension is an equal
+``nextblock``, every valid left block valid and contained on the right
+(empty spans too, which transport skips), and transport along
+``IDENTITY``.  An injection is deltas that are multiples of 8, images that
+do not overlap, and transport along its map.  An operation changes one
+block and leaves the condition of every other block as it was, so
+``holds_after_step`` decides a relation after a step from the blocks the
+step changed.  Its answer is the whole-state checker's, given that the
+relation held before the step.  Its work is proportional to the changed
+blocks, plus, for an injection, the left blocks mapped onto a changed
+right block, not to the size of the states.  Stepwise ``trace.relate``
+uses it after its first statement pair.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import cells, chunks, memstate
 from .chunks import ALL_CHUNKS, COMPAT_CHUNKS, Chunk, Value, Vptr, VUNDEF
@@ -185,37 +188,6 @@ def _relocation_aligned(low: int, high: int, aligned: bool, delta: int) -> bool:
     return True
 
 
-def _refines(low: int, high: int, c1, c2, aligned: bool, realign: bool) -> bool:
-    """The lessdef/extends condition on one valid block of the left state,
-    with bounds ``[low, high)`` and cells ``c1``, against the cells ``c2``
-    at the same id on the right: its accesses stay aligned (``realign``:
-    the right state checks alignment and the left one does not), and every
-    defined load of ``c1`` is refined by the load of ``c2`` at the same
-    location."""
-    if realign and not _relocation_aligned(low, high, False, 0):
-        return False
-    if c1 is c2 or c1 == c2:
-        return True
-    for t, ofs, v1 in _defined_loads(c1, low, high, aligned):
-        if v1 != cells.load_contents(t, c2, ofs):
-            return False
-    return True
-
-
-def _extends_block(
-    b: int, low1: int, high1: int, c1, m2: MemState, aligned: bool, realign: bool
-) -> bool:
-    """The extends condition on one valid block ``b`` of the left state,
-    with bounds ``[low1, high1)`` and cells ``c1``: ``b`` is valid in ``m2``
-    with containing bounds, and ``_refines``."""
-    if not memstate.valid_block(m2, b):
-        return False
-    low2, high2 = memstate.bounds(m2, b)
-    if not (low2 <= low1 and high1 <= high2):
-        return False
-    return _refines(low1, high1, c1, memstate.contents_of(m2, b), aligned, realign)
-
-
 def _emb_block(
     emb: Embedding, b1: int, low1: int, high1: int, c1, m2: MemState, aligned: bool
 ) -> bool:
@@ -223,7 +195,8 @@ def _emb_block(
     state, with bounds ``[low1, high1)`` and cells ``c1``: when it is mapped
     and its span is not empty, the target is valid in ``m2`` with
     containing bounds, the relocated accesses are aligned if ``m2`` checks
-    alignment, and the loads relate by ``val_emb``."""
+    alignment, and the loads relate by ``val_emb``.  Along ``IDENTITY``
+    equal cell maps relate at once, since ``val_lessdef`` is reflexive."""
     target = emb.get(b1)
     if target is None or high1 <= low1:
         return True
@@ -236,46 +209,58 @@ def _emb_block(
     if m2.config.check_alignment and not _relocation_aligned(low1, high1, aligned, delta):
         return False
     c2 = memstate.contents_of(m2, b2)
+    if emb is IDENTITY and (c1 is c2 or c1 == c2):
+        return True
     for t, ofs, v1 in _defined_loads(c1, low1, high1, aligned):
         if not val_emb(emb, v1, cells.load_contents(t, c2, ofs + delta)):
             return False
     return True
 
 
-def _realign(m1: MemState, m2: MemState) -> bool:
-    """Equal bounds admit the same accesses, except that a left state that
-    checks no alignment allows offsets an aligning right state rejects."""
-    return m2.config.check_alignment and not m1.config.check_alignment
+def _transports(emb: Embedding, m1: MemState, m2: MemState) -> bool:
+    """``_emb_block`` on every valid block of ``m1``: ``mem_emb``'s walk.
+    Refinement and extension call it, not the public name, so rebinding
+    ``mem_emb`` leaves them alone."""
+    aligned = m1.config.check_alignment
+    for b1, low1, high1, c1 in memstate.live_blocks(m1):
+        if not _emb_block(emb, b1, low1, high1, c1, m2, aligned):
+            return False
+    return True
+
+
+def _same_slot(m1: MemState, m2: MemState, b: int) -> bool:
+    """Refinement's domain condition on the issued id ``b``: equal
+    ``(low, high, live)`` slots, freed or not."""
+    return memstate.slot(m1, b) == memstate.slot(m2, b)
+
+
+def _contained(m1: MemState, m2: MemState, b: int) -> bool:
+    """Extension's domain condition on the id ``b``: when ``b`` is valid in
+    ``m1``, it is valid in ``m2`` with containing bounds.  This binds
+    empty-span blocks too, which load transport skips."""
+    if not memstate.valid_block(m1, b):
+        return True
+    low1, high1 = memstate.bounds(m1, b)
+    low2, high2 = memstate.bounds(m2, b)
+    return memstate.valid_block(m2, b) and low2 <= low1 and high1 <= high2
 
 
 def mem_lessdef(m1: MemState, m2: MemState) -> bool:
     """Pointwise refinement: same domain, and every valid load of ``m1`` is
-    refined by the load of ``m2`` at the same location."""
-    if not memstate.same_domain(m1, m2):
-        return False
-    aligned = m1.config.check_alignment
-    realign = _realign(m1, m2)
-    # The same domain has the same valid blocks, so the walks stay in step.
-    for (_, low, high, c1), (_, _, _, c2) in zip(
-        memstate.live_blocks(m1), memstate.live_blocks(m2)
-    ):
-        if not _refines(low, high, c1, c2, aligned, realign):
-            return False
-    return True
+    refined by the load of ``m2`` at the same location (load transport
+    along ``IDENTITY``)."""
+    return memstate.same_domain(m1, m2) and _transports(IDENTITY, m1, m2)
 
 
 def mem_extends(m1: MemState, m2: MemState) -> bool:
     """Memory extension: same next block, every block valid in ``m1`` is
     valid in ``m2`` with containing bounds, and loads are preserved up to
-    refinement at the same locations."""
-    if m1.nextblock != m2.nextblock:
-        return False
-    aligned = m1.config.check_alignment
-    realign = _realign(m1, m2)
-    for b, low1, high1, c1 in memstate.live_blocks(m1):
-        if not _extends_block(b, low1, high1, c1, m2, aligned, realign):
-            return False
-    return True
+    refinement at the same locations (load transport along ``IDENTITY``)."""
+    return (
+        m1.nextblock == m2.nextblock
+        and all(_contained(m1, m2, b) for b, _, _, _ in memstate.live_blocks(m1))
+        and _transports(IDENTITY, m1, m2)
+    )
 
 
 def mem_emb(emb: Embedding, m1: MemState, m2: MemState) -> bool:
@@ -290,11 +275,7 @@ def mem_emb(emb: Embedding, m1: MemState, m2: MemState) -> bool:
     within its bounds; alignment is then checked chunk by chunk in closed
     form when ``m2`` checks alignment.  Blocks with empty spans have no
     accesses and are skipped."""
-    aligned = m1.config.check_alignment
-    for b1, low1, high1, c1 in memstate.live_blocks(m1):
-        if not _emb_block(emb, b1, low1, high1, c1, m2, aligned):
-            return False
-    return True
+    return _transports(emb, m1, m2)
 
 
 def mem_inject(emb: Embedding, m1: MemState, m2: MemState) -> bool:
@@ -321,10 +302,11 @@ def sources_by_target(emb: Embedding) -> dict[int, tuple[int, ...]]:
 
 
 def _no_new_overlap(emb: Embedding, sources: dict, m1: MemState, b: int) -> bool:
-    """Whether the valid block ``b`` of ``m1`` relocates clear of the image
-    of every other valid source of its target."""
+    """An injection's domain condition on the id ``b``: when ``b`` is valid
+    in ``m1``, it relocates clear of the image of every other valid source
+    of its target."""
     target = emb.get(b)
-    if target is None:
+    if target is None or not memstate.valid_block(m1, b):
         return True
     low, high = memstate.bounds(m1, b)
     if low >= high:
@@ -355,41 +337,33 @@ def holds_after_step(
     the left and ``changed2`` on the right (an alloc changes its new id, a
     store or free its block).  The answer equals the whole-state checker's.
 
-    Every other block carries its condition over, so only the changed ones
-    are checked, plus, for an injection, the left blocks that
-    ``sources = sources_by_target(emb)`` maps onto a changed right block.
-    The deltas of ``emb`` depend on no state and held before; a changed
-    left block is checked for overlap against the other sources of its
-    target only.  The work is proportional to those blocks, not to the
-    size of the states."""
-    aligned = m1.config.check_alignment
+    Every other block carries its condition over.  Each changed left block
+    is checked for its domain condition: an equal slot, containment, or,
+    for an injection, no overlap with the other sources of its target.
+    Then load transport is checked on the changed left blocks and on the
+    left blocks mapped onto a changed right block: ``sources =
+    sources_by_target(emb)`` for an injection, the block itself along
+    ``IDENTITY``.  An injection's deltas depend on no state and held
+    before.  The work is proportional to those blocks, not to the size of
+    the states."""
     if relation == "inject":
-        blocks = set()
-        for b in changed1:
-            if memstate.valid_block(m1, b):
-                if not _no_new_overlap(emb, sources, m1, b):
-                    return False
-                blocks.add(b)
-        for tb in changed2:
-            blocks.update(b for b in sources.get(tb, ()) if memstate.valid_block(m1, b))
-        for b in blocks:
+        domain = partial(_no_new_overlap, emb, sources, m1)
+        blocks = {*changed1, *(b for tb in changed2 for b in sources.get(tb, ()))}
+    else:
+        if m1.nextblock != m2.nextblock:
+            return False
+        # Along the identity a changed right block is its own only source,
+        # and the domain condition reads both states.
+        emb = IDENTITY
+        changed1 = blocks = {*changed1, *changed2}
+        domain = partial(_same_slot if relation == "lessdef" else _contained, m1, m2)
+    for b in changed1:
+        if not domain(b):
+            return False
+    aligned = m1.config.check_alignment
+    for b in blocks:
+        if memstate.valid_block(m1, b):
             low, high = memstate.bounds(m1, b)
             if not _emb_block(emb, b, low, high, memstate.contents_of(m1, b), m2, aligned):
                 return False
-        return True
-    if m1.nextblock != m2.nextblock:
-        return False
-    realign = _realign(m1, m2)
-    for b in {*changed1, *changed2}:
-        slot = memstate.slot(m1, b)
-        low, high, live = slot
-        c1 = memstate.contents_of(m1, b)
-        if relation == "lessdef":
-            # Equal slots, freed or not; a valid block also refines.
-            if slot != memstate.slot(m2, b):
-                return False
-            if live and not _refines(low, high, c1, memstate.contents_of(m2, b), aligned, realign):
-                return False
-        elif live and not _extends_block(b, low, high, c1, m2, aligned, realign):
-            return False
     return True

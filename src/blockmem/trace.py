@@ -803,9 +803,14 @@ def relate(
     proportional to those blocks, not to the size of the states.
 
     Without ``emb``, an injection uses the traces' ``[emb]`` sections;
-    ``ValueError`` when neither has one or their two maps differ."""
+    ``ValueError`` when neither has one or their two maps differ, and when
+    ``emb`` is given for a relation along the identity."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
+    if relation != "inject" and emb is not None:
+        raise ValueError(
+            f"{relation} relates each block to itself; a relocation map is for inject"
+        )
     if relation == "inject" and emb is None:
         maps = [{b: (tb, d) for b, tb, d in t.emb} for t in (trace1, trace2) if t.emb is not None]
         if not maps:

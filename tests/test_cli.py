@@ -69,6 +69,20 @@ RUN_VERBOSE = {
         "ok   line 4: stored at (1, 0)\n"
         "ok: 3 statements, 1 live blocks, next block 2\n"
     ),
+    "widen_left.trace": (
+        "ok   line 2: $x = block 1\n"
+        "ok   line 3: stored at (1, 0)\n"
+        "ok   line 4: block 1 is valid\n"
+        "ok   line 5: block 1 is valid\n"
+        "ok: 4 statements, 1 live blocks, next block 2\n"
+    ),
+    "widen_right.trace": (
+        "ok   line 3: $x = block 1\n"
+        "ok   line 4: stored at (1, 0)\n"
+        "ok   line 5: stored at (1, 4)\n"
+        "ok   line 6: stored at (1, -8)\n"
+        "ok: 4 statements, 1 live blocks, next block 2\n"
+    ),
 }
 
 
@@ -331,6 +345,16 @@ def test_shipped_traces(capsys):
         )
         == 0
     )
+    # The right trace widens the left one's block and stores into the
+    # margin: an extension, but no refinement, and not the converse.
+    widen = [str(root / "widen_left.trace"), str(root / "widen_right.trace")]
+    for traces, relation, flags, code in [
+        (widen, "extends", [], 0),
+        (widen, "extends", ["--stepwise"], 0),
+        (widen, "lessdef", [], 1),
+        (widen[::-1], "extends", [], 1),
+    ]:
+        assert main(["relate", *traces, "--relation", relation, *flags]) == code
     capsys.readouterr()
 
 
@@ -366,6 +390,17 @@ def test_relate_rejects_two_different_emb_sections(tmp_path, capsys):
     assert "different [emb] sections" in capsys.readouterr().err
     t2.write_text("alloc 8 16 -> $y\n[emb]\n1 -> 1 + 8\n")
     assert main(["relate", str(t1), str(t2), "--relation", "inject"]) == 0
+
+
+@pytest.mark.parametrize("relation", ["lessdef", "extends"])
+def test_relate_rejects_a_map_outside_inject(relation, tmp_path, capsys):
+    t = tmp_path / "a.trace"
+    t.write_text("alloc 0 8 -> $x\n")
+    emb = tmp_path / "map.emb"
+    emb.write_text("1 -> 1 + 0\n")
+    assert main(["relate", str(t), str(t), "--relation", relation, "--emb", str(emb)]) == 2
+    assert "relocation map is for inject" in capsys.readouterr().err
+    assert main(["relate", str(t), str(t), "--relation", relation]) == 0
 
 
 def test_relate_rejects_malformed_relocation_maps(tmp_path, capsys):

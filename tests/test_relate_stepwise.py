@@ -107,24 +107,49 @@ def test_overlapping_alloc_is_the_only_fault():
     assert r.ok and len(r.steps) == 3
 
 
+def _count_block_checks(monkeypatch) -> list:
+    """The arguments of every per-block load-transport check from now on."""
+    checked = []
+    emb_block = relations._emb_block
+
+    def counted(*args):
+        checked.append(args)
+        return emb_block(*args)
+
+    monkeypatch.setattr(relations, "_emb_block", counted)
+    return checked
+
+
 def test_incremental_check_skips_unchanged_blocks(monkeypatch):
     # A step's work follows the blocks it changed: loads are compared only
     # on the stored block, never on the blocks stored before it.
     n = 40
     left = [f"alloc 0 8 -> $b{k}\nstore int32 $b{k} 0 (int {k})" for k in range(n)]
     t = parse_trace("\n".join(left))
-    checked = []
-    refines = relations._refines
+    checked = _count_block_checks(monkeypatch)
+    for relation in ("lessdef", "extends"):
+        checked.clear()
+        r = relate(t, t, relation, stepwise=True)
+        assert r.ok and len(r.steps) == 2 * n
+        # One block per step after the first, whose whole-state check sees one.
+        assert len(checked) == 2 * n, relation
 
-    def counted(*args):
-        checked.append(args)
-        return refines(*args)
 
-    monkeypatch.setattr(relations, "_refines", counted)
-    r = relate(t, t, "lessdef", stepwise=True)
-    assert r.ok and len(r.steps) == 2 * n
-    # One block per step after the first, whose whole-state check sees one.
-    assert len(checked) == 2 * n
+def test_incremental_inject_check_follows_the_map(monkeypatch):
+    # Six left blocks, three mapped side by side onto each of two right
+    # blocks.  A right-side store re-checks the sources mapped onto its
+    # block, and no other block.
+    left = [f"alloc 0 8 -> $s{k}" for k in range(6)] + ["assert-valid $s0"]
+    right = ["alloc 0 24 -> $t", "alloc 0 24 -> $u"] + ["assert-valid $t"] * 4
+    right.append("store int32 $u 8 (int 1)")
+    emb = {k + 1: (1 + k // 3, 8 * (k % 3)) for k in range(6)}
+    t1, t2 = parse_trace("\n".join(left)), parse_trace("\n".join(right))
+    checked = _count_block_checks(monkeypatch)
+    r = relate(t1, t2, "inject", emb=emb, stepwise=True)
+    assert r.ok and len(r.steps) == 7
+    # One block for each alloc; then the three sources of $u.
+    assert [args[1] for args in checked[:6]] == [1, 2, 3, 4, 5, 6]
+    assert sorted(args[1] for args in checked[6:]) == [4, 5, 6]
 
 
 # --- the differential property -------------------------------------------------

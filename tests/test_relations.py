@@ -22,15 +22,17 @@ from blockmem import (
     emb_incr,
     emb_no_overlap,
 )
-from blockmem import relations
+from blockmem import memstate, relations
 from blockmem.lawcheck import oracle
 from blockmem.lawcheck.generators import (
     build_emb_scenario,
     build_extends_pair,
     build_lessdef_pair,
+    run_ops,
     sample_emb_plan,
     sample_extends_plan,
     sample_lessdef_plan,
+    sample_ops,
 )
 from blockmem.lawcheck.rng import SplitMix64
 from blockmem.memstate import DEFAULT_CONFIG, MemConfig
@@ -227,3 +229,45 @@ def test_checkers_agree_with_reference_on_unrelated_states():
             # that mem_inject's delta check screens out.
             emb = {b: (tb, delta + rng.randint(-3, 3)) for b, (tb, delta) in emb.items()}
             assert mem_emb(emb, m1, m2) == oracle.ref_mem_emb(emb, m1, m2)
+
+
+def _contained_on_the_right(m1, m2) -> bool:
+    """Every block valid in ``m1`` is valid in ``m2`` with containing bounds."""
+    for b in range(1, m1.nextblock):
+        if memstate.valid_block(m1, b):
+            low1, high1 = memstate.bounds(m1, b)
+            low2, high2 = memstate.bounds(m2, b)
+            if not (memstate.valid_block(m2, b) and low2 <= low1 and high1 <= high2):
+                return False
+    return True
+
+
+def test_refinement_and_extension_are_identity_transport_on_a_domain():
+    # On the enumerating reference: lessdef is same_domain plus transport
+    # along IDENTITY, and extends is an equal nextblock, containment and
+    # the same transport; mem_emb decides that transport as the reference
+    # does.  Reversed extension pairs and unrelated states reach pairs whose
+    # transport holds while the domain condition fails.
+    rng = SplitMix64(515)
+    ident = relations.IDENTITY
+    transport_only = 0
+    for c1, c2 in CONFIG_PAIRS:
+        for _ in range(400):
+            plan = sample_lessdef_plan(rng)
+            r1, _ = build_lessdef_pair(plan, c1)
+            _, r2 = build_lessdef_pair(plan, c2)
+            plan = sample_extends_plan(rng)
+            e1, _ = build_extends_pair(plan, c1)
+            _, e2 = build_extends_pair(plan, c2)
+            u1 = run_ops(sample_ops(rng), c1).state
+            u2 = run_ops(sample_ops(rng), c2).state
+            pairs = [(r1.state, r2.state), (e1.state, e2.state), (e2.state, e1.state), (u1, u2)]
+            for m1, m2 in pairs:
+                transport = oracle.ref_mem_emb(ident, m1, m2)
+                assert mem_emb(ident, m1, m2) == transport
+                lessdef = memstate.same_domain(m1, m2) and transport
+                assert oracle.ref_mem_lessdef(m1, m2) == lessdef
+                extends = m1.nextblock == m2.nextblock and _contained_on_the_right(m1, m2)
+                assert oracle.ref_mem_extends(m1, m2) == (extends and transport)
+                transport_only += transport and not extends
+    assert transport_only > 0

@@ -638,6 +638,16 @@ def test_relate_inject_needs_emb():
         relate(t, t, "inject")
 
 
+@pytest.mark.parametrize("relation", ["lessdef", "extends"])
+def test_relate_rejects_a_map_for_a_relation_along_the_identity(relation):
+    # A map the relation would ignore is refused, not silently dropped.
+    t = parse_trace("alloc 0 8 -> $x")
+    for stepwise in (False, True):
+        with pytest.raises(ValueError, match="relocation map is for inject"):
+            relate(t, t, relation, emb={1: (1, 0)}, stepwise=stepwise)
+    assert relate(t, t, relation).ok
+
+
 def test_relate_rejects_two_different_emb_sections():
     # The left map relates these two traces, the right one does not; with
     # no --emb, neither silently wins.
