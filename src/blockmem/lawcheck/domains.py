@@ -13,22 +13,24 @@ enumeration and as a random draw.
   ``rng.randint(lo, hi)``.  Both take an optional ``scope`` (for ``pick``,
   possibly a function that computes it when enumerated); by default the
   scope is every option (each once).  ``const(v)`` draws nothing.
-- ``source(draw, scope)`` wraps a scenario sampler: its draw is the
-  sampler, its scope a fixed menu.
+- ``source(draw, scope)`` states a draw and its scope outright: its draw
+  is a function of the stream (a scenario sampler, say), its scope a menu.
 - ``branch((w1, d1), (w2, d2), ...)`` draws ``rng.below(w1 + w2 + ...)``
   and continues in the arm it lands in, so ``rng.chance(a, b)`` is
-  ``branch((a, yes), (b - a, no))``; its scope is every arm's scope.  An
-  arm may be a function that builds its domain, called only when the arm
-  is drawn or enumerated.
-- ``tuples(d1, d2, ...)`` draws its parts in order.  A part may be a
-  constant, or a function of the values drawn before it that returns the
-  part's domain.  ``bind(d, f)`` is the value of ``f(x)`` for ``x`` of
-  ``d``; ``extend(head, *tails)`` grows a tuple by dependent tuples;
-  ``lists(length, item)`` is a tuple of a drawn number of items.
+  ``branch((a, yes), (b - a, no))``; its scope is every arm's scope.
+- ``tuples(d1, d2, ...)`` draws its parts in order, through a tuple of
+  their ``draw`` methods built once.  A part may be a constant.
+  ``extend(head, *tails)`` grows a tuple by tuples; ``lists(length,
+  item)`` is a tuple of a drawn number of items.
 - ``d.map(f)`` applies ``f`` to every value; ``d.scoped(values)`` keeps
   the draw and states the scope outright.
+- A part of ``tuples`` or a tail of ``extend`` that depends on what comes
+  before it is ``given(draw, scope)``: ``draw(rng, prefix)`` reads the
+  stream the way a domain built from the prefix would, and
+  ``scope(prefix)`` iterates that domain's cases, so neither reading
+  builds a domain per prefix.
 - An empty choice is a skip: ``pick(())`` raises ``Skip`` in a draw and
-  has no cases.
+  has no cases, and ``choose(rng, ())`` raises it in a direct draw.
 """
 
 from __future__ import annotations
@@ -42,6 +44,13 @@ class Skip(Exception):
 
 
 SKIP = ("skip",)
+
+
+def choose(rng, options):
+    """``pick(options)``'s draw: one u64, and ``Skip`` when empty."""
+    if not options:
+        raise Skip
+    return options[rng.next_u64() % len(options)]
 
 
 class Domain:
@@ -65,10 +74,7 @@ class Pick(Domain):
         self.scope = scope
 
     def draw(self, rng):
-        options = self.options
-        if not options:
-            raise Skip
-        return options[rng.next_u64() % len(options)]
+        return choose(rng, self.options)
 
     def cases(self):
         if self.scope is None:
@@ -90,8 +96,8 @@ class Ints(Domain):
 
 
 class Source(Domain):
-    """A sampler with a fixed menu; ``scope`` may be a function that
-    builds the menu at the first enumeration."""
+    """A draw with a menu; ``scope`` may be a function that builds the menu
+    at each enumeration."""
 
     __slots__ = ("draw", "scope")
 
@@ -127,39 +133,41 @@ class Branch(Domain):
         r = rng.next_u64() % self.total
         for w, d in self.arms:
             if r < w:
-                return _built(d).draw(rng)
+                return d.draw(rng)
             r -= w
         raise AssertionError("unreachable")
 
     def cases(self):
-        return chain.from_iterable(_built(d).cases() for _, d in self.arms)
+        return chain.from_iterable(d.cases() for _, d in self.arms)
 
 
-def _built(d) -> Domain:
-    """An arm given as a function is built when it is needed."""
-    return d if isinstance(d, Domain) else d()
+class Given:
+    """A domain over an argument, read without building it: ``draw(rng,
+    x)`` draws from the domain for ``x``, and ``scope(x)`` iterates its
+    cases."""
+
+    __slots__ = ("draw", "scope")
+
+    def __init__(self, draw, scope):
+        self.draw = draw
+        self.scope = scope
 
 
 class Tuples(Domain):
-    __slots__ = ("parts", "dependent")
+    __slots__ = ("parts", "draws", "dependent")
 
     def __init__(self, *parts):
-        self.parts = list(parts)
-        self.dependent = False
-        for k, p in enumerate(parts):
-            if not isinstance(p, Domain):
-                if callable(p):
-                    self.dependent = True
-                else:
-                    self.parts[k] = Const(p)
+        self.parts = tuple(p if isinstance(p, (Domain, Given)) else Const(p) for p in parts)
+        self.draws = tuple(p.draw for p in self.parts)
+        self.dependent = any(isinstance(p, Given) for p in self.parts)
 
     def draw(self, rng):
         if not self.dependent:
-            return tuple([p.draw(rng) for p in self.parts])
-        out = []
+            return tuple([draw(rng) for draw in self.draws])
+        out = ()
         for p in self.parts:
-            out.append((p if isinstance(p, Domain) else p(tuple(out))).draw(rng))
-        return tuple(out)
+            out += (p.draw(rng, out) if isinstance(p, Given) else p.draw(rng),)
+        return out
 
     def cases(self):
         if not self.dependent:
@@ -174,27 +182,12 @@ def _grow(part):
     """For a prefix ``c``: the prefix followed by each value of ``part``."""
     if isinstance(part, Domain):
         return lambda c: ((*c, x) for x in part.cases())
-    return lambda c: ((*c, x) for x in part(c).cases())
-
-
-class Bind(Domain):
-    __slots__ = ("d", "f")
-
-    def __init__(self, d: Domain, f):
-        self.d, self.f = d, f
-
-    def draw(self, rng):
-        return self.f(self.d.draw(rng)).draw(rng)
-
-    def cases(self):
-        f = self.f
-        return chain.from_iterable(f(x).cases() for x in self.d.cases())
+    return lambda c: ((*c, x) for x in part.scope(c))
 
 
 class Extend(Domain):
     """Tuples of ``head`` followed by one tuple from each tail in turn.  A
-    tail is a domain of tuples, or a function of the case so far that
-    gives one."""
+    tail is a domain of tuples, or one given the case so far."""
 
     __slots__ = ("head", "tails")
 
@@ -204,17 +197,34 @@ class Extend(Domain):
     def draw(self, rng):
         case = self.head.draw(rng)
         for tail in self.tails:
-            case += (tail if isinstance(tail, Domain) else tail(case)).draw(rng)
+            case += tail.draw(rng, case) if isinstance(tail, Given) else tail.draw(rng)
         return case
 
     def cases(self):
         it = self.head.cases()
         for tail in self.tails:
-            if isinstance(tail, Domain):
-                it = starmap(add, product(it, tuple(tail.cases())))
+            if isinstance(tail, Given):
+                it = chain.from_iterable(map(lambda c, t=tail: map(c.__add__, t.scope(c)), it))
             else:
-                it = chain.from_iterable(map(lambda c, t=tail: map(c.__add__, t(c).cases()), it))
+                it = starmap(add, product(it, tuple(tail.cases())))
         return it
+
+
+class Lists(Domain):
+    """Tuples of ``length`` values of ``item``."""
+
+    __slots__ = ("length", "item")
+
+    def __init__(self, length: Domain, item: Domain):
+        self.length, self.item = length, item
+
+    def draw(self, rng):
+        n, draw = self.length.draw(rng), self.item.draw
+        return tuple([draw(rng) for _ in range(n)])
+
+    def cases(self):
+        items = tuple(self.item.cases())
+        return chain.from_iterable(product(items, repeat=n) for n in self.length.cases())
 
 
 class Map(Domain):
@@ -231,12 +241,7 @@ class Map(Domain):
 
 
 pick, ints, source, const, branch = Pick, Ints, Source, Const, Branch
-tuples, bind, extend = Tuples, Bind, Extend
-
-
-def lists(length: Domain, item: Domain) -> Domain:
-    """Tuples of ``length`` values of ``item``."""
-    return Bind(length, lambda n: Tuples(*(item,) * n))
+tuples, extend, lists, given = Tuples, Extend, Lists, Given
 
 
 def sampler(domain: Domain):

@@ -74,6 +74,25 @@ class RunResult:
         return table
 
 
+class RunPair(tuple):
+    """The (left run, right run) of a lessdef or extends plan, with a table
+    that law domains read off both sides, built when first read."""
+
+    @cached_property
+    def margins(self) -> tuple:
+        """Accesses (chunk, block, offset) in the right run's margins of
+        each live left block: the first three above the left bounds, then
+        the first three below them."""
+        r1, r2 = self
+        out = []
+        for b in r1.live:
+            l1, h1 = memstate.bounds(r1.state, b)
+            l2, h2 = memstate.bounds(r2.state, b)
+            for low, high in ((h1, h2), (l2, l1)):
+                out.extend((t, b, i) for t, i in relations._access_list(low, high, True)[:3])
+        return tuple(out)
+
+
 def run_ops(ops, config: MemConfig = DEFAULT_CONFIG) -> RunResult:
     """Replay a scenario on the real model."""
     ops = tuple(ops)
@@ -385,10 +404,10 @@ def project(plan, sides: int = 2) -> tuple:
     return out
 
 
-def build_lessdef_pair(plan, config: MemConfig = DEFAULT_CONFIG):
+def build_lessdef_pair(plan, config: MemConfig = DEFAULT_CONFIG) -> RunPair:
     """Replay both sides of a plan: (left run, right run)."""
     ops1, ops2 = project(plan)
-    return run_ops(ops1, config), run_ops(ops2, config)
+    return RunPair((run_ops(ops1, config), run_ops(ops2, config)))
 
 
 build_extends_pair = build_lessdef_pair  # an extends plan projects the same way

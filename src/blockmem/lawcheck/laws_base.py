@@ -5,10 +5,13 @@ taken verbatim from the classic lemma inventory for this memory model, so
 suite reports can be diffed against that catalogue.  A law is one domain
 description (``domains``) and a check: the description is read once to
 enumerate the exhaustive phase and once to draw the random phase, so a
-law's exhaustive scope is its description's scope.  A case is a
-self-contained tuple (tag, payload...) that the law's checker can
-evaluate from scratch, which makes counterexamples replayable; a failing
-random case shrinks through the random numbers its draw read (``runner``).
+law's exhaustive scope is its description's scope.  The part of a case
+that depends on its scenario is stated as a direct draw on the scenario's
+replay beside its scope (``on_state``), so a draw builds no domain.  A
+case is a self-contained tuple (tag, payload...) that the law's checker
+can evaluate from scratch, which makes counterexamples replayable; a
+failing random case shrinks through the random numbers its draw read
+(``runner``).
 
 A draw that meets an empty choice gives ``("skip",)``.  Checks never see
 such a case: ``runner.run_law`` drops skips in both phases before calling
@@ -26,7 +29,7 @@ from typing import Callable, Iterable
 
 from .. import chunks, memstate
 from . import generators
-from .domains import Domain, bind, extend, pick, sampler, source
+from .domains import Domain, choose, extend, given, sampler, source
 # perfbench rebinds run_ops and build_* here by name; see "cached rebuilds".
 from .generators import (
     EmbPlan,
@@ -159,30 +162,58 @@ def cells_of(recipe: tuple):
 
 
 # --- domains over states ---------------------------------------------------------
+#
+# A state law's case is a shared scenario and a tail on its replay r (a
+# ``generators.RunResult``).  A tail is stated as two functions of r: a
+# direct draw, which reads r's tables and calls the stream in the order a
+# domain built on r would, raising ``Skip`` where that domain would meet an
+# empty choice, and its scope, the tuples the exhaustive phase takes.
 
 # The shared random scenarios; enumerated, the tiny universe.
 SCENARIO_OPS = source(generators.shared_ops, generators.tiny_states_small)
 STATE = SCENARIO_OPS.map(lambda ops: ("state", ops))
 
 
-def on_state(tail) -> Domain:
-    """Cases ("state", ops) + a tuple of ``tail(r)``, a domain over the
-    replay r of the scenario (a ``generators.RunResult``)."""
-    return extend(STATE, lambda case: tail(run_cached(case[1])))
+def on_scenario(head: Domain, build, draw, scope) -> Domain:
+    """Cases (tag, scenario) of ``head``, each followed by ``draw(rng, x)``,
+    a tuple drawn on what the scenario builds, ``x = build(scenario)``;
+    enumerated, by each tuple of ``scope(x)``."""
+    return extend(
+        head,
+        given(lambda rng, case: draw(rng, build(case[1])), lambda case: scope(build(case[1]))),
+    )
 
 
-def valid_access(r, scope=None) -> Domain:
+def on_state(draw, scope) -> Domain:
+    """Cases ("state", ops) + ``draw(rng, r)``, a tuple drawn on the replay
+    r of the scenario; enumerated, ("state", ops) + each tuple of
+    ``scope(r)``."""
+    return on_scenario(STATE, run_cached, draw, scope)
+
+
+def valid_access(rng, r) -> tuple:
     """A (chunk, block, offset) access valid in the state of the replay
-    ``r``: a block with valid accesses, then one of them; enumerated, each
-    block's lowest access of each size, or ``scope(accesses)``.  Empty
-    where no block has a valid access."""
+    ``r``: a block with valid accesses, then one of them.  Skip where no
+    block has a valid access."""
     table = r.accesses
+    b = choose(rng, tuple(table))
+    accesses = table[b]
+    t, i = accesses[rng.next_u64() % len(accesses)]
+    return t, b, i
 
-    def of_block(b):
-        menu = (lambda: r.lowest[b]) if scope is None else (lambda: scope(table[b]))
-        return pick(table[b], menu).map(lambda ti: (ti[0], b, ti[1]))
 
-    return bind(pick(tuple(table)), of_block)
+def valid_access_scope(r, scope=None):
+    """``valid_access`` enumerated: each block's lowest access of each size,
+    or ``scope(accesses)``."""
+    for b, accesses in r.accesses.items():
+        for t, i in r.lowest[b] if scope is None else scope(accesses):
+            yield t, b, i
+
+
+# Per chunk, the chunks of another size: a reload at one of them reads undef.
+MISMATCHED_CHUNKS = {
+    t: tuple(t2 for t2 in chunks.ALL_CHUNKS if not chunks.compat(t, t2)) for t in chunks.ALL_CHUNKS
+}
 
 
 def clear_caches() -> None:

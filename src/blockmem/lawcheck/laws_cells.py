@@ -14,8 +14,8 @@ from itertools import product
 from .. import cells, chunks
 from ..chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, VUNDEF
 from . import generators, oracle
-from .domains import Domain, bind, branch, const, ints, pick, source, tuples
-from .laws_base import CONCRETE_MEM, cells_of, deflaw
+from .domains import Domain, branch, choose, const, given, ints, pick, source, tuples
+from .laws_base import CONCRETE_MEM, MISMATCHED_CHUNKS, cells_of, deflaw
 
 _EX_SINGLE = tuple(
     (t, ofs, v)
@@ -205,15 +205,17 @@ deflaw(
 )
 
 
-def _outside(d):
+def _outside(rng, d):
     """An offset outside [ofs, ofs + n); one drawn inside moves past the
     range."""
     ofs, n = d
-    end = ofs + n
-    return bind(
-        ints(-6, 10, (-2, -1, 0, 2, 4, 5, 8)),
-        lambda i: ints(end, end + 2, (end,)) if ofs <= i < end else const(i),
-    )
+    i = -6 + rng.next_u64() % 17
+    return ofs + n + rng.next_u64() % 3 if ofs <= i < ofs + n else i
+
+
+def _outside_scope(d):
+    ofs, n = d
+    return [ofs + n if ofs <= i < ofs + n else i for i in (-2, -1, 0, 2, 4, 5, 8)]
 
 
 def _ck_set_cont_outside(case):
@@ -229,7 +231,9 @@ deflaw(
     CONCRETE_MEM,
     "clearing a range leaves offsets outside it untouched",
     family="cells",
-    domain=tuples(ints(-4, 4, (0, 2)), ints(0, 6, (0, 3)), _outside, _recipes(120)).map(_cells(3)),
+    domain=tuples(
+        ints(-4, 4, (0, 2)), ints(0, 6, (0, 3)), given(_outside, _outside_scope), _recipes(120)
+    ).map(_cells(3)),
     check=_ck_set_cont_outside,
 )
 
@@ -251,7 +255,7 @@ deflaw(
         ints(-4, 4, (-1, 0, 2)),
         ints(1, 7, (1, 3, 6)),
         _recipes(120),
-        lambda d: ints(d[0], d[0] + d[1] - 1),
+        given(lambda rng, d: d[0] + rng.next_u64() % d[1], lambda d: range(d[0], d[0] + d[1])),
     ).map(_cells(2)),
     check=_ck_set_cont_inside,
 )
@@ -300,14 +304,18 @@ deflaw(
 )
 
 
-def _beside(d):
+def _beside(rng, d):
     """An offset before or after the footprint of the store (t, ofs)."""
     t, ofs = d[0], d[1]
+    if rng.next_u64() % 2 < 1:
+        return ofs - 1 - rng.next_u64() % 4
+    return ofs + chunks.size_chunk(t) + rng.next_u64() % 4
+
+
+def _beside_scope(d):
+    t, ofs = d[0], d[1]
     end = ofs + chunks.size_chunk(t)
-    return branch(
-        (1, ints(1, 4, (1, 3)).map(lambda k: ofs - k)),
-        (1, ints(0, 3, (0, 2)).map(lambda k: end + k)),
-    )
+    return (ofs - 1, ofs - 3, end, end + 2)
 
 
 @_after_store
@@ -323,12 +331,17 @@ deflaw(
     CONCRETE_MEM,
     "a datum store leaves everything outside its footprint untouched",
     family="cells",
-    domain=tuples(*_store(), _beside, _recipes(120)).map(_cells(4)),
+    domain=tuples(*_store(), given(_beside, _beside_scope), _recipes(120)).map(_cells(4)),
     check=_ck_store_outside,
 )
 
 
 # --- load after store -------------------------------------------------------------
+
+
+def _reload_chunk(chunks_of):
+    """A reload chunk of ``chunks_of[t]``, t the store's."""
+    return given(lambda rng, d: choose(rng, chunks_of[d[0]]), lambda d: chunks_of[d[0]])
 
 
 @_after_store
@@ -349,7 +362,7 @@ deflaw(
     domain=tuples(
         *_store(values=(Vint(5), Vint(-3), Vint(300), VUNDEF, Vfloat.from_float(1.5))),
         _recipes(60),
-        lambda d: pick(chunks.COMPAT_CHUNKS[d[0]]),
+        _reload_chunk(chunks.COMPAT_CHUNKS),
     ).map(_cells(3)),
     check=_ck_load_store_same,
 )
@@ -371,7 +384,7 @@ deflaw(
     domain=tuples(
         *_store(),
         _recipes(60),
-        lambda d: pick([t2 for t2 in ALL_CHUNKS if not chunks.compat(d[0], t2)]),
+        _reload_chunk(MISMATCHED_CHUNKS),
     ).map(_cells(3)),
     check=_ck_load_store_mismatch,
 )
@@ -381,28 +394,27 @@ def _overlapping(ofs1: int, size1: int, ofs2: int, size2: int) -> bool:
     return ofs1 < ofs2 + size2 and ofs2 < ofs1 + size1
 
 
-def _overlapping_load(d):
+def _overlapping_load(rng, d):
     """A load (chunk, offset) at another offset that overlaps the store
     (t, ofs); a draw tries eight times, then gives None."""
     t, ofs = d[0], d[1]
     size = chunks.size_chunk(t)
+    for _ in range(8):
+        t2 = rng.choice(ALL_CHUNKS)
+        ofs2 = ofs + rng.randint(-chunks.size_chunk(t2) + 1, size - 1)
+        if ofs2 != ofs and _overlapping(ofs, size, ofs2, chunks.size_chunk(t2)):
+            return t2, ofs2
+    return None
 
-    def draw(rng):
-        for _ in range(8):
-            t2 = rng.choice(ALL_CHUNKS)
-            ofs2 = ofs + rng.randint(-chunks.size_chunk(t2) + 1, size - 1)
-            if ofs2 != ofs and _overlapping(ofs, size, ofs2, chunks.size_chunk(t2)):
-                return t2, ofs2
-        return None
 
-    return source(
-        draw,
-        [
-            (t2, ofs2)
-            for t2, ofs2 in product(ALL_CHUNKS, _EX_OFS)
-            if ofs2 != ofs and _overlapping(ofs, size, ofs2, chunks.size_chunk(t2))
-        ],
-    )
+def _overlapping_load_scope(d):
+    t, ofs = d[0], d[1]
+    size = chunks.size_chunk(t)
+    return [
+        (t2, ofs2)
+        for t2, ofs2 in product(ALL_CHUNKS, _EX_OFS)
+        if ofs2 != ofs and _overlapping(ofs, size, ofs2, chunks.size_chunk(t2))
+    ]
 
 
 def _overlap_case(d):
@@ -425,19 +437,26 @@ deflaw(
     CONCRETE_MEM,
     "reloading across an overlapping store yields undef",
     family="cells",
-    domain=tuples(*_store(), _overlapping_load, _recipes(40)).map(_overlap_case),
+    domain=tuples(
+        *_store(), given(_overlapping_load, _overlapping_load_scope), _recipes(40)
+    ).map(_overlap_case),
     check=_ck_load_store_overlap,
 )
 
 
-def _disjoint_offset(d):
+def _disjoint_offset(rng, d):
     """An offset for a load at chunk t2 whose footprint misses the store
     (t, ofs): after it or before it."""
     t, ofs, _, t2 = d
-    return branch(
-        (1, ints(0, 3, (0, 2)).map(lambda k: ofs + chunks.size_chunk(t) + k)),
-        (1, ints(0, 3, (0, 2)).map(lambda k: ofs - chunks.size_chunk(t2) - k)),
-    )
+    if rng.next_u64() % 2 < 1:
+        return ofs + chunks.size_chunk(t) + rng.next_u64() % 4
+    return ofs - chunks.size_chunk(t2) - rng.next_u64() % 4
+
+
+def _disjoint_offset_scope(d):
+    t, ofs, _, t2 = d
+    after, before = ofs + chunks.size_chunk(t), ofs - chunks.size_chunk(t2)
+    return (after, after + 2, before, before - 2)
 
 
 @_after_store
@@ -455,7 +474,9 @@ deflaw(
     CONCRETE_MEM,
     "a store with a disjoint footprint commutes with loads",
     family="cells",
-    domain=tuples(*_store(), pick(ALL_CHUNKS), _disjoint_offset, _recipes(40)).map(_cells(5)),
+    domain=tuples(
+        *_store(), pick(ALL_CHUNKS), given(_disjoint_offset, _disjoint_offset_scope), _recipes(40)
+    ).map(_cells(5)),
     check=_ck_load_store_disjoint,
 )
 

@@ -20,8 +20,10 @@ relocation map, and require the real operation to return exactly that
 witness before checking the relation on it.
 
 A law is assembled from a domain, whose plans come from a shared plan
-stream and enumerate as a fixed plan menu (``LESSDEF.cases(...)``,
-``_emb(...)``), and one check per property.  A property is written once
+stream and enumerate as a fixed plan menu, and whose assignment is a
+direct draw on the plan's runs or scenario stated beside its scope
+(``LESSDEF.cases(draw, scope)``, ``_emb(draw, scope)``), and one check
+per property.  A property is written once
 and takes the relation as a parameter: load transport, the witness
 store, the parallel store and the one-sided update serve both families
 (``_load_transport(LESSDEF, ...)``, ``_one_sided(INJECT, ...)``).  An
@@ -34,12 +36,13 @@ where ``free_parallel_emb`` passes vacuously, and their cases differ.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import product
 from typing import Callable, NamedTuple
 
 from .. import cells, chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, Vptr, VUNDEF
 from . import generators
-from .domains import bind, branch, const, extend, ints, lists, pick, source, tuples
+from .domains import branch, choose, extend, given, ints, lists, pick, source, tuples
 from .generators import EmbPlan, RunResult
 from .laws_base import (
     MEM_EXTENDS,
@@ -51,8 +54,10 @@ from .laws_base import (
     emb_scenario_cached,
     extends_pair_cached,
     lessdef_pair_cached,
+    on_scenario,
     state_of,
     valid_access,
+    valid_access_scope,
     widen_plan,
 )
 
@@ -65,11 +70,6 @@ def _accesses(r, blocks, limit):
     ``blocks`` in the state of the run ``r``."""
     table = r.accesses
     return [(t, b, i) for b in blocks if b in table for t, i in table[b][:limit]]
-
-
-def _value(ids, scope):
-    """A stored value that may point into ``ids``; enumerated at ``scope``."""
-    return source(lambda rng: generators.sample_value(rng, ids), scope)
 
 
 # --- fixed exhaustive plan menus -----------------------------------------------
@@ -169,17 +169,18 @@ class _Pair(NamedTuple):
     noun: str  # "refinement" | "extension", for failure details
     adjective: str  # of the right-hand state: "refined" | "extended"
     holds: Callable  # (embedding, left state, right state) -> bool
-    build: Callable  # memoised plan -> (left run, right run)
+    build: Callable  # memoised plan -> its runs, a generators.RunPair
     plans: object  # the domain of plans: the shared stream; enumerated, a menu
 
     def scenario(self, plan) -> _PairScenario:
         return _PairScenario(*self.build(plan))
 
-    def cases(self, *tails):
-        """Cases (tag, plan) + a tuple of each ``tail(left run, right
-        run)`` in turn (``generators.RunResult``s)."""
+    def cases(self, draw=None, scope=None):
+        """Cases (tag, plan) + ``draw(rng, runs)``, a tuple drawn on the
+        plan's runs (a ``generators.RunPair``); enumerated, (tag, plan) +
+        each tuple of ``scope(runs)``."""
         head = self.plans.map(lambda plan: (self.tag, plan))
-        return extend(head, *(lambda case, t=t: t(*self.build(case[1])) for t in tails))
+        return head if draw is None else on_scenario(head, self.build, draw, scope)
 
 
 LESSDEF = _Pair(
@@ -378,7 +379,9 @@ def _one_sided(rel, side: str, op, what: str, applies=None):
 
 def _pair_access(rel: _Pair):
     """A plan plus a valid access of its left state."""
-    return rel.cases(lambda r1, r2: valid_access(r1))
+    return rel.cases(
+        lambda rng, runs: valid_access(rng, runs[0]), lambda runs: valid_access_scope(runs[0])
+    )
 
 
 def _pair_store(rel: _Pair, values):
@@ -386,16 +389,24 @@ def _pair_store(rel: _Pair, values):
     left one undefined a third of the time; the right one is enumerated
     at ``values``."""
 
-    def pair(r1, r2):
-        right = _value(tuple(range(1, r1.state.nextblock)), values)
-        left = lambda v2: branch((1, const(VUNDEF)), (2, const(v2))).map(lambda v1: (v1, v2))
-        return bind(right, left)
+    def draw(rng, runs):
+        r1 = runs[0]
+        access = valid_access(rng, r1)
+        v2 = generators.sample_value(rng, tuple(range(1, r1.state.nextblock)))
+        return access + (VUNDEF if rng.next_u64() % 3 < 1 else v2, v2)
 
-    return rel.cases(lambda r1, r2: valid_access(r1), pair)
+    def scope(runs):
+        return [
+            a + (v1, v2) for a in valid_access_scope(runs[0]) for v2 in values for v1 in (VUNDEF, v2)
+        ]
+
+    return rel.cases(draw, scope)
 
 
 def _pair_free(rel: _Pair):
-    return rel.cases(lambda r1, r2: tuples(pick(r1.live)))
+    return rel.cases(
+        lambda rng, runs: (choose(rng, runs[0].live),), lambda runs: [(b,) for b in runs[0].live]
+    )
 
 
 def _refl(rel: _Pair):
@@ -596,18 +607,6 @@ deflaw(
 )
 
 
-def _margin_slots(r1, r2, limit=3):
-    """Accesses in the right margins of each live left block of the
-    runs: the first ``limit`` above the left bounds, then below them."""
-    out = []
-    for b in r1.live:
-        l1, h1 = memstate.bounds(r1.state, b)
-        l2, h2 = memstate.bounds(r2.state, b)
-        for low, high in ((h1, h2), (l2, l1)):
-            out.extend((t, b, i) for t, i in relations._access_list(low, high, True)[:limit])
-    return out
-
-
 def _outside_left_bounds(sc, t, b, i, v):
     l1, h1 = memstate.bounds(sc.m1, b)
     return i + chunks.size_chunk(t) <= l1 or i >= h1
@@ -619,8 +618,8 @@ deflaw(
     "a right-side store outside the original bounds preserves extension",
     family="relation",
     domain=EXTENDS.cases(
-        lambda r1, r2: pick(_margin_slots(r1, r2)),
-        lambda r1, r2: tuples(_value((), (Vint(13),))),
+        lambda rng, runs: choose(rng, runs.margins) + (generators.sample_value(rng, ()),),
+        lambda runs: [slot + (Vint(13),) for slot in dict.fromkeys(runs.margins)],
     ),
     check=_one_sided(
         EXTENDS, "right", _do_store, "a store outside the original bounds", _outside_left_bounds
@@ -681,44 +680,66 @@ def _emb_plans(overlap=_OVERLAP_SOME, hole_span=0, need_mapped=False):
     return source(draw, menu)
 
 
-def _emb(*tails, **plans):
-    """Cases ("emb", plan) + a tuple of each ``tail(scenario)`` in turn,
-    over the plans of ``_emb_plans(**plans)``."""
+def _emb(draw=None, scope=None, **plans):
+    """Cases ("emb", plan) + ``draw(rng, sc)``, a tuple drawn on the plan's
+    scenario; enumerated, ("emb", plan) + each tuple of ``scope(sc)``; over
+    the plans of ``_emb_plans(**plans)``."""
     head = _emb_plans(**plans).map(lambda plan: ("emb", plan))
-    return extend(head, *(lambda case, t=t: t(emb_scenario_cached(case[1])) for t in tails))
+    return head if draw is None else on_scenario(head, emb_scenario_cached, draw, scope)
 
 
 _EMB_ACCESS = _emb(
-    lambda sc: pick(_mapped_accesses(sc, 6), _mapped_accesses(sc, 3)), need_mapped=True
+    lambda rng, sc: choose(rng, _mapped_accesses(sc, 6)),
+    lambda sc: _mapped_accesses(sc, 3),
+    need_mapped=True,
 )
-_EMB_FREE = _emb(lambda sc: tuples(pick(sc.r1.live)))
-_FREE_PARALLEL = _emb(lambda sc: tuples(pick(_sole_pairs(sc))))
+_EMB_FREE = _emb(
+    lambda rng, sc: (choose(rng, sc.r1.live),), lambda sc: [(b,) for b in sc.r1.live]
+)
+_FREE_PARALLEL = _emb(
+    lambda rng, sc: (choose(rng, _sole_pairs(sc)),), lambda sc: [(p,) for p in _sole_pairs(sc)]
+)
 
 
 def _bounds(lows, spans):
     """Alloc bounds (low, low + span), enumerated at ``lows`` and ``spans``."""
-    of_low = lambda low: pick((0, 2, 4, 8), spans).map(lambda span: (low, low + span))
-    return bind(ints(-4, 4, lows), of_low)
+    return source(_draw_bounds, [(low, low + span) for low in lows for span in spans])
+
+
+def _draw_bounds(rng):
+    low = -4 + rng.next_u64() % 9
+    return low, low + (0, 2, 4, 8)[rng.next_u64() % 4]
+
+
+_ALLOC_BOUNDS = _bounds((-4, 0), (0, 4, 8))
 
 
 def _emb_alloc(overlap):
-    return _emb(lambda sc: _bounds((-4, 0), (0, 4, 8)), overlap=overlap)
+    return extend(_emb(overlap=overlap), _ALLOC_BOUNDS)
 
 
-_REQUESTS = lists(ints(0, 3, (0, 1, 2)), _bounds((0,), (4, 8)))
+_REQUESTS = tuples(lists(ints(0, 3, (0, 1, 2)), _bounds((0,), (4, 8))))
 
 
 def _emb_reqs(overlap):
-    return _emb(lambda sc: tuples(_REQUESTS), overlap=overlap)
+    return extend(_emb(overlap=overlap), _REQUESTS)
 
 
-def _subset(items):
+def _subset(rng, items):
     """Each item kept or left out with even odds."""
-    keep = tuples(*[pick((True, False))] * len(items))
-    return keep.map(lambda kept: tuple(x for x, k in zip(items, kept) if k))
+    return tuple([x for x in items if rng.next_u64() % 2 == 0])
 
 
-_EMB_FREE_LIST = _emb(lambda sc: tuples(_subset(sc.r1.live)))
+def _subsets(items):
+    return [
+        tuple(x for x, k in zip(items, kept) if k)
+        for kept in product((True, False), repeat=len(items))
+    ]
+
+
+_EMB_FREE_LIST = _emb(
+    lambda rng, sc: (_subset(rng, sc.r1.live),), lambda sc: [(s,) for s in _subsets(sc.r1.live)]
+)
 
 
 # The one-sided laws' own hypotheses on their target block.
@@ -778,7 +799,7 @@ def _alloc_left_mapped(rel: _EmbRel):
 # map into it.
 _ALLOC_LEFT_MAPPED = tuples(
     "emb",
-    bind(pick((8, 16)), lambda hole: _emb_plans(_NO_OVERLAP, hole_span=hole)),
+    branch(*[(1, _emb_plans(_NO_OVERLAP, hole_span=hole)) for hole in (8, 16)]),
     pick((0, 2, 4, 8), (0, 4, 8)),
 )
 
@@ -839,27 +860,43 @@ deflaw(
     domain=tuples(
         "arith",
         pick(ALL_CHUNKS),
-        lambda d: ints(-8, 8).map(lambda k: k * chunks.align_chunk(d[1])),
+        given(
+            lambda rng, d: (-8 + rng.next_u64() % 17) * chunks.align_chunk(d[1]),
+            lambda d: [k * chunks.align_chunk(d[1]) for k in range(-8, 9)],
+        ),
         ints(-4, 4, (-2, -1, 0, 1, 2)).map(lambda k: 8 * k),
     ),
     check=_ck_alignment_shift,
 )
 
 
-def _emb_value_pair(sc):
-    """Two values related through the embedding."""
-
-    def pointer(b):
-        tb, d = sc.emb[b]
-        return ints(-2, 6, (0,)).map(lambda po: (Vptr(b, po), Vptr(tb, po + d)))
-
+def _emb_value_pair(rng, sc):
+    """Two values related through the embedding: undef and a value, equal
+    ints or floats, or a mapped pointer and its relocation."""
+    r = rng.next_u64() % 8
+    if r < 1:
+        return VUNDEF, (Vint(5), VUNDEF)[rng.next_u64() % 2]
+    if r < 4:
+        return _int_pair(-8 + rng.next_u64() % 309)
+    if r < 5:
+        f = generators.FLOAT_POOL[rng.next_u64() % len(generators.FLOAT_POOL)]
+        return Vfloat(f.bits), Vfloat(f.bits)
     mapped = [b for b in sc.src_ids if b in sc.emb]
-    return branch(
-        (1, pick((Vint(5), VUNDEF), (Vint(5),)).map(lambda v: (VUNDEF, v))),
-        (3, ints(-8, 300, (6,)).map(_int_pair)),
-        (1, pick(generators.FLOAT_POOL, ()).map(lambda f: (Vfloat(f.bits), Vfloat(f.bits)))),
-        (3, bind(pick(mapped, mapped[:1]), pointer) if mapped else ints(-8, 8, ()).map(_int_pair)),
-    )
+    if not mapped:
+        return _int_pair(-8 + rng.next_u64() % 17)
+    b = mapped[rng.next_u64() % len(mapped)]
+    tb, d = sc.emb[b]
+    po = -2 + rng.next_u64() % 9
+    return Vptr(b, po), Vptr(tb, po + d)
+
+
+def _emb_value_pair_scope(sc):
+    """Undef and an int, an int, and a pointer into the first mapped source."""
+    pairs = [(VUNDEF, Vint(5)), _int_pair(6)]
+    for b in [b for b in sc.src_ids if b in sc.emb][:1]:
+        tb, d = sc.emb[b]
+        pairs.append((Vptr(b, 0), Vptr(tb, d)))
+    return pairs
 
 
 def _int_pair(n):
@@ -867,8 +904,8 @@ def _int_pair(n):
 
 
 _STORE_MAPPED = _emb(
-    lambda sc: pick(_mapped_accesses(sc, 6), _mapped_accesses(sc, 2)),
-    _emb_value_pair,
+    lambda rng, sc: choose(rng, _mapped_accesses(sc, 6)) + _emb_value_pair(rng, sc),
+    lambda sc: [a + v for a in _mapped_accesses(sc, 2) for v in _emb_value_pair_scope(sc)],
     need_mapped=True,
 )
 
@@ -883,7 +920,9 @@ deflaw(
 )
 
 _STORE_UNMAPPED = _emb(
-    lambda sc: pick(_unmapped_accesses(sc, 6)), lambda sc: tuples(_value(sc.src_ids, (Vint(3),)))
+    lambda rng, sc: choose(rng, _unmapped_accesses(sc, 6))
+    + (generators.sample_value(rng, sc.src_ids),),
+    lambda sc: [a + (Vint(3),) for a in _unmapped_accesses(sc, 6)],
 )
 
 deflaw(
@@ -901,7 +940,8 @@ deflaw(
     "right-side stores outside every image preserve the embedding",
     family="relation",
     domain=_emb(
-        lambda sc: pick(_extra_accesses(sc, 6)), lambda sc: tuples(_value((), (Vint(8),)))
+        lambda rng, sc: choose(rng, _extra_accesses(sc, 6)) + (generators.sample_value(rng, ()),),
+        lambda sc: [a + (Vint(8),) for a in _extra_accesses(sc, 6)],
     ),
     check=_one_sided(EMB, "right", _do_store, "a store outside every image", _extra_store),
 )
@@ -976,7 +1016,9 @@ deflaw(
     REL_MEM,
     "freeing a target block outside every image preserves the embedding",
     family="relation",
-    domain=_emb(lambda sc: tuples(pick(sc.extra_ids))),
+    domain=_emb(
+        lambda rng, sc: (choose(rng, sc.extra_ids),), lambda sc: [(b,) for b in sc.extra_ids]
+    ),
     check=_one_sided(EMB, "right", _do_free, "freeing an imageless target block", _extra_block),
 )
 
@@ -1100,12 +1142,18 @@ deflaw(
 )
 
 
-def _fresh_mapping(sc):
+def _fresh_mapping(rng, sc):
     """A block id above the sources, a target (an extra one if there is
     one) and a delta."""
+    src = max(sc.src_ids, default=0) + 1 + rng.next_u64() % 3
+    tgt = choose(rng, sc.extra_ids) if sc.extra_ids else 1
+    return src, tgt, 8 * (-2 + rng.next_u64() % 5)
+
+
+def _fresh_mapping_scope(sc):
+    """The first block above the sources, each target and each delta."""
     top = max(sc.src_ids, default=0)
-    target = pick(sc.extra_ids) if sc.extra_ids else const(1)
-    return tuples(ints(top + 1, top + 3, (top + 1,)), target, ints(-2, 2).map(lambda k: 8 * k))
+    return product((top + 1,), sc.extra_ids or (1,), (-16, -8, 0, 8, 16))
 
 
 def _ck_extend_embedding_incr(case):
@@ -1129,7 +1177,7 @@ deflaw(
     MEM_INJECT,
     "adding a mapping for a fresh block extends the embedding",
     family="relation",
-    domain=_emb(_fresh_mapping),
+    domain=_emb(_fresh_mapping, _fresh_mapping_scope),
     check=_ck_extend_embedding_incr,
 )
 

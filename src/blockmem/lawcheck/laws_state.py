@@ -9,9 +9,9 @@ directions of the iff-style laws get exercised.
 A law is assembled from three parts:
 
 - a *domain* over the replay of a shared scenario (``on_state``): the
-  probe, access, store, alloc and free domains, and their extensions
-  with a second access or a reload chunk (``_valid_store(r)`` extended
-  by ``_overlap_tail``, say);
+  probe, access, store, alloc and free draws, and their extensions with a
+  second access or a reload chunk (``_overlap`` draws ``_valid_store`` and
+  then an overlapping load), each stated beside its scope;
 - the *prologue* of an operation (``_after``), which rebuilds the state,
   applies alloc, store, free or free_list with the case's arguments, and
   passes vacuously when the operation fails;
@@ -24,10 +24,13 @@ A law is assembled from three parts:
 
 from __future__ import annotations
 
+from itertools import chain, product, starmap
+from operator import add
+
 from .. import chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Vint, VUNDEF
 from . import generators, oracle
-from .domains import bind, branch, const, extend, ints, lists, pick, source, tuples
+from .domains import choose, extend, given, ints, lists, source, tuples
 from .laws_base import (
     CONCRETE_MEM,
     GEN_MEM,
@@ -38,6 +41,7 @@ from .laws_base import (
     G_GOODVARS,
     G_VALIDITY,
     MEM_INJECT,
+    MISMATCHED_CHUNKS,
     REF_GEN_MEM,
     REL_MEM,
     SCENARIO_OPS,
@@ -48,82 +52,123 @@ from .laws_base import (
     state_of,
     stored,
     valid_access,
+    valid_access_scope,
 )
 
 # --- domains --------------------------------------------------------------------
+#
+# A tail on the replay r of a case's scenario is a direct draw ``f(rng, r)``
+# and its scope ``f_scope(r)`` (see ``laws_base.on_state``).
 
 
-def _probe_block(r):
-    """Any block id, valid or not; enumerated, blocks 0, 1, 2 and the next."""
+def _probe_block(rng, r):
+    """Any block id, valid or not."""
     nb = r.state.nextblock
-    return pick((0, 1, 2, 3, nb, nb + 2), (0, 1, 2, nb))
+    return (0, 1, 2, 3, nb, nb + 2)[rng.next_u64() % 6]
+
+
+def _probe_block_scope(r):
+    """Blocks 0, 1, 2 and the next."""
+    return (0, 1, 2, r.state.nextblock)
 
 
 # One chunk of each size.
 _SIZES = (Chunk.INT8U, Chunk.INT16S, Chunk.INT32, Chunk.FLOAT64)
-# The chunk and the offset of a probe, enumerated widely for the laws about
-# arbitrary accesses and narrowly where a probe only stands in for a missing
+# The chunks and offsets a probe is enumerated at: widely for the laws about
+# arbitrary accesses, narrowly where a probe only stands in for a missing
 # valid access.
-_PROBE_WIDE = (pick(ALL_CHUNKS, _SIZES), ints(-6, 9, (-4, -1, 0, 1, 2, 4, 6)))
-_PROBE_NARROW = (pick(ALL_CHUNKS, (Chunk.INT8U, Chunk.INT32)), ints(-6, 9, (0, 1)))
+_PROBE_WIDE = (_SIZES, (-4, -1, 0, 1, 2, 4, 6))
+_PROBE_NARROW = ((Chunk.INT8U, Chunk.INT32), (0, 1))
 
 
-def _access_probe(r, scope=_PROBE_WIDE):
-    """An arbitrary (chunk, block, offset), valid or not."""
-    return tuples(scope[0], _probe_block(r), scope[1])
+def _access_probe(rng, r):
+    """An arbitrary (chunk, block, offset), valid or not: any chunk, a probe
+    block and an offset in [-6, 9]."""
+    t = ALL_CHUNKS[rng.next_u64() % len(ALL_CHUNKS)]
+    return t, _probe_block(rng, r), -6 + rng.next_u64() % 16
 
 
-def _access_or_probe(r):
+def _access_probe_scope(r, scope=_PROBE_WIDE):
+    return product(scope[0], _probe_block_scope(r), scope[1])
+
+
+def _access_or_probe(rng, r):
     """A valid access, or a probe where there is none."""
-    return valid_access(r) if r.accesses else _access_probe(r, _PROBE_NARROW)
+    return valid_access(rng, r) if r.accesses else _access_probe(rng, r)
 
 
-def _block_or(r, odds, fallback, scope=None):
-    """A valid block with probability ``odds``, else one of ``fallback``
-    (enumerated at ``scope``)."""
+def _access_or_probe_scope(r):
+    return valid_access_scope(r) if r.accesses else _access_probe_scope(r, _PROBE_NARROW)
+
+
+def _block_or(rng, r, odds, fallback):
+    """A valid block with probability ``odds``, else one of ``fallback``."""
     blocks = r.live
-    if not blocks:
-        return pick(fallback, scope)
-    return branch((odds[0], pick(blocks)), (odds[1] - odds[0], pick(fallback, scope)))
+    if blocks and rng.next_u64() % odds[1] < odds[0]:
+        return blocks[rng.next_u64() % len(blocks)]
+    return fallback[rng.next_u64() % len(fallback)]
 
 
-def _value(r):
-    """A stored value; enumerated, an int and undef."""
-    ids = r.live
-    return source(lambda rng: generators.sample_value(rng, ids), (Vint(7), VUNDEF))
+def _block_or_scope(r, fallback):
+    """The valid blocks, then ``fallback`` (each once)."""
+    return r.live + tuple(dict.fromkeys(fallback))
+
+
+# The stored values enumerated: an int and undef.
+_VALUES = (Vint(7), VUNDEF)
+_ALLOC_SPANS = (0, 1, 2, 4, 8, 12)
 
 
 def _alloc_args(lows=(0, 2), spans=(0, 8)):
-    """Alloc bounds: now and then an empty span, else a span from a menu."""
-
-    def of_low(low):
-        return branch(
-            (1, ints(0, 2, (1,)).map(lambda k: (low, low - k))),
-            (9, pick((0, 1, 2, 4, 8, 12), spans).map(lambda span: (low, low + span))),
-        )
-
-    return bind(ints(-6, 6, lows), of_low)
+    """Alloc bounds: now and then an empty span, else a span from a menu;
+    enumerated at ``lows``, with one empty span and ``spans``."""
+    scope = [(low, high) for low in lows for high in (low - 1, *(low + s for s in spans))]
+    return source(_draw_alloc_args, scope)
 
 
-def _access(r):
-    """An access triple, valid three times out of four; enumerated, the
-    valid ones and the probes once each."""
-    return branch(
-        (3, lambda: valid_access(r) if r.accesses else _access_probe(r).scoped(())),
-        (1, lambda: _access_probe(r)),
-    )
+def _draw_alloc_args(rng):
+    low = -6 + rng.next_u64() % 13
+    if rng.next_u64() % 10 < 1:
+        return low, low - rng.next_u64() % 3
+    return low, low + _ALLOC_SPANS[rng.next_u64() % len(_ALLOC_SPANS)]
 
 
-def _valid_store(r):
+def _access(rng, r):
+    """An access triple, valid three times out of four."""
+    if rng.next_u64() % 4 < 3 and r.accesses:
+        return valid_access(rng, r)
+    return _access_probe(rng, r)
+
+
+def _access_scope(r):
+    """The valid accesses and the probes, once each."""
+    return chain(valid_access_scope(r), _access_probe_scope(r))
+
+
+def _valid_store(rng, r):
     """A store that will succeed: a valid access and a value."""
-    return extend(valid_access(r), tuples(_value(r)))
+    return valid_access(rng, r) + (generators.sample_value(rng, r.live),)
 
 
-_PROBE = on_state(lambda r: tuples(_probe_block(r)))
-_ACCESS = on_state(_access)
-_STORE = on_state(_valid_store)
+def _valid_store_scope(r):
+    return [a + (v,) for a in valid_access_scope(r) for v in _VALUES]
+
+
+def _free_block(rng, r):
+    return (_block_or(rng, r, (4, 5), (0, 1, r.state.nextblock)),)
+
+
+def _free_block_scope(r):
+    return [(b,) for b in _block_or_scope(r, (0, 1, r.state.nextblock))]
+
+
+_PROBE = on_state(
+    lambda rng, r: (_probe_block(rng, r),), lambda r: [(b,) for b in _probe_block_scope(r)]
+)
+_ACCESS = on_state(_access, _access_scope)
+_STORE = on_state(_valid_store, _valid_store_scope)
 _ALLOC = extend(STATE, _alloc_args())
-_FREE = on_state(lambda r: tuples(_block_or(r, (4, 5), (0, 1, r.state.nextblock))))
+_FREE = on_state(_free_block, _free_block_scope)
 
 
 # --- operation prologues ------------------------------------------------------------
@@ -663,15 +708,25 @@ def _preserve_pointer_check(op: str, forward: bool):
     return check
 
 
+# The draw and the scope of what a pointer law's operation acts on.
+_ACTED_ON = {
+    "free": (lambda rng, r: choose(rng, r.live), lambda r: r.live),
+    "store": (
+        lambda rng, r: valid_access(rng, r)[1:],
+        lambda r: [a[1:] for a in valid_access_scope(r, lambda accesses: accesses[:1])],
+    ),
+    "alloc": (lambda rng, r: None, lambda r: (None,)),
+}
+
+
 def _pointer_inv(op: str):
     """An access (a valid one where there is one), and the freed block or
     the (block, offset) stored to."""
-    extra = {
-        "free": lambda r: pick(r.live),
-        "store": lambda r: valid_access(r, lambda accesses: accesses[:1]).map(lambda a: a[1:]),
-        "alloc": lambda r: const(None),
-    }[op]
-    return on_state(lambda r: extend(_access_or_probe(r), tuples(extra(r))))
+    draw, scope = _ACTED_ON[op]
+    return on_state(
+        lambda rng, r: _access_or_probe(rng, r) + (draw(rng, r),),
+        lambda r: [a + (x,) for a, x in product(_access_or_probe_scope(r), scope(r))],
+    )
 
 
 _POINTER_INV_ABOUT = {
@@ -728,8 +783,20 @@ def _load_after_store(cls: str, given=None):
     return check
 
 
-_COMPATIBLE = {t: tuples(pick(chunks.COMPAT_CHUNKS[t])) for t in ALL_CHUNKS}
-_LOAD_STORE_SAME = on_state(lambda r: extend(_valid_store(r), lambda st: _COMPATIBLE[st[0]]))
+def _reloaded(chunks_of):
+    """A valid store and a reload chunk of ``chunks_of[t]``, t the store's."""
+
+    def draw(rng, r):
+        st = _valid_store(rng, r)
+        return st + (choose(rng, chunks_of[st[0]]),)
+
+    def scope(r):
+        return [st + (t2,) for st in _valid_store_scope(r) for t2 in chunks_of[st[0]]]
+
+    return on_state(draw, scope)
+
+
+_LOAD_STORE_SAME = _reloaded(chunks.COMPAT_CHUNKS)
 
 
 deflaw(
@@ -748,7 +815,10 @@ def _disjoint(case):
     return b != b2 or not (i < i2 + chunks.size_chunk(t2) and i2 < i + chunks.size_chunk(t))
 
 
-_LOAD_STORE_DISJOINT = on_state(lambda r: extend(_valid_store(r), _access_or_probe(r)))
+_LOAD_STORE_DISJOINT = on_state(
+    lambda rng, r: _valid_store(rng, r) + _access_or_probe(rng, r),
+    lambda r: starmap(add, product(_valid_store_scope(r), _access_or_probe_scope(r))),
+)
 
 
 deflaw(
@@ -766,12 +836,7 @@ def _mismatched(case):
     return not chunks.compat(case[2], case[6])
 
 
-_MISMATCHED = {
-    t: tuples(pick([t2 for t2 in ALL_CHUNKS if not chunks.compat(t, t2)])) for t in ALL_CHUNKS
-}
-
-
-_LOAD_STORE_MISMATCH = on_state(lambda r: extend(_valid_store(r), lambda st: _MISMATCHED[st[0]]))
+_LOAD_STORE_MISMATCH = _reloaded(MISMATCHED_CHUNKS)
 
 
 deflaw(
@@ -790,20 +855,28 @@ def _overlapping(case):
     return i2 != i and i < i2 + chunks.size_chunk(t2) and i2 < i + chunks.size_chunk(t)
 
 
-def _overlap_tail(st):
-    """A chunk and an offset whose footprint overlaps the store's;
-    enumerated at one chunk of each size and up to five offsets near the
+def _overlap(rng, r):
+    """A valid store, and a chunk and an offset whose footprint overlaps
+    the store's."""
+    st = _valid_store(rng, r)
+    t2 = ALL_CHUNKS[rng.next_u64() % len(ALL_CHUNKS)]
+    lo, hi = st[2] - chunks.size_chunk(t2) + 1, st[2] + chunks.size_chunk(st[0]) - 1
+    return st + (t2, lo + rng.next_u64() % (hi - lo + 1))
+
+
+def _overlap_scope(r):
+    """Each store at one chunk of each size and up to five offsets near the
     store's."""
-    t, _, i, _ = st
+    return [
+        st + (t2, st[2] + d)
+        for st in _valid_store_scope(r)
+        for t2 in _SIZES
+        for d in (-2, -1, 1, 2, 3)
+        if 1 - chunks.size_chunk(t2) <= d < chunks.size_chunk(st[0])
+    ]
 
-    def offset(t2):
-        lo, hi = -chunks.size_chunk(t2) + 1, chunks.size_chunk(t) - 1
-        return ints(i + lo, i + hi, [i + d for d in (-2, -1, 1, 2, 3) if lo <= d <= hi])
 
-    return tuples(pick(ALL_CHUNKS, _SIZES), lambda d: offset(d[0]))
-
-
-_LOAD_STORE_OVERLAP = on_state(lambda r: extend(_valid_store(r), _overlap_tail))
+_LOAD_STORE_OVERLAP = on_state(_overlap, _overlap_scope)
 
 
 deflaw(
@@ -877,7 +950,10 @@ def _ck_load_free_other(case):
     return None
 
 
-_LOAD_FREE_OTHER = on_state(lambda r: extend(valid_access(r), tuples(pick(r.live))))
+_LOAD_FREE_OTHER = on_state(
+    lambda rng, r: valid_access(rng, r) + (choose(rng, r.live),),
+    lambda r: [a + (b,) for a in valid_access_scope(r) for b in r.live],
+)
 
 
 deflaw(
@@ -1113,32 +1189,28 @@ def _class_predicates(t1, b1, i1, t2, b2, i2):
     }
 
 
-def _classification(r):
+def _classification(rng, r):
     """A store, and any access, half the time replaced by one near the
-    stored location; enumerated, the near ones."""
-    anywhere = _access_or_probe(r)
-
-    def tail(st):
-        _, b, i, _ = st
-
-        def near():
-            chunk = pick(ALL_CHUNKS, (Chunk.INT8U, Chunk.INT16S, Chunk.INT32))
-            return tuples(chunk, b, ints(i - 2, i + 3, (i - 2, i, i + 1)))
-
-        either = tuples(anywhere, branch((1, near), (1, _NO_ACCESS)))
-        return either.map(_near_or_any).scoped(lambda: near().cases())
-
-    return extend(_valid_store(r), tail)
+    stored location."""
+    st = _valid_store(rng, r)
+    anywhere = _access_or_probe(rng, r)
+    if rng.next_u64() % 2:
+        return st + anywhere
+    t2 = ALL_CHUNKS[rng.next_u64() % len(ALL_CHUNKS)]
+    return st + (t2, st[1], st[2] - 2 + rng.next_u64() % 6)
 
 
-_NO_ACCESS = const(None)
+def _classification_scope(r):
+    """Each store with the accesses near it."""
+    return [
+        st + (t2, st[1], i2)
+        for st in _valid_store_scope(r)
+        for t2 in (Chunk.INT8U, Chunk.INT16S, Chunk.INT32)
+        for i2 in (st[2] - 2, st[2], st[2] + 1)
+    ]
 
 
-def _near_or_any(d):
-    return d[1] or d[0]
-
-
-_CLASSIFICATION = on_state(_classification)
+_CLASSIFICATION = on_state(_classification, _classification_scope)
 
 
 def _ck_classification(case):
@@ -1213,7 +1285,12 @@ def _ck_free_same_domain(case):
 
 
 _FREE_SAME_DOMAIN = tuples(
-    SCENARIO_OPS, lambda d: _block_or(run_cached(d[0]), (4, 5), (0, 1)), ints(0, 4, (0,))
+    SCENARIO_OPS,
+    given(
+        lambda rng, d: _block_or(rng, run_cached(d[0]), (4, 5), (0, 1)),
+        lambda d: _block_or_scope(run_cached(d[0]), (0, 1)),
+    ),
+    ints(0, 4, (0,)),
 ).map(lambda d: ("state2", d[0], _scrambled(d[0], d[2]), d[1]))
 
 
@@ -1291,12 +1368,20 @@ deflaw(
 )
 
 
-def _free_list_args(r):
-    nb = r.state.nextblock
-    return tuples(lists(ints(0, 3, (0, 1, 2)), _block_or(r, (5, 6), (0, 1, nb), (nb,))))
+def _free_list_args(rng, r):
+    """Up to three blocks, each a valid one (where there is one) five times
+    out of six."""
+    fallback = (0, 1, r.state.nextblock)
+    return (tuple([_block_or(rng, r, (5, 6), fallback) for _ in range(rng.next_u64() % 4)]),)
 
 
-_FREE_LIST = on_state(_free_list_args)
+def _free_list_args_scope(r):
+    """Lists of up to two of the valid blocks and the next."""
+    blocks = _block_or_scope(r, (r.state.nextblock,))
+    return [(bs,) for n in (0, 1, 2) for bs in product(blocks, repeat=n)]
+
+
+_FREE_LIST = on_state(_free_list_args, _free_list_args_scope)
 
 
 @_after("free_list")

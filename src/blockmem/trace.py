@@ -29,7 +29,9 @@ DELTA`` line per mapped block.  Nothing may follow ``DELTA`` or the
 requires every ``DELTA`` to be a multiple of 8, so an injection with
 another delta does not hold.  A map passed to ``relate`` wins over the
 traces' sections; without one, two sections must be equal, and
-``relate`` rejects two different ones.
+``relate`` rejects two different ones.  Refinement and extension relate
+each block to itself, so ``relate`` rejects a map, passed or in a
+section, for them.
 
 Parsing is total: any input either parses or raises a
 ``TraceParseError`` carrying line and column; the CLI reports it as a
@@ -804,12 +806,17 @@ def relate(
 
     Without ``emb``, an injection uses the traces' ``[emb]`` sections;
     ``ValueError`` when neither has one or their two maps differ, and when
-    ``emb`` is given for a relation along the identity."""
+    ``emb`` is given, or either trace has an ``[emb]`` section, for a
+    relation along the identity."""
     if relation not in RELATIONS:
         raise ValueError(f"unknown relation {relation!r}")
     if relation != "inject" and emb is not None:
         raise ValueError(
             f"{relation} relates each block to itself; a relocation map is for inject"
+        )
+    if relation != "inject" and (trace1.emb is not None or trace2.emb is not None):
+        raise ValueError(
+            f"{relation} relates each block to itself; an [emb] section is for inject"
         )
     if relation == "inject" and emb is None:
         maps = [{b: (tb, d) for b, tb, d in t.emb} for t in (trace1, trace2) if t.emb is not None]

@@ -403,6 +403,20 @@ def test_relate_rejects_a_map_outside_inject(relation, tmp_path, capsys):
     assert main(["relate", str(t), str(t), "--relation", relation]) == 0
 
 
+@pytest.mark.parametrize("relation", ["lessdef", "extends"])
+def test_relate_rejects_an_emb_section_outside_inject(relation, tmp_path, capsys):
+    mapped = tmp_path / "mapped.trace"
+    mapped.write_text("alloc 0 8 -> $x\n[emb]\n1 -> 1 + 8\n")
+    plain = tmp_path / "plain.trace"
+    plain.write_text("alloc 0 8 -> $x\n")
+    for left, right in ((mapped, mapped), (plain, mapped)):
+        for flags in ([], ["--stepwise"]):
+            args = ["relate", str(left), str(right), "--relation", relation, *flags]
+            assert main(args) == 2
+            assert "[emb] section is for inject" in capsys.readouterr().err
+    assert main(["relate", str(plain), str(plain), "--relation", relation]) == 0
+
+
 def test_relate_rejects_malformed_relocation_maps(tmp_path, capsys):
     t = tmp_path / "a.trace"
     t.write_text("alloc 0 8 -> $x\n")

@@ -12,7 +12,7 @@ import pytest
 
 from blockmem import lawcheck, relations
 from blockmem.lawcheck import generators, laws_base, mutations, registry, runner
-from blockmem.lawcheck.domains import Skip, ints, lists, sampler, tuples
+from blockmem.lawcheck.domains import Domain, Skip, ints, lists, sampler, tuples
 from blockmem.lawcheck.laws_base import ALL_GROUPS, CONCRETE_MEM, LAWS, Law, render_case
 from blockmem.lawcheck.rng import SCENARIOS, law_stream
 from blockmem.lawcheck.runner import SuiteConfig, jsonl_report, run_law, run_suite, text_report
@@ -368,3 +368,54 @@ def test_case_streams_are_pinned():
     exhaustive = _streams_sha256(lambda law: islice(law.exhaustive(), 5000))
     random = _streams_sha256(draws)
     assert (exhaustive, random) == (EXHAUSTIVE_STREAMS_SHA256, RANDOM_STREAMS_SHA256)
+
+
+def _domain_classes(cls=Domain):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _domain_classes(sub)
+
+
+# Laws whose draws still build domain objects, with the most that 200 draws
+# may build; none is left.
+DRAW_BUILDS_CEILING: dict = {}
+
+
+def test_draws_build_no_domain_objects(monkeypatch):
+    """A random draw reads its law's prebuilt description and the replay
+    tables; it builds no combinator object.  Counted over 200 draws of each
+    law at seed 42, after one warm-up draw."""
+    built = [0]
+    for cls in set(_domain_classes()):
+
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built[0] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    counts = {}
+    for name, law in LAWS.items():
+        rng = law_stream(42, name)
+        law.sample(rng)
+        built[0] = 0
+        for _ in range(200):
+            law.sample(rng)
+        counts[name] = built[0]
+    over = {n: c for n, c in counts.items() if c > DRAW_BUILDS_CEILING.get(n, 0)}
+    assert over == {}
+
+
+def test_recorded_draws_replay_from_their_tapes():
+    """For the first 50 draws of every law, the case recorded from the law's
+    stream is the law's own draw, and a replay of its tapes draws it again.
+    So a draw reads only its stream and asks it for each scenario
+    (``rng.scenario``), which is what the tape shrinker relies on."""
+    laws_base.clear_caches()
+    for name, law in LAWS.items():
+        rng = law_stream(42, name)
+        for _ in range(50):
+            recorder = runner._Recorder(rng.state, rng.seed, rng.scenarios)
+            case = law.sample(recorder)
+            assert law.sample(rng) == case, name
+            assert (recorder.state, recorder.scenarios) == (rng.state, rng.scenarios), name
+            assert law.sample(runner._Replay(recorder.tapes)) == case, name

@@ -513,6 +513,7 @@ def test_trace_work_pauses_the_collector_and_restores_it(enabled, monkeypatch):
     seen = _collector_states(monkeypatch)
     left = parse_trace("alloc 0 8 -> $x\nstore int32 $x 0 (int 3)\n[emb]\n1 -> 1 + 8")
     right = parse_trace("alloc 8 16 -> $y\nstore int32 $y 8 (int 3)\n[emb]\n1 -> 1 + 0")
+    right_plain = parse_trace("alloc 8 16 -> $y\nstore int32 $y 8 (int 3)")
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -522,7 +523,10 @@ def test_trace_work_pauses_the_collector_and_restores_it(enabled, monkeypatch):
         assert gc.isenabled() is enabled
         relate(left, right, "inject", emb={1: (1, 8)})
         assert gc.isenabled() is enabled
-        relate(left, left, "lessdef", stepwise=True)
+        relate(right_plain, right_plain, "lessdef", stepwise=True)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="section is for inject"):
+            relate(left, left, "lessdef", stepwise=True)
         assert gc.isenabled() is enabled
         with pytest.raises(TraceParseError):
             parse_trace(A + "free $b")
@@ -646,6 +650,19 @@ def test_relate_rejects_a_map_for_a_relation_along_the_identity(relation):
         with pytest.raises(ValueError, match="relocation map is for inject"):
             relate(t, t, relation, emb={1: (1, 0)}, stepwise=stepwise)
     assert relate(t, t, relation).ok
+
+
+@pytest.mark.parametrize("relation", ["lessdef", "extends"])
+def test_relate_rejects_an_emb_section_for_a_relation_along_the_identity(relation):
+    # A trace's own map is refused as a passed one is: on either side,
+    # whole-state and stepwise.
+    plain = parse_trace("alloc 0 8 -> $x")
+    mapped = parse_trace("alloc 0 8 -> $x\n[emb]\n1 -> 1 + 8")
+    for pair in ((mapped, mapped), (mapped, plain), (plain, mapped)):
+        for stepwise in (False, True):
+            with pytest.raises(ValueError, match=r"\[emb\] section is for inject"):
+                relate(*pair, relation, stepwise=stepwise)
+    assert relate(plain, plain, relation).ok
 
 
 def test_relate_rejects_two_different_emb_sections():
