@@ -116,9 +116,6 @@ class Vfloat:
     def from_float(cls, x: float) -> "Vfloat":
         return cls(struct.unpack("<Q", struct.pack("<d", x))[0])
 
-    def to_float(self) -> float:
-        return struct.unpack("<d", struct.pack("<Q", self.bits))[0]
-
     def __repr__(self) -> str:
         return f"Vfloat(0x{self.bits:016X})"
 

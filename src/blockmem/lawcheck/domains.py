@@ -1,13 +1,14 @@
 """Case domains: one description of a law's cases, read two ways.
 
-A domain is built from a few combinators.  Each choice point carries its
-random draw, the exact ``SplitMix64`` call that picks one option, and its
-exhaustive scope, the options the exhaustive phase takes there.  Reading a
-domain with ``draw(rng)`` makes one random case; reading it with
-``cases()`` iterates every combination of the scopes, lazily, in the
-order of nested loops (the last choice varies fastest).  This is how
-SmallCheck and QuickCheck read one generator description as a bounded
-enumeration and as a random draw.
+A domain is one type, ``Domain``: a random draw ``draw(rng)`` and an
+exhaustive scope ``cases()``.  The draw makes one random case through the
+exact ``SplitMix64`` calls that pick its options; ``cases()`` iterates
+every combination of the scopes, lazily, in the order of nested loops (the
+last choice varies fastest).  This is how SmallCheck and QuickCheck read
+one generator description as a bounded enumeration and as a random draw.
+
+Every combinator is a function that builds a ``Domain`` from its parts'
+draws and cases:
 
 - ``pick(options)`` draws ``rng.choice(options)``; ``ints(lo, hi)`` draws
   ``rng.randint(lo, hi)``.  Both take an optional ``scope`` (for ``pick``,
@@ -19,15 +20,15 @@ enumeration and as a random draw.
   and continues in the arm it lands in, so ``rng.chance(a, b)`` is
   ``branch((a, yes), (b - a, no))``; its scope is every arm's scope.
 - ``tuples(d1, d2, ...)`` draws its parts in order, through a tuple of
-  their ``draw`` methods built once.  A part may be a constant.
-  ``extend(head, *tails)`` grows a tuple by tuples; ``lists(length,
-  item)`` is a tuple of a drawn number of items.
+  their draws built once.  A part may be a constant.  ``extend(head,
+  *tails)`` grows a tuple by tuples; ``lists(length, item)`` is a tuple
+  of a drawn number of items.
 - ``d.map(f)`` applies ``f`` to every value; ``d.scoped(values)`` keeps
   the draw and states the scope outright.
 - A part of ``tuples`` or a tail of ``extend`` that depends on what comes
-  before it is ``given(draw, scope)``: ``draw(rng, prefix)`` reads the
-  stream the way a domain built from the prefix would, and
-  ``scope(prefix)`` iterates that domain's cases, so neither reading
+  before it is ``given(draw, scope)``, the one other type: ``draw(rng,
+  prefix)`` reads the stream the way a domain built from the prefix would,
+  and ``scope(prefix)`` iterates that domain's cases, so neither reading
   builds a domain per prefix.
 - An empty choice is a skip: ``pick(())`` raises ``Skip`` in a draw and
   has no cases, and ``choose(rng, ())`` raises it in a direct draw.
@@ -54,91 +55,21 @@ def choose(rng, options):
 
 
 class Domain:
-    """The base of the combinators: ``draw(rng)`` and ``cases()``."""
+    """A draw ``draw(rng)`` and its exhaustive scope ``cases()``."""
 
-    __slots__ = ()
+    __slots__ = ("draw", "cases")
+
+    def __init__(self, draw, cases):
+        self.draw = draw
+        self.cases = cases
 
     def map(self, f) -> "Domain":
-        return Map(self, f)
+        draw, cases = self.draw, self.cases
+        return Domain(lambda rng: f(draw(rng)), lambda: map(f, cases()))
 
     def scoped(self, scope) -> "Domain":
         """The same draw, with the exhaustive scope ``scope``."""
-        return Source(self.draw, scope)
-
-
-class Pick(Domain):
-    __slots__ = ("options", "scope")
-
-    def __init__(self, options, scope=None):
-        self.options = options
-        self.scope = scope
-
-    def draw(self, rng):
-        return choose(rng, self.options)
-
-    def cases(self):
-        if self.scope is None:
-            return iter(dict.fromkeys(self.options))
-        return iter(self.scope() if callable(self.scope) else self.scope)
-
-
-class Ints(Domain):
-    __slots__ = ("lo", "hi", "scope")
-
-    def __init__(self, lo: int, hi: int, scope=None):
-        self.lo, self.hi, self.scope = lo, hi, scope
-
-    def draw(self, rng):
-        return self.lo + rng.next_u64() % (self.hi - self.lo + 1)
-
-    def cases(self):
-        return iter(range(self.lo, self.hi + 1) if self.scope is None else self.scope)
-
-
-class Source(Domain):
-    """A draw with a menu; ``scope`` may be a function that builds the menu
-    at each enumeration."""
-
-    __slots__ = ("draw", "scope")
-
-    def __init__(self, draw, scope):
-        self.draw = draw
-        self.scope = scope
-
-    def cases(self):
-        return iter(self.scope() if callable(self.scope) else self.scope)
-
-
-class Const(Domain):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def draw(self, rng):
-        return self.value
-
-    def cases(self):
-        return iter((self.value,))
-
-
-class Branch(Domain):
-    __slots__ = ("arms", "total")
-
-    def __init__(self, *arms):
-        self.arms = arms
-        self.total = sum(map(itemgetter(0), arms))
-
-    def draw(self, rng):
-        r = rng.next_u64() % self.total
-        for w, d in self.arms:
-            if r < w:
-                return d.draw(rng)
-            r -= w
-        raise AssertionError("unreachable")
-
-    def cases(self):
-        return chain.from_iterable(d.cases() for _, d in self.arms)
+        return source(self.draw, scope)
 
 
 class Given:
@@ -153,29 +84,73 @@ class Given:
         self.scope = scope
 
 
-class Tuples(Domain):
-    __slots__ = ("parts", "draws", "dependent")
+given = Given
 
-    def __init__(self, *parts):
-        self.parts = tuple(p if isinstance(p, (Domain, Given)) else Const(p) for p in parts)
-        self.draws = tuple(p.draw for p in self.parts)
-        self.dependent = any(isinstance(p, Given) for p in self.parts)
 
-    def draw(self, rng):
-        if not self.dependent:
-            return tuple([draw(rng) for draw in self.draws])
+def source(draw, scope) -> Domain:
+    """A draw with a menu; ``scope`` may be a function that builds the menu
+    at each enumeration."""
+    return Domain(draw, lambda: iter(scope() if callable(scope) else scope))
+
+
+def pick(options, scope=None) -> Domain:
+    def draw(rng):
+        return choose(rng, options)
+
+    if scope is None:
+        return Domain(draw, lambda: iter(dict.fromkeys(options)))
+    return source(draw, scope)
+
+
+def ints(lo: int, hi: int, scope=None) -> Domain:
+    span = hi - lo + 1
+    return Domain(
+        lambda rng: lo + rng.next_u64() % span,
+        lambda: iter(range(lo, hi + 1) if scope is None else scope),
+    )
+
+
+def const(value) -> Domain:
+    return Domain(lambda rng: value, lambda: iter((value,)))
+
+
+def branch(*arms) -> Domain:
+    total = sum(map(itemgetter(0), arms))
+    draws = tuple((w, d.draw) for w, d in arms)
+
+    def draw(rng):
+        r = rng.next_u64() % total
+        for w, arm in draws:
+            if r < w:
+                return arm(rng)
+            r -= w
+        raise AssertionError("unreachable")
+
+    return Domain(draw, lambda: chain.from_iterable(d.cases() for _, d in arms))
+
+
+def tuples(*parts) -> Domain:
+    parts = tuple(p if isinstance(p, (Domain, Given)) else const(p) for p in parts)
+    draws = tuple(p.draw for p in parts)
+    if not any(isinstance(p, Given) for p in parts):
+        return Domain(
+            lambda rng: tuple([draw(rng) for draw in draws]),
+            lambda: product(*[p.cases() for p in parts]),
+        )
+
+    def draw(rng):
         out = ()
-        for p in self.parts:
+        for p in parts:
             out += (p.draw(rng, out) if isinstance(p, Given) else p.draw(rng),)
         return out
 
-    def cases(self):
-        if not self.dependent:
-            return product(*[p.cases() for p in self.parts])
+    def cases():
         it = iter(((),))
-        for p in self.parts:
+        for p in parts:
             it = chain.from_iterable(map(_grow(p), it))
         return it
+
+    return Domain(draw, cases)
 
 
 def _grow(part):
@@ -185,63 +160,37 @@ def _grow(part):
     return lambda c: ((*c, x) for x in part.scope(c))
 
 
-class Extend(Domain):
+def extend(head: Domain, *tails) -> Domain:
     """Tuples of ``head`` followed by one tuple from each tail in turn.  A
     tail is a domain of tuples, or one given the case so far."""
 
-    __slots__ = ("head", "tails")
-
-    def __init__(self, head: Domain, *tails):
-        self.head, self.tails = head, tails
-
-    def draw(self, rng):
-        case = self.head.draw(rng)
-        for tail in self.tails:
+    def draw(rng):
+        case = head.draw(rng)
+        for tail in tails:
             case += tail.draw(rng, case) if isinstance(tail, Given) else tail.draw(rng)
         return case
 
-    def cases(self):
-        it = self.head.cases()
-        for tail in self.tails:
+    def cases():
+        it = head.cases()
+        for tail in tails:
             if isinstance(tail, Given):
                 it = chain.from_iterable(map(lambda c, t=tail: map(c.__add__, t.scope(c)), it))
             else:
                 it = starmap(add, product(it, tuple(tail.cases())))
         return it
 
+    return Domain(draw, cases)
 
-class Lists(Domain):
+
+def lists(length: Domain, item: Domain) -> Domain:
     """Tuples of ``length`` values of ``item``."""
+    draw_length, draw_item = length.draw, item.draw
 
-    __slots__ = ("length", "item")
+    def cases():
+        items = tuple(item.cases())
+        return chain.from_iterable(product(items, repeat=n) for n in length.cases())
 
-    def __init__(self, length: Domain, item: Domain):
-        self.length, self.item = length, item
-
-    def draw(self, rng):
-        n, draw = self.length.draw(rng), self.item.draw
-        return tuple([draw(rng) for _ in range(n)])
-
-    def cases(self):
-        items = tuple(self.item.cases())
-        return chain.from_iterable(product(items, repeat=n) for n in self.length.cases())
-
-
-class Map(Domain):
-    __slots__ = ("d", "f")
-
-    def __init__(self, d: Domain, f):
-        self.d, self.f = d, f
-
-    def draw(self, rng):
-        return self.f(self.d.draw(rng))
-
-    def cases(self):
-        return map(self.f, self.d.cases())
-
-
-pick, ints, source, const, branch = Pick, Ints, Source, Const, Branch
-tuples, extend, lists, given = Tuples, Extend, Lists, Given
+    return Domain(lambda rng: tuple([draw_item(rng) for _ in range(draw_length(rng))]), cases)
 
 
 def sampler(domain: Domain):

@@ -75,8 +75,27 @@ class RunResult:
 
 
 class RunPair(tuple):
-    """The (left run, right run) of a lessdef or extends plan, with a table
-    that law domains read off both sides, built when first read."""
+    """The (left run, right run) of a lessdef or extends plan, related along
+    the identity embedding: the scenario of a pair plan, with a table that
+    law domains read off both sides, built when first read."""
+
+    emb = relations.IDENTITY
+
+    @property
+    def r1(self) -> RunResult:
+        return self[0]
+
+    @property
+    def r2(self) -> RunResult:
+        return self[1]
+
+    @property
+    def m1(self) -> MemState:
+        return self[0].state
+
+    @property
+    def m2(self) -> MemState:
+        return self[1].state
 
     @cached_property
     def margins(self) -> tuple:

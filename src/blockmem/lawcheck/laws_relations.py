@@ -43,7 +43,7 @@ from .. import cells, chunks, memstate, relations
 from ..chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, Vptr, VUNDEF
 from . import generators
 from .domains import branch, choose, extend, given, ints, lists, pick, source, tuples
-from .generators import EmbPlan, RunResult
+from .generators import EmbPlan
 from .laws_base import (
     MEM_EXTENDS,
     MEM_INJECT,
@@ -144,23 +144,6 @@ EX_EMB_PLANS = (
 # --- relations and the gate ----------------------------------------------------
 
 
-class _PairScenario(NamedTuple):
-    """The scenario of a pair plan: its two runs, related along the
-    identity embedding."""
-
-    r1: RunResult
-    r2: RunResult
-    emb: object = relations.IDENTITY
-
-    @property
-    def m1(self):
-        return self.r1.state
-
-    @property
-    def m2(self):
-        return self.r2.state
-
-
 class _Pair(NamedTuple):
     """A relation whose instances are one plan projected onto two states,
     related along ``IDENTITY``."""
@@ -169,18 +152,15 @@ class _Pair(NamedTuple):
     noun: str  # "refinement" | "extension", for failure details
     adjective: str  # of the right-hand state: "refined" | "extended"
     holds: Callable  # (embedding, left state, right state) -> bool
-    build: Callable  # memoised plan -> its runs, a generators.RunPair
+    scenario: Callable  # memoised plan -> its two runs, a generators.RunPair
     plans: object  # the domain of plans: the shared stream; enumerated, a menu
-
-    def scenario(self, plan) -> _PairScenario:
-        return _PairScenario(*self.build(plan))
 
     def cases(self, draw=None, scope=None):
         """Cases (tag, plan) + ``draw(rng, runs)``, a tuple drawn on the
         plan's runs (a ``generators.RunPair``); enumerated, (tag, plan) +
         each tuple of ``scope(runs)``."""
         head = self.plans.map(lambda plan: (self.tag, plan))
-        return head if draw is None else on_scenario(head, self.build, draw, scope)
+        return head if draw is None else on_scenario(head, self.scenario, draw, scope)
 
 
 LESSDEF = _Pair(

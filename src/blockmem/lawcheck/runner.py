@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -271,6 +270,9 @@ def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteResult:
     names = list(registry.LAWS)
     t0 = time.perf_counter()
     if cfg.jobs > 1:
+        # Imported only here, so a one-process run loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         tasks = -(-len(names) // _CHUNK)
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, tasks)) as pool:
             results = list(pool.map(_run_by_name, [(n, cfg) for n in names], chunksize=_CHUNK))

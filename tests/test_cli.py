@@ -445,3 +445,17 @@ def test_cli_import_leaves_law_suite_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+SMOKE = TRACES.parent / "tests" / "smoke" / "commands.txt"
+
+
+def test_smoke_commands_exit_as_listed(monkeypatch, capsys):
+    # CI runs the same list through the installed console script.
+    monkeypatch.chdir(TRACES.parent)
+    commands = [
+        line.split() for line in SMOKE.read_text().splitlines() if line and line[0] != "#"
+    ]
+    assert commands
+    runs = [(" ".join(args), int(status), main(args)) for status, *args in commands]
+    assert [run for run in runs if run[1] != run[2]] == []

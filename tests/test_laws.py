@@ -1,18 +1,23 @@
 """Registry integrity, runner determinism, shrinking soundness."""
 
+import concurrent.futures
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from blockmem import lawcheck, relations
 from blockmem.lawcheck import generators, laws_base, mutations, registry, runner
-from blockmem.lawcheck.domains import Domain, Skip, ints, lists, sampler, tuples
+from blockmem.lawcheck.domains import Domain, Given, Skip, ints, lists, sampler, tuples
 from blockmem.lawcheck.laws_base import ALL_GROUPS, CONCRETE_MEM, LAWS, Law, render_case
 from blockmem.lawcheck.rng import SCENARIOS, law_stream
 from blockmem.lawcheck.runner import SuiteConfig, jsonl_report, run_law, run_suite, text_report
@@ -203,13 +208,28 @@ def test_pool_has_no_more_processes_than_tasks(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", RecordingPool)
+    # The runner imports the pool from its module when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = SuiteConfig(random_cases=0, max_exhaustive=1)
     tasks = -(-len(LAWS) // runner._CHUNK)
     for jobs, want in ((2, 2), (tasks, tasks), (tasks + 1, tasks), (10_000, tasks)):
         suite = run_suite(replace(cfg, jobs=jobs))
         assert sizes[-1] == want
         assert [r.name for r in suite.results] == list(LAWS)
+
+
+def test_runner_import_leaves_worker_pool_unloaded():
+    # A one-process run never starts a pool, so it does not import one.
+    src = str(Path(lawcheck.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, blockmem.lawcheck.runner; "
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cases_skipped_counts_the_skip_draws():
@@ -370,12 +390,6 @@ def test_case_streams_are_pinned():
     assert (exhaustive, random) == (EXHAUSTIVE_STREAMS_SHA256, RANDOM_STREAMS_SHA256)
 
 
-def _domain_classes(cls=Domain):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _domain_classes(sub)
-
-
 # Laws whose draws still build domain objects, with the most that 200 draws
 # may build; none is left.
 DRAW_BUILDS_CEILING: dict = {}
@@ -383,10 +397,11 @@ DRAW_BUILDS_CEILING: dict = {}
 
 def test_draws_build_no_domain_objects(monkeypatch):
     """A random draw reads its law's prebuilt description and the replay
-    tables; it builds no combinator object.  Counted over 200 draws of each
-    law at seed 42, after one warm-up draw."""
+    tables; it builds no domain object (a ``Domain`` or a ``Given``).
+    Counted over 200 draws of each law at seed 42, after one warm-up
+    draw."""
     built = [0]
-    for cls in set(_domain_classes()):
+    for cls in (Domain, Given):
 
         def counting(self, *args, _init=cls.__init__, **kwargs):
             built[0] += 1
