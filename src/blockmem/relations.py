@@ -219,8 +219,8 @@ def _emb_block(
 
 def _transports(emb: Embedding, m1: MemState, m2: MemState) -> bool:
     """``_emb_block`` on every valid block of ``m1``: ``mem_emb``'s walk.
-    Refinement and extension call it, not the public name, so rebinding
-    ``mem_emb`` leaves them alone."""
+    Refinement calls it, not the public name, so rebinding ``mem_emb``
+    leaves it alone; extension walks ``_emb_block`` itself."""
     aligned = m1.config.check_alignment
     for b1, low1, high1, c1 in memstate.live_blocks(m1):
         if not _emb_block(emb, b1, low1, high1, c1, m2, aligned):
@@ -255,12 +255,15 @@ def mem_lessdef(m1: MemState, m2: MemState) -> bool:
 def mem_extends(m1: MemState, m2: MemState) -> bool:
     """Memory extension: same next block, every block valid in ``m1`` is
     valid in ``m2`` with containing bounds, and loads are preserved up to
-    refinement at the same locations (load transport along ``IDENTITY``)."""
-    return (
-        m1.nextblock == m2.nextblock
-        and all(_contained(m1, m2, b) for b, _, _, _ in memstate.live_blocks(m1))
-        and _transports(IDENTITY, m1, m2)
-    )
+    refinement at the same locations (load transport along ``IDENTITY``).
+    One walk over the valid blocks of ``m1`` checks both per block."""
+    if m1.nextblock != m2.nextblock:
+        return False
+    aligned = m1.config.check_alignment
+    for b1, low1, high1, c1 in memstate.live_blocks(m1):
+        if not (_contained(m1, m2, b1) and _emb_block(IDENTITY, b1, low1, high1, c1, m2, aligned)):
+            return False
+    return True
 
 
 def mem_emb(emb: Embedding, m1: MemState, m2: MemState) -> bool:

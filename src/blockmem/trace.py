@@ -162,12 +162,17 @@ class _Error(Exception):
         return TraceParseError(lineno, column, self.message)
 
 
+def _code(raw: str) -> tuple[str, list]:
+    """The code of a line, up to its first '#', and its tokens."""
+    k = raw.find("#")
+    code = raw if k < 0 else raw[:k]
+    return code, _TOKEN.findall(code)
+
+
 def _lines(text: str):
     """``(line number, code, tokens)`` for every line that has a token."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        k = raw.find("#")
-        code = raw if k < 0 else raw[:k]
-        tokens = _TOKEN.findall(code)
+        code, tokens = _code(raw)
         if tokens:
             yield lineno, code, tokens
 
@@ -353,16 +358,166 @@ def _entry(tokens: list, emb: dict) -> None:
     _end(tokens, 5)
 
 
+# --- the pattern path --------------------------------------------------------
+#
+# Most lines of a trace are well-formed statements.  Each statement form has
+# one full-line pattern, spelled in the tokenizer's fragments, whose groups are
+# the tokens the form reads; a builder makes the statement from a match with
+# the descent's table of bound variables, its literal interning and its
+# conversions.  Where the descent would report an error, the builder raises
+# KeyError (an unknown chunk, a variable unbound or bound already) or
+# ValueError (a number the descent rejects), and the line goes to the descent,
+# which names the error.  So a pattern accepts only a line that the descent
+# parses to the same statement; tests/test_trace_fuzz.py compares the two.
+
+_ARG = r"[ \t]+([^ \t()#]+)"  # blanks, then a token other than a parenthesis, captured
+_END = r"[ \t]*(?:#.*)?"  # trailing blanks and comment
+# A value after a token: its groups are an int's digits, float bits, and a
+# pointer's block and offset; none is set for undef.
+_VALUE = (
+    r"(?:[ \t]+undef|[ \t]*\([ \t]*(?:int" + _ARG + "|float" + _ARG + "|ptr" + _ARG + _ARG
+    + r")[ \t]*\))"
+)
+
+
+def _float_bits(text: str) -> int:
+    """The float bits ``text`` spells, read as the descent reads them."""
+    bits = int(text, 16)
+    if not 0 <= bits < 1 << 64:
+        raise ValueError(f"float bits out of range: {text!r}")
+    return bits
+
+
+def _matched_value(m: re.Match, k: int, bound: dict, literals: dict) -> ValueExpr:
+    """The value whose ``_VALUE`` groups start at group ``k`` of ``m``."""
+    text = m[k]
+    if text is not None:
+        return _shared(literals, Vint, int(text, 0))
+    text = m[k + 1]
+    if text is not None:
+        return _shared(literals, Vfloat, _float_bits(text))
+    target = m[k + 2]
+    if target is None:
+        return VUNDEF
+    target = bound[target][1][0] if target.startswith("$") else int(target, 0)
+    return _shared(literals, PtrLit, target, int(m[k + 3], 0))
+
+
+# The builders: groups 1-3 of a store or load are its chunk, variable and
+# offset, and 4-7 a store's value or a load's expected one; 8 is a load's
+# "fail".
+
+
+def _store_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
+    ref, names = bound[m[2]]
+    value = _matched_value(m, 4, bound, literals)
+    return Statement(("store", _CHUNKS[m[1]], ref, int(m[3], 0), value), expect, names, line)
+
+
+def _load_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
+    """A load; unless ``expect`` is given, it expects what follows its ``=>``."""
+    ref, names = bound[m[2]]
+    op = ("load", _CHUNKS[m[1]], ref, int(m[3], 0))
+    if expect is None:
+        expect = LOAD_FAILS if m[8] is not None else _matched_value(m, 4, bound, literals)
+    return Statement(op, expect, names, line)
+
+
+def _alloc_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
+    op = ("alloc", int(m[1], 0), int(m[2], 0))
+    name = m[3]
+    if name in bound:
+        raise KeyError(name)
+    names = (name,)
+    bound[name] = (len(bound), names)
+    return Statement(op, expect, names, line)
+
+
+def _free_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
+    ref, names = bound[m[1]]
+    return Statement(("free", ref), expect, names, line)
+
+
+def _free_list_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
+    entries = [bound[name] for name in _TOKEN.findall(m[1])]
+    op = ("free_list", tuple(ref for ref, _ in entries))
+    return Statement(op, expect, tuple(names[0] for _, names in entries), line)
+
+
+def _valid_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
+    ref, names = bound[m[1]]
+    return Statement(("valid", ref), expect, names, line)
+
+
+def _bounds_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
+    ref, names = bound[m[1]]
+    pair = _shared(literals, tuple, (int(m[2], 0), int(m[3], 0)))
+    return Statement(("bounds", ref), pair, names, line)
+
+
+def _form(head: str, body: str, build, expect) -> tuple:
+    return re.compile(head + body + _END).fullmatch, build, expect
+
+
+@functools.cache
+def _forms() -> dict:
+    """Each statement form by its head (for ``expect-fail``, its head and
+    its operation's): the full-line pattern's ``fullmatch``, the builder,
+    and the expectation the builder gives.  Compiled at the first parse, so
+    that importing the module compiles nothing."""
+    access = _ARG * 3
+    ops = {
+        "alloc": (_ARG * 2 + r"[ \t]+->[ \t]+(\$[^ \t()#]+)", _alloc_form),
+        "free": (_ARG, _free_form),
+        "free-list": (r"((?:[ \t]+[^ \t()#]+)*)", _free_list_form),
+        "store": (access + _VALUE, _store_form),
+        "load": (access, _load_form),
+    }
+    forms = {}
+    for head, (body, build) in ops.items():
+        forms["expect-fail " + head] = _form(
+            r"expect-fail[ \t]+" + head, body, build, EXPECT_FAIL
+        )
+        if head != "load":  # a plain load states what it expects
+            forms[head] = _form(head, body, build, SUCCEEDS)
+    expects = r"[ \t]+=>(?:" + _VALUE + r"|[ \t]+(fail))"
+    forms["load"] = _form("load", access + expects, _load_form, None)
+    forms["assert-valid"] = _form("assert-valid", _ARG, _valid_form, True)
+    forms["assert-bounds"] = _form("assert-bounds", access, _bounds_form, None)
+    return forms
+
+
 @_collector_paused
 def parse_trace(text: str) -> Trace:
-    """Parse a trace; raises TraceParseError with position on bad input."""
+    """Parse a trace; raises TraceParseError with position on bad input.
+
+    A statement line whose head is followed by a space is matched against
+    its form's pattern first; the descent reads every line no pattern
+    accepts."""
+    forms = _forms()
     statements = []
     emb: dict | None = None
     # Each variable's ref (the number of allocs before the one that binds
     # it) and the tuple of its name that all its statements share.
     bound: dict[str, tuple[int, tuple]] = {}
     literals: dict = {}  # see _shared
-    for lineno, code, tokens in _lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if emb is None:
+            head, _, rest = raw.partition(" ")
+            if head == "expect-fail":
+                head += " " + rest.partition(" ")[0]
+            form = forms.get(head)
+            if form is not None and (m := form[0](raw)) is not None:
+                try:
+                    stmt = form[1](m, lineno, bound, literals, form[2])
+                except (KeyError, ValueError):
+                    pass
+                else:
+                    statements.append(stmt)
+                    continue
+        code, tokens = _code(raw)
+        if not tokens:
+            continue
         try:
             if tokens[0] == "[emb]":
                 _end(tokens, 1, "unexpected token after [emb]")

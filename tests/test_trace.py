@@ -490,20 +490,20 @@ def test_equal_literals_share_one_object():
 
 
 def _collector_states(monkeypatch):
-    """The collector's setting seen each time a parse reads its lines and
-    each time a run or relate makes its first state."""
+    """The collector's setting seen each time a parse fetches its statement
+    patterns and each time a run or relate makes its first state."""
     seen = []
-    lines, empty = trace._lines, memstate.empty
+    forms, empty = trace._forms, memstate.empty
 
-    def recording_lines(text):
+    def recording_forms():
         seen.append(("parse", gc.isenabled()))
-        return lines(text)
+        return forms()
 
     def recording_empty(*args):
         seen.append(("state", gc.isenabled()))
         return empty(*args)
 
-    monkeypatch.setattr(trace, "_lines", recording_lines)
+    monkeypatch.setattr(trace, "_forms", recording_forms)
     monkeypatch.setattr(memstate, "empty", recording_empty)
     return seen
 

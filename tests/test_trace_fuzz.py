@@ -1,15 +1,18 @@
-"""Fuzzing the trace front end: the parser is total, printing round-trips,
-a run's step view agrees with the run, and the CLI answers every input
-with an exit code."""
+"""Fuzzing the trace front end: the parser is total, its statement
+patterns agree with the token descent, printing round-trips, a run's step
+view agrees with the run, and the CLI answers every input with an exit
+code."""
 
 import contextlib
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from blockmem import trace
 from blockmem.chunks import Chunk
 from blockmem.cli import main
 from blockmem.memstate import CapacityPolicy, MemConfig
@@ -127,6 +130,119 @@ def _parses(parse, text):
 def test_parsers_return_or_raise_parse_errors(text):
     _parses(parse_trace, text)
     _parses(parse_embedding, text)
+
+
+def _outcome(text):
+    """What ``parse_trace`` makes of ``text``: every statement with its line
+    and the [emb] section, or the error's position and message."""
+    try:
+        t = parse_trace(text)
+    except TraceParseError as e:
+        return "error", e.line, e.column, e.message
+    return [(s.op, s.expect, s.names, s.line) for s in t.statements], t.emb
+
+
+def _descent_outcome(text):
+    """``_outcome`` with no statement pattern: the token descent alone."""
+    with mock.patch.object(trace, "_forms", dict):
+        return _outcome(text)
+
+
+BLANK_RUNS = st.sampled_from([" ", " ", " ", "\t", "  ", " \t"])
+COMMENTS = st.sampled_from(["", "", " # note", "\t#", "#(ptr $a 0)", " #"])
+
+
+@st.composite
+def respaced(draw, lines):
+    """Lines from ``lines`` with each space widened to a run of blanks, and
+    maybe a trailing comment, joined into a text."""
+    out = []
+    for line in draw(lines):
+        parts = line.split(" ")
+        text = parts[0] + "".join(draw(BLANK_RUNS) + part for part in parts[1:])
+        out.append(text + draw(COMMENTS))
+    return "\n".join(out)
+
+
+BOUND_STATEMENTS = st.lists(STATEMENTS, max_size=6).map(
+    lambda lines: ["alloc 0 16 -> $a", "alloc -8 8 -> $b", *lines]
+)
+
+
+@FUZZ
+@given(st.one_of(respaced(BOUND_STATEMENTS), BOUND_STATEMENTS.map("\n".join), TRACES))
+def test_patterns_parse_as_the_descent_does(text):
+    assert _outcome(text) == _descent_outcome(text)
+
+
+# Lines at the edges of what a pattern accepts, after $a and $b are bound.
+EDGE_LINES = [
+    "store int32 $a 0 (float 0x10000000000000000)",
+    "store int32 $a 0 (float 0000000000000000001)",
+    "store int32 $a 0 (float -0)",
+    "store int32 $a 0 (float 0x_f)",
+    "store int32 $a 0 (int 0_1)",
+    "store int32 $a 0 (int 012)",
+    "store int32 $a 0 (int +0b101)",
+    "store int32 $a -0x8 (ptr -1 +2)",
+    "store int32 $a 0 (ptr $ 0)",
+    "store int32 $a 0 (ptr $c 0)",
+    "store int64 $a 0 undef",
+    "store int32 $a 0 undef(",
+    "store int32 $a 0 undef#(",
+    "store int32 $a 0(int 1)",
+    "store int32 $a 0 ( int\t1 )",
+    "store int32 $a 0 (int1)",
+    "load int32 $a 0 =>(int 1)",
+    "load int32 $a 0 =>undef",
+    "load int32 $a 0 => fail#",
+    "load int32 $a 0 => failed",
+    "load int32 $a 0",
+    "alloc 0 8 -> $a",
+    "alloc 0 8 -> $",
+    "alloc 0 8 ->$c",
+    "alloc 0 8 -> $c $d",
+    "alloc 0 8\t->\t$c",
+    "free-list",
+    "free-list $a $a",
+    "free-list $a\t$b # both",
+    "free-list $a $c",
+    "expect-fail  free $a",
+    "expect-fail free-list",
+    "expect-fail load int32 $a 0",
+    "expect-fail load int32 $a 0 => undef",
+    "expect-fail alloc 0 8 -> $b",
+    "assert-valid $a $b",
+    "assert-bounds $a 0x0 16 # c",
+    "assert-bounds $a 0 16 16",
+    "store int32 $a 0 (int 1) ",
+    " store int32 $a 0 (int 1)",
+    "\tfree $a",
+    "free $a\x1f",
+]
+
+
+@pytest.mark.parametrize("line", EDGE_LINES)
+def test_patterns_parse_edge_lines_as_the_descent_does(line):
+    text = f"alloc 0 16 -> $a\nalloc -8 8 -> $b\n{line}\nfree $b"
+    assert _outcome(text) == _descent_outcome(text)
+
+
+SMOKE = Path(__file__).resolve().parent / "smoke"
+
+
+def test_every_well_formed_statement_is_read_by_its_pattern():
+    text = (SMOKE / "forms.trace").read_text(encoding="utf-8")
+    with mock.patch.object(trace, "_statement", side_effect=AssertionError("descent")):
+        t = parse_trace(text)
+    ops = {"alloc", "free", "free_list", "store", "load"}
+    assert {s.op[0] for s in t.statements} == ops | {"valid", "bounds"}
+    assert {s.op[0] for s in t.statements if s.expect is trace.EXPECT_FAIL} == ops
+    stored = {type(s.op[4]).__name__ for s in t.statements if s.op[0] == "store"}
+    loaded = {type(s.expect).__name__ for s in t.statements if s.op[0] == "load"}
+    assert stored == {"Vint", "Vfloat", "PtrLit", "Vundef"}
+    assert loaded == stored | {"str"}  # a value, "fail" or expect-fail
+    assert _outcome(text) == _descent_outcome(text)
 
 
 @FUZZ
