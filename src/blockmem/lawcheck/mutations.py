@@ -11,7 +11,7 @@ into a mutated run or vice versa.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .. import cells, chunks, memstate, relations
@@ -32,13 +32,11 @@ class Mutation:
 
 
 def _no_alignment(orig):
-    def valid_access(m, t, b, i):
-        if not memstate.valid_block(m, b):
-            return False
-        low, high = memstate.bounds(m, b)
-        return low <= i and i + chunks.size_chunk(t) <= high
+    def access_slot(m, t, b, i):
+        unaligned = replace(m.config, check_alignment=False)
+        return orig(replace(m, config=unaligned), t, b, i)
 
-    return valid_access
+    return access_slot
 
 
 def _no_continuation_clear(orig):
@@ -95,9 +93,9 @@ MUTATIONS: dict[str, Mutation] = {
     for m in (
         Mutation(
             "alignment-check-dropped",
-            "valid_access loses its alignment conjunct",
+            "the access check loses its alignment conjunct",
             memstate,
-            "valid_access",
+            "access_slot",
             _no_alignment,
             ("aligned_dec", "valid_pointer_dec"),
         ),

@@ -11,23 +11,24 @@ allocation outcomes deterministic in the domain of the state.
 States are immutable values: every operation returns a new state, and the
 partial operations (alloc, free, load, store and their derived forms)
 signal failure by returning ``None``.  Ids are dense, so the per-block data
-sits in two persistent vectors indexed by ``b - 1`` (see ``pvec``):
-``blocks`` holds ``(low, high, live)`` and ``contents`` the cell map.
-``alloc`` appends to both, ``store`` replaces one ``contents`` slot and
-``free`` one ``blocks`` slot, each copying one root-to-leaf path,
-O(log32 n), and sharing the rest with the state it came from.
+sits in one persistent vector indexed by ``b - 1`` (see ``pvec``): the
+slot ``(low, high, live, contents)``, one record per block as in Leroy &
+Blazy's concrete model.  ``alloc`` appends a slot and ``store`` and
+``free`` each replace one, copying one root-to-leaf path, O(log32 n), and
+sharing the rest with the state it came from.  One access check,
+``access_slot``, reads the slot once and hands it to ``load`` and
+``store``.
 
 Code outside this module reads states through ``nextblock`` and the
-functions here: ``valid_block``, ``bounds``, ``slot``, ``live_blocks`` (one
-in-order walk over the valid blocks), ``contents_of`` and ``freed_blocks``.
-``set_contents`` and ``set_block`` rewrite one slot unchecked, for
-witness states and seeded bugs.
+functions here: ``valid_block``, ``bounds``, ``slot`` (one read by id),
+``live_blocks`` and ``issued_slots`` (in-order walks that read no id),
+``contents_of`` and ``freed_blocks``.  ``set_contents`` and ``set_block``
+rewrite one slot unchecked, for witness states and seeded bugs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 
 from . import cells, chunks
 from .cells import EMPTY_CONTENTS, BlockContents
@@ -66,15 +67,14 @@ DEFAULT_CONFIG = MemConfig()
 
 @dataclass(slots=True)
 class MemState:
-    """Two persistent vectors of one length, ``nextblock - 1``, indexed by
-    ``b - 1``: ``blocks`` holds ``(low, high, live)`` per issued id and
-    ``contents`` the block's cell map.  Read them through the accessors
-    below.  A state is never mutated once built (states share their
-    vectors); it is unhashable, as its vectors are."""
+    """One persistent vector of length ``nextblock - 1``, indexed by
+    ``b - 1``: the slot ``(low, high, live, contents)`` of each issued id.
+    Read it through the accessors below.  A state is never mutated once
+    built (states share their vectors); it is unhashable, as its vector
+    is."""
 
     nextblock: int
-    blocks: PVec
-    contents: PVec
+    slots: PVec
     allocated_bytes: int
     config: MemConfig
 
@@ -85,12 +85,12 @@ def _span(low: int, high: int) -> int:
 
 def empty(config: MemConfig = DEFAULT_CONFIG) -> MemState:
     """The initial memory state: no blocks, next id 1."""
-    return MemState(1, PVec(), PVec(), 0, config)
+    return MemState(1, PVec(), 0, config)
 
 
 def valid_block(m: MemState, b: int) -> bool:
     """Allocated and not yet freed."""
-    return 1 <= b < m.nextblock and m.blocks.get(b - 1)[2]
+    return 1 <= b < m.nextblock and m.slots.get(b - 1)[2]
 
 
 def fresh_block(m: MemState, b: int) -> bool:
@@ -101,19 +101,29 @@ def fresh_block(m: MemState, b: int) -> bool:
 def bounds(m: MemState, b: int) -> Bounds:
     """(low inclusive, high exclusive) of ``b``; (0, 0) off-domain."""
     if 1 <= b < m.nextblock:
-        return m.blocks.get(b - 1)[:2]
+        return m.slots.get(b - 1)[:2]
     return (0, 0)
 
 
-def valid_access(m: MemState, t: Chunk, b: int, i: int) -> bool:
-    """Whether an access at chunk ``t`` to ``(b, i)`` is legal: valid block,
-    footprint within bounds, and (unless disabled) aligned address."""
+def access_slot(m: MemState, t: Chunk, b: int, i: int) -> tuple | None:
+    """The slot of ``b`` when an access at chunk ``t`` to ``(b, i)`` is
+    legal: valid block, footprint within bounds, and (unless disabled)
+    aligned address; ``None`` otherwise.  ``valid_access``, ``load`` and
+    ``store`` all decide access through it."""
     if not 1 <= b < m.nextblock:
-        return False
-    low, high, live = m.blocks.get(b - 1)
+        return None
+    s = m.slots.get(b - 1)
+    low, high, live, _ = s
     if not live or i < low or i + chunks.size_chunk(t) > high:
-        return False
-    return not m.config.check_alignment or i % chunks.align_chunk(t) == 0
+        return None
+    if m.config.check_alignment and i % chunks.align_chunk(t):
+        return None
+    return s
+
+
+def valid_access(m: MemState, t: Chunk, b: int, i: int) -> bool:
+    """Whether an access at chunk ``t`` to ``(b, i)`` is legal."""
+    return access_slot(m, t, b, i) is not None
 
 
 def alloc(m: MemState, low: int, high: int) -> tuple[int, MemState] | None:
@@ -129,8 +139,7 @@ def alloc(m: MemState, low: int, high: int) -> tuple[int, MemState] | None:
     b = m.nextblock
     return b, MemState(
         b + 1,
-        m.blocks.append((low, high, True)),
-        m.contents.append(EMPTY_CONTENTS),
+        m.slots.append((low, high, True, EMPTY_CONTENTS)),
         m.allocated_bytes + request,
         m.config,
     )
@@ -141,13 +150,12 @@ def free(m: MemState, b: int) -> MemState | None:
     contents are kept so off-domain queries stay stable."""
     if not 1 <= b < m.nextblock:
         return None
-    low, high, live = m.blocks.get(b - 1)
+    low, high, live, c = m.slots.get(b - 1)
     if not live:
         return None
     return MemState(
         m.nextblock,
-        m.blocks.set(b - 1, (low, high, False)),
-        m.contents,
+        m.slots.set(b - 1, (low, high, False, c)),
         m.allocated_bytes - _span(low, high),
         m.config,
     )
@@ -156,21 +164,22 @@ def free(m: MemState, b: int) -> MemState | None:
 def load(t: Chunk, m: MemState, b: int, i: int) -> Value | None:
     """Read chunk ``t`` at ``(b, i)``.  Succeeds iff the access is valid;
     the result may still be ``Vundef`` (never-written or clobbered cell)."""
-    if not valid_access(m, t, b, i):
+    s = access_slot(m, t, b, i)
+    if s is None:
         return None
-    return cells.load_contents(t, m.contents.get(b - 1), i)
+    return cells.load_contents(t, s[3], i)
 
 
 def store(t: Chunk, m: MemState, b: int, i: int, v: Value) -> MemState | None:
     """Write ``v`` as chunk ``t`` at ``(b, i)``.  Succeeds iff the access is
     valid; only the contents of ``b`` change."""
-    if not valid_access(m, t, b, i):
+    s = access_slot(m, t, b, i)
+    if s is None:
         return None
-    c = m.contents
+    low, high, live, c = s
     return MemState(
         m.nextblock,
-        m.blocks,
-        c.set(b - 1, cells.store_contents(c.get(b - 1), t, i, v)),
+        m.slots.set(b - 1, (low, high, live, cells.store_contents(c, t, i, v))),
         m.allocated_bytes,
         m.config,
     )
@@ -179,8 +188,8 @@ def store(t: Chunk, m: MemState, b: int, i: int, v: Value) -> MemState | None:
 def same_domain(m1: MemState, m2: MemState) -> bool:
     """Equal next-block counter, freed set, and bounds; contents may
     differ."""
-    return m1.nextblock == m2.nextblock and (
-        m1.blocks is m2.blocks or m1.blocks == m2.blocks
+    return m1.nextblock == m2.nextblock and all(
+        s1 is s2 or s1[:3] == s2[:3] for s1, s2 in zip(m1.slots, m2.slots)
     )
 
 
@@ -189,50 +198,58 @@ def same_domain(m1: MemState, m2: MemState) -> bool:
 
 def live_blocks(m: MemState):
     """``(b, low, high, contents)`` of every valid block, in id order."""
-    for b, (low, high, live), c in zip(count(1), m.blocks, m.contents):
+    for b, (low, high, live, c) in enumerate(m.slots, 1):
         if live:
             yield b, low, high, c
 
 
-def slot(m: MemState, b: int) -> tuple[int, int, bool]:
-    """``(low, high, live)`` of the issued id ``b``."""
-    return m.blocks.get(b - 1)
+def issued_slots(m: MemState):
+    """The slot ``(low, high, live, contents)`` of every issued id, in id
+    order: one in-order walk, reading no id."""
+    return iter(m.slots)
+
+
+def slot(m: MemState, b: int) -> tuple | None:
+    """The slot ``(low, high, live, contents)`` of ``b``; ``None`` when
+    ``b`` was never issued."""
+    if 1 <= b < m.nextblock:
+        return m.slots.get(b - 1)
+    return None
 
 
 def contents_of(m: MemState, b: int) -> BlockContents:
     """The cell map of ``b``, freed or not; empty off-domain."""
     if 1 <= b < m.nextblock:
-        return m.contents.get(b - 1)
+        return m.slots.get(b - 1)[3]
     return EMPTY_CONTENTS
 
 
 def freed_blocks(m: MemState) -> frozenset:
     """The ids issued and since freed."""
-    return frozenset(b for b, (_, _, live) in enumerate(m.blocks, 1) if not live)
+    return frozenset(b for b, s in enumerate(m.slots, 1) if not s[2])
 
 
 def set_contents(m: MemState, b: int, c: BlockContents) -> MemState:
     """``m`` with the cell map of the issued id ``b`` replaced by ``c``.
     Unchecked: no access validity, no footprint rules; for building
     witness states."""
-    return MemState(
-        m.nextblock, m.blocks, m.contents.set(b - 1, c), m.allocated_bytes, m.config
-    )
+    low, high, live, _ = m.slots.get(b - 1)
+    slots = m.slots.set(b - 1, (low, high, live, c))
+    return MemState(m.nextblock, slots, m.allocated_bytes, m.config)
 
 
 def set_block(m: MemState, b: int, low: int, high: int, live: bool) -> MemState:
     """``m`` with the issued id ``b`` given bounds ``(low, high)`` and
     validity ``live``, the byte count following.  Unchecked: it can revive
     a freed id; for building seeded bugs."""
-    old_low, old_high, old_live = m.blocks.get(b - 1)
+    old_low, old_high, old_live, c = m.slots.get(b - 1)
     allocated = (
         m.allocated_bytes
         - (_span(old_low, old_high) if old_live else 0)
         + (_span(low, high) if live else 0)
     )
-    return MemState(
-        m.nextblock, m.blocks.set(b - 1, (low, high, live)), m.contents, allocated, m.config
-    )
+    slots = m.slots.set(b - 1, (low, high, live, c))
+    return MemState(m.nextblock, slots, allocated, m.config)
 
 
 def free_list(m: MemState, bs) -> MemState | None:

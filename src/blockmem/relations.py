@@ -19,12 +19,18 @@ delta)``; absent keys are unmapped.  Deltas of an injection must be
 multiples of 8 so that relocation preserves every chunk's alignment.
 
 Each relation is a domain condition plus one per-block condition, load
-transport (``_emb_block``), along the relation's embedding.  Refinement is
-``same_domain`` and transport along ``IDENTITY``.  Extension is an equal
+transport (``_transport``), along the relation's embedding.  Transport
+reads the left block's bounds and cells and the slot of its target in the
+right state (see ``memstate``), so each block costs one slot read on each
+side.  Refinement is an equal ``nextblock``, equal ``(low, high, live)``
+slots and transport along ``IDENTITY``.  Extension is an equal
 ``nextblock``, every valid left block valid and contained on the right
 (empty spans too, which transport skips), and transport along
-``IDENTITY``.  An injection is deltas that are multiples of 8, images that
-do not overlap, and transport along its map.  An operation changes one
+``IDENTITY``.  Both decide a whole state in one walk over the two states'
+slots in id order, reading no block by id; a slot the two states share
+holds at once when both check alignment the same way.  An injection is
+deltas that are multiples of 8, images that do not overlap, and transport
+along its map, each target's slot read by id.  An operation changes one
 block and leaves the condition of every other block as it was, so
 ``holds_after_step`` decides a relation after a step from the blocks the
 step changed.  Its answer is the whole-state checker's, given that the
@@ -36,7 +42,7 @@ uses it after its first statement pair.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import cells, chunks, memstate
 from .chunks import ALL_CHUNKS, COMPAT_CHUNKS, Chunk, Value, Vptr, VUNDEF
@@ -138,10 +144,10 @@ def _access_list(low: int, high: int, aligned: bool) -> tuple[tuple[Chunk, int],
 
 def valid_accesses(m: MemState, b: int) -> tuple[tuple[Chunk, int], ...]:
     """The finite set of valid (chunk, offset) accesses of block ``b``."""
-    if not memstate.valid_block(m, b):
+    s = memstate.slot(m, b)
+    if s is None or not s[2]:
         return ()
-    low, high = memstate.bounds(m, b)
-    return _access_list(low, high, m.config.check_alignment)
+    return _access_list(s[0], s[1], m.config.check_alignment)
 
 
 def _defined_loads(c: cells.BlockContents, low: int, high: int, aligned: bool):
@@ -188,27 +194,28 @@ def _relocation_aligned(low: int, high: int, aligned: bool, delta: int) -> bool:
     return True
 
 
-def _emb_block(
-    emb: Embedding, b1: int, low1: int, high1: int, c1, m2: MemState, aligned: bool
+def _transport(
+    emb: Embedding, b1: int, low1: int, high1: int, c1, aligned: bool, s2, aligned2: bool
 ) -> bool:
     """The load-transport condition on one valid block ``b1`` of the left
-    state, with bounds ``[low1, high1)`` and cells ``c1``: when it is mapped
-    and its span is not empty, the target is valid in ``m2`` with
-    containing bounds, the relocated accesses are aligned if ``m2`` checks
-    alignment, and the loads relate by ``val_emb``.  Along ``IDENTITY``
-    equal cell maps relate at once, since ``val_lessdef`` is reflexive."""
-    target = emb.get(b1)
-    if target is None or high1 <= low1:
+    state, with bounds ``[low1, high1)`` and cells ``c1``, whose accesses
+    are aligned when ``aligned``.  ``s2`` is the slot of its target in the
+    right state (``None`` when that id was never issued there), whose
+    accesses are aligned when ``aligned2``.  When ``b1`` is mapped and its
+    span is not empty, the target is valid with containing bounds, the
+    relocated accesses are aligned if ``aligned2``, and the loads relate by
+    ``val_emb``.  Along ``IDENTITY`` equal cell maps relate at once, since
+    ``val_lessdef`` is reflexive."""
+    if high1 <= low1:
         return True
-    b2, delta = target
-    if not memstate.valid_block(m2, b2):
+    if s2 is None:
         return False
-    low2, high2 = memstate.bounds(m2, b2)
-    if not (low2 <= low1 + delta and high1 + delta <= high2):
+    low2, high2, live2, c2 = s2
+    delta = 0 if emb is IDENTITY else emb[b1][1]
+    if not (live2 and low2 <= low1 + delta and high1 + delta <= high2):
         return False
-    if m2.config.check_alignment and not _relocation_aligned(low1, high1, aligned, delta):
+    if aligned2 and not _relocation_aligned(low1, high1, aligned, delta):
         return False
-    c2 = memstate.contents_of(m2, b2)
     if emb is IDENTITY and (c1 is c2 or c1 == c2):
         return True
     for t, ofs, v1 in _defined_loads(c1, low1, high1, aligned):
@@ -217,53 +224,74 @@ def _emb_block(
     return True
 
 
-def _transports(emb: Embedding, m1: MemState, m2: MemState) -> bool:
-    """``_emb_block`` on every valid block of ``m1``: ``mem_emb``'s walk.
-    Refinement calls it, not the public name, so rebinding ``mem_emb``
-    leaves it alone; extension walks ``_emb_block`` itself."""
-    aligned = m1.config.check_alignment
-    for b1, low1, high1, c1 in memstate.live_blocks(m1):
-        if not _emb_block(emb, b1, low1, high1, c1, m2, aligned):
+def _transport_by_id(
+    emb: Embedding, b1: int, low1: int, high1: int, c1, aligned: bool, m2: MemState
+) -> bool:
+    """``_transport`` on the valid left block ``b1`` when it is mapped,
+    after one read of its target's slot in ``m2`` by id."""
+    target = emb.get(b1)
+    if target is None:
+        return True
+    s2 = memstate.slot(m2, target[0])
+    return _transport(emb, b1, low1, high1, c1, aligned, s2, m2.config.check_alignment)
+
+
+def _refines(b: int, s1, s2, aligned: bool, aligned2: bool) -> bool:
+    """Refinement's condition on the issued id ``b`` with slots ``s1`` and
+    ``s2``: equal ``(low, high, live)``, freed or not, and load transport
+    along ``IDENTITY`` when live.  A slot shared by both states holds at
+    once when both states check alignment the same way."""
+    if s1 is s2 and aligned == aligned2:
+        return True
+    low1, high1, live1, c1 = s1
+    low2, high2, live2, _ = s2
+    if low1 != low2 or high1 != high2 or live1 != live2:
+        return False
+    return not live1 or _transport(IDENTITY, b, low1, high1, c1, aligned, s2, aligned2)
+
+
+def _extends(b: int, s1, s2, aligned: bool, aligned2: bool) -> bool:
+    """Extension's condition on the issued id ``b`` with slots ``s1`` and
+    ``s2``: when ``b`` is valid on the left, it is valid on the right with
+    containing bounds, which binds empty-span blocks too, and load
+    transport along ``IDENTITY`` holds.  A slot shared by both states holds
+    at once when both states check alignment the same way."""
+    low1, high1, live1, c1 = s1
+    if not live1 or s1 is s2 and aligned == aligned2:
+        return True
+    low2, high2, live2, _ = s2
+    if not (live2 and low2 <= low1 and high1 <= high2):
+        return False
+    return _transport(IDENTITY, b, low1, high1, c1, aligned, s2, aligned2)
+
+
+def _in_step(condition, m1: MemState, m2: MemState) -> bool:
+    """An equal ``nextblock``, and ``condition`` on every issued id, in one
+    walk over both states' slots in id order that reads no id."""
+    if m1.nextblock != m2.nextblock:
+        return False
+    aligned, aligned2 = m1.config.check_alignment, m2.config.check_alignment
+    slots2 = memstate.issued_slots(m2)
+    for b, s1 in enumerate(memstate.issued_slots(m1), 1):
+        if not condition(b, s1, next(slots2), aligned, aligned2):
             return False
     return True
-
-
-def _same_slot(m1: MemState, m2: MemState, b: int) -> bool:
-    """Refinement's domain condition on the issued id ``b``: equal
-    ``(low, high, live)`` slots, freed or not."""
-    return memstate.slot(m1, b) == memstate.slot(m2, b)
-
-
-def _contained(m1: MemState, m2: MemState, b: int) -> bool:
-    """Extension's domain condition on the id ``b``: when ``b`` is valid in
-    ``m1``, it is valid in ``m2`` with containing bounds.  This binds
-    empty-span blocks too, which load transport skips."""
-    if not memstate.valid_block(m1, b):
-        return True
-    low1, high1 = memstate.bounds(m1, b)
-    low2, high2 = memstate.bounds(m2, b)
-    return memstate.valid_block(m2, b) and low2 <= low1 and high1 <= high2
 
 
 def mem_lessdef(m1: MemState, m2: MemState) -> bool:
     """Pointwise refinement: same domain, and every valid load of ``m1`` is
     refined by the load of ``m2`` at the same location (load transport
-    along ``IDENTITY``)."""
-    return memstate.same_domain(m1, m2) and _transports(IDENTITY, m1, m2)
+    along ``IDENTITY``).  One walk over both states checks both per
+    block."""
+    return _in_step(_refines, m1, m2)
 
 
 def mem_extends(m1: MemState, m2: MemState) -> bool:
     """Memory extension: same next block, every block valid in ``m1`` is
     valid in ``m2`` with containing bounds, and loads are preserved up to
     refinement at the same locations (load transport along ``IDENTITY``).
-    One walk over the valid blocks of ``m1`` checks both per block."""
-    if m1.nextblock != m2.nextblock:
-        return False
-    aligned = m1.config.check_alignment
-    for b1, low1, high1, c1 in memstate.live_blocks(m1):
-        if not (_contained(m1, m2, b1) and _emb_block(IDENTITY, b1, low1, high1, c1, m2, aligned)):
-            return False
-    return True
+    One walk over both states checks both per block."""
+    return _in_step(_extends, m1, m2)
 
 
 def mem_emb(emb: Embedding, m1: MemState, m2: MemState) -> bool:
@@ -278,7 +306,11 @@ def mem_emb(emb: Embedding, m1: MemState, m2: MemState) -> bool:
     within its bounds; alignment is then checked chunk by chunk in closed
     form when ``m2`` checks alignment.  Blocks with empty spans have no
     accesses and are skipped."""
-    return _transports(emb, m1, m2)
+    aligned = m1.config.check_alignment
+    for b1, low1, high1, c1 in memstate.live_blocks(m1):
+        if not _transport_by_id(emb, b1, low1, high1, c1, aligned, m2):
+            return False
+    return True
 
 
 def mem_inject(emb: Embedding, m1: MemState, m2: MemState) -> bool:
@@ -309,18 +341,18 @@ def _no_new_overlap(emb: Embedding, sources: dict, m1: MemState, b: int) -> bool
     in ``m1``, it relocates clear of the image of every other valid source
     of its target."""
     target = emb.get(b)
-    if target is None or not memstate.valid_block(m1, b):
-        return True
-    low, high = memstate.bounds(m1, b)
-    if low >= high:
+    s = memstate.slot(m1, b)
+    if target is None or s is None or not s[2] or s[0] >= s[1]:
         return True
     tb, delta = target
-    low, high = low + delta, high + delta
-    for s in sources[tb]:
-        if s == b or not memstate.valid_block(m1, s):
+    low, high = s[0] + delta, s[1] + delta
+    for other in sources[tb]:
+        so = memstate.slot(m1, other)
+        if other == b or so is None or not so[2]:
             continue
-        slow, shigh = memstate.bounds(m1, s)
-        if slow < shigh and slow + emb[s][1] < high and low < shigh + emb[s][1]:
+        olow, ohigh, _, _ = so
+        odelta = emb[other][1]
+        if olow < ohigh and olow + odelta < high and low < ohigh + odelta:
             return False
     return True
 
@@ -340,33 +372,33 @@ def holds_after_step(
     the left and ``changed2`` on the right (an alloc changes its new id, a
     store or free its block).  The answer equals the whole-state checker's.
 
-    Every other block carries its condition over.  Each changed left block
-    is checked for its domain condition: an equal slot, containment, or,
-    for an injection, no overlap with the other sources of its target.
-    Then load transport is checked on the changed left blocks and on the
-    left blocks mapped onto a changed right block: ``sources =
-    sources_by_target(emb)`` for an injection, the block itself along
-    ``IDENTITY``.  An injection's deltas depend on no state and held
-    before.  The work is proportional to those blocks, not to the size of
-    the states."""
-    if relation == "inject":
-        domain = partial(_no_new_overlap, emb, sources, m1)
-        blocks = {*changed1, *(b for tb in changed2 for b in sources.get(tb, ()))}
-    else:
+    Every other block carries its condition over.  Along ``IDENTITY`` a
+    changed block, on either side, is read once by id on each side and
+    checked for the whole-state walk's per-block condition: an equal slot
+    or containment, and load transport.  For an injection, each changed
+    left block is checked for no overlap with the other sources of its
+    target; then load transport is checked on the changed left blocks and
+    on the left blocks mapped onto a changed right block (``sources =
+    sources_by_target(emb)``), each after one read of its target's slot.
+    An injection's deltas depend on no state and held before.  The work is
+    proportional to those blocks, not to the size of the states."""
+    aligned = m1.config.check_alignment
+    if relation != "inject":
         if m1.nextblock != m2.nextblock:
             return False
-        # Along the identity a changed right block is its own only source,
-        # and the domain condition reads both states.
-        emb = IDENTITY
-        changed1 = blocks = {*changed1, *changed2}
-        domain = partial(_same_slot if relation == "lessdef" else _contained, m1, m2)
+        condition = _refines if relation == "lessdef" else _extends
+        aligned2 = m2.config.check_alignment
+        for b in {*changed1, *changed2}:
+            if not condition(b, memstate.slot(m1, b), memstate.slot(m2, b), aligned, aligned2):
+                return False
+        return True
     for b in changed1:
-        if not domain(b):
+        if not _no_new_overlap(emb, sources, m1, b):
             return False
-    aligned = m1.config.check_alignment
-    for b in blocks:
-        if memstate.valid_block(m1, b):
-            low, high = memstate.bounds(m1, b)
-            if not _emb_block(emb, b, low, high, memstate.contents_of(m1, b), m2, aligned):
+    for b in {*changed1, *(b for tb in changed2 for b in sources.get(tb, ()))}:
+        s1 = memstate.slot(m1, b)
+        if s1 is not None and s1[2]:
+            low1, high1, _, c1 = s1
+            if not _transport_by_id(emb, b, low1, high1, c1, aligned, m2):
                 return False
     return True

@@ -5,6 +5,7 @@ import pytest
 from blockmem import memstate
 from blockmem.lawcheck import mutations, registry
 from blockmem.lawcheck.runner import SuiteConfig, run_law
+from blockmem.trace import exec_trace, parse_trace
 
 
 def test_six_mutations_documented():
@@ -28,6 +29,18 @@ def test_mutation_context_restores_the_original():
     assert memstate.free is original
     # and the model is healthy again
     assert run_law(registry.law("valid_block_free_"), SuiteConfig(random_cases=200)).passed
+
+
+def test_alignment_mutation_reaches_the_trace_interpreter():
+    # `blockmem run` stores and loads through memstate.store/load, so the
+    # rebound access check must reach them, not only valid_access.
+    succeed = parse_trace("alloc 0 8 -> $a\nstore int32 $a 2 (int 7)\nload int32 $a 2 => (int 7)")
+    fail = parse_trace(
+        "alloc 0 8 -> $a\nexpect-fail store int32 $a 2 (int 7)\nexpect-fail load int32 $a 2"
+    )
+    assert not exec_trace(succeed).ok and exec_trace(fail).ok
+    with mutations.applied("alignment-check-dropped"):
+        assert exec_trace(succeed).ok and not exec_trace(fail).ok
 
 
 # The (mutation, law) pairs whose exhaustive phase alone, at the default

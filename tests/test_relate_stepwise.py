@@ -110,13 +110,13 @@ def test_overlapping_alloc_is_the_only_fault():
 def _count_block_checks(monkeypatch) -> list:
     """The arguments of every per-block load-transport check from now on."""
     checked = []
-    emb_block = relations._emb_block
+    transport = relations._transport
 
     def counted(*args):
         checked.append(args)
-        return emb_block(*args)
+        return transport(*args)
 
-    monkeypatch.setattr(relations, "_emb_block", counted)
+    monkeypatch.setattr(relations, "_transport", counted)
     return checked
 
 

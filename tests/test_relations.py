@@ -36,6 +36,7 @@ from blockmem.lawcheck.generators import (
 )
 from blockmem.lawcheck.rng import SplitMix64
 from blockmem.memstate import DEFAULT_CONFIG, MemConfig
+from blockmem.pvec import PVec
 
 UNALIGNED = MemConfig(check_alignment=False)
 # (left config, right config): uniform and mixed alignment checking.
@@ -219,6 +220,10 @@ def test_checkers_agree_with_reference_on_unrelated_states():
             m2 = run_ops(sample_ops(rng), c2).state
             assert mem_lessdef(m1, m2) == oracle.ref_mem_lessdef(m1, m2)
             assert mem_extends(m1, m2) == oracle.ref_mem_extends(m1, m2)
+            # The same slots on both sides, each side under its own config.
+            shared = replace(m1, config=c2)
+            assert mem_lessdef(m1, shared) == oracle.ref_mem_lessdef(m1, shared)
+            assert mem_extends(m1, shared) == oracle.ref_mem_extends(m1, shared)
             emb = {}
             for b in range(1, m1.nextblock):
                 if rng.chance(1, 2):
@@ -271,3 +276,27 @@ def test_refinement_and_extension_are_identity_transport_on_a_domain():
                 assert oracle.ref_mem_extends(m1, m2) == (extends and transport)
                 transport_only += transport and not extends
     assert transport_only > 0
+
+
+def test_whole_state_lessdef_and_extends_read_no_block_by_id(monkeypatch):
+    # Both walk the two states' slots in step: a vector read by index is a
+    # read by id, and there is none, whether the states share their
+    # vectors or were built apart.
+    def filled(n, extra):
+        m = empty()
+        for k in range(n):
+            b, m = alloc(m, -extra, 8 + extra)
+            m = store(Chunk.INT32, m, b, 0, Vint(k))
+        return m
+
+    m = filled(2000, 0)
+    stored = store(Chunk.INT32, m, 1000, 4, Vint(-1))
+    apart, wider = filled(2000, 0), filled(2000, 8)
+    reads = []
+    get = PVec.get
+    monkeypatch.setattr(PVec, "get", lambda self, i: reads.append(i) or get(self, i))
+    assert mem_lessdef(m, stored) and mem_lessdef(m, apart)
+    assert not mem_lessdef(stored, m) and not mem_lessdef(m, wider)
+    assert mem_extends(m, stored) and mem_extends(m, wider)
+    assert not mem_extends(wider, m)
+    assert reads == []
