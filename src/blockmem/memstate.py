@@ -10,14 +10,23 @@ allocation outcomes deterministic in the domain of the state.
 
 States are immutable values: every operation returns a new state, and the
 partial operations (alloc, free, load, store and their derived forms)
-signal failure by returning ``None``.  Ids are dense, so the per-block data
-sits in one persistent vector indexed by ``b - 1`` (see ``pvec``): the
-slot ``(low, high, live, contents)``, one record per block as in Leroy &
-Blazy's concrete model.  ``alloc`` appends a slot and ``store`` and
-``free`` each replace one, copying one root-to-leaf path, O(log32 n), and
-sharing the rest with the state it came from.  One access check,
-``access_slot``, reads the slot once and hands it to ``load`` and
-``store``.
+signal failure by returning ``None``, leaving the state as it was.  Ids
+are dense, so the per-block data sits in one persistent vector indexed by
+``b - 1`` (see ``pvec``): the slot ``(low, high, live, contents)``, one
+record per block as in Leroy & Blazy's concrete model.  ``alloc``
+appends a slot and ``store`` and ``free`` each replace one, copying one
+root-to-leaf path, O(log32 n), and sharing the rest with the state it
+came from.  One access check, ``access_slot``, reads the slot once and
+hands it to ``load`` and ``store``.
+
+The one exception lives inside a single run.  A run that drops every
+intermediate state (``trace.exec_trace``, stepwise ``trace.relate``)
+starts from ``transient(m)``, a state over a ``pvec.Transient`` copy of
+the slots.  The same operations then update that vector in place, so the
+state an operation was given must not be read again once it has
+succeeded.  The operations a run applies (see ``trace.run_op``) decide
+before they write, so a failed one leaves it unchanged.  The run hands
+back ``persistent(m)``, and no transient-backed state leaves it.
 
 Code outside this module reads states through ``nextblock`` and the
 functions here: ``valid_block``, ``bounds``, ``slot`` (one read by id),
@@ -30,10 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cells, chunks
+from . import cells, chunks, pvec
 from .cells import EMPTY_CONTENTS, BlockContents
 from .chunks import Chunk, Value, Vptr
-from .pvec import PVec
+from .pvec import PVec, Transient
 
 Bounds = tuple[int, int]
 
@@ -70,11 +79,12 @@ class MemState:
     """One persistent vector of length ``nextblock - 1``, indexed by
     ``b - 1``: the slot ``(low, high, live, contents)`` of each issued id.
     Read it through the accessors below.  A state is never mutated once
-    built (states share their vectors); it is unhashable, as its vector
+    built (states share their vectors), unless its vector is a run's
+    ``Transient`` (see ``transient``); it is unhashable, as its vector
     is."""
 
     nextblock: int
-    slots: PVec
+    slots: PVec | Transient
     allocated_bytes: int
     config: MemConfig
 
@@ -86,6 +96,20 @@ def _span(low: int, high: int) -> int:
 def empty(config: MemConfig = DEFAULT_CONFIG) -> MemState:
     """The initial memory state: no blocks, next id 1."""
     return MemState(1, PVec(), 0, config)
+
+
+def transient(m: MemState) -> MemState:
+    """``m`` over a fresh ``pvec.Transient`` copy of its slots, which the
+    operations then update in place; for the one run that makes it."""
+    return MemState(m.nextblock, Transient(m.slots), m.allocated_bytes, m.config)
+
+
+def persistent(m: MemState) -> MemState:
+    """``m`` over a persistent vector: ``m`` itself when it already is,
+    otherwise one snapshot of its transient slots."""
+    if type(m.slots) is PVec:
+        return m
+    return MemState(m.nextblock, pvec.of(m.slots), m.allocated_bytes, m.config)
 
 
 def valid_block(m: MemState, b: int) -> bool:
@@ -253,13 +277,16 @@ def set_block(m: MemState, b: int, low: int, high: int, live: bool) -> MemState:
 
 
 def free_list(m: MemState, bs) -> MemState | None:
-    """Free blocks left to right; fails at the first invalid element (so a
-    duplicate fails on its second occurrence)."""
+    """Free the blocks ``bs``.  Fails, freeing none of them, unless every
+    id is valid in ``m`` and none repeats: the verdict of freeing left to
+    right, where a duplicate fails on its second occurrence.  Deciding
+    first keeps a failed free-list from freeing a prefix in place on a
+    transient state."""
+    bs = tuple(bs)
+    if len(set(bs)) != len(bs) or not all(valid_block(m, b) for b in bs):
+        return None
     for b in bs:
-        m2 = free(m, b)
-        if m2 is None:
-            return None
-        m = m2
+        m = free(m, b)
     return m
 
 

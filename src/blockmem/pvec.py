@@ -7,6 +7,15 @@ elements; an inner node at ``shift`` holds children covering
 path from the root to one leaf, at most ``32 * depth`` slots, and return a
 new vector that shares every other node with the old one, which stays
 valid and unchanged.  The trie gains a level when its root is full.
+
+A run that keeps none of its intermediate versions pays for that
+persistence on every update.  ``Transient`` is the mutable twin (Clojure's
+transients): a list with the same ``get``/``set``/``append``/iteration
+contract, whose ``set`` and ``append`` update it in place and return it.
+``of`` takes one persistent snapshot of it, in O(n), shaped exactly as n
+appends would have built it.  A transient is owned by the one run that
+made it: it is updated only through the value its last update returned,
+and never handed out; the run hands back ``of`` of it instead.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from itertools import chain
 
 BITS = 5
 MASK = (1 << BITS) - 1
+WIDTH = MASK + 1
 
 
 class PVec:
@@ -46,7 +56,7 @@ class PVec:
 
     def append(self, x) -> PVec:
         n, shift = self.size, self.shift
-        if n == (MASK + 1) << shift:  # root full: a new root over the old one
+        if n == WIDTH << shift:  # root full: a new root over the old one
             return PVec(n + 1, shift + BITS, (self.root, _path(shift, x)))
         return PVec(n + 1, shift, _push(self.root, shift, n, x))
 
@@ -95,3 +105,51 @@ def _leaves(node: tuple, shift: int):
     else:
         for child in node:
             yield from _leaves(child, shift - BITS)
+
+
+def of(items) -> PVec:
+    """The persistent vector of ``items``, in O(n): full leaves and inner
+    nodes left to right and the root one level above the last full one,
+    the shape that appending the items one by one builds."""
+    items = tuple(items)
+    nodes = [items[k : k + WIDTH] for k in range(0, len(items), WIDTH)]
+    shift = 0
+    while len(nodes) > 1:
+        nodes = [tuple(nodes[k : k + WIDTH]) for k in range(0, len(nodes), WIDTH)]
+        shift += BITS
+    return PVec(len(items), shift, nodes[0] if nodes else ())
+
+
+class Transient:
+    """A mutable vector with ``PVec``'s contract, backed by a list:
+    ``set`` and ``append`` update it in place and return it.  Owned by the
+    run that made it (see the module docstring)."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items) -> None:
+        self.items = list(items)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def get(self, i: int):
+        if i < 0:
+            raise IndexError(i)
+        return self.items[i]
+
+    def set(self, i: int, x) -> Transient:
+        if i < 0:
+            raise IndexError(i)
+        self.items[i] = x
+        return self
+
+    def append(self, x) -> Transient:
+        self.items.append(x)
+        return self
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __repr__(self) -> str:
+        return f"Transient({self.items!r})"

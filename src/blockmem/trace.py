@@ -893,8 +893,10 @@ def exec_trace(trace: Trace, config: MemConfig = DEFAULT_CONFIG) -> TraceReport:
 
     The report keeps the final state and bindings and the failure, and
     describes each step when ``report.steps`` is read; a run builds no
-    record per statement."""
-    m = memstate.empty(config)
+    record per statement.  The run keeps no intermediate state, so it
+    updates a transient state in place (see ``memstate.transient``) and
+    reports one persistent snapshot of it."""
+    m = memstate.transient(memstate.empty(config))
     blocks: list = []
     env: dict[str, int] = {}
     statements = trace.statements
@@ -902,8 +904,10 @@ def exec_trace(trace: Trace, config: MemConfig = DEFAULT_CONFIG) -> TraceReport:
         m, ok, got = _step(stmt, m, blocks, env)
         if not ok:
             failure = StepOutcome(stmt.line, False, _failure_note(stmt, env, got))
-            return TraceReport(False, Steps(statements, k + 1, env, failure), m, env, failure)
-    return TraceReport(True, Steps(statements, len(statements), env, None), m, env)
+            steps = Steps(statements, k + 1, env, failure)
+            return TraceReport(False, steps, memstate.persistent(m), env, failure)
+    steps = Steps(statements, len(statements), env, None)
+    return TraceReport(True, steps, memstate.persistent(m), env)
 
 
 # --- relating two traces -----------------------------------------------------------
@@ -957,7 +961,9 @@ def relate(
     ``relations.holds_after_step`` re-checks just the blocks the two
     statements changed (see ``_changed``), plus, for an injection, the left
     blocks mapped onto a changed right block.  A step's work is
-    proportional to those blocks, not to the size of the states.
+    proportional to those blocks, not to the size of the states.  Each
+    side runs on its own transient state (see ``memstate.transient``),
+    which no report keeps.
 
     Without ``emb``, an injection uses the traces' ``[emb]`` sections;
     ``ValueError`` when neither has one or their two maps differ, and when
@@ -996,7 +1002,8 @@ def relate(
             f"({len(trace1.statements)} vs {len(trace2.statements)})",
         )
     sources = relations.sources_by_target(emb) if relation == "inject" else None
-    m1 = m2 = memstate.empty(config)
+    m1 = memstate.transient(memstate.empty(config))
+    m2 = memstate.transient(memstate.empty(config))
     blocks1, blocks2, env1, env2 = [], [], {}, {}
     steps = []
     for k, (s1, s2) in enumerate(zip(trace1.statements, trace2.statements)):

@@ -20,6 +20,7 @@ from blockmem import (
     fresh_block,
     load,
     loadv,
+    memstate,
     same_domain,
     store,
     storev,
@@ -156,6 +157,20 @@ def test_free_list():
     b2, m2 = alloc(m, 0, 4)
     both = free_list(m2, [b, b2])
     assert both == free(free(m2, b), b2)
+
+
+def test_a_failed_free_list_frees_nothing_on_a_transient():
+    # A transient state is updated in place, so a free-list that freed its
+    # valid prefix before failing would leave that prefix freed.
+    b, m = _one_block()
+    b2, m = alloc(m, 0, 4)
+    t = memstate.transient(m)
+    for bs in ([b, b], [b, 99], [b2, b, b2]):
+        assert free_list(t, bs) is None
+        assert valid_block(t, b) and valid_block(t, b2)
+    assert memstate.persistent(t).slots == m.slots
+    assert memstate.persistent(free_list(t, [b, b2])).slots == free_list(m, [b, b2]).slots
+    assert memstate.persistent(m) is m
 
 
 def test_alloc_list():

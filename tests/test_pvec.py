@@ -1,11 +1,13 @@
-"""The persistent vector against a Python list, old versions included."""
+"""The persistent vector against a Python list, old versions included;
+its O(n) builder against appends; the transient against a list."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blockmem.pvec import PVec
+from blockmem import pvec
+from blockmem.pvec import PVec, Transient
 
 # Sizes at which the trie gains a level, and their neighbours.
 BOUNDARIES = (0, 1, 31, 32, 33, 1023, 1024, 1025, 32767, 32768, 32769)
@@ -87,3 +89,58 @@ def test_equality_is_by_elements():
     assert a.set(700, -1) != b
     assert a.set(700, -1) == b.set(700, -1)
     assert a.append(0) != b
+
+
+@pytest.mark.parametrize("n", (0, 1, 31, 32, 33, 1024, 1025, 32768, 32769))
+def test_of_builds_the_shape_of_appends(n):
+    v = PVec()
+    for k in range(n):
+        v = v.append(k)
+    built = pvec.of(range(n))
+    assert built == v and built.shift == v.shift and len(built) == n
+    assert list(built) == list(range(n))
+    assert built.append(n) == v.append(n)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(), max_size=40),
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("append"), st.integers()),
+            st.tuples(st.just("set"), st.integers(0, 200), st.integers()),
+            st.tuples(st.just("get"), st.integers(0, 200)),
+            st.tuples(st.just("iter")),
+        ),
+        max_size=120,
+    ),
+)
+def test_transient_matches_a_list(start, ops):
+    t, model = Transient(start), list(start)
+    for op in ops:
+        if op[0] == "append":
+            assert t.append(op[1]) is t
+            model.append(op[1])
+        elif op[0] == "iter":
+            assert list(t) == model
+        elif model:
+            i = op[1] % len(model)
+            if op[0] == "set":
+                assert t.set(i, op[2]) is t
+                model[i] = op[2]
+            else:
+                assert t.get(i) == model[i]
+        assert len(t) == len(model)
+    assert list(t) == model and pvec.of(t) == pvec.of(model)
+
+
+@pytest.mark.parametrize("n", (0, 1, 33))
+def test_transient_get_and_set_raise_outside_the_vector(n):
+    t, v = Transient(range(n)), pvec.of(range(n))
+    for i in (-1, n, n + 1):
+        for vec in (t, v):
+            with pytest.raises(IndexError):
+                vec.get(i)
+            with pytest.raises(IndexError):
+                vec.set(i, 0)
+    assert list(t) == list(range(n))

@@ -1,7 +1,7 @@
 """Fuzzing the trace front end: the parser is total, its statement
 patterns agree with the token descent, printing round-trips, a run's step
-view agrees with the run, and the CLI answers every input with an exit
-code."""
+view agrees with the run, a run hands back a persistent state, and the
+CLI answers every input with an exit code."""
 
 import contextlib
 import io
@@ -12,10 +12,11 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from blockmem import trace
-from blockmem.chunks import Chunk
+from blockmem import memstate, trace
+from blockmem.chunks import Chunk, Vint
 from blockmem.cli import main
 from blockmem.memstate import CapacityPolicy, MemConfig
+from blockmem.pvec import PVec
 from blockmem.trace import TraceParseError, exec_trace, format_trace, parse_embedding, parse_trace
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -268,6 +269,47 @@ def test_steps_view_agrees_with_the_run(text, capacity):
     assert all(s.ok for s in listed[:-1])
     assert listed[-1].ok == report.ok
     assert (listed[-1] == report.failure) == (not report.ok)
+
+
+def _replayed(statements, env, config):
+    """The state after the ops of ``statements``, replayed through
+    ``run_op`` from the empty state, with stored pointers resolved in the
+    run's final ``env``; a store of an unbound pointer does not run."""
+    m, blocks = memstate.empty(config), []
+    for stmt in statements:
+        op = stmt.op
+        if op[0] == "store" and type(op[4]) is trace.PtrLit:
+            v = trace._resolve(op[4], env)
+            if v is None:
+                continue
+            op = op[:4] + (v,)
+        m, _ = trace.run_op(m, blocks, op)
+    return m
+
+
+def _same_state(m1, m2) -> bool:
+    return (m1.slots, m1.nextblock, m1.allocated_bytes) == (
+        m2.slots, m2.nextblock, m2.allocated_bytes
+    )
+
+
+@FUZZ
+@given(parsing_traces(), st.sampled_from([None, 8, 24]))
+def test_a_run_hands_back_a_persistent_state(text, capacity):
+    # A run updates a transient state in place; the state it reports, ok
+    # or failed, is persistent and equal to the persistent replay.
+    config = MemConfig(capacity=CapacityPolicy(max_total_bytes=capacity))
+    t = parse_trace(text)
+    report = exec_trace(t, config)
+    m = report.state
+    assert type(m.slots) is PVec
+    want = _replayed(t.statements[: len(report.steps)], report.env, config)
+    assert _same_state(m, want)
+    for b, low, high, _ in memstate.live_blocks(m):
+        if low < high:
+            stored = memstate.store(Chunk.INT8U, m, b, low, Vint(7))
+            assert memstate.load(Chunk.INT8U, stored, b, low) == Vint(7)
+            assert _same_state(m, want)
 
 
 def _exit_code(argv):
