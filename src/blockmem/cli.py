@@ -79,17 +79,20 @@ def _mem_config(args, file_cfg: dict) -> MemConfig:
     )
 
 
-def _read_trace(path: str) -> trace_mod.Trace:
-    text = _read_text(path, "trace")
+def _parsed(path: str, what: str, parse):
+    """``parse`` applied to the text of the file at ``path``, a trace or a
+    relocation map (``what``); a file that cannot be read or parsed is a
+    usage error."""
+    text = _read_text(path, what)
     try:
-        return parse_trace(text)
+        return parse(text)
     except TraceParseError as e:
         _usage_error(f"{path}: {e}")
 
 
 def _cmd_run(args) -> int:
     file_cfg = _load_config_file(args.config)
-    tr = _read_trace(args.trace)
+    tr = _parsed(args.trace, "trace", parse_trace)
     report = exec_trace(tr, _mem_config(args, file_cfg))
     if args.verbose:
         for step in report.steps:
@@ -145,15 +148,9 @@ def _cmd_laws(args) -> int:
 
 def _cmd_relate(args) -> int:
     file_cfg = _load_config_file(args.config)
-    t1 = _read_trace(args.trace1)
-    t2 = _read_trace(args.trace2)
-    emb = None
-    if args.emb:
-        text = _read_text(args.emb, "relocation map")
-        try:
-            emb = parse_embedding(text)
-        except TraceParseError as e:
-            _usage_error(f"{args.emb}: {e}")
+    t1 = _parsed(args.trace1, "trace", parse_trace)
+    t2 = _parsed(args.trace2, "trace", parse_trace)
+    emb = _parsed(args.emb, "relocation map", parse_embedding) if args.emb else None
     try:
         report = relate(
             t1, t2, args.relation, emb=emb, stepwise=args.stepwise,

@@ -28,6 +28,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .. import chunks, memstate
+from ..trace import entry_text
 from . import generators
 from .domains import Domain, choose, extend, given, sampler, source
 # perfbench rebinds run_ops and build_* here by name; see "cached rebuilds".
@@ -278,7 +279,7 @@ def render_case(case) -> dict:
         )
     elif tag == "emb":
         sc = emb_scenario_cached(case[1])
-        emb_lines = "\n".join(f"{b} -> {tb} + {d}" for b, (tb, d) in sorted(sc.emb.items()))
+        emb_lines = "\n".join(entry_text(b, *target) for b, target in sorted(sc.emb.items()))
         scenario = _sides(("left", sc.r1.ops), ("right", sc.r2.ops)) + "\n[emb]\n" + emb_lines
     else:
         scenario = repr(case)

@@ -292,13 +292,16 @@ def free_list(m: MemState, bs) -> MemState | None:
 
 def alloc_list(m: MemState, requests) -> tuple[list[int], MemState] | None:
     """Allocate one block per (low, high) request, left to right, returning
-    the new block ids in order; fails if any allocation fails."""
+    the new block ids in order.  Fails, allocating none, unless the capacity
+    admits a nonempty list's total span: spans are never negative, so that
+    is the verdict of allocating left to right."""
+    requests = tuple(requests)
+    total = sum(_span(low, high) for low, high in requests)
+    if requests and not m.config.capacity.admits(m.allocated_bytes, total):
+        return None
     out: list[int] = []
     for low, high in requests:
-        r = alloc(m, low, high)
-        if r is None:
-            return None
-        b, m = r
+        b, m = alloc(m, low, high)
         out.append(b)
     return out, m
 

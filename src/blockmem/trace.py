@@ -21,8 +21,8 @@ expectation after ``=>``: a value, ``undef``, or ``fail``.
 ``expect-fail`` wraps an operation that must fail; a ``load`` it wraps
 has no ``=>`` part.
 
-An optional ``[emb]`` section at the end of a trace, or a separate file of
-the same shape (where the ``[emb]`` header is optional, but may not follow
+An optional ``[emb]`` section at the end of a trace, or a separate file
+read as one (where the ``[emb]`` header is optional, but may not follow
 an entry), is a relocation map for the injection checker: one ``B -> TB +
 DELTA`` line per mapped block.  Nothing may follow ``DELTA`` or the
 ``[emb]`` header, and a block mapped twice is an error.  ``mem_inject``
@@ -167,14 +167,6 @@ def _code(raw: str) -> tuple[str, list]:
     k = raw.find("#")
     code = raw if k < 0 else raw[:k]
     return code, _TOKEN.findall(code)
-
-
-def _lines(text: str):
-    """``(line number, code, tokens)`` for every line that has a token."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        code, tokens = _code(raw)
-        if tokens:
-            yield lineno, code, tokens
 
 
 def _peek(tokens: list, k: int) -> str:
@@ -364,11 +356,14 @@ def _entry(tokens: list, emb: dict) -> None:
 # one full-line pattern, spelled in the tokenizer's fragments, whose groups are
 # the tokens the form reads; a builder makes the statement from a match with
 # the descent's table of bound variables, its literal interning and its
-# conversions.  Where the descent would report an error, the builder raises
-# KeyError (an unknown chunk, a variable unbound or bound already) or
-# ValueError (a number the descent rejects), and the line goes to the descent,
-# which names the error.  So a pattern accepts only a line that the descent
-# parses to the same statement; tests/test_trace_fuzz.py compares the two.
+# conversions.  After ``expect-fail `` the parser matches the operation's own
+# pattern (a load's without ``=>``) from the operation's head on, so eight
+# patterns serve every form.  Where the descent would report an error, the
+# builder raises KeyError (an unknown chunk, a variable unbound or bound
+# already) or ValueError (a number the descent rejects), and the line goes to
+# the descent, which names the error.  So a pattern accepts only a line that
+# the descent parses to the same statement; tests/test_trace_fuzz.py compares
+# the two.
 
 _ARG = r"[ \t]+([^ \t()#]+)"  # blanks, then a token other than a parenthesis, captured
 _END = r"[ \t]*(?:#.*)?"  # trailing blanks and comment
@@ -433,20 +428,20 @@ def _alloc_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> 
     return Statement(op, expect, names, line)
 
 
-def _free_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
-    ref, names = bound[m[1]]
-    return Statement(("free", ref), expect, names, line)
-
-
 def _free_list_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
     entries = [bound[name] for name in _TOKEN.findall(m[1])]
     op = ("free_list", tuple(ref for ref, _ in entries))
     return Statement(op, expect, tuple(names[0] for _, names in entries), line)
 
 
-def _valid_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
-    ref, names = bound[m[1]]
-    return Statement(("valid", ref), expect, names, line)
+def _one_var_form(kind: str):
+    """The builder of ``free $x`` or ``assert-valid $x``: the op ``(kind, ref)``."""
+
+    def build(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
+        ref, names = bound[m[1]]
+        return Statement((kind, ref), expect, names, line)
+
+    return build
 
 
 def _bounds_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
@@ -461,42 +456,39 @@ def _form(head: str, body: str, build, expect) -> tuple:
 
 @functools.cache
 def _forms() -> dict:
-    """Each statement form by its head (for ``expect-fail``, its head and
-    its operation's): the full-line pattern's ``fullmatch``, the builder,
-    and the expectation the builder gives.  Compiled at the first parse, so
-    that importing the module compiles nothing."""
+    """Each statement form by its head: the full-line pattern's ``fullmatch``,
+    the builder, and the expectation the builder gives.  ``expect-fail OP``
+    has OP's pattern (a load's without ``=>``), matched from OP's head on.
+    Compiled at the first parse, so that importing the module compiles
+    nothing."""
     access = _ARG * 3
     ops = {
         "alloc": (_ARG * 2 + r"[ \t]+->[ \t]+(\$[^ \t()#]+)", _alloc_form),
-        "free": (_ARG, _free_form),
+        "free": (_ARG, _one_var_form("free")),
         "free-list": (r"((?:[ \t]+[^ \t()#]+)*)", _free_list_form),
         "store": (access + _VALUE, _store_form),
         "load": (access, _load_form),
     }
     forms = {}
     for head, (body, build) in ops.items():
-        forms["expect-fail " + head] = _form(
-            r"expect-fail[ \t]+" + head, body, build, EXPECT_FAIL
-        )
-        if head != "load":  # a plain load states what it expects
-            forms[head] = _form(head, body, build, SUCCEEDS)
+        forms[head] = _form(head, body, build, SUCCEEDS)
+        forms["expect-fail " + head] = forms[head][:2] + (EXPECT_FAIL,)
     expects = r"[ \t]+=>(?:" + _VALUE + r"|[ \t]+(fail))"
     forms["load"] = _form("load", access + expects, _load_form, None)
-    forms["assert-valid"] = _form("assert-valid", _ARG, _valid_form, True)
+    forms["assert-valid"] = _form("assert-valid", _ARG, _one_var_form("valid"), True)
     forms["assert-bounds"] = _form("assert-bounds", access, _bounds_form, None)
     return forms
 
 
-@_collector_paused
-def parse_trace(text: str) -> Trace:
-    """Parse a trace; raises TraceParseError with position on bad input.
-
-    A statement line whose head is followed by a space is matched against
-    its form's pattern first; the descent reads every line no pattern
-    accepts."""
+def _read(text: str, emb: dict | None) -> tuple[list, dict | None]:
+    """The statements and the relocation map of ``text``.  ``emb`` is None
+    for a trace and ``{}`` for a map file, an ``[emb]`` section whose header
+    is optional but may not follow an entry.  A statement line whose head is
+    followed by a space is matched against its form's pattern first; the
+    descent reads every line no pattern accepts."""
     forms = _forms()
     statements = []
-    emb: dict | None = None
+    header = False
     # Each variable's ref (the number of allocs before the one that binds
     # it) and the tuple of its name that all its statements share.
     bound: dict[str, tuple[int, tuple]] = {}
@@ -504,10 +496,12 @@ def parse_trace(text: str) -> Trace:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if emb is None:
             head, _, rest = raw.partition(" ")
+            pos = 0
             if head == "expect-fail":
+                pos = len("expect-fail ")
                 head += " " + rest.partition(" ")[0]
             form = forms.get(head)
-            if form is not None and (m := form[0](raw)) is not None:
+            if form is not None and (m := form[0](raw, pos)) is not None:
                 try:
                     stmt = form[1](m, lineno, bound, literals, form[2])
                 except (KeyError, ValueError):
@@ -521,9 +515,11 @@ def parse_trace(text: str) -> Trace:
         try:
             if tokens[0] == "[emb]":
                 _end(tokens, 1, "unexpected token after [emb]")
-                if emb is not None:
+                if header:
                     raise _Error(0, "duplicate [emb] section")
-                emb = {}
+                if emb:
+                    raise _Error(0, "unexpected [emb] header after an entry")
+                header, emb = True, {}
             elif emb is not None:
                 _entry(tokens, emb)
             else:
@@ -532,6 +528,13 @@ def parse_trace(text: str) -> Trace:
                 statements.append(stmt)
         except _Error as e:
             raise e.at(lineno, code) from None
+    return statements, emb
+
+
+@_collector_paused
+def parse_trace(text: str) -> Trace:
+    """Parse a trace; raises TraceParseError with position on bad input."""
+    statements, emb = _read(text, None)
     if emb is None:
         return Trace(tuple(statements))
     return Trace(tuple(statements), tuple((b, tb, d) for b, (tb, d) in emb.items()))
@@ -540,22 +543,7 @@ def parse_trace(text: str) -> Trace:
 def parse_embedding(text: str) -> dict:
     """Parse a relocation map: an optional ``[emb]`` header, then ``B -> TB
     + DELTA`` lines; raises TraceParseError with position on bad input."""
-    emb: dict = {}
-    header = False
-    for lineno, code, tokens in _lines(text):
-        try:
-            if tokens[0] == "[emb]":
-                _end(tokens, 1, "unexpected token after [emb]")
-                if header:
-                    raise _Error(0, "duplicate [emb] section")
-                if emb:
-                    raise _Error(0, "unexpected [emb] header after an entry")
-                header = True
-            else:
-                _entry(tokens, emb)
-        except _Error as e:
-            raise e.at(lineno, code) from None
-    return emb
+    return _read(text, {})[1]
 
 
 # --- pretty-printing -----------------------------------------------------------
@@ -599,11 +587,16 @@ def statement_text(stmt: Statement) -> str:
     return f"{text} => {_value_expr_text(expect)}"
 
 
+def entry_text(b: int, tb: int, delta: int) -> str:
+    """The line of the relocation entry mapping block ``b`` to ``tb``."""
+    return f"{b} -> {tb} + {delta}"
+
+
 def format_trace(trace: Trace) -> str:
     lines = [statement_text(s) for s in trace.statements]
     if trace.emb is not None:
         lines.append("[emb]")
-        lines.extend(f"{b} -> {tb} + {delta}" for b, tb, delta in trace.emb)
+        lines.extend(entry_text(*entry) for entry in trace.emb)
     return "\n".join(lines) + "\n"
 
 

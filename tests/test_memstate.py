@@ -1,6 +1,7 @@
 """States and the four operations: success conditions and bookkeeping."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockmem import (
     CapacityPolicy,
@@ -184,6 +185,49 @@ def test_alloc_list():
     # a request the capacity rejects fails the whole list
     capped = empty(MemConfig(capacity=CapacityPolicy(8)))
     assert alloc_list(capped, [(0, 4), (0, 8)]) is None
+
+
+def _alloc_fold(m, requests):
+    """``alloc_list`` as the left-to-right fold of ``alloc``."""
+    out = []
+    for low, high in requests:
+        r = alloc(m, low, high)
+        if r is None:
+            return None
+        b, m = r
+        out.append(b)
+    return out, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([None, 0, 1, 8, 20, -1, -8]),
+    st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 16)), max_size=2),
+    st.lists(st.tuples(st.integers(-8, 8), st.integers(-8, 16)), max_size=4),
+)
+def test_alloc_list_is_the_fold_of_alloc(capacity, before, requests):
+    # alloc_list decides on the total span before it allocates; spans are
+    # never negative, so its verdict and result are the fold's.
+    m = empty(MemConfig(capacity=CapacityPolicy(capacity)))
+    for low, high in before:
+        r = alloc(m, low, high)
+        if r is not None:
+            m = r[1]
+    assert alloc_list(m, requests) == _alloc_fold(m, requests)
+    assert alloc_list(m, iter(requests)) == _alloc_fold(m, requests)
+
+
+def test_a_failed_alloc_list_allocates_nothing_on_a_transient():
+    # A transient state is updated in place, so an alloc-list that allocated
+    # a prefix before failing would leave that prefix in its vector.
+    m = memstate.empty(MemConfig(capacity=CapacityPolicy(12)))
+    b, m = alloc(m, 0, 8)
+    t = memstate.transient(m)
+    for requests in ([(0, 4), (0, 1)], [(0, 2), (0, 2), (0, 8)], [(0, 5)]):
+        assert alloc_list(t, requests) is None
+        assert len(t.slots) == 1 and memstate.persistent(t).slots == m.slots
+        assert (t.nextblock, t.allocated_bytes) == (2, 8)
+    assert alloc_list(t, [(0, 2), (0, 2)])[0] == [2, 3]
 
 
 def test_loadv_storev():

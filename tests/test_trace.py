@@ -222,6 +222,7 @@ EMBEDDING_ERRORS = [
     ("1 -> 2 + 0#c\n)", 2, 1, "expected a block id, got ')'"),
     ("[emb]\n1 -> 2 + 0\n[emb]\n3 -> 2 + 8", 3, 1, "duplicate [emb] section"),
     ("1 -> 2 + 0\n# c\n[emb]\n3 -> 2 + 8", 3, 1, "unexpected [emb] header after an entry"),
+    ("# a trace\nalloc 0 8 -> $a", 2, 1, "expected a block id, got 'alloc'"),
 ]
 
 
@@ -230,6 +231,33 @@ def test_parse_errors_have_positions():
         assert _diagnostic(parse_trace, text) == (line, column, message), text
     for text, line, column, message in EMBEDDING_ERRORS:
         assert _diagnostic(parse_embedding, text) == (line, column, message), text
+
+
+def _header_line(text):
+    """The number of the first line of ``text`` that is an [emb] header, or None."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.split("#")[0].split() == ["[emb]"]:
+            return lineno
+    return None
+
+
+def test_a_map_file_reads_as_an_emb_section():
+    # parse_embedding and parse_trace share one line loop: a map file is an
+    # [emb] section whose header is optional.  Read after a header, a map
+    # without one fails where it fails alone, one line later; in a map with
+    # its own header, that header is the section's second.
+    for text, line, column, message in EMBEDDING_ERRORS:
+        got = _diagnostic(parse_trace, "[emb]\n" + text)
+        header = _header_line(text)
+        if header is None:
+            assert got == (line + 1, column, message), text
+        else:
+            assert got == (header + 1, 1, "duplicate [emb] section"), text
+    maps = ["", "# none", "1 -> 2 + 8", "\t1\t->\t2\t+\t-8 # c\n\n0x3 -> 1 + 0", "2 -> 2 + 0\n1 -> 2 + 8"]
+    for text in maps:
+        emb = parse_embedding(text)
+        assert parse_embedding("[emb]\n" + text) == emb, text
+        assert parse_trace("[emb]\n" + text).emb == tuple((b, tb, d) for b, (tb, d) in emb.items())
 
 
 def test_the_cuts_that_parse():

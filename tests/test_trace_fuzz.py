@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from blockmem import memstate, trace
 from blockmem.chunks import Chunk, Vint
@@ -149,6 +149,31 @@ def _descent_outcome(text):
         return _outcome(text)
 
 
+def _map_outcome(text):
+    """What ``parse_embedding`` makes of ``text``: the map as ``(block,
+    target, delta)`` entries, or the error's position and message."""
+    try:
+        return tuple((b, tb, d) for b, (tb, d) in parse_embedding(text).items())
+    except TraceParseError as e:
+        return "error", e.line, e.column, e.message
+
+
+def _section_outcome(text):
+    """``_map_outcome`` of ``text`` read as a trace's [emb] section, after a
+    header line: an error's line is given as a line of ``text``."""
+    try:
+        return parse_trace("[emb]\n" + text).emb
+    except TraceParseError as e:
+        return "error", e.line - 1, e.column, e.message
+
+
+@FUZZ
+@given(mutated(st.lists(ENTRIES, max_size=4)))
+def test_a_map_file_reads_as_the_section_it_heads(text):
+    assume("[emb]" not in text)
+    assert _map_outcome(text) == _section_outcome(text)
+
+
 BLANK_RUNS = st.sampled_from([" ", " ", " ", "\t", "  ", " \t"])
 COMMENTS = st.sampled_from(["", "", " # note", "\t#", "#(ptr $a 0)", " #"])
 
@@ -213,6 +238,11 @@ EDGE_LINES = [
     "expect-fail load int32 $a 0",
     "expect-fail load int32 $a 0 => undef",
     "expect-fail alloc 0 8 -> $b",
+    "expect-fail\tfree $a",
+    "expect-fail store\tint32 $a 0 (int 1)",
+    "expect-fail store int32 $c 0 undef",
+    "expect-fail free-list $a $c",
+    "expect-fail alloc 0 8 -> $a",
     "assert-valid $a $b",
     "assert-bounds $a 0x0 16 # c",
     "assert-bounds $a 0 16 16",
@@ -230,6 +260,14 @@ def test_patterns_parse_edge_lines_as_the_descent_does(line):
 
 
 SMOKE = Path(__file__).resolve().parent / "smoke"
+
+
+def test_expect_fail_lines_share_their_operations_patterns():
+    forms = trace._forms()
+    for op in ("alloc", "free", "free-list", "store"):
+        assert forms["expect-fail " + op][:2] == forms[op][:2]
+    assert forms["expect-fail load"][0] != forms["load"][0]  # a bare load
+    assert len({match.__self__.pattern for match, _, _ in forms.values()}) == 8
 
 
 def test_every_well_formed_statement_is_read_by_its_pattern():
