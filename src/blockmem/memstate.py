@@ -11,38 +11,37 @@ allocation outcomes deterministic in the domain of the state.
 States are immutable values: every operation returns a new state, and the
 partial operations (alloc, free, load, store and their derived forms)
 signal failure by returning ``None``, leaving the state as it was.  Ids
-are dense, so the per-block data sits in one persistent vector indexed by
-``b - 1`` (see ``pvec``): the slot ``(low, high, live, contents)``, one
-record per block as in Leroy & Blazy's concrete model.  ``alloc``
-appends a slot and ``store`` and ``free`` each replace one, copying one
-root-to-leaf path, O(log32 n), and sharing the rest with the state it
-came from.  One access check, ``access_slot``, reads the slot once and
-hands it to ``load`` and ``store``.
+are dense, so the per-block data sits in one tuple indexed by ``b - 1``:
+the slot ``(low, high, live, contents)``, one record per block as in
+Leroy & Blazy's concrete model.  ``alloc`` appends a slot and ``store``
+and ``free`` each replace one, building a new tuple of n slot references
+that shares every unchanged slot with the state it came from.  One access
+check, ``access_slot``, reads the slot once and hands it to ``load`` and
+``store``.
 
 The one exception lives inside a single run.  A run that drops every
 intermediate state (``trace.exec_trace``, stepwise ``trace.relate``)
-starts from ``transient(m)``, a state over a ``pvec.Transient`` copy of
-the slots.  The same operations then update that vector in place, so the
-state an operation was given must not be read again once it has
+starts from ``transient(m)``, a state over its own ``list`` copy of the
+slots.  The same operations then update that list in place, in O(1), so
+the state an operation was given must not be read again once it has
 succeeded.  The operations a run applies (see ``trace.run_op``) decide
 before they write, so a failed one leaves it unchanged.  The run hands
-back ``persistent(m)``, and no transient-backed state leaves it.
+back ``persistent(m)``, and no list-backed state leaves it.
 
 Code outside this module reads states through ``nextblock`` and the
 functions here: ``valid_block``, ``bounds``, ``slot`` (one read by id),
 ``live_blocks`` and ``issued_slots`` (in-order walks that read no id),
 ``contents_of`` and ``freed_blocks``.  ``set_contents`` and ``set_block``
-rewrite one slot unchecked, for witness states and seeded bugs.
+rewrite one issued slot unchecked, for witness states and seeded bugs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cells, chunks, pvec
+from . import cells, chunks
 from .cells import EMPTY_CONTENTS, BlockContents
 from .chunks import Chunk, Value, Vptr
-from .pvec import PVec, Transient
 
 Bounds = tuple[int, int]
 
@@ -76,15 +75,14 @@ DEFAULT_CONFIG = MemConfig()
 
 @dataclass(slots=True)
 class MemState:
-    """One persistent vector of length ``nextblock - 1``, indexed by
-    ``b - 1``: the slot ``(low, high, live, contents)`` of each issued id.
-    Read it through the accessors below.  A state is never mutated once
-    built (states share their vectors), unless its vector is a run's
-    ``Transient`` (see ``transient``); it is unhashable, as its vector
-    is."""
+    """One sequence of length ``nextblock - 1``, indexed by ``b - 1``: the
+    slot ``(low, high, live, contents)`` of each issued id.  Read it
+    through the accessors below.  A state over a tuple is never mutated
+    once built; a state over a list is a run's (see ``transient``).  It
+    is unhashable: the dataclass compares by value and is not frozen."""
 
     nextblock: int
-    slots: PVec | Transient
+    slots: tuple | list
     allocated_bytes: int
     config: MemConfig
 
@@ -95,26 +93,44 @@ def _span(low: int, high: int) -> int:
 
 def empty(config: MemConfig = DEFAULT_CONFIG) -> MemState:
     """The initial memory state: no blocks, next id 1."""
-    return MemState(1, PVec(), 0, config)
+    return MemState(1, (), 0, config)
 
 
 def transient(m: MemState) -> MemState:
-    """``m`` over a fresh ``pvec.Transient`` copy of its slots, which the
-    operations then update in place; for the one run that makes it."""
-    return MemState(m.nextblock, Transient(m.slots), m.allocated_bytes, m.config)
+    """``m`` over a fresh ``list`` copy of its slots, which the operations
+    then update in place; for the one run that makes it."""
+    return MemState(m.nextblock, list(m.slots), m.allocated_bytes, m.config)
 
 
 def persistent(m: MemState) -> MemState:
-    """``m`` over a persistent vector: ``m`` itself when it already is,
-    otherwise one snapshot of its transient slots."""
-    if type(m.slots) is PVec:
+    """``m`` over a tuple: ``m`` itself when it already is, otherwise one
+    snapshot of its run's list."""
+    if type(m.slots) is tuple:
         return m
-    return MemState(m.nextblock, pvec.of(m.slots), m.allocated_bytes, m.config)
+    return MemState(m.nextblock, tuple(m.slots), m.allocated_bytes, m.config)
+
+
+def _replaced(slots: tuple | list, i: int, s: tuple) -> tuple | list:
+    """``slots`` with index ``i`` set to ``s``: a run's list in place,
+    otherwise a new tuple."""
+    if type(slots) is list:
+        slots[i] = s
+        return slots
+    return slots[:i] + (s,) + slots[i + 1 :]
+
+
+def _appended(slots: tuple | list, s: tuple) -> tuple | list:
+    """``slots`` with ``s`` appended: a run's list in place, otherwise a
+    new tuple."""
+    if type(slots) is list:
+        slots.append(s)
+        return slots
+    return slots + (s,)
 
 
 def valid_block(m: MemState, b: int) -> bool:
     """Allocated and not yet freed."""
-    return 1 <= b < m.nextblock and m.slots.get(b - 1)[2]
+    return 1 <= b < m.nextblock and m.slots[b - 1][2]
 
 
 def fresh_block(m: MemState, b: int) -> bool:
@@ -125,7 +141,7 @@ def fresh_block(m: MemState, b: int) -> bool:
 def bounds(m: MemState, b: int) -> Bounds:
     """(low inclusive, high exclusive) of ``b``; (0, 0) off-domain."""
     if 1 <= b < m.nextblock:
-        return m.slots.get(b - 1)[:2]
+        return m.slots[b - 1][:2]
     return (0, 0)
 
 
@@ -136,7 +152,7 @@ def access_slot(m: MemState, t: Chunk, b: int, i: int) -> tuple | None:
     ``store`` all decide access through it."""
     if not 1 <= b < m.nextblock:
         return None
-    s = m.slots.get(b - 1)
+    s = m.slots[b - 1]
     low, high, live, _ = s
     if not live or i < low or i + chunks.size_chunk(t) > high:
         return None
@@ -163,7 +179,7 @@ def alloc(m: MemState, low: int, high: int) -> tuple[int, MemState] | None:
     b = m.nextblock
     return b, MemState(
         b + 1,
-        m.slots.append((low, high, True, EMPTY_CONTENTS)),
+        _appended(m.slots, (low, high, True, EMPTY_CONTENTS)),
         m.allocated_bytes + request,
         m.config,
     )
@@ -174,12 +190,12 @@ def free(m: MemState, b: int) -> MemState | None:
     contents are kept so off-domain queries stay stable."""
     if not 1 <= b < m.nextblock:
         return None
-    low, high, live, c = m.slots.get(b - 1)
+    low, high, live, c = m.slots[b - 1]
     if not live:
         return None
     return MemState(
         m.nextblock,
-        m.slots.set(b - 1, (low, high, False, c)),
+        _replaced(m.slots, b - 1, (low, high, False, c)),
         m.allocated_bytes - _span(low, high),
         m.config,
     )
@@ -201,9 +217,10 @@ def store(t: Chunk, m: MemState, b: int, i: int, v: Value) -> MemState | None:
     if s is None:
         return None
     low, high, live, c = s
+    c = cells.store_contents(c, t, i, v)
     return MemState(
         m.nextblock,
-        m.slots.set(b - 1, (low, high, live, cells.store_contents(c, t, i, v))),
+        _replaced(m.slots, b - 1, (low, high, live, c)),
         m.allocated_bytes,
         m.config,
     )
@@ -237,14 +254,14 @@ def slot(m: MemState, b: int) -> tuple | None:
     """The slot ``(low, high, live, contents)`` of ``b``; ``None`` when
     ``b`` was never issued."""
     if 1 <= b < m.nextblock:
-        return m.slots.get(b - 1)
+        return m.slots[b - 1]
     return None
 
 
 def contents_of(m: MemState, b: int) -> BlockContents:
     """The cell map of ``b``, freed or not; empty off-domain."""
     if 1 <= b < m.nextblock:
-        return m.slots.get(b - 1)[3]
+        return m.slots[b - 1][3]
     return EMPTY_CONTENTS
 
 
@@ -256,23 +273,28 @@ def freed_blocks(m: MemState) -> frozenset:
 def set_contents(m: MemState, b: int, c: BlockContents) -> MemState:
     """``m`` with the cell map of the issued id ``b`` replaced by ``c``.
     Unchecked: no access validity, no footprint rules; for building
-    witness states."""
-    low, high, live, _ = m.slots.get(b - 1)
-    slots = m.slots.set(b - 1, (low, high, live, c))
+    witness states.  ``IndexError`` when ``b`` was never issued."""
+    if not 1 <= b < m.nextblock:
+        raise IndexError(b)
+    low, high, live, _ = m.slots[b - 1]
+    slots = _replaced(m.slots, b - 1, (low, high, live, c))
     return MemState(m.nextblock, slots, m.allocated_bytes, m.config)
 
 
 def set_block(m: MemState, b: int, low: int, high: int, live: bool) -> MemState:
     """``m`` with the issued id ``b`` given bounds ``(low, high)`` and
     validity ``live``, the byte count following.  Unchecked: it can revive
-    a freed id; for building seeded bugs."""
-    old_low, old_high, old_live, c = m.slots.get(b - 1)
+    a freed id; for building seeded bugs.  ``IndexError`` when ``b`` was
+    never issued."""
+    if not 1 <= b < m.nextblock:
+        raise IndexError(b)
+    old_low, old_high, old_live, c = m.slots[b - 1]
     allocated = (
         m.allocated_bytes
         - (_span(old_low, old_high) if old_live else 0)
         + (_span(low, high) if live else 0)
     )
-    slots = m.slots.set(b - 1, (low, high, live, c))
+    slots = _replaced(m.slots, b - 1, (low, high, live, c))
     return MemState(m.nextblock, slots, allocated, m.config)
 
 

@@ -36,7 +36,6 @@ from blockmem.lawcheck.generators import (
 )
 from blockmem.lawcheck.rng import SplitMix64
 from blockmem.memstate import DEFAULT_CONFIG, MemConfig
-from blockmem.pvec import PVec
 
 UNALIGNED = MemConfig(check_alignment=False)
 # (left config, right config): uniform and mixed alignment checking.
@@ -279,9 +278,9 @@ def test_refinement_and_extension_are_identity_transport_on_a_domain():
 
 
 def test_whole_state_lessdef_and_extends_read_no_block_by_id(monkeypatch):
-    # Both walk the two states' slots in step: a vector read by index is a
-    # read by id, and there is none, whether the states share their
-    # vectors or were built apart.
+    # Both walk the two states' slots in step: no call to a memstate
+    # reader that takes a block id, whether the states share their slots
+    # or were built apart.
     def filled(n, extra):
         m = empty()
         for k in range(n):
@@ -293,8 +292,11 @@ def test_whole_state_lessdef_and_extends_read_no_block_by_id(monkeypatch):
     stored = store(Chunk.INT32, m, 1000, 4, Vint(-1))
     apart, wider = filled(2000, 0), filled(2000, 8)
     reads = []
-    get = PVec.get
-    monkeypatch.setattr(PVec, "get", lambda self, i: reads.append(i) or get(self, i))
+    for name in ("slot", "valid_block", "bounds", "contents_of", "access_slot"):
+        reader = getattr(memstate, name)
+        monkeypatch.setattr(
+            memstate, name, lambda *a, _r=reader, _n=name: reads.append(_n) or _r(*a)
+        )
     assert mem_lessdef(m, stored) and mem_lessdef(m, apart)
     assert not mem_lessdef(stored, m) and not mem_lessdef(m, wider)
     assert mem_extends(m, stored) and mem_extends(m, wider)

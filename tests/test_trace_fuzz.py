@@ -16,7 +16,6 @@ from blockmem import memstate, trace
 from blockmem.chunks import Chunk, Vint
 from blockmem.cli import main
 from blockmem.memstate import CapacityPolicy, MemConfig
-from blockmem.pvec import PVec
 from blockmem.trace import TraceParseError, exec_trace, format_trace, parse_embedding, parse_trace
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -340,7 +339,7 @@ def test_a_run_hands_back_a_persistent_state(text, capacity):
     t = parse_trace(text)
     report = exec_trace(t, config)
     m = report.state
-    assert type(m.slots) is PVec
+    assert type(m.slots) is tuple
     want = _replayed(t.statements[: len(report.steps)], report.env, config)
     assert _same_state(m, want)
     for b, low, high, _ in memstate.live_blocks(m):
