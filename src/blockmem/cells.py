@@ -7,8 +7,12 @@ footprint are *continuation* cells, which are simply empty cells; a store
 clears them, and a load refuses to produce the datum if any cell inside
 the footprint has been overwritten since.
 
-Maps are treated as immutable: absent offsets read as empty, and every
-operation returns a fresh map.
+Absent offsets read as empty.  Every operation here returns a fresh map
+and leaves its argument alone, except ``write``, the footprint rule
+stated once: it updates the map it is given in place.  ``store_contents``
+is ``write`` on a copy; a trace run calls ``write`` directly on the maps
+it owns (see ``memstate.store``), and never on ``EMPTY_CONTENTS`` or on a
+map that any other state can read.
 """
 
 from __future__ import annotations
@@ -67,15 +71,22 @@ def set_cont(f: BlockContents, ofs: int, n: int) -> BlockContents:
     return g
 
 
-def store_contents(f: BlockContents, t: Chunk, ofs: int, v: Value) -> BlockContents:
-    """Write a datum: ``v`` tagged with ``t`` at ``ofs``, continuation cells
-    over the rest of the footprint, everything outside untouched.  Equal to
-    ``update(ofs, Datum(t, v), set_cont(f, ofs + 1, size - 1))``, in one
-    copy of ``f``."""
-    g = dict(f)
+def write(f: BlockContents, t: Chunk, ofs: int, v: Value) -> None:
+    """Write a datum into ``f`` in place: clear the continuation cells over
+    the rest of the footprint, then set ``v`` tagged with ``t`` at ``ofs``;
+    everything outside the footprint is untouched."""
     for i in range(ofs + 1, ofs + chunks.size_chunk(t)):
-        g.pop(i, None)
-    g[ofs] = Datum(t, v)
+        f.pop(i, None)
+    f[ofs] = Datum(t, v)
+
+
+def store_contents(f: BlockContents, t: Chunk, ofs: int, v: Value) -> BlockContents:
+    """Write a datum into a copy of ``f``.  Equal to ``update(ofs,
+    Datum(t, v), set_cont(f, ofs + 1, size - 1))``, in one copy.  Calls
+    ``write`` through this module, so a rebinding of ``cells.write``
+    reaches it."""
+    g = dict(f)
+    write(g, t, ofs, v)
     return g
 
 

@@ -40,10 +40,10 @@ def _no_alignment(orig):
 
 
 def _no_continuation_clear(orig):
-    def store_contents(f, t, ofs, v):
-        return cells.update(ofs, cells.Datum(t, v), f)
+    def write(f, t, ofs, v):
+        f[ofs] = cells.Datum(t, v)
 
-    return store_contents
+    return write
 
 
 def _reuse_freed(orig):
@@ -101,9 +101,10 @@ MUTATIONS: dict[str, Mutation] = {
         ),
         Mutation(
             "continuation-clear-skipped",
-            "store_contents writes the datum without clearing its footprint",
+            "the cell write sets the datum without clearing its footprint, "
+            "in store_contents and in a run's in-place stores alike",
             cells,
-            "store_contents",
+            "write",
             _no_continuation_clear,
             ("load_store_contents_overlap", "store_contents_cont"),
         ),

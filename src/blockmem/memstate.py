@@ -24,9 +24,15 @@ intermediate state (``trace.exec_trace``, stepwise ``trace.relate``)
 starts from ``transient(m)``, a state over its own ``list`` copy of the
 slots.  The same operations then update that list in place, in O(1), so
 the state an operation was given must not be read again once it has
-succeeded.  The operations a run applies (see ``trace.run_op``) decide
-before they write, so a failed one leaves it unchanged.  The run hands
-back ``persistent(m)``, and no list-backed state leaves it.
+succeeded.  The run's list also records the ids whose cell maps the run
+owns: ``store`` copies a block's map once, at the run's first store into
+it, and from then on writes that copy in place (``cells.write``), so a
+store costs the chunk's width, not the block's cell count.  A map the run
+did not copy itself (``EMPTY_CONTENTS``, a map handed to ``set_contents``,
+a map a snapshot holds) is never written.  The operations a run applies
+(see ``trace.run_op``) decide before they write, so a failed one leaves it
+unchanged.  The run hands back ``persistent(m)``, which gives up the
+run's ownership, and no list-backed state leaves it.
 
 Code outside this module reads states through ``nextblock`` and the
 functions here: ``valid_block``, ``bounds``, ``slot`` (one read by id),
@@ -96,24 +102,41 @@ def empty(config: MemConfig = DEFAULT_CONFIG) -> MemState:
     return MemState(1, (), 0, config)
 
 
+class _Run(list):
+    """A run's own slot list, and ``owned``: the ids whose cell maps the
+    run copied itself, which no other state can read."""
+
+    __slots__ = ("owned",)
+
+    def __init__(self, slots) -> None:
+        super().__init__(slots)
+        self.owned: set[int] = set()
+
+
 def transient(m: MemState) -> MemState:
     """``m`` over a fresh ``list`` copy of its slots, which the operations
-    then update in place; for the one run that makes it."""
-    return MemState(m.nextblock, list(m.slots), m.allocated_bytes, m.config)
+    then update in place; for the one run that makes it.  The new run owns
+    no map, and ``m``, when it is a run, gives its maps up first (see
+    ``persistent``)."""
+    m = persistent(m)
+    return MemState(m.nextblock, _Run(m.slots), m.allocated_bytes, m.config)
 
 
 def persistent(m: MemState) -> MemState:
     """``m`` over a tuple: ``m`` itself when it already is, otherwise one
-    snapshot of its run's list."""
+    snapshot of its run's list.  The run then owns no map, so its later
+    stores copy a map before they write it and the snapshot never sees
+    them."""
     if type(m.slots) is tuple:
         return m
+    m.slots.owned.clear()
     return MemState(m.nextblock, tuple(m.slots), m.allocated_bytes, m.config)
 
 
 def _replaced(slots: tuple | list, i: int, s: tuple) -> tuple | list:
     """``slots`` with index ``i`` set to ``s``: a run's list in place,
     otherwise a new tuple."""
-    if type(slots) is list:
+    if type(slots) is _Run:
         slots[i] = s
         return slots
     return slots[:i] + (s,) + slots[i + 1 :]
@@ -122,7 +145,7 @@ def _replaced(slots: tuple | list, i: int, s: tuple) -> tuple | list:
 def _appended(slots: tuple | list, s: tuple) -> tuple | list:
     """``slots`` with ``s`` appended: a run's list in place, otherwise a
     new tuple."""
-    if type(slots) is list:
+    if type(slots) is _Run:
         slots.append(s)
         return slots
     return slots + (s,)
@@ -212,15 +235,24 @@ def load(t: Chunk, m: MemState, b: int, i: int) -> Value | None:
 
 def store(t: Chunk, m: MemState, b: int, i: int, v: Value) -> MemState | None:
     """Write ``v`` as chunk ``t`` at ``(b, i)``.  Succeeds iff the access is
-    valid; only the contents of ``b`` change."""
+    valid; only the contents of ``b`` change.  A run writes a map it owns
+    in place, and copies one it does not own, once, and then owns it.  The
+    result is a new state either way: ``trace._changed`` reads an
+    unchanged state object as "nothing changed"."""
     s = access_slot(m, t, b, i)
     if s is None:
         return None
+    slots = m.slots
+    if type(slots) is _Run:
+        if b in slots.owned:
+            cells.write(s[3], t, i, v)
+            return MemState(m.nextblock, slots, m.allocated_bytes, m.config)
+        slots.owned.add(b)
     low, high, live, c = s
     c = cells.store_contents(c, t, i, v)
     return MemState(
         m.nextblock,
-        _replaced(m.slots, b - 1, (low, high, live, c)),
+        _replaced(slots, b - 1, (low, high, live, c)),
         m.allocated_bytes,
         m.config,
     )
@@ -273,11 +305,14 @@ def freed_blocks(m: MemState) -> frozenset:
 def set_contents(m: MemState, b: int, c: BlockContents) -> MemState:
     """``m`` with the cell map of the issued id ``b`` replaced by ``c``.
     Unchecked: no access validity, no footprint rules; for building
-    witness states.  ``IndexError`` when ``b`` was never issued."""
+    witness states.  ``IndexError`` when ``b`` was never issued.  A run
+    does not own ``c``, so its later stores into ``b`` copy it first."""
     if not 1 <= b < m.nextblock:
         raise IndexError(b)
     low, high, live, _ = m.slots[b - 1]
     slots = _replaced(m.slots, b - 1, (low, high, live, c))
+    if type(slots) is _Run:
+        slots.owned.discard(b)
     return MemState(m.nextblock, slots, m.allocated_bytes, m.config)
 
 

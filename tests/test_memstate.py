@@ -15,6 +15,7 @@ from blockmem import (
     alloc,
     alloc_list,
     bounds,
+    cells,
     contents_of,
     empty,
     free,
@@ -327,3 +328,61 @@ def test_a_run_updates_its_slots_in_place():
     assert peak < 100_000, peak
     assert t.nextblock == 20_201 and load(Chunk.INT32, t, 2, 4) == Vint(199)
     assert _fields(p) == snapshot and load(Chunk.INT32, p, 2, 4) == VUNDEF
+
+
+def _filled_run(n):
+    """A run with one block of ``n`` int8u cells, whose map the run owns."""
+    t = memstate.transient(empty())
+    b, t = alloc(t, 0, n)
+    full = {k: cells.Datum(Chunk.INT8U, Vint(k % 256)) for k in range(n)}
+    t = memstate.set_contents(t, b, full)
+    return b, store(Chunk.INT8U, t, b, 0, Vint(1))  # the run copies it once here
+
+
+def test_a_run_writes_its_own_cell_maps_in_place():
+    # Inside a run, a store into a block whose map the run owns writes it
+    # in place: the last 200 stores into a 40,000-cell block allocate far
+    # less than one copy of its map (over 1 MB).
+    b, t = _filled_run(40_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for k in range(200):
+            t = store(Chunk.INT32, t, b, 4 * k, Vint(k))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    assert load(Chunk.INT32, t, b, 796) == Vint(199)
+    assert load(Chunk.INT8U, t, b, 797) == VUNDEF and load(Chunk.INT8U, t, b, 800) == Vint(32)
+
+
+def test_a_snapshot_never_sees_the_runs_later_stores():
+    # persistent(m) shares the run's maps, so the run gives them up: its
+    # next store into a block copies the map before writing it.
+    b, t = _filled_run(64)
+    t = store(Chunk.INT32, t, b, 4, Vint(-2))
+    p = memstate.persistent(t)
+    kept = dict(contents_of(p, b))
+    seen = [load(Chunk.INT8U, p, b, k) for k in range(64)]
+    t = store(Chunk.INT32, t, b, 0, Vint(3))
+    t = store(Chunk.FLOAT64, t, b, 8, VUNDEF)
+    t = store(Chunk.INT8U, t, b, 5, Vint(9))
+    assert contents_of(p, b) == kept
+    assert [load(Chunk.INT8U, p, b, k) for k in range(64)] == seen
+    assert load(Chunk.INT32, p, b, 4) == Vint(-2) and load(Chunk.INT32, t, b, 4) == VUNDEF
+    assert load(Chunk.INT32, t, b, 0) == Vint(3) and load(Chunk.INT32, p, b, 0) == VUNDEF
+
+
+def test_a_run_never_writes_a_map_given_to_set_contents():
+    # The run owned the block's map before set_contents replaced it; the
+    # map it was given belongs to the caller, so later stores copy it.
+    b, t = _filled_run(16)
+    given = {0: cells.Datum(Chunk.INT32, Vint(5)), 12: cells.Datum(Chunk.INT8U, Vint(1))}
+    kept = dict(given)
+    t = memstate.set_contents(t, b, given)
+    t = store(Chunk.INT32, t, b, 0, Vint(6))
+    t = store(Chunk.INT32, t, b, 12, Vint(7))
+    assert given == kept
+    assert load(Chunk.INT32, t, b, 0) == Vint(6) and load(Chunk.INT32, t, b, 12) == Vint(7)

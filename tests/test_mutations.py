@@ -43,6 +43,19 @@ def test_alignment_mutation_reaches_the_trace_interpreter():
         assert exec_trace(succeed).ok and not exec_trace(fail).ok
 
 
+def test_continuation_mutation_reaches_the_trace_interpreter():
+    # A run writes a block's cell map in place after its first store into
+    # it, through cells.write, so the rebound writer must reach those
+    # stores, not only store_contents.  The float64 store at 0 is such an
+    # in-place write; its footprint covers the int32 at 4.
+    text = "alloc 0 8 -> $a\nstore int32 $a 4 (int 2)\nstore float64 $a 0 (float 0)\n"
+    cleared = parse_trace(text + "load int32 $a 4 => undef")
+    stale = parse_trace(text + "load int32 $a 4 => (int 2)")
+    assert exec_trace(cleared).ok and not exec_trace(stale).ok
+    with mutations.applied("continuation-clear-skipped"):
+        assert exec_trace(stale).ok and not exec_trace(cleared).ok
+
+
 # The (mutation, law) pairs whose exhaustive phase alone, at the default
 # max_exhaustive, catches the mutation; recorded when each law still had a
 # hand-written enumerator, so that re-scoping the exhaustive phase cannot

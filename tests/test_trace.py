@@ -1,14 +1,16 @@
 """Trace grammar, execution semantics, and the relate command."""
 
+import contextlib
 import gc
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
 
 from blockmem.lawcheck.generators import run_ops, sample_ops
 from blockmem.lawcheck.oracle import oracle_exec
-from blockmem import memstate, trace
+from blockmem import cells, memstate, trace
 from blockmem.lawcheck.rng import SplitMix64
 from blockmem.memstate import CapacityPolicy, MemConfig
 from blockmem.trace import (
@@ -613,6 +615,82 @@ def test_trace_work_builds_no_cycles():
 
     for work in (run_long, run_shipped, relate_stepwise, relate_pack):
         assert _no_cycles_left(work) == 0, work.__name__
+
+
+def test_runs_leave_the_empty_map_empty():
+    # Every block starts on the shared EMPTY_CONTENTS; a run copies a map
+    # before it first writes one, so the shared map is never written.
+    t = parse_trace(_one_block_trace(50))
+    assert exec_trace(t).ok
+    assert cells.EMPTY_CONTENTS == {}
+    assert relate(t, t, "lessdef", stepwise=True).ok
+    assert cells.EMPTY_CONTENTS == {}
+
+
+@contextlib.contextmanager
+def _collector_on():
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        yield
+    finally:
+        if not was:
+            gc.disable()
+
+
+def test_trace_work_leaves_no_young_collection_behind():
+    # A paused call promotes what it leaves alive to the oldest generation,
+    # so the next allocation does not start a generation-0 collection that
+    # walks all of it and frees nothing.
+    t = parse_trace(_one_block_trace(2000))
+    threshold = gc.get_threshold()[0]
+    with _collector_on():
+        parse_trace(_one_block_trace(2000))
+        after_parse = gc.get_count()[0]
+        report = exec_trace(t)
+        after_run = gc.get_count()[0]
+        stepwise = relate(t, t, "lessdef", stepwise=True)
+        after_relate = gc.get_count()[0]
+    assert report.ok and stepwise.ok
+    assert max(after_parse, after_run, after_relate) < threshold, (
+        after_parse, after_run, after_relate
+    )
+
+
+def test_trace_work_keeps_a_callers_frozen_objects_frozen():
+    t = parse_trace(READ_AFTER_WRITE)
+    with _collector_on():
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            parse_trace(READ_AFTER_WRITE)
+            exec_trace(t)
+            relate(t, t, "lessdef", stepwise=True)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+
+class _Node:
+    pass
+
+
+def test_a_callers_cycle_is_still_freed_after_trace_work():
+    # The promotion moves a caller's young objects to the oldest
+    # generation, where a full collection still reaches them.
+    t = parse_trace(READ_AFTER_WRITE)
+    freed = []
+    with _collector_on():
+        gc.collect()
+        node = _Node()
+        node.me = node
+        weakref.finalize(node, freed.append, True)
+        del node
+        exec_trace(t)
+        relate(t, t, "lessdef", stepwise=True)
+        assert not freed and gc.get_freeze_count() == 0
+        gc.collect()
+    assert freed
 
 
 def test_parse_embedding_file():
