@@ -13,26 +13,28 @@ partial operations (alloc, free, load, store and their derived forms)
 signal failure by returning ``None``, leaving the state as it was.  Ids
 are dense, so the per-block data sits in one tuple indexed by ``b - 1``:
 the slot ``(low, high, live, contents)``, one record per block as in
-Leroy & Blazy's concrete model.  ``alloc`` appends a slot and ``store``
-and ``free`` each replace one, building a new tuple of n slot references
-that shares every unchanged slot with the state it came from.  One access
-check, ``access_slot``, reads the slot once and hands it to ``load`` and
+Leroy & Blazy's concrete model.  Every operation decides first and then
+makes one functional update of one slot through ``_put``: ``alloc``
+appends a slot and ``store``, ``free`` and the unchecked writers each
+replace one, building a new tuple of n slot references that shares every
+unchanged slot with the state it came from.  One access check,
+``access_slot``, reads the slot once and hands it to ``load`` and
 ``store``.
 
-The one exception lives inside a single run.  A run that drops every
-intermediate state (``trace.exec_trace``, stepwise ``trace.relate``)
-starts from ``transient(m)``, a state over its own ``list`` copy of the
-slots.  The same operations then update that list in place, in O(1), so
-the state an operation was given must not be read again once it has
-succeeded.  The run's list also records the ids whose cell maps the run
-owns: ``store`` copies a block's map once, at the run's first store into
-it, and from then on writes that copy in place (``cells.write``), so a
-store costs the chunk's width, not the block's cell count.  A map the run
-did not copy itself (``EMPTY_CONTENTS``, a map handed to ``set_contents``,
-a map a snapshot holds) is never written.  The operations a run applies
-(see ``trace.run_op``) decide before they write, so a failed one leaves it
-unchanged.  The run hands back ``persistent(m)``, which gives up the
-run's ownership, and no list-backed state leaves it.
+The one exception is a run: a single mutable state that a caller
+dropping every intermediate state (``trace.exec_trace``, stepwise
+``trace.relate``) makes with ``transient(m)``.  A run holds its own
+``list`` of the slots and, in ``owned``, the ids whose cell maps it
+copied itself.  ``_put`` updates the run in place, in O(1), and every
+operation returns the run itself.  ``store`` copies a block's map once,
+at the run's first store into it, and from then on writes that copy in
+place (``cells.write``), so a store costs the chunk's width, not the
+block's cell count.  A map the run did not copy itself
+(``EMPTY_CONTENTS``, a map handed to ``set_contents``, a map a snapshot
+holds) is never written.  Since each operation decides before it writes,
+a failed one leaves the run unchanged.  The caller hands back
+``persistent(m)``, which gives up the run's ownership, so a run never
+leaves the caller that made it.
 
 Code outside this module reads states through ``nextblock`` and the
 functions here: ``valid_block``, ``bounds``, ``slot`` (one read by id),
@@ -43,7 +45,7 @@ rewrite one issued slot unchecked, for witness states and seeded bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import cells, chunks
 from .cells import EMPTY_CONTENTS, BlockContents
@@ -83,14 +85,18 @@ DEFAULT_CONFIG = MemConfig()
 class MemState:
     """One sequence of length ``nextblock - 1``, indexed by ``b - 1``: the
     slot ``(low, high, live, contents)`` of each issued id.  Read it
-    through the accessors below.  A state over a tuple is never mutated
-    once built; a state over a list is a run's (see ``transient``).  It
-    is unhashable: the dataclass compares by value and is not frozen."""
+    through the accessors below.  A persistent state holds a tuple, has
+    ``owned`` None and is never mutated once built.  A run (see
+    ``transient``) holds a list and the set of ids whose maps it owns,
+    and its operations update it in place.  ``owned`` takes no part in
+    comparison.  A state is unhashable: the dataclass compares by value
+    and is not frozen."""
 
     nextblock: int
     slots: tuple | list
     allocated_bytes: int
     config: MemConfig
+    owned: set | None = field(default=None, compare=False, repr=False)
 
 
 def _span(low: int, high: int) -> int:
@@ -102,53 +108,44 @@ def empty(config: MemConfig = DEFAULT_CONFIG) -> MemState:
     return MemState(1, (), 0, config)
 
 
-class _Run(list):
-    """A run's own slot list, and ``owned``: the ids whose cell maps the
-    run copied itself, which no other state can read."""
-
-    __slots__ = ("owned",)
-
-    def __init__(self, slots) -> None:
-        super().__init__(slots)
-        self.owned: set[int] = set()
-
-
 def transient(m: MemState) -> MemState:
-    """``m`` over a fresh ``list`` copy of its slots, which the operations
-    then update in place; for the one run that makes it.  The new run owns
+    """A run: one mutable state that starts equal to ``m``, over its own
+    ``list`` copy of the slots, which every operation then updates in
+    place and returns; for the one caller that makes it.  The new run owns
     no map, and ``m``, when it is a run, gives its maps up first (see
     ``persistent``)."""
     m = persistent(m)
-    return MemState(m.nextblock, _Run(m.slots), m.allocated_bytes, m.config)
+    return MemState(m.nextblock, list(m.slots), m.allocated_bytes, m.config, set())
 
 
 def persistent(m: MemState) -> MemState:
-    """``m`` over a tuple: ``m`` itself when it already is, otherwise one
-    snapshot of its run's list.  The run then owns no map, so its later
-    stores copy a map before they write it and the snapshot never sees
-    them."""
-    if type(m.slots) is tuple:
+    """``m`` as a persistent state: ``m`` itself when it already is one,
+    otherwise one snapshot of the run's slots in a tuple.  The run then
+    owns no map, so its later stores copy a map before they write it and
+    the snapshot never sees them."""
+    if m.owned is None:
         return m
-    m.slots.owned.clear()
+    m.owned.clear()
     return MemState(m.nextblock, tuple(m.slots), m.allocated_bytes, m.config)
 
 
-def _replaced(slots: tuple | list, i: int, s: tuple) -> tuple | list:
-    """``slots`` with index ``i`` set to ``s``: a run's list in place,
-    otherwise a new tuple."""
-    if type(slots) is _Run:
-        slots[i] = s
-        return slots
-    return slots[:i] + (s,) + slots[i + 1 :]
-
-
-def _appended(slots: tuple | list, s: tuple) -> tuple | list:
-    """``slots`` with ``s`` appended: a run's list in place, otherwise a
-    new tuple."""
-    if type(slots) is _Run:
-        slots.append(s)
-        return slots
-    return slots + (s,)
+def _put(m: MemState, i: int, s: tuple, allocated: int) -> MemState:
+    """``m`` with slot ``s`` at index ``i`` (an append when ``i`` is
+    ``nextblock - 1``) and ``allocated`` bytes: the one slot writer.  A
+    run is updated in place and returned; otherwise a new state is built
+    over a new tuple."""
+    slots, n = m.slots, m.nextblock
+    if m.owned is not None:
+        if i == n - 1:
+            slots.append(s)
+            m.nextblock = n + 1
+        else:
+            slots[i] = s
+        m.allocated_bytes = allocated
+        return m
+    if i == n - 1:
+        return MemState(n + 1, slots + (s,), allocated, m.config)
+    return MemState(n, slots[:i] + (s,) + slots[i + 1 :], allocated, m.config)
 
 
 def valid_block(m: MemState, b: int) -> bool:
@@ -200,12 +197,7 @@ def alloc(m: MemState, low: int, high: int) -> tuple[int, MemState] | None:
     if not m.config.capacity.admits(m.allocated_bytes, request):
         return None
     b = m.nextblock
-    return b, MemState(
-        b + 1,
-        _appended(m.slots, (low, high, True, EMPTY_CONTENTS)),
-        m.allocated_bytes + request,
-        m.config,
-    )
+    return b, _put(m, b - 1, (low, high, True, EMPTY_CONTENTS), m.allocated_bytes + request)
 
 
 def free(m: MemState, b: int) -> MemState | None:
@@ -216,12 +208,7 @@ def free(m: MemState, b: int) -> MemState | None:
     low, high, live, c = m.slots[b - 1]
     if not live:
         return None
-    return MemState(
-        m.nextblock,
-        _replaced(m.slots, b - 1, (low, high, False, c)),
-        m.allocated_bytes - _span(low, high),
-        m.config,
-    )
+    return _put(m, b - 1, (low, high, False, c), m.allocated_bytes - _span(low, high))
 
 
 def load(t: Chunk, m: MemState, b: int, i: int) -> Value | None:
@@ -236,26 +223,20 @@ def load(t: Chunk, m: MemState, b: int, i: int) -> Value | None:
 def store(t: Chunk, m: MemState, b: int, i: int, v: Value) -> MemState | None:
     """Write ``v`` as chunk ``t`` at ``(b, i)``.  Succeeds iff the access is
     valid; only the contents of ``b`` change.  A run writes a map it owns
-    in place, and copies one it does not own, once, and then owns it.  The
-    result is a new state either way: ``trace._changed`` reads an
-    unchanged state object as "nothing changed"."""
+    in place and returns itself; it copies a map it does not own, once,
+    and then owns it."""
     s = access_slot(m, t, b, i)
     if s is None:
         return None
-    slots = m.slots
-    if type(slots) is _Run:
-        if b in slots.owned:
+    owned = m.owned
+    if owned is not None:
+        if b in owned:
             cells.write(s[3], t, i, v)
-            return MemState(m.nextblock, slots, m.allocated_bytes, m.config)
-        slots.owned.add(b)
+            return m
+        owned.add(b)
     low, high, live, c = s
     c = cells.store_contents(c, t, i, v)
-    return MemState(
-        m.nextblock,
-        _replaced(slots, b - 1, (low, high, live, c)),
-        m.allocated_bytes,
-        m.config,
-    )
+    return _put(m, b - 1, (low, high, live, c), m.allocated_bytes)
 
 
 def same_domain(m1: MemState, m2: MemState) -> bool:
@@ -310,10 +291,9 @@ def set_contents(m: MemState, b: int, c: BlockContents) -> MemState:
     if not 1 <= b < m.nextblock:
         raise IndexError(b)
     low, high, live, _ = m.slots[b - 1]
-    slots = _replaced(m.slots, b - 1, (low, high, live, c))
-    if type(slots) is _Run:
-        slots.owned.discard(b)
-    return MemState(m.nextblock, slots, m.allocated_bytes, m.config)
+    if m.owned is not None:
+        m.owned.discard(b)
+    return _put(m, b - 1, (low, high, live, c), m.allocated_bytes)
 
 
 def set_block(m: MemState, b: int, low: int, high: int, live: bool) -> MemState:
@@ -329,16 +309,15 @@ def set_block(m: MemState, b: int, low: int, high: int, live: bool) -> MemState:
         - (_span(old_low, old_high) if old_live else 0)
         + (_span(low, high) if live else 0)
     )
-    slots = _replaced(m.slots, b - 1, (low, high, live, c))
-    return MemState(m.nextblock, slots, allocated, m.config)
+    return _put(m, b - 1, (low, high, live, c), allocated)
 
 
 def free_list(m: MemState, bs) -> MemState | None:
     """Free the blocks ``bs``.  Fails, freeing none of them, unless every
     id is valid in ``m`` and none repeats: the verdict of freeing left to
     right, where a duplicate fails on its second occurrence.  Deciding
-    first keeps a failed free-list from freeing a prefix in place on a
-    transient state."""
+    first keeps a failed free-list from freeing a prefix of a run in
+    place."""
     bs = tuple(bs)
     if len(set(bs)) != len(bs) or not all(valid_block(m, b) for b in bs):
         return None

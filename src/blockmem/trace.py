@@ -716,8 +716,10 @@ class Steps(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, k: int) -> StepOutcome:
+    def __getitem__(self, k: int | slice) -> StepOutcome | list:
         n = self._count
+        if isinstance(k, slice):
+            return [self[j] for j in range(*k.indices(n))]
         if k < 0:
             k += n
         if not 0 <= k < n:
@@ -750,39 +752,30 @@ def _resolve(v: ValueExpr, env: dict) -> Value | None:
     return None if b is None else Vptr(b, v.offset)
 
 
-def _operate(stmt: Statement, m: MemState, blocks: list, env: dict):
-    """Run the op of a statement that expects it to succeed or to fail:
-    the state after it and the op's outcome (see ``run_op``), or False
-    for a store of a pointer to an unbound variable.  A successful alloc
-    binds its variable in ``env``."""
+def _step(stmt: Statement, m: MemState, blocks: list, env: dict):
+    """Run one statement: the state after it, whether its expectation
+    holds, and the op's outcome (see ``run_op``).  A stored pointer's
+    variable is looked up in ``env``; when it is unbound the store does
+    not run and its outcome is False.  A successful alloc binds its
+    variable in ``env``.  The notes are written apart, by ``_ok_note`` and
+    ``_failure_note``."""
     op = stmt.op
     kind = op[0]
+    expect = stmt.expect
     if kind == "store" and type(op[4]) is PtrLit:
         v = _resolve(op[4], env)
         if v is None:
-            return m, False
+            return m, expect is EXPECT_FAIL, False
         op = op[:4] + (v,)
     m, got = run_op(m, blocks, op)
     if kind == "alloc" and got is not None:
         env[stmt.names[0]] = got
-    return m, got
-
-
-def _step(stmt: Statement, m: MemState, blocks: list, env: dict):
-    """Run one statement: the state after it, whether its expectation
-    holds, and the op's outcome.  The notes are written apart, by
-    ``_ok_note`` and ``_failure_note``."""
-    expect = stmt.expect
     if expect is SUCCEEDS:
-        m, got = _operate(stmt, m, blocks, env)
         return m, got is not None and got is not False, got
     if expect is EXPECT_FAIL:
-        m, got = _operate(stmt, m, blocks, env)
         return m, got is None or got is False, got
     # An assertion or a load with an expected result: its op is a query,
     # whose outcome is None when its variable is unbound.
-    m, got = run_op(m, blocks, stmt.op)
-    kind = stmt.op[0]
     if kind == "valid":
         return m, got is True, got
     if kind == "bounds":
@@ -899,9 +892,10 @@ def exec_trace(trace: Trace, config: MemConfig = DEFAULT_CONFIG) -> TraceReport:
 
     The report keeps the final state and bindings and the failure, and
     describes each step when ``report.steps`` is read; a run builds no
-    record per statement.  The run keeps no intermediate state, so it
-    updates a transient state in place (see ``memstate.transient``) and
-    reports one persistent snapshot of it."""
+    record per statement.  The run keeps no intermediate state, so it is
+    one state object that every statement updates in place (see
+    ``memstate.transient``), and the report holds one persistent snapshot
+    of it."""
     m = memstate.transient(memstate.empty(config))
     blocks: list = []
     env: dict[str, int] = {}
@@ -937,15 +931,17 @@ def _check_relation(relation: str, m1: MemState, m2: MemState, emb) -> bool:
     return relations.mem_inject(emb, m1, m2)
 
 
-def _changed(op: tuple, blocks: list, m: MemState, before: MemState) -> tuple:
-    """The block ids that ``op``, just run from the state ``before`` to
-    ``m``, changed.  An op that changed the state was an alloc, whose block
-    is the last one bound, or a store or a free of the blocks of its refs."""
-    if m is before:
-        return ()
-    if op[0] == "alloc":
-        return (blocks[-1],)
-    return tuple(block_of(blocks, ref) for ref in refs(op))
+def _changed(op: tuple, got, blocks: list) -> tuple:
+    """The block ids that ``op`` changed, read from its outcome ``got``
+    (see ``_step``).  A load or a query changes nothing, and neither does
+    a failed op; an alloc changes its block, and a store, free or
+    free-list the blocks of its refs."""
+    kind = op[0]
+    if kind == "alloc":
+        return () if got is None else (got,)
+    if got is True and kind in ("store", "free", "free_list"):
+        return tuple(block_of(blocks, ref) for ref in refs(op))
+    return ()
 
 
 @_collector_paused
@@ -965,11 +961,12 @@ def relate(
     pair.  Only the first pair is checked whole; since ``relate`` stops at
     the first failure, every later pair starts from related states, and
     ``relations.holds_after_step`` re-checks just the blocks the two
-    statements changed (see ``_changed``), plus, for an injection, the left
-    blocks mapped onto a changed right block.  A step's work is
-    proportional to those blocks, not to the size of the states.  Each
-    side runs on its own transient state (see ``memstate.transient``),
-    which no report keeps.
+    statements changed, which ``_changed`` reads from their ops' outcomes,
+    plus, for an injection, the left blocks mapped onto a changed right
+    block.  A step's work is proportional to those blocks, not to the
+    size of the states.  Each side is one state object that its
+    statements update in place (see ``memstate.transient``), and no
+    report keeps it.
 
     Without ``emb``, an injection uses the traces' ``[emb]`` sections;
     ``ValueError`` when neither has one or their two maps differ, and when
@@ -1013,7 +1010,6 @@ def relate(
     blocks1, blocks2, env1, env2 = [], [], {}, {}
     steps = []
     for k, (s1, s2) in enumerate(zip(trace1.statements, trace2.statements)):
-        before1, before2 = m1, m2
         m1, ok1, got1 = _step(s1, m1, blocks1, env1)
         if not ok1:
             note = _failure_note(s1, env1, got1)
@@ -1027,7 +1023,7 @@ def relate(
         else:
             holds = relations.holds_after_step(
                 relation, m1, m2,
-                _changed(s1.op, blocks1, m1, before1), _changed(s2.op, blocks2, m2, before2),
+                _changed(s1.op, got1, blocks1), _changed(s2.op, got2, blocks2),
                 emb, sources,
             )
         steps.append((k, holds))

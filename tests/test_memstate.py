@@ -386,3 +386,58 @@ def test_a_run_never_writes_a_map_given_to_set_contents():
     t = store(Chunk.INT32, t, b, 12, Vint(7))
     assert given == kept
     assert load(Chunk.INT32, t, b, 0) == Vint(6) and load(Chunk.INT32, t, b, 12) == Vint(7)
+
+
+def test_a_run_is_one_state_object():
+    # Every write op on a run updates it in place and returns the very
+    # state it was given, over an exact list (indexing a list subclass is
+    # not specialized by the interpreter).
+    t = memstate.transient(empty())
+    assert type(t.slots) is list
+    b, same = alloc(t, 0, 16)
+    assert same is t
+    assert store(Chunk.INT32, t, b, 0, Vint(1)) is t
+    assert store(Chunk.INT32, t, b, 4, Vint(2)) is t  # into a map it owns
+    assert memstate.set_contents(t, b, {}) is t
+    assert memstate.set_block(t, b, 0, 8, True) is t
+    assert free(t, b) is t
+    bs, same = alloc_list(t, [(0, 4), (0, 4)])
+    assert same is t and bs == [2, 3]
+    assert free_list(t, bs) is t
+    assert type(t.slots) is list
+    assert (t.nextblock, t.allocated_bytes) == (4, 0)
+    assert freed_blocks(t) == {1, 2, 3}
+
+
+def test_a_failed_op_leaves_a_run_as_it_was():
+    t = memstate.transient(memstate.empty(MemConfig(capacity=CapacityPolicy(12))))
+    b, t = alloc(t, 0, 8)
+    t = store(Chunk.INT32, t, b, 0, Vint(5))
+    _, t = alloc(t, 0, 4)
+    t = free(t, 2)
+    before = (t.nextblock, t.allocated_bytes, list(t.slots))
+    failed = (
+        alloc(t, 0, 8),
+        alloc_list(t, [(0, 2), (0, 4)]),
+        free(t, 2),
+        free(t, 9),
+        free_list(t, [b, 2]),
+        free_list(t, [b, b]),
+        store(Chunk.INT32, t, b, 6, Vint(1)),
+        store(Chunk.INT32, t, 2, 0, Vint(1)),
+        storev(Chunk.INT32, t, Vint(1), Vint(1)),
+    )
+    assert failed == (None,) * len(failed)
+    assert (t.nextblock, t.allocated_bytes, list(t.slots)) == before
+    assert load(Chunk.INT32, t, b, 0) == Vint(5)
+
+
+def test_a_run_compares_as_a_state_of_its_slots():
+    # The ids a run owns take no part in comparison; a snapshot owns none.
+    b, m = _one_block()
+    t = store(Chunk.INT32, memstate.transient(m), b, 0, Vint(1))
+    u = store(Chunk.INT32, memstate.transient(m), b, 0, Vint(1))
+    memstate.persistent(u)
+    assert t.owned == {b} and u.owned == set()
+    assert t == u
+    assert memstate.persistent(t).owned is None and m.owned is None

@@ -808,6 +808,64 @@ def test_relate_stepwise():
     assert r.steps == [(0, True), (1, False)] and r.message == "inject fails after statement 2"
 
 
+def test_stepwise_relate_sees_a_store_of_another_value():
+    smoke = TRACES.parent / "tests" / "smoke"
+    t1 = parse_trace((smoke / "store_left.trace").read_text())
+    t2 = parse_trace((smoke / "store_right.trace").read_text())
+    r = relate(t1, t2, "lessdef", stepwise=True)
+    assert r.steps == [(0, True), (1, False)]
+    assert r.message == "lessdef fails after statement 2"
+
+
+CHANGES = """\
+alloc 0 16 -> $a
+alloc 0 8 -> $b
+expect-fail alloc 0 64 -> $c
+store int32 $a 0 (int 1)
+store int32 $b 0 (ptr $a 0)
+load int32 $a 0 => (int 1)
+assert-valid $a
+assert-bounds $b 0 8
+expect-fail store int32 $a 2 (int 1)
+expect-fail store int32 $c 0 (int 1)
+expect-fail store int32 $a 0 (ptr $c 0)
+expect-fail load int32 $a 16
+free $b
+expect-fail free $b
+expect-fail free-list $a $a
+alloc 0 8 -> $d
+free-list $a $d
+"""
+
+
+def test_changed_blocks_are_read_from_the_outcome():
+    # A step's changed blocks come from its op and outcome alone: none for
+    # a load, a query or a failed op, the new block for an alloc, and the
+    # blocks of its refs for a store, free or free-list.
+    m = memstate.transient(memstate.empty(MemConfig(capacity=CapacityPolicy(64))))
+    blocks, env, changed = [], {}, []
+    for stmt in parse_trace(CHANGES).statements:
+        m, ok, got = trace._step(stmt, m, blocks, env)
+        assert ok, stmt.line
+        changed.append(trace._changed(stmt.op, got, blocks))
+    assert changed == [
+        (1,), (2,), (), (1,), (2,), (), (), (), (), (), (), (), (2,), (), (), (3,), (1, 3),
+    ]
+    assert trace._changed(("valid", 0), True, blocks) == ()
+    assert trace._changed(("fresh", 0), True, blocks) == ()
+
+
+def test_steps_slice_as_a_list():
+    text = "alloc 0 8 -> $a\nstore int32 $a 0 (int 42)\nassert-valid $a\nload int32 $a 0 => (int 7)"
+    report = exec_trace(parse_trace(text))
+    steps = report.steps
+    listed = [steps[k] for k in range(len(steps))]
+    assert steps[1:3] == listed[1:3] and len(steps[1:3]) == 2
+    assert steps[2:] == [listed[2], report.failure]
+    assert steps[::-1] == listed[::-1] and steps[:] == listed
+    assert steps[9:] == [] and steps[-2:-1] == [listed[2]]
+
+
 def _grammar_ops(rng):
     """Random ops expressible in the trace grammar (no probe refs); a free
     at an odd position becomes a free_list, which sampled scenarios never
