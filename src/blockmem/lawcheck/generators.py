@@ -660,11 +660,29 @@ def sample_emb_plan(
 # for every law (``LawStream.scenario``).  Replaying a scenario is left to the
 # memos of ``laws_base``, which hand every law of the domain the same
 # ``RunResult`` (or pair of them, or ``EmbScenario`` holding two) while they
-# hold it; each process of a parallel run replays for itself.
+# hold it; each process of a parallel run replays for itself.  The ops of a
+# state scenario are a ``Scenario``, so those lookups hash them once.
+
+
+class Scenario(tuple):
+    """A scenario's ops: a tuple that computes its hash once.  The memos
+    look a scenario up at every check, and a plain tuple hashes each op
+    and value again every time.  It pickles as a plain tuple, so no cached
+    hash crosses a process."""
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = tuple.__hash__(self)
+            return h
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
 
 def shared_ops(rng: LawStream) -> tuple:
-    return rng.scenario("ops", lambda s: tuple(sample_ops(s)))
+    return rng.scenario("ops", lambda s: Scenario(sample_ops(s)))
 
 
 def shared_lessdef_plan(rng: LawStream) -> tuple:
@@ -712,7 +730,7 @@ def _tiny_build(bounds_list, content_list, freed_mask):
         if bounds_list[k][0] <= i and i + chunks.size_chunk(t) <= bounds_list[k][1]
     ]
     frees = [("free", k) for k in range(len(bounds_list)) if freed_mask >> k & 1]
-    return tuple(allocs + stores + frees)
+    return Scenario(allocs + stores + frees)
 
 
 @lru_cache(maxsize=None)

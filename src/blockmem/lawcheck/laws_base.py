@@ -14,11 +14,11 @@ failing random case shrinks through the random numbers its draw read
 (``runner``).
 
 A draw that meets an empty choice gives ``("skip",)``.  Checks never see
-such a case: ``runner.run_law`` drops skips in both phases before calling
-``check``, and the shrinker drops the skips it reads.  Check functions return
-``None`` when the case passes (including vacuously, when the case fails
-the law's hypotheses) and a short human-readable detail string when it
-exhibits a violation.
+such a case: ``runner.run_group`` drops skips in both phases before
+calling ``check``, and the shrinker drops the skips it reads.  Check
+functions return ``None`` when the case passes (including vacuously, when
+the case fails the law's hypotheses) and a short human-readable detail
+string when it exhibits a violation.
 """
 
 from __future__ import annotations
@@ -151,6 +151,13 @@ def stored(ops, t, b, i, v):
     return _LAST_STORE[1]
 
 
+# The last operation prologue a state law applied (``laws_state._after``):
+# [case, prologue, result].  The laws of one exhaustive domain check each
+# case object in turn (``runner.run_group``), so they apply its operation
+# once.  The entry holds its case, so no other case can take its identity.
+LAST_PROLOGUE: list = [None, None, None]
+
+
 @lru_cache(maxsize=4096)
 def cells_of(recipe: tuple):
     """Content map built by a sequence of datum stores."""
@@ -228,6 +235,7 @@ def clear_caches() -> None:
     cells_of.cache_clear()
     SCENARIOS.clear()
     _LAST_STORE[:] = None, None
+    LAST_PROLOGUE[:] = None, None, None
     generators.tiny_states_small.cache_clear()
 
 

@@ -40,6 +40,7 @@ from .laws_base import (
     G_FRESH,
     G_GOODVARS,
     G_VALIDITY,
+    LAST_PROLOGUE,
     MEM_INJECT,
     MISMATCHED_CHUNKS,
     REF_GEN_MEM,
@@ -210,14 +211,21 @@ def _after(op: str, given=None):
     """Decorator for a check whose cases apply ``op``: the property
     ``prop(case, m, m2, b)`` runs on the prologue's result.  A case passes
     vacuously when ``given(case)``, the law's own hypothesis checked
-    before the operation runs, is false, or when the operation fails."""
+    before the operation runs, is false, or when the operation fails.  The
+    prologue's last result is kept for the next check of the same case
+    object (``laws_base.LAST_PROLOGUE``)."""
     prologue = _PROLOGUES[op]
+    last = LAST_PROLOGUE
 
     def wrap(prop):
         def check(case):
             if given is not None and not given(case):
                 return None
-            r = prologue(case)
+            if last[0] is case and last[1] is prologue:
+                r = last[2]
+            else:
+                r = prologue(case)
+                last[:] = case, prologue, r
             return None if r is None else prop(case, *r)
 
         return check

@@ -1,15 +1,19 @@
 """Suite runner: evaluates every law and emits the reports.
 
 Each law runs two phases over its domain (``domains``): a sweep of the
-domain's exhaustive scope, then seeded random draws.  A random case is a scenario, taken from
-the stream its domain shares with every other law of the domain (draw k
-of the law takes scenario k), and an assignment drawn from the law's own
-stream (see ``rng``).  Both depend only on the seed, the law and the draw
-number, so a law's result does not depend on which laws run, in which
-order, or in how many processes.  A failing random case shrinks through
-the u64s its draw read (one tape for the law's stream, one per scenario),
-which ``law.sample`` reads again: the shrunk case is a draw of the law's
-domain that still violates the law when replayed on its own.
+domain's exhaustive scope, then seeded random draws.  The suite runs by
+exhaustive domain (``run_group``): the laws whose ``law.exhaustive`` is
+the same function enumerate it once, each case going to every law of the
+group that has not failed yet, and each law then draws its own random
+phase.  A random case is a scenario, taken from the stream its domain
+shares with every other law of the domain (draw k of the law takes
+scenario k), and an assignment drawn from the law's own stream (see
+``rng``).  Both depend only on the seed, the law and the draw number, so
+a law's result does not depend on which laws run, in which order, in
+which group, or in how many processes.  A failing random case shrinks
+through the u64s its draw read (one tape for the law's stream, one per
+scenario), which ``law.sample`` reads again: the shrunk case is a draw of
+the law's domain that still violates the law when replayed on its own.
 
 Reports come in two forms: human-readable text with timings, and a
 machine-readable JSON-lines file with one record per catalogue entry.
@@ -32,8 +36,6 @@ from .rng import LawStream, SplitMix64, law_stream, scenario_stream
 # The way cases are generated, recorded in the report's header: bumped by
 # every change that moves any law's exhaustive cases or random draws.
 REPORT_FORMAT = 2
-# Laws per worker task when the suite runs in several processes.
-_CHUNK = 4
 _SHRINK_BUDGET = 20_000  # candidate replays per shrink
 
 
@@ -83,7 +85,8 @@ class LawResult:
     cases_random: int
     cases_skipped: int = 0  # random draws that came back ("skip",)
     violations: list = field(default_factory=list)
-    seconds: float = 0.0
+    seconds: float = 0.0  # the random phase and a share of the group's enumeration
+    seconds_exhaustive: float = 0.0  # that share
 
     @property
     def passed(self) -> bool:
@@ -195,52 +198,91 @@ def _shrink(law: Law, seed: int, n: int):
     return tapes, case, detail
 
 
-def run_law(law: Law, cfg: SuiteConfig) -> LawResult:
+def _random_phase(law: Law, cfg: SuiteConfig) -> tuple:
+    """The law's random draws: (draws, skips, violations)."""
+    n_random = n_skipped = 0
+    rng = law_stream(cfg.seed, law.name)
+    for _ in range(cfg.cases_for(law)):
+        n_random += 1
+        case = law.sample(rng)
+        if case[0] == "skip":
+            n_skipped += 1
+            continue
+        if law.check(case):
+            _, case, detail = _shrink(law, cfg.seed, n_random)
+            return n_random, n_skipped, [_violation(detail, case)]
+    return n_random, n_skipped, []
+
+
+def _violation(detail: str, case) -> Violation:
+    rendered = render_case(case)
+    return Violation(detail, rendered["scenario"], rendered["assignment"])
+
+
+def run_group(laws: list, cfg: SuiteConfig) -> list:
+    """Run laws that share one exhaustive domain (the same
+    ``law.exhaustive``): the domain is enumerated once, up to
+    ``max_exhaustive`` cases, and each case object goes to every law that
+    has not failed yet, in order.  A law stops at its first violation and
+    its siblings go on.  Then each law that passed runs its own random
+    phase.  A law's ``seconds`` is its random phase plus an equal share
+    of the enumeration."""
     t0 = time.perf_counter()
-    violations = []
-    n_exhaustive = 0
-    for case in islice(law.exhaustive(), cfg.max_exhaustive):
-        n_exhaustive += 1
+    active = list(enumerate(law.check for law in laws))
+    failed_at: list = [None] * len(laws)  # the case a law failed at
+    violations: list = [[] for _ in laws]
+    n = 0
+    for case in islice(laws[0].exhaustive(), cfg.max_exhaustive):
+        n += 1
         if case[0] == "skip":
             continue
-        detail = law.check(case)
-        if detail:
-            rendered = render_case(case)
-            violations.append(Violation(detail, rendered["scenario"], rendered["assignment"]))
-            break
-    n_random = n_skipped = 0
-    if not violations:
-        rng = law_stream(cfg.seed, law.name)
-        for _ in range(cfg.cases_for(law)):
-            n_random += 1
-            case = law.sample(rng)
-            if case[0] == "skip":
-                n_skipped += 1
-                continue
-            detail = law.check(case)
+        for i, check in active:
+            detail = check(case)
             if detail:
-                _, case, detail = _shrink(law, cfg.seed, n_random)
-                rendered = render_case(case)
-                violations.append(
-                    Violation(detail, rendered["scenario"], rendered["assignment"])
-                )
-                break
-    return LawResult(
-        name=law.name,
-        module=law.module,
-        groups=law.groups,
-        about=law.about,
-        cases_exhaustive=n_exhaustive,
-        cases_random=n_random,
-        cases_skipped=n_skipped,
-        violations=violations,
-        seconds=time.perf_counter() - t0,
-    )
+                failed_at[i], violations[i] = n, [_violation(detail, case)]
+                active = [a for a in active if a[0] != i]
+        if not active:
+            break
+    share = (time.perf_counter() - t0) / len(laws)
+    results = []
+    for law, n_exhaustive, found in zip(laws, failed_at, violations):
+        t0 = time.perf_counter()
+        n_random = n_skipped = 0
+        if not found:
+            n_random, n_skipped, found = _random_phase(law, cfg)
+        results.append(
+            LawResult(
+                name=law.name,
+                module=law.module,
+                groups=law.groups,
+                about=law.about,
+                cases_exhaustive=n if n_exhaustive is None else n_exhaustive,
+                cases_random=n_random,
+                cases_skipped=n_skipped,
+                violations=found,
+                seconds=share + time.perf_counter() - t0,
+                seconds_exhaustive=share,
+            )
+        )
+    return results
 
 
-def _run_by_name(args) -> LawResult:
-    name, cfg = args
-    return run_law(registry.law(name), cfg)
+def run_law(law: Law, cfg: SuiteConfig) -> LawResult:
+    return run_group([law], cfg)[0]
+
+
+def domain_groups(laws: dict) -> list:
+    """The names of ``laws`` grouped by exhaustive domain (the same
+    ``law.exhaustive`` function), each group in registry order."""
+    groups: dict = {}
+    for name, law in laws.items():
+        groups.setdefault(law.exhaustive, []).append(name)
+    return list(groups.values())
+
+
+def _run_names(args) -> list:
+    names, cfg = args
+    return run_group([registry.law(name) for name in names], cfg)
 
 
 @dataclass
@@ -262,22 +304,24 @@ class SuiteResult:
 
 
 def run_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteResult:
-    """Evaluate every registered law.  Results come back in registry
-    order regardless of scheduling, and each law's cases depend only on
-    the seed and the law, so each result is independent of every other
-    law.  The pool has no more processes than tasks: it starts all of
-    them at the first task."""
-    names = list(registry.LAWS)
+    """Evaluate every registered law, one task per exhaustive domain
+    (``domain_groups``).  Results come back in registry order regardless
+    of scheduling, and each law's cases depend only on the seed and the
+    law, so each result is independent of every other law.  The pool has
+    no more processes than tasks: it starts all of them at the first
+    task."""
+    tasks = [(names, cfg) for names in domain_groups(registry.LAWS)]
     t0 = time.perf_counter()
     if cfg.jobs > 1:
         # Imported only here, so a one-process run loads no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        tasks = -(-len(names) // _CHUNK)
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, tasks)) as pool:
-            results = list(pool.map(_run_by_name, [(n, cfg) for n in names], chunksize=_CHUNK))
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(tasks))) as pool:
+            done = list(pool.map(_run_names, tasks))
     else:
-        results = [run_law(registry.LAWS[n], cfg) for n in names]
+        done = list(map(_run_names, tasks))
+    by_name = {r.name: r for results in done for r in results}
+    results = [by_name[name] for name in registry.LAWS]
     return SuiteResult(config=cfg, results=results, seconds=time.perf_counter() - t0)
 
 
@@ -307,9 +351,12 @@ def text_report(suite: SuiteResult) -> str:
                     pad = "\n          ".join(text.splitlines())
                     lines.append(f"      {label}:\n          {pad}")
     n_impl = len(suite.results)
+    exhaustive = sum(r.seconds_exhaustive for r in suite.results)
+    random = sum(r.seconds for r in suite.results) - exhaustive
     lines.append(
         f"\n{n_impl} laws, {n_impl - len(suite.failed_names)} passed, "
-        f"{len(suite.failed_names)} failed, {suite.seconds:.1f}s total"
+        f"{len(suite.failed_names)} failed, {suite.seconds:.1f}s total, "
+        f"exhaustive {exhaustive:.1f} s, random {random:.1f} s"
     )
     if suite.failed_names:
         lines.append("failed: " + ", ".join(suite.failed_names))

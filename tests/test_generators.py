@@ -1,5 +1,7 @@
 """Scenario generators: determinism, invariants, pair constructors."""
 
+import pickle
+
 from blockmem import chunks, memstate, relations
 from blockmem.lawcheck import generators, registry
 from blockmem.lawcheck.generators import (
@@ -242,3 +244,23 @@ def test_pack():
             else:
                 assert all(h1 <= l2 for (_, h1), (l2, _) in zip(images, images[1:]))
                 assert (deltas, end) == _pack_requests(spans)
+
+
+def test_scenario_is_its_tuple_and_pickles_as_one():
+    """A ``Scenario`` equals its plain tuple and hashes like it, computes
+    the hash once, and pickles as the plain tuple, without the hash."""
+    ops = tuple(sample_ops(SplitMix64(9)))
+    scenario = generators.Scenario(ops)
+    assert scenario == ops and hash(scenario) == hash(ops)
+    assert {ops: 1}[scenario] == 1
+    assert scenario._hash == hash(ops)
+    back = pickle.loads(pickle.dumps(scenario))
+    assert back == ops and type(back) is tuple
+    assert b"_hash" not in pickle.dumps(scenario)
+    assert repr(scenario) == repr(ops)
+
+
+def test_shared_and_tiny_scenarios_are_scenarios():
+    rng = law_stream(42, "a")
+    assert type(generators.shared_ops(rng)) is generators.Scenario
+    assert all(type(ops) is generators.Scenario for ops in tiny_states_small())

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from blockmem import lawcheck, relations
+from blockmem import lawcheck, memstate, relations
 from blockmem.lawcheck import generators, laws_base, mutations, registry, runner
 from blockmem.lawcheck.domains import Domain, Given, Skip, ints, lists, sampler, tuples
 from blockmem.lawcheck.laws_base import ALL_GROUPS, CONCRETE_MEM, LAWS, Law, render_case
@@ -211,11 +211,124 @@ def test_pool_has_no_more_processes_than_tasks(monkeypatch):
     # The runner imports the pool from its module when it starts one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = SuiteConfig(random_cases=0, max_exhaustive=1)
-    tasks = -(-len(LAWS) // runner._CHUNK)
+    tasks = len(runner.domain_groups(LAWS))
     for jobs, want in ((2, 2), (tasks, tasks), (tasks + 1, tasks), (10_000, tasks)):
         suite = run_suite(replace(cfg, jobs=jobs))
         assert sizes[-1] == want
         assert [r.name for r in suite.results] == list(LAWS)
+
+
+def _outcome(result) -> tuple:
+    return (
+        result.cases_exhaustive,
+        result.cases_random,
+        result.cases_skipped,
+        result.violations,
+    )
+
+
+def test_suite_gives_each_law_its_result_alone():
+    """A law checked beside the other laws of its exhaustive domain, each
+    case going to every law of the group in turn, gives the result it
+    gives alone."""
+    cfg = SuiteConfig(random_cases=30, max_exhaustive=800, seed=11)
+    laws_base.clear_caches()
+    suite = run_suite(cfg).by_name()
+    assert len(suite) == len(LAWS)
+    for name, law in LAWS.items():
+        assert _outcome(suite[name]) == _outcome(run_law(law, cfg)), name
+
+
+@pytest.mark.parametrize("mutation", sorted(mutations.MUTATIONS))
+def test_groups_under_a_mutation_give_each_law_its_result_alone(mutation):
+    """Under each seeded bug, the groups that hold its catching laws give
+    every law, failing or passing, the result it gives alone."""
+    cfg = SuiteConfig(random_cases=20, seed=5)
+    caught_by = mutations.MUTATIONS[mutation].caught_by
+    groups = [g for g in runner.domain_groups(LAWS) if set(g) & set(caught_by)]
+    with mutations.applied(mutation):
+        results = [r for g in groups for r in runner.run_group([LAWS[n] for n in g], cfg)]
+        alone = [run_law(LAWS[r.name], cfg) for r in results]
+    assert [_outcome(r) for r in results] == [_outcome(r) for r in alone]
+    assert any(r.violations for r in results if r.name in caught_by)
+
+
+def test_a_law_failing_its_enumeration_leaves_its_siblings_going():
+    """Under a dropped alignment check, aligned_dec fails in the exhaustive
+    phase of its domain; the rest of the group sees every case and runs
+    its random phase."""
+    cfg = SuiteConfig(random_cases=10, max_exhaustive=2000, seed=5)
+    (group,) = [g for g in runner.domain_groups(LAWS) if "aligned_dec" in g]
+    aligned = LAWS["aligned_dec"]
+    with mutations.applied("alignment-check-dropped"):
+        results = {r.name: r for r in runner.run_group([LAWS[n] for n in group], cfg)}
+        cases = enumerate(islice(aligned.exhaustive(), 2000), 1)
+        first = next(k for k, c in cases if c[0] != "skip" and aligned.check(c))
+    failed = results.pop("aligned_dec")
+    assert failed.violations and failed.cases_random == 0
+    assert failed.cases_exhaustive == first
+    siblings = [r for r in results.values() if r.passed]
+    assert siblings
+    for r in siblings:
+        assert r.cases_exhaustive == 2000 > failed.cases_exhaustive
+        assert r.cases_random == 10
+
+
+def test_suite_enumerates_each_domain_once(monkeypatch):
+    """run_suite calls each distinct ``law.exhaustive`` once, however many
+    laws share it."""
+    calls: dict = {}
+
+    def counting(exhaustive):
+        def cases():
+            calls[exhaustive] = calls.get(exhaustive, 0) + 1
+            return exhaustive()
+
+        return cases
+
+    wrappers: dict = {}
+    for name, law in LAWS.items():
+        wrapper = wrappers.setdefault(law.exhaustive, counting(law.exhaustive))
+        monkeypatch.setitem(LAWS, name, replace(law, exhaustive=wrapper))
+    run_suite(SuiteConfig(random_cases=0, max_exhaustive=50))
+    assert len(calls) == len(runner.domain_groups(LAWS)) == len(wrappers)
+    assert set(calls.values()) == {1}
+
+
+def test_a_store_group_stores_once_per_case(monkeypatch):
+    """The six laws of the store domain apply each case's store once."""
+    (group,) = [g for g in runner.domain_groups(LAWS) if "store_inversion" in g]
+    assert len(group) == 6
+    laws = [LAWS[n] for n in group]
+    cases = [c for c in islice(laws[0].exhaustive(), 3000) if c[0] != "skip"]
+    laws_base.clear_caches()
+    for ops in generators.tiny_states_small():  # build every state before counting
+        laws_base.state_of(ops)
+    stores = [0]
+    store = memstate.store
+
+    def counting(*args):
+        stores[0] += 1
+        return store(*args)
+
+    monkeypatch.setattr(memstate, "store", counting)
+    runner.run_group(laws, SuiteConfig(random_cases=0, max_exhaustive=3000))
+    assert stores[0] == len(cases) > 0
+
+
+def test_a_mutation_reaches_a_case_already_checked():
+    """A case object checked on the healthy model and then again, after
+    ``clear_caches``, under a mutation of its operation sees the mutated
+    model: the prologue's last result is dropped with the other caches."""
+    law = LAWS["alloc_fresh_block_"]
+    with mutations.applied("freed-id-reused"):
+        case = next(c for c in law.exhaustive() if c[0] != "skip" and law.check(c))
+    assert law.check(case) is None
+    assert laws_base.LAST_PROLOGUE[0] is case
+    laws_base.clear_caches()
+    with mutations.applied("freed-id-reused"):
+        assert law.check(case) == "alloc returned a block that was not fresh"
+    assert law.check(case) is None
 
 
 def test_runner_import_leaves_worker_pool_unloaded():
@@ -289,11 +402,13 @@ def test_clear_caches_empties_every_lawcheck_cache():
     run_suite(SuiteConfig(random_cases=5, max_exhaustive=300))
     assert all(cache.cache_info().currsize for cache in caches.values())
     assert SCENARIOS and laws_base._LAST_STORE != [None, None]
+    assert laws_base.LAST_PROLOGUE != [None, None, None]
     laws_base.clear_caches()
     kept = {name: cache.cache_info().currsize for name, cache in caches.items()}
     assert {name: size for name, size in kept.items() if size} == {}
     assert not SCENARIOS
     assert laws_base._LAST_STORE == [None, None]
+    assert laws_base.LAST_PROLOGUE == [None, None, None]
 
 
 def test_checks_never_see_a_skip():
