@@ -161,6 +161,11 @@ def value_text(v: Value) -> str:
     return "undef"
 
 
+# The chunks as module globals: ``convert`` compares against these, since
+# reading a global costs a fraction of an enum attribute lookup.
+_INT8S, _INT8U, _INT16S, _INT16U, _INT32, _FLOAT32, _FLOAT64 = ALL_CHUNKS
+
+
 def convert(v: Value, t: Chunk) -> Value:
     """Normalization applied by a load at chunk ``t`` to the stored value.
 
@@ -171,26 +176,26 @@ def convert(v: Value, t: Chunk) -> Value:
     """
     if type(v) is Vint:
         n = v.value
-        if t is Chunk.INT32:
+        if t is _INT32:
             m = ((n & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
-        elif t is Chunk.INT8S:
+        elif t is _INT8S:
             m = ((n & 0xFF) ^ 0x80) - 0x80
-        elif t is Chunk.INT8U:
+        elif t is _INT8U:
             m = n & 0xFF
-        elif t is Chunk.INT16S:
+        elif t is _INT16S:
             m = ((n & 0xFFFF) ^ 0x8000) - 0x8000
-        elif t is Chunk.INT16U:
+        elif t is _INT16U:
             m = n & 0xFFFF
         else:
             return VUNDEF
         return v if m == n else Vint(m)
     if type(v) is Vfloat:
-        if t is Chunk.FLOAT64:
+        if t is _FLOAT64:
             return v
-        if t is Chunk.FLOAT32:
+        if t is _FLOAT32:
             b = float32_round_bits(v.bits)
             return v if b == v.bits else Vfloat(b)
         return VUNDEF
     if type(v) is Vptr:
-        return v if t is Chunk.INT32 else VUNDEF
+        return v if t is _INT32 else VUNDEF
     return VUNDEF

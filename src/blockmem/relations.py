@@ -14,6 +14,13 @@ and blocks, never with block span.  The results are exactly the full
 enumeration's (see the reference checkers in the law-suite oracle, which
 do enumerate and are tested to agree, also across alignment configs).
 
+The value half is decided per stored datum, not per load: a left datum
+whose image on the right is a datum of the same size class, with an
+intact footprint and a ``val_emb``-related value, relates at every chunk
+it loads at, so only a datum that fails that test is converted and
+compared chunk by chunk (``_transport``).  Related states mostly hold
+such data, so a check mostly converts and loads nothing.
+
 An embedding is a partial relocation map ``block -> (target block, byte
 delta)``; absent keys are unmapped.  Deltas of an injection must be
 multiples of 8 so that relocation preserves every chunk's alignment.
@@ -45,7 +52,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import cells, chunks, memstate
-from .chunks import ALL_CHUNKS, COMPAT_CHUNKS, Chunk, Value, Vptr, VUNDEF
+from .chunks import ALL_CHUNKS, COMPAT_CHUNKS, Chunk, Value, Vptr, Vundef
 from .memstate import MemState
 
 # Finite map block -> (target block, delta); absent keys are unmapped.
@@ -75,14 +82,14 @@ DELTA_ALIGNMENT = 8
 def val_lessdef(v1: Value, v2: Value) -> bool:
     """Value refinement: undefined refines anything, everything else only
     itself."""
-    return v1 == VUNDEF or v1 == v2
+    return type(v1) is Vundef or v1 == v2
 
 
 def val_emb(emb: Embedding, v1: Value, v2: Value) -> bool:
     """Value relation through an embedding: undefined refines anything,
     integers and floats relate to themselves, and a pointer relates to its
     relocation through ``emb``."""
-    if v1 == VUNDEF:
+    if type(v1) is Vundef:
         return True
     if type(v1) is Vptr:
         if type(v2) is not Vptr:
@@ -150,25 +157,6 @@ def valid_accesses(m: MemState, b: int) -> tuple[tuple[Chunk, int], ...]:
     return _access_list(s[0], s[1], m.config.check_alignment)
 
 
-def _defined_loads(c: cells.BlockContents, low: int, high: int, aligned: bool):
-    """Yield every (chunk, offset, value) with a defined (non-undef) load in
-    a valid block with cell map ``c`` and bounds ``[low, high)``, under the
-    given alignment rule.  Defined loads only arise at datum cells, read at
-    a chunk of the same size class; such chunks share the datum's
-    footprint, so bounds and the intact-footprint test are decided once per
-    datum."""
-    for ofs, datum in c.items():
-        size = chunks.size_chunk(datum.chunk)
-        if ofs < low or ofs + size > high or not cells.check_cont(c, ofs + 1, size - 1):
-            continue
-        for t in COMPAT_CHUNKS[datum.chunk]:
-            if aligned and ofs % chunks.align_chunk(t):
-                continue
-            v = chunks.convert(datum.value, t)
-            if v != VUNDEF:
-                yield t, ofs, v
-
-
 def _relocation_aligned(low: int, high: int, aligned: bool, delta: int) -> bool:
     """Whether every access that fits ``[low, high)`` (at aligned offsets
     only, when ``aligned``) lands on an address aligned for its chunk once
@@ -205,7 +193,18 @@ def _transport(
     span is not empty, the target is valid with containing bounds, the
     relocated accesses are aligned if ``aligned2``, and the loads relate by
     ``val_emb``.  Along ``IDENTITY`` equal cell maps relate at once, since
-    ``val_lessdef`` is reflexive."""
+    ``val_lessdef`` is reflexive.
+
+    The loads are decided per datum (as ``memval_inject`` states injection
+    over stored contents; Leroy, Appel, Blazy & Stewart, 2012).  A defined
+    load arises only at a datum inside the bounds with an intact footprint,
+    read at a chunk of its size class, and loads ``convert(value, t)``.
+    When the right cell at the datum's image holds a datum of the same size
+    class with an intact footprint, and the two stored values relate by
+    ``val_emb``, every such load relates: ``convert`` depends only on the
+    value and the chunk, ``val_emb`` is equality on integers and floats,
+    and a pointer loads, unchanged, at int32 only.  Only a datum that fails
+    this test has its loads converted and compared one chunk at a time."""
     if high1 <= low1:
         return True
     if s2 is None:
@@ -218,9 +217,28 @@ def _transport(
         return False
     if emb is IDENTITY and (c1 is c2 or c1 == c2):
         return True
-    for t, ofs, v1 in _defined_loads(c1, low1, high1, aligned):
-        if not val_emb(emb, v1, cells.load_contents(t, c2, ofs + delta)):
-            return False
+    for ofs, d1 in c1.items():
+        v1 = d1.value
+        if type(v1) is Vundef:
+            continue  # loads nothing
+        size = chunks.size_chunk(d1.chunk)
+        if ofs < low1 or ofs + size > high1 or not cells.check_cont(c1, ofs + 1, size - 1):
+            continue
+        ofs2 = ofs + delta
+        d2 = c2.get(ofs2)
+        if (
+            d2 is not None
+            and chunks.size_chunk(d2.chunk) == size
+            and cells.check_cont(c2, ofs2 + 1, size - 1)
+            and val_emb(emb, v1, d2.value)
+        ):
+            continue
+        for t in COMPAT_CHUNKS[d1.chunk]:
+            if aligned and ofs % chunks.align_chunk(t):
+                continue
+            v = chunks.convert(v1, t)
+            if type(v) is not Vundef and not val_emb(emb, v, cells.load_contents(t, c2, ofs2)):
+                return False
     return True
 
 

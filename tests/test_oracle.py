@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from blockmem import chunks, memstate
-from blockmem.chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, Vptr, VUNDEF
+from blockmem.chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, Vptr, VUNDEF, Vundef
 from blockmem.lawcheck import oracle
 from blockmem.lawcheck.generators import run_ops, sample_ops
 from blockmem.lawcheck.oracle import oracle_convert, oracle_exec, oracle_float32_round_bits
@@ -59,9 +59,14 @@ def test_float32_rounding_matches_struct_on_random_bits(bits):
 
 
 def test_convert_agreement():
+    # Every chunk crossed with undef (the shared one and one built apart),
+    # pointers, each integer width's boundaries and their neighbours, and
+    # floats including NaN, the infinities and magnitudes past float32.
+    edges = {s * 2**w + d for w in (7, 8, 15, 16, 31, 32) for s in (1, -1) for d in (-1, 0, 1)}
+    ints = edges | {-(2**40), -65537, -300, -1, 0, 7, 255, 300, 65535, 2**40}
     values = (
-        [VUNDEF, Vptr(1, 0), Vptr(2, -3)]
-        + [Vint(n) for n in (-(2**40), -65537, -300, -1, 0, 7, 255, 300, 65535, 2**31)]
+        [VUNDEF, Vundef(), Vptr(1, 0), Vptr(2, -3)]
+        + [Vint(n) for n in sorted(ints)]
         + [Vfloat.from_float(x) for x in CURATED]
     )
     for v in values:

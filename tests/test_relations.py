@@ -9,6 +9,7 @@ from blockmem import (
     Vint,
     Vptr,
     VUNDEF,
+    Vundef,
     alloc,
     empty,
     free,
@@ -22,7 +23,7 @@ from blockmem import (
     emb_incr,
     emb_no_overlap,
 )
-from blockmem import memstate, relations
+from blockmem import cells, chunks, memstate, relations
 from blockmem.lawcheck import oracle
 from blockmem.lawcheck.generators import (
     build_emb_scenario,
@@ -63,6 +64,16 @@ def test_val_emb():
     assert not val_emb({1: (3, 8)}, Vptr(1, 4), Vint(12))
     f = Vfloat.from_float(1.5)
     assert val_emb({}, f, f)
+
+
+def test_a_fresh_undef_reads_as_undefined():
+    # Undefined is a type, not the VUNDEF object: a value built apart, as
+    # unpickling builds one, reads the same.
+    u = Vundef()
+    assert u is not VUNDEF
+    assert val_lessdef(u, Vint(3)) and val_lessdef(u, Vptr(1, 0))
+    assert val_emb({}, u, Vptr(9, 9)) and val_emb(relations.IDENTITY, u, Vint(3))
+    assert not val_lessdef(Vint(3), u) and not val_emb({}, Vint(3), u)
 
 
 def _two_states():
@@ -302,3 +313,126 @@ def test_whole_state_lessdef_and_extends_read_no_block_by_id(monkeypatch):
     assert mem_extends(m, stored) and mem_extends(m, wider)
     assert not mem_extends(wider, m)
     assert reads == []
+
+
+def _built(blocks, stores):
+    """A state of one block per ``(low, high)`` in ``blocks`` and the
+    ``(chunk, block, offset, value)`` stores, built without alignment checks
+    so that a misaligned datum can be stored."""
+    m = empty(UNALIGNED)
+    for low, high in blocks:
+        _, m = alloc(m, low, high)
+    for t, b, ofs, v in stores:
+        m = store(t, m, b, ofs, v)
+        assert m is not None
+    return m
+
+
+I32, I16S, I16U, I8S, I8U = Chunk.INT32, Chunk.INT16S, Chunk.INT16U, Chunk.INT8S, Chunk.INT8U
+F64 = Chunk.FLOAT64
+
+# (what, left stores, right stores, verdict with alignment checked on both
+# sides) into one block [0, 16) on each side, related along the identity.
+# Each case fails one part of the per-datum test (the right datum at the
+# image of a left datum has the same size class, an intact footprint and a
+# related value) or passes it on unequal cell maps; an undef or misaligned
+# left datum, or one whose footprint is broken, loads nothing there.
+IDENTITY_CASES = (
+    ("same value, right footprint broken", [(I32, 1, 0, Vint(7))],
+     [(I32, 1, 0, Vint(7)), (I8U, 1, 2, Vint(0))], False),
+    ("same value, other size class", [(I32, 1, 0, Vint(7))], [(I16S, 1, 0, Vint(7))], False),
+    ("other size class, left loads nothing", [(F64, 1, 0, Vint(7))],
+     [(I32, 1, 0, Vint(7))], True),
+    ("int8s against int8u, equal value", [(I8S, 1, 3, Vint(200)), (I16S, 1, 6, Vint(-1))],
+     [(I8U, 1, 3, Vint(200)), (I16U, 1, 6, Vint(-1))], True),
+    ("unequal values, equal loads", [(I8S, 1, 3, Vint(200))], [(I8U, 1, 3, Vint(-56))], True),
+    ("unequal loads", [(I8S, 1, 3, Vint(200))], [(I8U, 1, 3, Vint(201))], False),
+    ("undef on the left", [(I32, 1, 0, VUNDEF), (I32, 1, 4, VUNDEF)],
+     [(I8U, 1, 1, Vint(5))], True),
+    ("misaligned left datum", [(I32, 1, 2, Vint(7))], [(I16U, 1, 2, Vint(7))], True),
+    ("left footprint broken", [(I32, 1, 0, Vint(7)), (I8U, 1, 1, VUNDEF)], [], True),
+)
+
+
+def test_datum_cases_agree_with_reference_along_the_identity():
+    for what, left, right, verdict in IDENTITY_CASES:
+        l0, r0 = _built([(0, 16)], left), _built([(0, 16)], right)
+        for c1, c2 in CONFIG_PAIRS:
+            m1, m2 = replace(l0, config=c1), replace(r0, config=c2)
+            lessdef = oracle.ref_mem_lessdef(m1, m2)
+            assert mem_lessdef(m1, m2) == lessdef, (what, c1, c2)
+            assert relations.holds_after_step("lessdef", m1, m2, {1}, {1}) == lessdef
+            assert mem_extends(m1, m2) == oracle.ref_mem_extends(m1, m2), (what, c1, c2)
+            if (c1, c2) == CONFIG_PAIRS[0]:
+                assert lessdef == verdict, what
+    # The misaligned datum loads at int32 only where the left state does
+    # not check alignment, and then the right int16 datum loads undef.
+    l0, r0 = _built([(0, 16)], IDENTITY_CASES[-2][1]), _built([(0, 16)], IDENTITY_CASES[-2][2])
+    assert not mem_lessdef(replace(l0, config=UNALIGNED), replace(r0, config=UNALIGNED))
+
+
+def test_datum_cases_agree_with_reference_under_an_injection():
+    # Block 1 on the left holds a pointer to itself; the right state has a
+    # block [0, 8) and a block [0, 24).
+    left = [(I32, 1, 0, Vptr(1, 0)), (I8S, 1, 5, Vint(-3))]
+    cases = (
+        ("relocated", {1: (2, 8)}, [(I32, 2, 8, Vptr(2, 8)), (I8U, 2, 13, Vint(-3))], True),
+        ("the same pointer, delta not its relocation", {1: (2, 8)},
+         [(I32, 2, 8, Vptr(1, 0)), (I8U, 2, 13, Vint(-3))], False),
+        ("the same pointer, target not its relocation", {1: (2, 0)},
+         [(I32, 2, 0, Vptr(1, 0)), (I8U, 2, 5, Vint(-3))], False),
+        ("relocated pointer, right footprint broken", {1: (2, 8)},
+         [(I32, 2, 8, Vptr(2, 8)), (I8U, 2, 11, VUNDEF), (I8U, 2, 13, Vint(-3))], False),
+        ("relocated pointer stored as float32", {1: (2, 8)},
+         [(Chunk.FLOAT32, 2, 8, Vptr(2, 8)), (I8U, 2, 13, Vint(-3))], True),
+    )
+    l0 = _built([(0, 8)], left)
+    for what, emb, right, verdict in cases:
+        r0 = _built([(0, 8), (0, 24)], right)
+        sources = relations.sources_by_target(emb)
+        for c1, c2 in CONFIG_PAIRS:
+            m1, m2 = replace(l0, config=c1), replace(r0, config=c2)
+            inject = oracle.ref_mem_inject(emb, m1, m2)
+            assert mem_inject(emb, m1, m2) == inject, (what, c1, c2)
+            assert mem_emb(emb, m1, m2) == oracle.ref_mem_emb(emb, m1, m2), (what, c1, c2)
+            assert relations.holds_after_step("inject", m1, m2, {1}, {2}, emb, sources) == inject
+            if (c1, c2) == CONFIG_PAIRS[0]:
+                assert inject == verdict, what
+
+
+def test_data_equal_to_their_images_convert_and_load_nothing(monkeypatch):
+    # Every datum of the left block equals the datum at its image, or is
+    # undef, which loads nothing whatever its image holds: each is decided
+    # without a conversion or a load.
+    values = [
+        (I32, 0, Vint(7)),
+        (F64, 8, Vfloat.from_float(2.5)),
+        (I8S, 16, Vint(200)),
+        (I16U, 18, Vint(-1)),
+        (Chunk.FLOAT32, 20, Vfloat.from_float(0.1)),
+        (I32, 24, VUNDEF),
+        (I32, 28, Vptr(1, 4)),
+    ]
+    left = _built([(0, 32)], [(t, 1, ofs, v) for t, ofs, v in values])
+    image = [
+        (t, 1, ofs + 8, Vptr(1, v.offset + 8) if type(v) is Vptr else v)
+        for t, ofs, v in values
+        if v != VUNDEF
+    ]
+    right = _built([(0, 48)], image)
+    same = _built([(0, 32)], [(t, 1, ofs, v) for t, ofs, v in values])
+    # The int8s datum stored as int8u: the two maps differ, the loads do not.
+    other_chunk = _built([(0, 32)], [(I8U if t is I8S else t, 1, ofs, v) for t, ofs, v in values])
+    wider = _built([(-8, 40)], [(t, 1, ofs, v) for t, ofs, v in values] + [(I32, 1, -8, Vint(1))])
+    calls = []
+    for module, name in ((chunks, "convert"), (cells, "load_contents")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    assert mem_inject({1: (1, 8)}, left, right)
+    assert mem_emb({1: (1, 8)}, left, right)
+    assert mem_lessdef(left, same) and mem_lessdef(left, other_chunk)
+    assert mem_extends(left, other_chunk) and mem_extends(left, wider)
+    assert relations.holds_after_step("lessdef", left, other_chunk, {1}, {1})
+    assert calls == []
