@@ -175,13 +175,6 @@ class _Error(Exception):
         return TraceParseError(lineno, column, self.message)
 
 
-def _code(raw: str) -> tuple[str, list]:
-    """The code of a line, up to its first '#', and its tokens."""
-    k = raw.find("#")
-    code = raw if k < 0 else raw[:k]
-    return code, _TOKEN.findall(code)
-
-
 def _peek(tokens: list, k: int) -> str:
     return tokens[k] if k < len(tokens) else ""
 
@@ -363,29 +356,23 @@ def _entry(tokens: list, emb: dict) -> None:
     _end(tokens, 5)
 
 
-# --- the pattern path --------------------------------------------------------
+# --- the token readers ---------------------------------------------------------
 #
-# Most lines of a trace are well-formed statements.  Each statement form has
-# one full-line pattern, spelled in the tokenizer's fragments, whose groups are
-# the tokens the form reads; a builder makes the statement from a match with
-# the descent's table of bound variables, its literal interning and its
-# conversions.  After ``expect-fail `` the parser matches the operation's own
-# pattern (a load's without ``=>``) from the operation's head on, so eight
-# patterns serve every form.  Where the descent would report an error, the
-# builder raises KeyError (an unknown chunk, a variable unbound or bound
-# already) or ValueError (a number the descent rejects), and the line goes to
-# the descent, which names the error.  So a pattern accepts only a line that
-# the descent parses to the same statement; tests/test_trace_fuzz.py compares
-# the two.
-
-_ARG = r"[ \t]+([^ \t()#]+)"  # blanks, then a token other than a parenthesis, captured
-_END = r"[ \t]*(?:#.*)?"  # trailing blanks and comment
-# A value after a token: its groups are an int's digits, float bits, and a
-# pointer's block and offset; none is set for undef.
-_VALUE = (
-    r"(?:[ \t]+undef|[ \t]*\([ \t]*(?:int" + _ARG + "|float" + _ARG + "|ptr" + _ARG + _ARG
-    + r")[ \t]*\))"
-)
+# Most lines of a trace are well-formed statements.  When a line's code has
+# no blanks but spaces and tabs, ``str.split`` cuts it into words, and the
+# reader of its head reads the statement from them with the descent's table
+# of bound variables, its literal interning and its conversions.  A word is a
+# run of the descent's tokens with no blank between them, so a parenthesis
+# stays glued to its neighbours: a reader takes a value as ``undef`` or as
+# the words ``(int N)``, ``(float B)`` or ``(ptr B I)``, and every other
+# word it compares, looks up or converts, none of which accepts a
+# parenthesis; the one word it takes as written, an alloc's binder, it
+# checks for one.  ``expect-fail OP`` is read by OP's reader from OP's head
+# on.  Where the descent would read the line otherwise or report an error, a
+# reader raises IndexError, KeyError or ValueError before it binds anything,
+# and the line goes to the descent, which names the error.  So a reader
+# accepts only a line that the descent parses to the same statement;
+# tests/test_trace_fuzz.py compares the two.
 
 
 def _float_bits(text: str) -> int:
@@ -396,44 +383,38 @@ def _float_bits(text: str) -> int:
     return bits
 
 
-def _matched_value(m: re.Match, k: int, bound: dict, literals: dict) -> ValueExpr:
-    """The value whose ``_VALUE`` groups start at group ``k`` of ``m``."""
-    text = m[k]
-    if text is not None:
-        return _shared(literals, Vint, int(text, 0))
-    text = m[k + 1]
-    if text is not None:
-        return _shared(literals, Vfloat, _float_bits(text))
-    target = m[k + 2]
-    if target is None:
-        return VUNDEF
+def _word_value(words: list, k: int, bound: dict, literals: dict) -> tuple[ValueExpr, int]:
+    """The value written from word ``k`` on, and the index after it."""
+    kind = words[k]
+    if kind == "undef":
+        return VUNDEF, k + 1
+    end = k + 3 if kind == "(ptr" else k + 2
+    last = words[end - 1]
+    if last[-1] != ")":
+        raise ValueError(f"expected a closing parenthesis, got {last!r}")
+    last = last[:-1]
+    if kind == "(int":
+        return _shared(literals, Vint, int(last, 0)), end
+    if kind == "(float":
+        return _shared(literals, Vfloat, _float_bits(last)), end
+    if kind != "(ptr":
+        raise ValueError(f"expected a value, got {kind!r}")
+    target = words[k + 1]
     target = bound[target][1][0] if target.startswith("$") else int(target, 0)
-    return _shared(literals, PtrLit, target, int(m[k + 3], 0))
+    return _shared(literals, PtrLit, target, int(last, 0)), end
 
 
-# The builders: groups 1-3 of a store or load are its chunk, variable and
-# offset, and 4-7 a store's value or a load's expected one; 8 is a load's
-# "fail".
+# Each reader takes the words of a line from its head on, the line number,
+# the descent's bound variables and literals, and the expectation of an
+# operation: SUCCEEDS, or EXPECT_FAIL under ``expect-fail``.
 
 
-def _store_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
-    ref, names = bound[m[2]]
-    value = _matched_value(m, 4, bound, literals)
-    return Statement(("store", _CHUNKS[m[1]], ref, int(m[3], 0), value), expect, names, line)
-
-
-def _load_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
-    """A load; unless ``expect`` is given, it expects what follows its ``=>``."""
-    ref, names = bound[m[2]]
-    op = ("load", _CHUNKS[m[1]], ref, int(m[3], 0))
-    if expect is None:
-        expect = LOAD_FAILS if m[8] is not None else _matched_value(m, 4, bound, literals)
-    return Statement(op, expect, names, line)
-
-
-def _alloc_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
-    op = ("alloc", int(m[1], 0), int(m[2], 0))
-    name = m[3]
+def _read_alloc(words: list, line: int, bound: dict, literals: dict, expect) -> Statement:
+    _, low, high, arrow, name = words
+    op = ("alloc", int(low, 0), int(high, 0))
+    # The descent would split a parenthesis off the name.
+    if arrow != "->" or name[:1] != "$" or len(name) < 2 or "(" in name or ")" in name:
+        raise ValueError(f"not an alloc binding a $variable: {words!r}")
     if name in bound:
         raise KeyError(name)
     names = (name,)
@@ -441,65 +422,78 @@ def _alloc_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> 
     return Statement(op, expect, names, line)
 
 
-def _free_list_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
-    entries = [bound[name] for name in _TOKEN.findall(m[1])]
+def _read_free(words: list, line: int, bound: dict, literals: dict, expect) -> Statement:
+    _, var = words
+    ref, names = bound[var]
+    return Statement(("free", ref), expect, names, line)
+
+
+def _read_free_list(words: list, line: int, bound: dict, literals: dict, expect) -> Statement:
+    entries = [bound[var] for var in words[1:]]
     op = ("free_list", tuple(ref for ref, _ in entries))
     return Statement(op, expect, tuple(names[0] for _, names in entries), line)
 
 
-def _one_var_form(kind: str):
-    """The builder of ``free $x`` or ``assert-valid $x``: the op ``(kind, ref)``."""
+def _read_store(words: list, line: int, bound: dict, literals: dict, expect) -> Statement:
+    ref, names = bound[words[2]]
+    value, end = _word_value(words, 4, bound, literals)
+    if end != len(words):
+        raise ValueError("trailing words")
+    op = ("store", _CHUNKS[words[1]], ref, int(words[3], 0), value)
+    return Statement(op, expect, names, line)
 
-    def build(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
-        ref, names = bound[m[1]]
-        return Statement((kind, ref), expect, names, line)
 
-    return build
+def _read_load(words: list, line: int, bound: dict, literals: dict, expect) -> Statement:
+    """A load; a plain one expects what follows its ``=>``."""
+    if expect is not SUCCEEDS:
+        end = 4
+    elif words[4] != "=>":
+        raise ValueError(f"expected '=>', got {words[4]!r}")
+    elif words[5] == "fail":
+        expect, end = LOAD_FAILS, 6
+    else:
+        expect, end = _word_value(words, 5, bound, literals)
+    if end != len(words):
+        raise ValueError("trailing words")
+    ref, names = bound[words[2]]
+    return Statement(("load", _CHUNKS[words[1]], ref, int(words[3], 0)), expect, names, line)
 
 
-def _bounds_form(m: re.Match, line: int, bound: dict, literals: dict, expect) -> Statement:
-    ref, names = bound[m[1]]
-    pair = _shared(literals, tuple, (int(m[2], 0), int(m[3], 0)))
+def _read_valid(words: list, line: int, bound: dict, literals: dict, expect) -> Statement:
+    if expect is EXPECT_FAIL:
+        raise KeyError("expect-fail wraps an operation, not an assertion")
+    _, var = words
+    ref, names = bound[var]
+    return Statement(("valid", ref), True, names, line)
+
+
+def _read_bounds(words: list, line: int, bound: dict, literals: dict, expect) -> Statement:
+    if expect is EXPECT_FAIL:
+        raise KeyError("expect-fail wraps an operation, not an assertion")
+    _, var, low, high = words
+    ref, names = bound[var]
+    pair = _shared(literals, tuple, (int(low, 0), int(high, 0)))
     return Statement(("bounds", ref), pair, names, line)
 
 
-def _form(head: str, body: str, build, expect) -> tuple:
-    return re.compile(head + body + _END).fullmatch, build, expect
-
-
-@functools.cache
-def _forms() -> dict:
-    """Each statement form by its head: the full-line pattern's ``fullmatch``,
-    the builder, and the expectation the builder gives.  ``expect-fail OP``
-    has OP's pattern (a load's without ``=>``), matched from OP's head on.
-    Compiled at the first parse, so that importing the module compiles
-    nothing."""
-    access = _ARG * 3
-    ops = {
-        "alloc": (_ARG * 2 + r"[ \t]+->[ \t]+(\$[^ \t()#]+)", _alloc_form),
-        "free": (_ARG, _one_var_form("free")),
-        "free-list": (r"((?:[ \t]+[^ \t()#]+)*)", _free_list_form),
-        "store": (access + _VALUE, _store_form),
-        "load": (access, _load_form),
-    }
-    forms = {}
-    for head, (body, build) in ops.items():
-        forms[head] = _form(head, body, build, SUCCEEDS)
-        forms["expect-fail " + head] = forms[head][:2] + (EXPECT_FAIL,)
-    expects = r"[ \t]+=>(?:" + _VALUE + r"|[ \t]+(fail))"
-    forms["load"] = _form("load", access + expects, _load_form, None)
-    forms["assert-valid"] = _form("assert-valid", _ARG, _one_var_form("valid"), True)
-    forms["assert-bounds"] = _form("assert-bounds", access, _bounds_form, None)
-    return forms
+_READERS = {
+    "alloc": _read_alloc,
+    "free": _read_free,
+    "free-list": _read_free_list,
+    "store": _read_store,
+    "load": _read_load,
+    "assert-valid": _read_valid,
+    "assert-bounds": _read_bounds,
+}
 
 
 def _read(text: str, emb: dict | None) -> tuple[list, dict | None]:
     """The statements and the relocation map of ``text``.  ``emb`` is None
     for a trace and ``{}`` for a map file, an ``[emb]`` section whose header
-    is optional but may not follow an entry.  A statement line whose head is
-    followed by a space is matched against its form's pattern first; the
-    descent reads every line no pattern accepts."""
-    forms = _forms()
+    is optional but may not follow an entry.  A statement line whose code
+    has no blanks but spaces and tabs goes to the reader of its head first;
+    the descent reads every line no reader accepts."""
+    readers = _READERS
     statements = []
     header = False
     # Each variable's ref (the number of allocs before the one that binds
@@ -507,22 +501,22 @@ def _read(text: str, emb: dict | None) -> tuple[list, dict | None]:
     bound: dict[str, tuple[int, tuple]] = {}
     literals: dict = {}  # see _shared
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if emb is None:
-            head, _, rest = raw.partition(" ")
-            pos = 0
-            if head == "expect-fail":
-                pos = len("expect-fail ")
-                head += " " + rest.partition(" ")[0]
-            form = forms.get(head)
-            if form is not None and (m := form[0](raw, pos)) is not None:
-                try:
-                    stmt = form[1](m, lineno, bound, literals, form[2])
-                except (KeyError, ValueError):
-                    pass
+        k = raw.find("#")
+        code = raw if k < 0 else raw[:k]
+        if emb is None and (code.isprintable() or code.replace("\t", " ").isprintable()):
+            words = code.split()
+            try:
+                head = words[0]
+                if head == "expect-fail":
+                    stmt = readers[words[1]](words[1:], lineno, bound, literals, EXPECT_FAIL)
                 else:
-                    statements.append(stmt)
-                    continue
-        code, tokens = _code(raw)
+                    stmt = readers[head](words, lineno, bound, literals, SUCCEEDS)
+            except (IndexError, KeyError, ValueError):
+                pass
+            else:
+                statements.append(stmt)
+                continue
+        tokens = _TOKEN.findall(code)
         if not tokens:
             continue
         try:

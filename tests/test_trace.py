@@ -520,20 +520,20 @@ def test_equal_literals_share_one_object():
 
 
 def _collector_states(monkeypatch):
-    """The collector's setting seen each time a parse fetches its statement
-    patterns and each time a run or relate makes its first state."""
+    """The collector's setting seen each time a parse reads an alloc line
+    and each time a run or relate makes its first state."""
     seen = []
-    forms, empty = trace._forms, memstate.empty
+    read_alloc, empty = trace._READERS["alloc"], memstate.empty
 
-    def recording_forms():
+    def recording_alloc(*args):
         seen.append(("parse", gc.isenabled()))
-        return forms()
+        return read_alloc(*args)
 
     def recording_empty(*args):
         seen.append(("state", gc.isenabled()))
         return empty(*args)
 
-    monkeypatch.setattr(trace, "_forms", recording_forms)
+    monkeypatch.setitem(trace._READERS, "alloc", recording_alloc)
     monkeypatch.setattr(memstate, "empty", recording_empty)
     return seen
 

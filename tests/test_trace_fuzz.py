@@ -1,5 +1,5 @@
-"""Fuzzing the trace front end: the parser is total, its statement
-patterns agree with the token descent, printing round-trips, a run's step
+"""Fuzzing the trace front end: the parser is total, its token readers
+agree with the token descent, printing round-trips, a run's step
 view agrees with the run, a run hands back a persistent state, and the
 CLI answers every input with an exit code."""
 
@@ -143,8 +143,8 @@ def _outcome(text):
 
 
 def _descent_outcome(text):
-    """``_outcome`` with no statement pattern: the token descent alone."""
-    with mock.patch.object(trace, "_forms", dict):
+    """``_outcome`` with no token reader: the token descent alone."""
+    with mock.patch.dict(trace._READERS, clear=True):
         return _outcome(text)
 
 
@@ -200,7 +200,33 @@ def test_patterns_parse_as_the_descent_does(text):
     assert _outcome(text) == _descent_outcome(text)
 
 
-# Lines at the edges of what a pattern accepts, after $a and $b are bound.
+# What a reader must not take for part of a word or for a blank: the descent
+# splits a parenthesis off its neighbours and cuts the code at '#', takes a
+# tab for a blank, and keeps a no-break space or a unit separator, blanks to
+# str.split, in its token.
+GLUE = st.sampled_from(["(", ")", "#", "\t", "\xa0", "\x1f"])
+
+
+@st.composite
+def glued(draw, lines):
+    """Lines from ``lines`` joined into a text, with a character from GLUE
+    put at a token boundary of one of them: where one of its tokens starts
+    or ends."""
+    lines = list(draw(lines))
+    k = draw(st.integers(0, len(lines) - 1))
+    spans = [m.span() for m in trace._TOKEN.finditer(lines[k])]
+    at = draw(st.sampled_from([at for span in spans for at in span]))
+    lines[k] = lines[k][:at] + draw(GLUE) + lines[k][at:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=500, deadline=None)
+@given(glued(BOUND_STATEMENTS))
+def test_readers_parse_glued_lines_as_the_descent_does(text):
+    assert _outcome(text) == _descent_outcome(text)
+
+
+# Lines at the edges of what a reader accepts, after $a and $b are bound.
 EDGE_LINES = [
     "store int32 $a 0 (float 0x10000000000000000)",
     "store int32 $a 0 (float 0000000000000000001)",
@@ -249,6 +275,30 @@ EDGE_LINES = [
     " store int32 $a 0 (int 1)",
     "\tfree $a",
     "free $a\x1f",
+    # Words after a value, and a value left open.
+    "store int32 $a 0 undef undef",
+    "store int32 $a 0 (ptr $a 0) 1",
+    "load int32 $a 0 => fail fail",
+    "load int32 $a 0 => (int 1) x",
+    "store int32 $a 0 (int 12",
+    "load int32 $a 0 => (ptr $a 10",
+    # Parentheses glued to their neighbours, as str.split leaves them.
+    "alloc 0 8 -> $c(",
+    "alloc 0 8 -> $c)",
+    "store int32 $a 0 (int 1)(",
+    "load int32 $a 0 => (ptr $a( 0)",
+    "free-list $a( $b",
+    "assert-bounds $a 0 16)",
+    # Blanks to str.split, but part of a token to the descent.
+    "free\xa0$a",
+    "alloc 0 8 -> $c\xa0",
+    "alloc 0 8 -> $c\u2007d",
+    "store int32 $a 0 (int\u30001)",
+    "assert-valid $a\u3000",
+    "free-list $a\u2007$b",
+    # expect-fail wraps an operation, never an assertion.
+    "expect-fail assert-valid $a",
+    "expect-fail assert-bounds $a 0 16",
 ]
 
 
@@ -261,12 +311,37 @@ def test_patterns_parse_edge_lines_as_the_descent_does(line):
 SMOKE = Path(__file__).resolve().parent / "smoke"
 
 
-def test_expect_fail_lines_share_their_operations_patterns():
-    forms = trace._forms()
-    for op in ("alloc", "free", "free-list", "store"):
-        assert forms["expect-fail " + op][:2] == forms[op][:2]
-    assert forms["expect-fail load"][0] != forms["load"][0]  # a bare load
-    assert len({match.__self__.pattern for match, _, _ in forms.values()}) == 8
+def test_expect_fail_lines_go_through_their_operations_readers(monkeypatch):
+    calls = []  # (the reader's head, the first word it was given, what it gave)
+
+    for head, read in list(trace._READERS.items()):
+
+        def recording(words, *args, head=head, read=read):
+            try:
+                stmt = read(words, *args)
+            except (IndexError, KeyError, ValueError):
+                calls.append((head, words[0], "refused"))
+                raise
+            calls.append((head, words[0], stmt.expect))
+            return stmt
+
+        monkeypatch.setitem(trace._READERS, head, recording)
+    bind = "alloc 0 16 -> $a\nalloc -8 8 -> $b\n"
+    wrapped = ["alloc 0 8 -> $c", "free $c", "free-list $a", "store int32 $b 0 (int 1)", "load int32 $b 0"]
+    text = bind + "".join(f"expect-fail {op}\n" for op in wrapped)
+    with mock.patch.object(trace, "_statement", side_effect=AssertionError("descent")):
+        t = parse_trace(text)
+    heads = [op.split()[0] for op in wrapped]
+    assert calls[2:] == [(head, head, trace.EXPECT_FAIL) for head in heads]
+    assert [s.op[0] for s in t.statements[2:]] == ["alloc", "free", "free_list", "store", "load"]
+    assert _outcome(text) == _descent_outcome(text)
+    # A wrapped load has no expectation: its reader refuses the line, and
+    # the descent reports the "=>".
+    calls.clear()
+    with pytest.raises(TraceParseError) as e:
+        parse_trace(bind + "expect-fail load int32 $a 0 => (int 1)")
+    assert calls[2:] == [("load", "load", "refused")]
+    assert (e.value.line, e.value.column, e.value.message) == (3, 29, "unexpected trailing token")
 
 
 def test_every_well_formed_statement_is_read_by_its_pattern():
@@ -281,6 +356,23 @@ def test_every_well_formed_statement_is_read_by_its_pattern():
     assert stored == {"Vint", "Vfloat", "PtrLit", "Vundef"}
     assert loaded == stored | {"str"}  # a value, "fail" or expect-fail
     assert _outcome(text) == _descent_outcome(text)
+
+
+def test_spacing_smoke_statements_are_read_by_the_descent():
+    text = (SMOKE / "spacing.trace").read_text(encoding="utf-8")
+    read = []
+    statement = trace._statement
+
+    def recording(line, *args):
+        read.append(line)
+        return statement(line, *args)
+
+    with mock.patch.object(trace, "_statement", recording):
+        t = parse_trace(text)
+    spaced = [k for k, line in enumerate(text.splitlines(), 1) if "(" in line.partition("#")[0]]
+    assert read == spaced and len(spaced) >= 6
+    assert _outcome(text) == _descent_outcome(text)
+    assert exec_trace(t).ok
 
 
 @FUZZ
