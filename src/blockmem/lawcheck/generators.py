@@ -113,15 +113,17 @@ class RunPair(tuple):
 
 
 def run_ops(ops, config: MemConfig = DEFAULT_CONFIG) -> RunResult:
-    """Replay a scenario on the real model."""
+    """Replay a scenario on the real model, as ``trace.exec_trace`` runs a
+    trace: on one run (``memstate.transient``) that every op updates in
+    place, handing back one persistent snapshot of it."""
     ops = tuple(ops)
-    m = memstate.empty(config)
+    m = memstate.transient(memstate.empty(config))
     blocks: list = []
     results = []
     for op in ops:
         m, got = run_op(m, blocks, op)
         results.append(got)
-    return RunResult(ops, m, results)
+    return RunResult(ops, memstate.persistent(m), results)
 
 
 _PROBE_NAMES = {PROBE_INVALID: "$invalid", PROBE_FRESH: "$fresh"}

@@ -55,10 +55,24 @@ def _reuse_freed(orig):
         if not m.config.capacity.admits(m.allocated_bytes, request):
             return None
         b = min(freed)
-        m = memstate.set_block(m, b, low, high, True)
-        return b, memstate.set_contents(m, b, cells.EMPTY_CONTENTS)
+        # set_contents first, so that a run gives up its ownership of the
+        # id and never writes EMPTY_CONTENTS in place.
+        m = memstate.set_contents(m, b, cells.EMPTY_CONTENTS)
+        slot = (low, high, True, cells.EMPTY_CONTENTS)
+        return b, memstate._put(m, b - 1, slot, m.allocated_bytes + request)
 
     return alloc
+
+
+def _run_append_keeps_nextblock(orig):
+    def _put(m: MemState, i, s, allocated):
+        if m.owned is None or i != m.nextblock - 1:
+            return orig(m, i, s, allocated)
+        m.slots.append(s)
+        m.allocated_bytes = allocated
+        return m
+
+    return _put
 
 
 def _zero_extend_signed(orig):
@@ -139,6 +153,14 @@ MUTATIONS: dict[str, Mutation] = {
             "mem_inject",
             _inject_without_no_overlap,
             ("store_mapped_inject",),
+        ),
+        Mutation(
+            "run-append-keeps-nextblock",
+            "a run's in-place alloc appends the slot but leaves nextblock as it was",
+            memstate,
+            "_put",
+            _run_append_keeps_nextblock,
+            ("alloc_result_bounds_", "alloc_parallel_emb"),
         ),
     )
 }

@@ -15,32 +15,34 @@ are dense, so the per-block data sits in one tuple indexed by ``b - 1``:
 the slot ``(low, high, live, contents)``, one record per block as in
 Leroy & Blazy's concrete model.  Every operation decides first and then
 makes one functional update of one slot through ``_put``: ``alloc``
-appends a slot and ``store``, ``free`` and the unchecked writers each
-replace one, building a new tuple of n slot references that shares every
-unchanged slot with the state it came from.  One access check,
-``access_slot``, reads the slot once and hands it to ``load`` and
-``store``.
+appends a slot and ``store``, ``free`` and the unchecked writer
+``set_contents`` each replace one, building a new tuple of n slot
+references that shares every unchanged slot with the state it came
+from.  One access check, ``access_slot``, reads the slot once and hands
+it to ``load`` and ``store``.
 
 The one exception is a run: a single mutable state that a caller
-dropping every intermediate state (``trace.exec_trace``, stepwise
-``trace.relate``) makes with ``transient(m)``.  A run holds its own
-``list`` of the slots and, in ``owned``, the ids whose cell maps it
-copied itself.  ``_put`` updates the run in place, in O(1), and every
-operation returns the run itself.  ``store`` copies a block's map once,
-at the run's first store into it, and from then on writes that copy in
-place (``cells.write``), so a store costs the chunk's width, not the
-block's cell count.  A map the run did not copy itself
-(``EMPTY_CONTENTS``, a map handed to ``set_contents``, a map a snapshot
-holds) is never written.  Since each operation decides before it writes,
-a failed one leaves the run unchanged.  The caller hands back
-``persistent(m)``, which gives up the run's ownership, so a run never
-leaves the caller that made it.
+dropping every intermediate state makes with ``transient(m)``.  Every
+multi-op replay is a run: ``trace.exec_trace``, stepwise ``trace.relate``
+and the law suite's scenario replay ``lawcheck.generators.run_ops``.
+Persistent updates remain for the single ops that law checks apply to
+shared, memoised states.  A run holds its own ``list`` of the slots and,
+in ``owned``, the ids whose cell maps it copied itself.  ``_put``
+updates the run in place, in O(1), and every operation returns the run
+itself.  ``store`` copies a block's map once, at the run's first store
+into it, and from then on writes that copy in place (``cells.write``),
+so a store costs the chunk's width, not the block's cell count.  A map
+the run did not copy itself (``EMPTY_CONTENTS``, a map handed to
+``set_contents``, a map a snapshot holds) is never written.  Since each
+operation decides before it writes, a failed one leaves the run
+unchanged.  The caller hands back ``persistent(m)``, which gives up the
+run's ownership, so a run never leaves the caller that made it.
 
 Code outside this module reads states through ``nextblock`` and the
 functions here: ``valid_block``, ``bounds``, ``slot`` (one read by id),
 ``live_blocks`` and ``issued_slots`` (in-order walks that read no id),
-``contents_of`` and ``freed_blocks``.  ``set_contents`` and ``set_block``
-rewrite one issued slot unchecked, for witness states and seeded bugs.
+``contents_of`` and ``freed_blocks``.  ``set_contents`` rewrites the cell
+map of one issued slot unchecked, for witness states and seeded bugs.
 """
 
 from __future__ import annotations
@@ -294,22 +296,6 @@ def set_contents(m: MemState, b: int, c: BlockContents) -> MemState:
     if m.owned is not None:
         m.owned.discard(b)
     return _put(m, b - 1, (low, high, live, c), m.allocated_bytes)
-
-
-def set_block(m: MemState, b: int, low: int, high: int, live: bool) -> MemState:
-    """``m`` with the issued id ``b`` given bounds ``(low, high)`` and
-    validity ``live``, the byte count following.  Unchecked: it can revive
-    a freed id; for building seeded bugs.  ``IndexError`` when ``b`` was
-    never issued."""
-    if not 1 <= b < m.nextblock:
-        raise IndexError(b)
-    old_low, old_high, old_live, c = m.slots[b - 1]
-    allocated = (
-        m.allocated_bytes
-        - (_span(old_low, old_high) if old_live else 0)
-        + (_span(low, high) if live else 0)
-    )
-    return _put(m, b - 1, (low, high, live, c), allocated)
 
 
 def free_list(m: MemState, bs) -> MemState | None:

@@ -333,7 +333,7 @@ def test_criterion_mutation_sensitivity():
         caught = mutations.detecting_laws(name)
         notes.append(f"{name}: {caught[0] if caught else 'MISSED'}")
         ok = ok and bool(caught)
-    _verdict("mutation sensitivity: all 6 seeded bugs detected", ok, "; ".join(notes))
+    _verdict("mutation sensitivity: all 7 seeded bugs detected", ok, "; ".join(notes))
 
 
 def test_criterion_determinism(suite, tmp_path, capsys):

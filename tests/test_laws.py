@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -329,6 +330,53 @@ def test_a_mutation_reaches_a_case_already_checked():
     with mutations.applied("freed-id-reused"):
         assert law.check(case) == "alloc returned a block that was not fresh"
     assert law.check(case) is None
+
+
+def test_the_suite_replays_scenarios_on_runs(monkeypatch):
+    """The laws replay their scenarios on the write path that `blockmem
+    run` takes: a small suite opens runs and snapshots them, appends and
+    replaces a run's slots in place (``_put`` on a state that owns maps)
+    and stores into a map the run owns (``store`` on an id in ``owned``)."""
+    counts = Counter()
+    transient, persistent = memstate.transient, memstate.persistent
+    put, store = memstate._put, memstate.store
+
+    def counting_transient(m):
+        counts["transient"] += 1
+        return transient(m)
+
+    def counting_persistent(m):
+        counts["persistent of a run"] += m.owned is not None
+        return persistent(m)
+
+    def counting_put(m, i, s, allocated):
+        if m.owned is not None:
+            counts["append in place" if i == m.nextblock - 1 else "replace in place"] += 1
+        return put(m, i, s, allocated)
+
+    def counting_store(t, m, b, i, v):
+        owned = m.owned is not None and b in m.owned
+        out = store(t, m, b, i, v)
+        counts["store into an owned map"] += owned and out is not None
+        return out
+
+    monkeypatch.setattr(memstate, "transient", counting_transient)
+    monkeypatch.setattr(memstate, "persistent", counting_persistent)
+    monkeypatch.setattr(memstate, "_put", counting_put)
+    monkeypatch.setattr(memstate, "store", counting_store)
+    laws_base.clear_caches()
+    try:
+        assert run_suite(SuiteConfig(random_cases=5, max_exhaustive=200)).passed
+    finally:
+        laws_base.clear_caches()
+    for branch in (
+        "transient",
+        "persistent of a run",
+        "append in place",
+        "replace in place",
+        "store into an owned map",
+    ):
+        assert counts[branch] > 0, branch
 
 
 def test_runner_import_leaves_worker_pool_unloaded():

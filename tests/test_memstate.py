@@ -286,9 +286,9 @@ def _fields(m):
 
 
 @pytest.mark.parametrize("run", [False, True])
-def test_set_contents_and_set_block_raise_off_domain(run):
-    # Block 0 would index the last slot from the end: the writers raise
-    # at either edge of the domain and leave the state as it was.
+def test_set_contents_raises_off_domain(run):
+    # Block 0 would index the last slot from the end: the writer raises
+    # at either edge of the domain and leaves the state as it was.
     b, m = alloc(empty(), 0, 8)
     _, m = alloc(m, -4, 4)
     m = store(Chunk.INT32, free(m, 2), b, 0, Vint(5))
@@ -298,8 +298,6 @@ def test_set_contents_and_set_block_raise_off_domain(run):
     for bad in (0, m.nextblock):
         with pytest.raises(IndexError):
             memstate.set_contents(m, bad, contents_of(m, b))
-        with pytest.raises(IndexError):
-            memstate.set_block(m, bad, 0, 64, True)
         assert _fields(m) == before
 
 
@@ -399,7 +397,6 @@ def test_a_run_is_one_state_object():
     assert store(Chunk.INT32, t, b, 0, Vint(1)) is t
     assert store(Chunk.INT32, t, b, 4, Vint(2)) is t  # into a map it owns
     assert memstate.set_contents(t, b, {}) is t
-    assert memstate.set_block(t, b, 0, 8, True) is t
     assert free(t, b) is t
     bs, same = alloc_list(t, [(0, 4), (0, 4)])
     assert same is t and bs == [2, 3]

@@ -1,5 +1,7 @@
 """Every documented seeded bug is caught by at least one named law."""
 
+from pathlib import Path
+
 import pytest
 
 from blockmem import memstate
@@ -8,8 +10,8 @@ from blockmem.lawcheck.runner import SuiteConfig, run_law
 from blockmem.trace import exec_trace, parse_trace
 
 
-def test_six_mutations_documented():
-    assert len(mutations.MUTATIONS) == 6
+def test_seven_mutations_documented():
+    assert len(mutations.MUTATIONS) == 7
     for mut in mutations.MUTATIONS.values():
         assert mut.caught_by
         for name in mut.caught_by:
@@ -56,10 +58,21 @@ def test_continuation_mutation_reaches_the_trace_interpreter():
         assert exec_trace(stale).ok and not exec_trace(cleared).ok
 
 
+def test_run_append_mutation_reaches_the_trace_interpreter():
+    # `blockmem run` allocates on a run, through memstate._put's in-place
+    # append, so a run that appends a slot without moving nextblock hands
+    # the second alloc the first one's id, and its bounds are not its own.
+    path = Path(__file__).parent / "smoke" / "run_path.trace"
+    trace = parse_trace(path.read_text())
+    assert exec_trace(trace).ok
+    with mutations.applied("run-append-keeps-nextblock"):
+        assert not exec_trace(trace).ok
+
+
 # The (mutation, law) pairs whose exhaustive phase alone, at the default
-# max_exhaustive, catches the mutation; recorded when each law still had a
-# hand-written enumerator, so that re-scoping the exhaustive phase cannot
-# lose one of them.
+# max_exhaustive, catches the mutation; recorded, for all but the run-path
+# mutation, when each law still had a hand-written enumerator, so that
+# re-scoping the exhaustive phase cannot lose one of them.
 KILLED_WITHOUT_RANDOM_CASES = {
     "alignment-check-dropped": ("aligned_dec", "valid_pointer_dec"),
     "continuation-clear-skipped": (
@@ -79,6 +92,15 @@ KILLED_WITHOUT_RANDOM_CASES = {
     "sign-extension-zeroed": ("load_store_contents_same",),
     "free-validity-unchecked": ("valid_block_free_",),
     "inject-overlap-unchecked": ("store_mapped_inject", "storev_inject"),
+    "run-append-keeps-nextblock": (
+        "alloc_parallel_emb",
+        "alloc_left_unmapped_emb",
+        "alloc_left_mapped_emb",
+        "alloc_left_unmapped_inject",
+        "alloc_left_mapped_inject",
+        "alloc_list_alloc_inject",
+        "alloc_result_bounds_",
+    ),
 }
 
 
