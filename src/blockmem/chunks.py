@@ -41,7 +41,7 @@ class Chunk(IntEnum):
 
     @classmethod
     def from_token(cls, text: str) -> "Chunk | None":
-        return _FROM_TOKEN.get(text)
+        return BY_TOKEN.get(text)
 
 
 ALL_CHUNKS: tuple[Chunk, ...] = tuple(Chunk)
@@ -55,7 +55,9 @@ _TOKENS = {
     Chunk.FLOAT32: "float32",
     Chunk.FLOAT64: "float64",
 }
-_FROM_TOKEN = {tok: c for c, tok in _TOKENS.items()}
+# The chunk of each token; the trace reader indexes it and takes a
+# ``KeyError`` for an unknown token.
+BY_TOKEN: dict[str, Chunk] = {tok: c for c, tok in _TOKENS.items()}
 
 # Indexed by Chunk value.  Alignment is natural (== size) except that byte
 # accesses are always unaligned-safe; every alignment divides 8.

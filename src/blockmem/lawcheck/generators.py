@@ -539,35 +539,31 @@ def build_emb_scenario(plan: EmbPlan, config: MemConfig = DEFAULT_CONFIG) -> Emb
             hole = (big_target, hole_start, plan.hole_span)
     own_pairs = []
     emb: dict[int, tuple[int, int]] = {}
-    tgt_ref: dict[int, int] = {}  # source idx -> ref of its target in ops2
     for idx, (low, high, kind) in enumerate(plan.sources):
         if kind[0] == "own":
             delta = kind[1]
             ops2.append(("alloc", low + delta, high + delta))
             emb[src_ids[idx]] = (next_tgt, delta)
             own_pairs.append((src_ids[idx], next_tgt, delta))
-            tgt_ref[idx] = next_tgt - 1
             next_tgt += 1
         elif kind[0] == "slot":
             emb[src_ids[idx]] = (big_target, slot_delta[idx])
-            tgt_ref[idx] = big_target - 1
     extra_ids = []
-    extra_ref_base = next_tgt - 1
     for low, high in plan.extra_targets:
         ops2.append(("alloc", low, high))
         extra_ids.append(next_tgt)
         next_tgt += 1
 
+    # Every alloc succeeds, as the ids above assume, so the ref of a block
+    # on either side is its id - 1.
     ops1 = [("alloc", low, high) for (low, high, _) in plan.sources]
     for src_idx, t, ofs, vspec in plan.stores:
         ops1.append(("store", t, src_idx, ofs, _realize(vspec, src_ids)))
         if src_ids[src_idx] in emb:
-            _, delta = emb[src_ids[src_idx]]
-            ops2.append(
-                ("store", t, tgt_ref[src_idx], ofs + delta, _transport(vspec, src_ids, emb))
-            )
+            tgt, delta = emb[src_ids[src_idx]]
+            ops2.append(("store", t, tgt - 1, ofs + delta, _transport(vspec, src_ids, emb)))
     for extra_idx, t, ofs, vspec in plan.extra_stores:
-        ops2.append(("store", t, extra_ref_base + extra_idx, ofs, _realize(vspec, src_ids)))
+        ops2.append(("store", t, extra_ids[extra_idx] - 1, ofs, _realize(vspec, src_ids)))
     for src_idx in plan.frees:
         ops1.append(("free", src_idx))
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .. import chunks, memstate
+from .. import chunks
 from ..trace import entry_text
 from . import generators
 from .domains import Domain, choose, extend, given, sampler, source
@@ -136,28 +136,6 @@ def emb_scenario_cached(plan: EmbPlan):
     return build_emb_scenario(plan)
 
 
-# The last store a check applied, for the cases of an enumeration that vary
-# only after their store: ((ops, t, b, i, v), (state, state after)).
-_LAST_STORE: list = [None, None]
-
-
-def stored(ops, t, b, i, v):
-    """The state of ``ops`` and the state after storing ``v`` at ``(t, b,
-    i)`` in it (None when the store fails)."""
-    args = (ops, t, b, i, v)
-    if _LAST_STORE[0] != args:
-        m = state_of(ops)
-        _LAST_STORE[:] = args, (m, memstate.store(t, m, b, i, v))
-    return _LAST_STORE[1]
-
-
-# The last operation prologue a state law applied (``laws_state._after``):
-# [case, prologue, result].  The laws of one exhaustive domain check each
-# case object in turn (``runner.run_group``), so they apply its operation
-# once.  The entry holds its case, so no other case can take its identity.
-LAST_PROLOGUE: list = [None, None, None]
-
-
 @lru_cache(maxsize=4096)
 def cells_of(recipe: tuple):
     """Content map built by a sequence of datum stores."""
@@ -167,6 +145,49 @@ def cells_of(recipe: tuple):
     for t, ofs, v in recipe:
         f = cells.store_contents(f, t, ofs, v)
     return f
+
+
+# --- operation prologues -------------------------------------------------------
+#
+# A *prologue* rebuilds what a case's first fields describe and applies an
+# operation to it; ``after`` runs it once for the checks that read it.
+
+# The last prologue a check ran: [case, prologue, arguments, result].  The
+# laws of one exhaustive domain check each case object in turn
+# (``runner.run_group``), so they find it by the case's identity; the entry
+# holds its case, so no other case can take that identity.  An enumeration
+# varies a case's last fields fastest, so the next case often repeats the
+# arguments, found by equality.
+LAST_PROLOGUE: list = [None, None, None, None]
+
+
+def after(prologue, end: int, given=None):
+    """Decorator for a check on a case whose fields 1 to ``end`` - 1 are
+    the arguments of ``prologue``: the property ``prop(case, *result)``
+    runs on ``result = prologue(*case[1:end])``.  A case passes vacuously
+    when ``given(case)``, the law's own hypothesis checked before the
+    prologue runs, is false, or when the prologue returns None."""
+    last = LAST_PROLOGUE
+
+    def wrap(prop):
+        def check(case):
+            if given is not None and not given(case):
+                return None
+            if last[0] is case and last[1] is prologue:
+                r = last[3]
+            else:
+                args = case[1:end]
+                if last[1] is not prologue or last[2] != args:
+                    r = prologue(*args)
+                    last[:] = case, prologue, args, r
+                else:
+                    r = last[3]
+                    last[0] = case
+            return None if r is None else prop(case, *r)
+
+        return check
+
+    return wrap
 
 
 # --- domains over states ---------------------------------------------------------
@@ -234,8 +255,7 @@ def clear_caches() -> None:
     emb_scenario_cached.cache_clear()
     cells_of.cache_clear()
     SCENARIOS.clear()
-    _LAST_STORE[:] = None, None
-    LAST_PROLOGUE[:] = None, None, None
+    LAST_PROLOGUE[:] = None, None, None, None
     generators.tiny_states_small.cache_clear()
 
 

@@ -4,7 +4,9 @@ Cases are built from *recipes*, sequences of datum stores applied to the
 empty map; random recipes overlap freely, so broken-continuation shapes
 arise naturally.  Expected values on the read-back path come from the
 naive oracle's independently written conversion, keeping the two routes
-honest against each other.
+honest against each other.  A law about a datum store checks its property
+on the maps before and after the store, which one prologue builds for all
+the checks of a case (``_after_store``, built on ``laws_base.after``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .. import cells, chunks
 from ..chunks import ALL_CHUNKS, Chunk, Vfloat, Vint, VUNDEF
 from . import generators, oracle
 from .domains import Domain, branch, choose, const, given, ints, pick, source, tuples
-from .laws_base import CONCRETE_MEM, MISMATCHED_CHUNKS, cells_of, deflaw
+from .laws_base import CONCRETE_MEM, MISMATCHED_CHUNKS, after, cells_of, deflaw
 
 _EX_SINGLE = tuple(
     (t, ofs, v)
@@ -64,16 +66,16 @@ def _cells(k: int):
     return lambda d: ("cells", d[k]) + d[:k] + d[k + 1 :]
 
 
-def _after_store(prop):
-    """Decorator for a check on ("cells", recipe, t, ofs, v, ...): the
-    property ``prop(case, f, g)`` sees the recipe's map before and after
+def _stored(recipe, t, ofs, v):
+    """The prologue of a store law: the recipe's map before and after
     storing v at ofs with chunk t."""
+    f = cells_of(recipe)
+    return f, cells.store_contents(f, t, ofs, v)
 
-    def check(case):
-        f = cells_of(case[1])
-        return prop(case, f, cells.store_contents(f, case[2], case[3], case[4]))
 
-    return check
+# Decorator for a check on ("cells", recipe, t, ofs, v, ...): the property
+# ``prop(case, f, g)`` sees the maps of ``_stored``.
+_after_store = after(_stored, 5)
 
 
 # --- update ---------------------------------------------------------------------

@@ -698,6 +698,10 @@ def _emb_alloc(overlap):
     return extend(_emb(overlap=overlap), _ALLOC_BOUNDS)
 
 
+# The one domain of the one-sided alloc laws.
+_EMB_ALLOC = _emb_alloc(_OVERLAP_SOME)
+
+
 _REQUESTS = tuples(lists(ints(0, 3, (0, 1, 2)), _bounds((0,), (4, 8))))
 
 
@@ -960,7 +964,7 @@ deflaw(
     REL_MEM,
     "right-side allocation preserves the embedding",
     family="relation",
-    domain=_emb_alloc(_OVERLAP_SOME),
+    domain=_EMB_ALLOC,
     check=_one_sided(EMB, "right", _do_alloc, "a right-side allocation"),
 )
 
@@ -969,7 +973,7 @@ deflaw(
     REL_MEM,
     "left-side allocation of an unmapped block preserves the embedding",
     family="relation",
-    domain=_emb_alloc(_OVERLAP_SOME),
+    domain=_EMB_ALLOC,
     check=_alloc_left_unmapped(EMB),
 )
 
@@ -1166,7 +1170,7 @@ deflaw(
     MEM_INJECT,
     "right-side allocation preserves the injection",
     family="relation",
-    domain=_emb_alloc(_OVERLAP_SOME),
+    domain=_EMB_ALLOC,
     check=_one_sided(INJECT, "right", _do_alloc, "a right-side allocation"),
 )
 
@@ -1175,7 +1179,7 @@ deflaw(
     MEM_INJECT,
     "left-side allocation of an unmapped block preserves the injection",
     family="relation",
-    domain=_emb_alloc(_OVERLAP_SOME),
+    domain=_EMB_ALLOC,
     check=_alloc_left_unmapped(INJECT),
 )
 

@@ -12,9 +12,10 @@ A law is assembled from three parts:
   probe, access, store, alloc and free draws, and their extensions with a
   second access or a reload chunk (``_overlap`` draws ``_valid_store`` and
   then an overlapping load), each stated beside its scope;
-- the *prologue* of an operation (``_after``), which rebuilds the state,
-  applies alloc, store, free or free_list with the case's arguments, and
-  passes vacuously when the operation fails;
+- the *prologue* of an operation (``_after``, built on
+  ``laws_base.after``), which rebuilds the state, applies alloc, store,
+  free or free_list with the case's arguments, and passes vacuously when
+  the operation fails;
 - one check per property.  A property that holds for several operations,
   in both directions or for several classes of locations, is stated once
   and takes the operation, the direction or the class as a parameter
@@ -40,18 +41,17 @@ from .laws_base import (
     G_FRESH,
     G_GOODVARS,
     G_VALIDITY,
-    LAST_PROLOGUE,
     MEM_INJECT,
     MISMATCHED_CHUNKS,
     REF_GEN_MEM,
     REL_MEM,
     SCENARIO_OPS,
     STATE,
+    after,
     deflaw,
     on_state,
     run_cached,
     state_of,
-    stored,
     valid_access,
     valid_access_scope,
 )
@@ -174,63 +174,52 @@ _FREE = on_state(_free_block, _free_block_scope)
 
 # --- operation prologues ------------------------------------------------------------
 #
-# Each prologue applies an operation to the state of a case ("state", ops,
-# *args, ...) with the case's arguments and returns (state before, state
-# after, block acted on), or None when the operation fails.  The block is
-# the new one for alloc, the target of a store or free, and the tuple of
-# targets for free_list.
+# Each prologue takes the fields of a case ("state", ops, *args, ...) that
+# follow its tag, rebuilds the state of ops, applies an operation with the
+# arguments and returns (state before, state after, block acted on), or None
+# when the operation fails.  The block is the new one for alloc, the target
+# of a store or free, and the tuple of targets for free_list.
 
 
-def _alloc(case):
-    m = state_of(case[1])
-    r = memstate.alloc(m, case[2], case[3])
+def _alloc(ops, low, high):
+    m = state_of(ops)
+    r = memstate.alloc(m, low, high)
     return None if r is None else (m, r[1], r[0])
 
 
-def _store(case):
-    m, m2 = stored(*case[1:6])
-    return None if m2 is None else (m, m2, case[3])
+def _store(ops, t, b, i, v):
+    m = state_of(ops)
+    m2 = memstate.store(t, m, b, i, v)
+    return None if m2 is None else (m, m2, b)
 
 
-def _free(case):
-    m = state_of(case[1])
-    m2 = memstate.free(m, case[2])
-    return None if m2 is None else (m, m2, case[2])
+def _free(ops, b):
+    m = state_of(ops)
+    m2 = memstate.free(m, b)
+    return None if m2 is None else (m, m2, b)
 
 
-def _free_list(case):
-    m = state_of(case[1])
-    m2 = memstate.free_list(m, case[2])
-    return None if m2 is None else (m, m2, case[2])
+def _free_list(ops, bs):
+    m = state_of(ops)
+    m2 = memstate.free_list(m, bs)
+    return None if m2 is None else (m, m2, bs)
 
 
-_PROLOGUES = {"alloc": _alloc, "store": _store, "free": _free, "free_list": _free_list}
+# Each operation's prologue, and the end of its fields in a case.
+_PROLOGUES = {
+    "alloc": (_alloc, 4),
+    "store": (_store, 6),
+    "free": (_free, 3),
+    "free_list": (_free_list, 3),
+}
 
 
 def _after(op: str, given=None):
     """Decorator for a check whose cases apply ``op``: the property
     ``prop(case, m, m2, b)`` runs on the prologue's result.  A case passes
-    vacuously when ``given(case)``, the law's own hypothesis checked
-    before the operation runs, is false, or when the operation fails.  The
-    prologue's last result is kept for the next check of the same case
-    object (``laws_base.LAST_PROLOGUE``)."""
-    prologue = _PROLOGUES[op]
-    last = LAST_PROLOGUE
-
-    def wrap(prop):
-        def check(case):
-            if given is not None and not given(case):
-                return None
-            if last[0] is case and last[1] is prologue:
-                r = last[2]
-            else:
-                r = prologue(case)
-                last[:] = case, prologue, r
-            return None if r is None else prop(case, *r)
-
-        return check
-
-    return wrap
+    vacuously when ``given(case)`` is false or when the operation fails
+    (``laws_base.after``)."""
+    return after(*_PROLOGUES[op], given)
 
 
 # --- decidability / definitional laws ------------------------------------------
@@ -737,6 +726,10 @@ def _pointer_inv(op: str):
     )
 
 
+# Per operation, the one domain of its pointer laws.
+_POINTER_INV = {op: _pointer_inv(op) for op in _ACTED_ON}
+
+
 _POINTER_INV_ABOUT = {
     "store": "store creates no valid access",
     "alloc": "alloc creates no valid access in other blocks",
@@ -754,7 +747,7 @@ for _name, _op in (
         _POINTER_INV_ABOUT[_op],
         family="state",
         groups=(G_ACCESS,),
-        domain=_pointer_inv(_op),
+        domain=_POINTER_INV[_op],
         check=_preserve_pointer_check(_op, forward=False),
     )
 
@@ -1131,7 +1124,7 @@ for _name, _op in (
         _POINTER_INV_ABOUT[_op],
         family="state",
         groups=(G_ACCESS,),
-        domain=_pointer_inv(_op),
+        domain=_POINTER_INV[_op],
         check=_preserve_pointer_check(_op, forward=False),
     )
 
@@ -1142,7 +1135,7 @@ deflaw(
     "store preserves valid accesses",
     family="state",
     groups=(G_ACCESS,),
-    domain=_pointer_inv("store"),
+    domain=_POINTER_INV["store"],
     check=_preserve_pointer_check("store", forward=True),
 )
 

@@ -47,7 +47,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import memstate, relations
-from .chunks import Chunk, Value, Vfloat, Vint, Vptr, VUNDEF, value_text
+from .chunks import BY_TOKEN, Chunk, Value, Vfloat, Vint, Vptr, VUNDEF, value_text
 from .memstate import DEFAULT_CONFIG, MemConfig, MemState
 
 
@@ -154,8 +154,6 @@ class Trace:
 # parentheses and '#'; a line's code ends at its first '#'.
 _TOKEN = re.compile(r"[()]|[^ \t()#]+")
 
-_CHUNKS = {c.token: c for c in Chunk}
-
 
 class _Error(Exception):
     """A parse error at token ``index`` of its line; an index past the last
@@ -244,7 +242,7 @@ def _bind(tokens: list, k: int, bound: dict) -> tuple:
 
 def _chunk(tokens: list, k: int) -> Chunk:
     try:
-        return _CHUNKS[tokens[k]]
+        return BY_TOKEN[tokens[k]]
     except KeyError:
         raise _Error(k, f"unknown chunk {tokens[k]!r}") from None
     except IndexError:
@@ -439,7 +437,7 @@ def _read_store(words: list, line: int, bound: dict, literals: dict, expect) -> 
     value, end = _word_value(words, 4, bound, literals)
     if end != len(words):
         raise ValueError("trailing words")
-    op = ("store", _CHUNKS[words[1]], ref, int(words[3], 0), value)
+    op = ("store", BY_TOKEN[words[1]], ref, int(words[3], 0), value)
     return Statement(op, expect, names, line)
 
 
@@ -456,7 +454,7 @@ def _read_load(words: list, line: int, bound: dict, literals: dict, expect) -> S
     if end != len(words):
         raise ValueError("trailing words")
     ref, names = bound[words[2]]
-    return Statement(("load", _CHUNKS[words[1]], ref, int(words[3], 0)), expect, names, line)
+    return Statement(("load", BY_TOKEN[words[1]], ref, int(words[3], 0)), expect, names, line)
 
 
 def _read_valid(words: list, line: int, bound: dict, literals: dict, expect) -> Statement:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from blockmem import lawcheck, memstate, relations
+from blockmem import cells, lawcheck, memstate, relations
 from blockmem.lawcheck import generators, laws_base, mutations, registry, runner
 from blockmem.lawcheck.domains import Domain, Given, Skip, ints, lists, sampler, tuples
 from blockmem.lawcheck.laws_base import ALL_GROUPS, CONCRETE_MEM, LAWS, Law, render_case
@@ -296,25 +296,62 @@ def test_suite_enumerates_each_domain_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_a_store_group_stores_once_per_case(monkeypatch):
-    """The six laws of the store domain apply each case's store once."""
-    (group,) = [g for g in runner.domain_groups(LAWS) if "store_inversion" in g]
-    assert len(group) == 6
+def test_laws_of_one_description_share_one_group():
+    """Laws over the same cases are stated on one domain description, so
+    they form one group: no two groups' first laws agree on their first 300
+    exhaustive cases and on their first 20 draws from one stream."""
+    seen: dict = {}
+    for group in runner.domain_groups(LAWS):
+        law = LAWS[group[0]]
+        rng = law_stream(42, "one description")
+        key = (tuple(islice(law.exhaustive(), 300)), tuple(law.sample(rng) for _ in range(20)))
+        assert key not in seen, f"{law.name} enumerates and draws as {seen[key]}"
+        seen[key] = law.name
+
+
+# A law, the number of laws in its group, the module and name of the
+# operation its prologue applies, the end of the prologue's fields in a case,
+# how often the group applies the operation over the law's first 3,000
+# exhaustive cases, and how many of those cases are not skips.
+PROLOGUE_COUNTS = [
+    ("store_inversion", 6, memstate, "store", 6, 1644, 1644),
+    ("load_store_same_", 1, memstate, "store", 6, 1644, 2994),
+    ("load_store_contents_same", 1, cells, "store_contents", 5, 1800, 3000),
+]
+
+
+@pytest.mark.parametrize(
+    "name, size, module, op, end, calls, count",
+    PROLOGUE_COUNTS,
+    ids=[row[0] for row in PROLOGUE_COUNTS],
+)
+def test_a_store_group_stores_once_per_case(
+    monkeypatch, name, size, module, op, end, calls, count
+):
+    """A group runs each prologue once per distinct ``case[1:end]``: once
+    for all its laws of one case, and once for the cases of an enumeration
+    that repeat the arguments of the case before."""
+    (group,) = [g for g in runner.domain_groups(LAWS) if name in g]
+    assert len(group) == size
     laws = [LAWS[n] for n in group]
     cases = [c for c in islice(laws[0].exhaustive(), 3000) if c[0] != "skip"]
     laws_base.clear_caches()
-    for ops in generators.tiny_states_small():  # build every state before counting
+    for ops in generators.tiny_states_small():  # build every state and map before counting
         laws_base.state_of(ops)
-    stores = [0]
-    store = memstate.store
+    for case in cases:
+        if case[0] == "cells":
+            laws_base.cells_of(case[1])
+    applied = [0]
+    operation = getattr(module, op)
 
     def counting(*args):
-        stores[0] += 1
-        return store(*args)
+        applied[0] += 1
+        return operation(*args)
 
-    monkeypatch.setattr(memstate, "store", counting)
+    monkeypatch.setattr(module, op, counting)
     runner.run_group(laws, SuiteConfig(random_cases=0, max_exhaustive=3000))
-    assert stores[0] == len(cases) > 0
+    assert (applied[0], len(cases)) == (calls, count)
+    assert calls == len({case[1:end] for case in cases})
 
 
 def test_a_mutation_reaches_a_case_already_checked():
@@ -449,14 +486,13 @@ def test_clear_caches_empties_every_lawcheck_cache():
     }
     run_suite(SuiteConfig(random_cases=5, max_exhaustive=300))
     assert all(cache.cache_info().currsize for cache in caches.values())
-    assert SCENARIOS and laws_base._LAST_STORE != [None, None]
-    assert laws_base.LAST_PROLOGUE != [None, None, None]
+    assert SCENARIOS
+    assert laws_base.LAST_PROLOGUE != [None, None, None, None]
     laws_base.clear_caches()
     kept = {name: cache.cache_info().currsize for name, cache in caches.items()}
     assert {name: size for name, size in kept.items() if size} == {}
     assert not SCENARIOS
-    assert laws_base._LAST_STORE == [None, None]
-    assert laws_base.LAST_PROLOGUE == [None, None, None]
+    assert laws_base.LAST_PROLOGUE == [None, None, None, None]
 
 
 def test_checks_never_see_a_skip():
